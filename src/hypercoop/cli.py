@@ -40,6 +40,8 @@ from .expansion import (
     DEFAULT_STATE_CAP,
     agent_form_payoffs,
     build_uniform,
+    group_by_origin,
+    grouped_position,
     shapley_blockwise,
 )
 from .model import (
@@ -48,13 +50,11 @@ from .model import (
     TableFunction,
     UnanimityFunction,
     WeightedUnanimityFunction,
-    ZERO,
     link_key,
     make_hypergraph,
     table_function,
     unanimity,
     weighted_unanimity,
-    zero_allocation,
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, TUGame, shapley_by_subsets
 from .solutions import myerson_value, position_value
@@ -118,6 +118,8 @@ def parse_game(text: str) -> HypergraphGame:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
 
@@ -305,9 +307,7 @@ def handle_expand(args) -> int:
     game = _load(args)
     expansion = build_uniform(game, args.k)
     per_copy = shapley_blockwise(expansion, state_cap=args.cap_states)
-    grouped = zero_allocation(game.players)
-    for i, mine in expansion.groups.items():
-        grouped[i] = sum((per_copy[ep] for ep in mine), ZERO)
+    grouped = group_by_origin(game.players, per_copy)
     blocks = [
         {
             "hyperlink": sorted(e),
@@ -458,30 +458,20 @@ def handle_verify(args) -> int:
 
     expected = position_value(game, cap=args.cap_subsets)
     if args.theorem == "1":
-        got = _grouped(build_uniform(game, 1), args.cap_states)
+        got = grouped_position(build_uniform(game, 1), state_cap=args.cap_states)
         label = "grouped Shapley payoffs of the 1-fold uniform expansion"
     elif args.theorem == "2":
-        got = _grouped(build_uniform(game, args.k), args.cap_states)
+        got = grouped_position(build_uniform(game, args.k), state_cap=args.cap_states)
         label = f"grouped Shapley payoffs of the {args.k}-fold uniform expansion"
     else:  # corollary1
         per_agent = agent_form_payoffs(game, state_cap=args.cap_states)
-        got = zero_allocation(game.players)
-        for ep, val in per_agent.items():
-            got[ep.origin] += val
+        got = group_by_origin(game.players, per_agent)
         label = "grouped Myerson payoffs of the agent form"
     print(f"verification: {label} == position value")
     _print_comparison(expected, got, args.decimals)
     ok = expected == got
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
-
-
-def _grouped(expansion, state_cap: int) -> Allocation:
-    per_copy = shapley_blockwise(expansion, state_cap=state_cap)
-    out = zero_allocation(expansion.game.players)
-    for i, mine in expansion.groups.items():
-        out[i] = sum((per_copy[ep] for ep in mine), ZERO)
-    return out
 
 
 def handle_solve_axioms(args) -> int:

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .connectivity import merge_groups
 from .model import (
@@ -207,14 +207,23 @@ def shapley_blockwise(expansion: UniformExpansion, state_cap: int = DEFAULT_STAT
     return payoffs
 
 
+def group_by_origin(
+    players: Iterable[PlayerId], per_copy: Mapping[ExpandedPlayer, Fraction]
+) -> Allocation:
+    """Payoffs of expanded players (copies or agents) summed per original
+    player; players with no copy keep payoff 0."""
+    out = zero_allocation(players)
+    for ep, value in per_copy.items():
+        out[ep.origin] += value
+    return out
+
+
 def grouped_position(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE_CAP) -> Allocation:
     """Expanded Shapley payoffs summed per original player; players on no
     hyperlink keep payoff 0."""
-    per_copy = shapley_blockwise(expansion, state_cap=state_cap)
-    out = zero_allocation(expansion.game.players)
-    for i, mine in expansion.groups.items():
-        out[i] = sum((per_copy[ep] for ep in mine), ZERO)
-    return out
+    return group_by_origin(
+        expansion.game.players, shapley_blockwise(expansion, state_cap=state_cap)
+    )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ each other in the test suites:
 * subset enumeration with the |S|!(n-|S|-1)!/n! weights,
 * Harsanyi dividends split equally inside their coalition.
 
-All arithmetic is `fractions.Fraction`.  Each route refuses games larger
-than its cap; caps are keyword arguments, not constants baked into call
-sites.
+Their arithmetic is `fractions.Fraction`.  `shapley_of_table` is the
+integer kernel behind the Myerson and position values: it takes a worth
+table indexed by bitmask, already scaled to integers, and returns the
+payoffs scaled by n!.  Each route refuses games larger than its cap; caps
+are keyword arguments, not constants baked into call sites.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ class TUGame:
         return cached
 
 
+def require_subset_cap(n: int, cap: int) -> None:
+    """Refuse a subset enumeration over n elements when n exceeds the cap."""
+    if n > cap:
+        raise CapExceeded(f"{n} players exceeds the subset cap {cap}")
+
+
 def positional_weights(n: int) -> list[Fraction]:
     """weights[s] = s!(n-s-1)!/n! — the chance a player arrives after
     exactly s others in a uniformly random order."""
@@ -105,8 +113,7 @@ def shapley_by_permutations(game: TUGame, cap: int = DEFAULT_PERMUTATION_CAP) ->
 def shapley_by_subsets(game: TUGame, cap: int = DEFAULT_SUBSET_CAP) -> dict:
     """Subset enumeration with exact positional weights."""
     n = len(game.players)
-    if n > cap:
-        raise CapExceeded(f"{n} players exceeds the subset cap {cap}")
+    require_subset_cap(n, cap)
     if n == 0:
         return {}
     sets = _coalitions_by_mask(game.players)
@@ -124,6 +131,32 @@ def shapley_by_subsets(game: TUGame, cap: int = DEFAULT_SUBSET_CAP) -> dict:
                 total += weights[mask.bit_count()] * diff
         payoffs[p] = total
     return payoffs
+
+
+def shapley_of_table(table: Sequence[int]) -> list[int]:
+    """n!·Shapley value of the game with worth table[mask] on the coalition
+    whose members are the set bits of mask; len(table) must be 2^n and
+    table[0] must be 0.  Entry k belongs to the player on bit k.
+
+    With c(s) = s!(n-s-1)! (and c(-1) = c(n) = 0) the subset sum
+    n!·Sh_i = Σ_{S∌i} c(|S|)·(v(S+i) - v(S)) regroups as A_i - T with
+    A_i = Σ_{S∋i} (c(|S|-1) + c(|S|))·v(S), one weighted table shared by
+    every player, and T = Σ_S c(|S|)·v(S).  Efficiency, Σ_i n!·Sh_i =
+    n!·v(N), gives T = (Σ_i A_i - n!·v(N)) / n without a second pass.
+    """
+    n = len(table).bit_length() - 1
+    if n == 0:
+        return []
+    c = [factorial(s) * factorial(n - 1 - s) for s in range(n)] + [0]
+    d = [c[0]] + [c[s - 1] + c[s] for s in range(1, n + 1)]
+    weighted = [d[mask.bit_count()] * w for mask, w in enumerate(table)]
+    sums = []
+    for k in range(n):
+        half = 1 << k
+        holds_k = (bytes(half) + b"\x01" * half) * (len(table) // (2 * half))
+        sums.append(sum(itertools.compress(weighted, holds_k)))
+    offset = (sum(sums) - factorial(n) * table[-1]) // n
+    return [a - offset for a in sums]
 
 
 def harsanyi_dividends(game: TUGame, cap: int = DEFAULT_DIVIDEND_CAP) -> dict[frozenset, Fraction]:

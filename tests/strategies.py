@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from hypercoop.corpus import connected_coalitions
-from hypercoop.model import HypergraphGame, make_hypergraph, table_function
+from hypercoop.model import HypergraphGame, make_hypergraph, table_function, weighted_unanimity
 from hypercoop.shapley import TUGame
 
 rationals = st.builds(
@@ -47,6 +47,20 @@ def hypergraph_games(draw, max_players: int = 5, max_links: int = 4, max_link_si
         if draw(st.booleans()):
             entries[coalition] = draw(rationals)
     return HypergraphGame(structure, table_function(structure.players, entries))
+
+
+@st.composite
+def unanimity_combination_games(draw, max_players: int = 5, max_links: int = 4, max_link_size: int = 3):
+    """Weighted unanimity worths on arbitrary supports, connected or not."""
+    structure = draw(hypergraphs(max_players, max_links, max_link_size))
+    pool = [
+        combo
+        for size in range(2, len(structure.players) + 1)
+        for combo in itertools.combinations(structure.players, size)
+    ]
+    supports = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    terms = [(s, draw(rationals)) for s in supports]
+    return HypergraphGame(structure, weighted_unanimity(structure.players, terms))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,6 +140,13 @@ class TestParseGame:
         with pytest.raises(DocumentError, match="root must be"):
             parse_game("[1, 2]")
 
+    def test_readme_documents_parse(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for block in blocks:
+            parse_game(block)
+
 
 class TestSerialization:
     def test_hub_document(self, hub):
@@ -197,6 +205,16 @@ class TestValueCommand:
         path = write_doc(tmp_path, dict(HUB_DOC, hyperlinks=[[1]]))
         assert main(["value", path]) == 2
         assert "hyperlinks[0]" in capsys.readouterr().err
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"players": [1, 2], "characteristic": ' + "[" * depth + "]" * depth + "}",
+            encoding="utf-8",
+        )
+        assert main(["value", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestExpandCommand:

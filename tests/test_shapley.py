@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from hypercoop.shapley import (
     shapley_by_dividends,
     shapley_by_permutations,
     shapley_by_subsets,
+    shapley_of_table,
 )
 
 from strategies import rationals, tu_games
@@ -150,3 +152,22 @@ def test_additivity(game, scale):
     extra = shapley_by_subsets(shifted)
     total = shapley_by_subsets(combined)
     assert total == {p: base[p] + extra[p] for p in game.players}
+
+
+@given(tu_games())
+def test_integer_table_kernel_matches_the_subset_sum(game):
+    n = len(game.players)
+    worths = [
+        game.worth(p for k, p in enumerate(game.players) if mask >> k & 1)
+        for mask in range(1 << n)
+    ]
+    scale = lcm(*(w.denominator for w in worths))
+    table = [int(w * scale) for w in worths]
+    scaled = shapley_of_table(table)
+    assert all(isinstance(x, int) for x in scaled)
+    expected = shapley_by_subsets(game)
+    assert {p: Fraction(x, factorial(n) * scale) for p, x in zip(game.players, scaled)} == expected
+
+
+def test_integer_table_kernel_on_no_players():
+    assert shapley_of_table([0]) == []

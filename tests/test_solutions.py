@@ -1,16 +1,21 @@
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+from hypercoop import solutions
 from hypercoop.connectivity import components
+from hypercoop.corpus import game_corpus
 from hypercoop.model import (
+    CharacteristicFunction,
     HypergraphGame,
     make_hypergraph,
     table_function,
     unanimity,
+    weighted_unanimity,
 )
-from hypercoop.shapley import CapExceeded
+from hypercoop.shapley import CapExceeded, shapley_by_subsets
 from hypercoop.solutions import (
     conference_worth,
     hyperlink_game,
@@ -20,7 +25,7 @@ from hypercoop.solutions import (
     restricted_worth,
 )
 
-from strategies import hypergraph_games
+from strategies import hypergraph_games, unanimity_combination_games
 
 F = Fraction
 
@@ -151,3 +156,97 @@ def test_point_and_hyperlink_games_agree_on_totals(game):
     hg = hyperlink_game(game)
     assert hg.worth(game.hyperlinks) == conference_worth(game, game.hyperlinks)
     assert hg.worth(frozenset()) == 0
+
+
+def position_oracle(game):
+    """Position value from the frozenset conference game and the subset sum."""
+    payoffs = {p: F(0) for p in game.players}
+    if game.hyperlinks:
+        link_payoffs = shapley_by_subsets(hyperlink_game(game))
+        for e in game.hyperlinks:
+            for i in e:
+                payoffs[i] += link_payoffs[e] / len(e)
+    return payoffs
+
+
+def assert_matches_the_oracle(game):
+    assert myerson_value(game) == shapley_by_subsets(point_game(game))
+    assert position_value(game) == position_oracle(game)
+
+
+@dataclass(frozen=True)
+class CountingWorth(CharacteristicFunction):
+    """A characteristic the kernel cannot read off: worth (|S|² - |S|)/3
+    plus 5/2 on coalitions holding player 1, recording each call."""
+
+    calls: list = field(default_factory=list, compare=False, hash=False)
+
+    def _worth(self, coalition):
+        self.calls.append(coalition)
+        size = len(coalition)
+        bonus = F(5, 2) if 1 in coalition and size > 1 else 0
+        return F(size * size - size, 3) + bonus
+
+
+class TestBitmaskKernel:
+    def test_the_corpus_matches_the_oracle(self):
+        for game in game_corpus(count=200):
+            assert_matches_the_oracle(game)
+
+    @given(hypergraph_games())
+    def test_table_games_match_the_oracle(self, game):
+        assert_matches_the_oracle(game)
+
+    @given(unanimity_combination_games())
+    def test_unanimity_combinations_match_the_oracle(self, game):
+        assert_matches_the_oracle(game)
+
+    def test_custom_characteristic_goes_through_worth(self):
+        players = [1, 2, 3, 4, 5]
+        cf = CountingWorth(frozenset(players))
+        game = HypergraphGame(make_hypergraph(players, [[1, 2], [2, 3, 4], [4, 5]]), cf)
+        myerson, position = myerson_value(game), position_value(game)
+        assert {2, 3, 4} in cf.calls and {1, 2, 3, 4, 5} in cf.calls
+        assert myerson == shapley_by_subsets(point_game(game))
+        assert position == position_oracle(game)
+
+    def test_custom_characteristic_must_be_zero_on_singletons(self):
+        @dataclass(frozen=True)
+        class Flat(CharacteristicFunction):
+            def _worth(self, coalition):
+                return F(len(coalition))
+
+        game = HypergraphGame(make_hypergraph([1, 2, 3], [[1, 2]]), Flat(frozenset({1, 2, 3})))
+        with pytest.raises(ValueError, match="empty coalition"):
+            position_value(game)
+        assert myerson_value(game) == shapley_by_subsets(point_game(game))
+
+    @pytest.mark.parametrize(
+        "cf",
+        [
+            unanimity([1, 2, 3, 4], [1, 2]),
+            weighted_unanimity([1, 2, 3, 4], [([1, 2, 3], F(3, 4)), ([2, 4], F(-1, 6))]),
+            table_function([1, 2, 3, 4], {frozenset({1, 4}): F(7, 5), frozenset({1, 2, 3, 4}): 2}),
+        ],
+    )
+    @pytest.mark.parametrize("links", [[], [[1, 2]], [[2, 3, 4]], [[1, 2], [3, 4]]])
+    def test_no_hyperlinks_and_isolated_players(self, cf, links):
+        game = HypergraphGame(make_hypergraph([1, 2, 3, 4], links), cf)
+        assert_matches_the_oracle(game)
+        linked = {p for e in links for p in e}
+        value = position_value(game)
+        assert all(value[p] == 0 for p in game.players if p not in linked)
+
+    def test_cap_is_checked_before_any_table(self, monkeypatch):
+        def refuse(game):
+            raise AssertionError("a table was built over the cap")
+
+        monkeypatch.setattr(solutions, "_conference_table", refuse)
+        monkeypatch.setattr(solutions, "_point_table", refuse)
+        players = range(30)
+        links = [[i, (i + 1) % 30] for i in players]
+        game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
+        with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 24$"):
+            position_value(game)
+        with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 29$"):
+            myerson_value(game, cap=29)
