@@ -23,6 +23,7 @@ from .expansion import (
     block_symmetric_shapley,
     build_uniform,
     conference_mask_worth,
+    require_state_cap,
 )
 from .model import (
     Allocation,
@@ -240,6 +241,7 @@ def check_copy_deletion(
     sizes = [expansion.rho] * len(links)
     completions = list(sizes)
     sizes[target] -= 1
+    require_state_cap(sizes, state_cap)  # before the 2^m conference table
     per_block = block_symmetric_shapley(
         sizes, completions, conference_mask_worth(game), state_cap=state_cap
     )

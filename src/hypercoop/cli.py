@@ -14,8 +14,8 @@ terms), or ``table`` (a list of ``{"coalition": [...], "worth": "p/q"}``
 entries, unlisted coalitions worth zero).  Rationals are integers or
 "p/q" strings; floats are rejected.
 
-Exit codes: 0 success / property holds, 1 property fails, 2 bad input,
-3 an enumeration cap was exceeded.
+Exit codes: 0 success / property holds, 1 property fails, 2 bad input or
+an output write error, 3 an enumeration cap was exceeded.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .axioms import (
     DEFAULT_RECURSION_CAP,
+    ComponentEfficiencyReport,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
@@ -365,70 +366,53 @@ _CHECKS = {
 _MAX_FAILURE_LINES = 10
 
 
+def _component_failure(entry) -> tuple[dict, str]:
+    allocated, worth = format_rational(entry.allocated), format_rational(entry.worth)
+    fields = {"component": sorted(entry.component), "allocated": allocated, "worth": worth}
+    return fields, f"component {fields['component']}: allocated {allocated}, worth {worth}"
+
+
+def _pair_failure(side) -> tuple[dict, str]:
+    left, right = format_rational(side.left), format_rational(side.right)
+    fields = {"pair": [side.i, side.j], "left": left, "right": right}
+    return fields, (
+        f"pair ({side.i}, {side.j}): left {left}, right {right}, "
+        f"residual {format_rational(side.residual)}"
+    )
+
+
 def handle_check(args) -> int:
     game = _load(args)
     report = _CHECKS[args.axiom](_rule_for(args), game)
-    if args.axiom == "component-efficiency":
-        failures = report.failures()
-        payload = {
-            "axiom": args.axiom,
-            "rule": args.rule,
-            "passed": report.passed,
-            "components": len(report.entries),
-            "failures": [
-                {
-                    "component": sorted(entry.component),
-                    "allocated": format_rational(entry.allocated),
-                    "worth": format_rational(entry.worth),
-                }
-                for entry in failures
-            ],
-        }
-        if args.format == "json":
-            _emit_json(payload)
-            return 0 if report.passed else 1
-        print(f"axiom: component efficiency\nrule: {args.rule}")
-        if report.passed:
-            print(f"result: PASS — {len(report.entries)} components allocate exactly their worth")
-            return 0
-        print(f"result: FAIL — {len(failures)} of {len(report.entries)} components off")
-        for entry in failures[:_MAX_FAILURE_LINES]:
-            print(
-                f"  component {sorted(entry.component)}: allocated "
-                f"{format_rational(entry.allocated)}, worth {format_rational(entry.worth)}"
-            )
-        if len(failures) > _MAX_FAILURE_LINES:
-            print(f"  ... and {len(failures) - _MAX_FAILURE_LINES} more")
-        return 1
-
     failures = report.failures()
-    payload = {
-        "axiom": args.axiom,
-        "rule": args.rule,
-        "passed": report.passed,
-        "ordered_pairs": len(report.pairs),
-        "failures": [
-            {
-                "pair": [side.i, side.j],
-                "left": format_rational(side.left),
-                "right": format_rational(side.right),
-            }
-            for side in failures
-        ],
-    }
+    if isinstance(report, ComponentEfficiencyReport):
+        axiom, count_key, total = "component efficiency", "components", len(report.entries)
+        passed = f"{total} components allocate exactly their worth"
+        failed = f"{len(failures)} of {total} components off"
+        rows = [_component_failure(entry) for entry in failures]
+    else:
+        axiom, count_key, total = report.axiom, "ordered_pairs", len(report.pairs)
+        passed = f"all {total} ordered pairs balance"
+        failed = f"{len(failures)} of {total} ordered pairs unbalanced"
+        rows = [_pair_failure(side) for side in failures]
     if args.format == "json":
-        _emit_json(payload)
-        return 0 if report.passed else 1
-    print(f"axiom: {report.axiom}\nrule: {args.rule}")
-    if report.passed:
-        print(f"result: PASS — all {len(report.pairs)} ordered pairs balance")
-        return 0
-    print(f"result: FAIL — {len(failures)} of {len(report.pairs)} ordered pairs unbalanced")
-    for side in failures[:_MAX_FAILURE_LINES]:
-        print(
-            f"  pair ({side.i}, {side.j}): left {format_rational(side.left)}, "
-            f"right {format_rational(side.right)}, residual {format_rational(side.residual)}"
+        _emit_json(
+            {
+                "axiom": args.axiom,
+                "rule": args.rule,
+                "passed": not failures,
+                count_key: total,
+                "failures": [fields for fields, _ in rows],
+            }
         )
+        return 1 if failures else 0
+    print(f"axiom: {axiom}\nrule: {args.rule}")
+    if not failures:
+        print(f"result: PASS — {passed}")
+        return 0
+    print(f"result: FAIL — {failed}")
+    for _, line in rows[:_MAX_FAILURE_LINES]:
+        print(f"  {line}")
     if len(failures) > _MAX_FAILURE_LINES:
         print(f"  ... and {len(failures) - _MAX_FAILURE_LINES} more")
     return 1
@@ -617,7 +601,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

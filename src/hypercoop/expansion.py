@@ -6,16 +6,21 @@ rho/|e| of them held by each member, where eta is the lcm of the
 hyperlink sizes.  The expanded game w gives a coalition of copies the
 conference worth of the hyperlinks whose blocks it contains completely.
 
-The expanded games are symmetric under permuting copies inside a block,
-so a coalition matters only through its per-block member counts.  The
-engines below enumerate those count vectors and weight each one by the
-exact number of coalitions realizing it (products of binomials).  They
-use nothing beyond that within-block symmetry — in particular they never
-assume the grouped-payoff identity they are used to verify.
+The expanded game and the agent form are symmetric under permuting the
+copies (or agents) inside a block, so a coalition matters only through
+its per-block member counts.  One kernel, `_fold_shapley`, serves both:
+a block holding c members contributes a signature bitmask, the worth
+depends only on the OR of the signatures, and for each pivot block the
+other blocks are folded in one at a time into a map from (coalition
+size, OR-ed bits) to the exact number of coalitions realizing them
+(products of binomials).  It uses nothing beyond that within-block
+symmetry — in particular it never assumes the grouped-payoff identity
+it is used to verify.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,8 +38,8 @@ from .model import (
     link_key,
     zero_allocation,
 )
-from .shapley import CapExceeded, TUGame, positional_weights
-from .solutions import conference_worth
+from .shapley import CapExceeded, TUGame
+from .solutions import conference_table, conference_worth
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -113,6 +118,67 @@ def as_tu_game(expansion: UniformExpansion) -> TUGame:
     return TUGame(expansion.universe, lambda s: expanded_worth(expansion, s))
 
 
+def require_state_cap(sizes: list[int], state_cap: int) -> None:
+    """Refuse count-vector solvers whose product of (block size + 1)
+    exceeds the cap."""
+    if math.prod(n + 1 for n in sizes) > state_cap:
+        raise CapExceeded(f"count-vector state space exceeds the cap {state_cap}")
+
+
+def _fold_shapley(
+    sizes: list[int],
+    signatures: list[list[int]],
+    worth_of_bits: Callable[[int], Fraction],
+    state_cap: int,
+) -> list[Fraction]:
+    """Per-member Shapley payoffs of a game whose members fall into blocks
+    of interchangeable players, one payoff per block.
+
+    A coalition holding c of block j's sizes[j] members gets the bits
+    signatures[j][c] from it, and is worth `worth_of_bits` of the OR of
+    its blocks' bits.  For each pivot block the other blocks are folded
+    in one at a time into a map from (coalition size, OR-ed bits) to the
+    number of coalitions with them, a sum of products of binomials.  A
+    pivot member arriving to c others of its block changes the worth only
+    where signatures[pivot][c] differs from signatures[pivot][c+1], so
+    only those counts contribute.
+    """
+    require_state_cap(sizes, state_cap)
+    total = sum(sizes)
+    fact = [math.factorial(s) for s in range(total + 1)]
+    worth = functools.cache(worth_of_bits)
+    payoffs: list[Fraction] = []
+    for b0, (size0, sig0) in enumerate(zip(sizes, signatures)):
+        states = {(0, 0): 1}
+        for j, (size, sig) in enumerate(zip(sizes, signatures)):
+            if j == b0:
+                continue
+            row = [(c, math.comb(size, c), sig[c]) for c in range(size + 1)]
+            folded: dict[tuple[int, int], int] = {}
+            for (s, bits), ways in states.items():
+                for c, w, b in row:
+                    key = (s + c, bits | b)
+                    folded[key] = folded.get(key, 0) + ways * w
+            states = folded
+        # n!·Sh = Σ (s+c)!·(n-s-c-1)!·C(size0-1, c)·ways·(v(after) - v(before)),
+        # gathered as one integer coefficient per OR-ed bits value.
+        coefficient: dict[int, int] = {}
+        for c in range(size0):
+            before, after = sig0[c], sig0[c + 1]
+            if before == after:
+                continue
+            pivot_ways = math.comb(size0 - 1, c)
+            for (s, bits), ways in states.items():
+                x = fact[s + c] * fact[total - 1 - s - c] * pivot_ways * ways
+                coefficient[bits | after] = coefficient.get(bits | after, 0) + x
+                coefficient[bits | before] = coefficient.get(bits | before, 0) - x
+        payoff = sum(
+            (x * w for bits, x in coefficient.items() if x and (w := worth(bits))), ZERO
+        )
+        payoffs.append(payoff / fact[total])
+    return payoffs
+
+
 def block_symmetric_shapley(
     block_sizes: list[int],
     completion_sizes: list[int],
@@ -126,85 +192,37 @@ def block_symmetric_shapley(
     coalition holds completion_sizes[j] of them.  The worth of a
     coalition must depend only on the set of complete blocks, passed to
     `worth_of_mask` as a bitmask.  Returns one payoff per block (all
-    members of a block are symmetric).
-
-    Adding a member to block j changes the complete set only when the
-    coalition already holds completion_sizes[j]-1 copies of that block,
-    so only count vectors pinned there contribute; everything else of the
-    classic subset sum cancels.  A block whose completion size exceeds
-    its size can never complete and its members are null players.
+    members of a block are symmetric).  A block whose completion size
+    exceeds its size can never complete and its members are null players.
     """
-    m = len(block_sizes)
-    if math.prod(n + 1 for n in block_sizes) > state_cap:
-        raise CapExceeded(f"count-vector state space exceeds the cap {state_cap}")
-    total = sum(block_sizes)
-    weights = positional_weights(total)
-    payoffs: list[Fraction] = []
-    for b0 in range(m):
-        need = completion_sizes[b0] - 1
-        if not 0 <= need <= block_sizes[b0] - 1:
-            payoffs.append(ZERO)
-            continue
-        pivot_ways = math.comb(block_sizes[b0] - 1, need)
-        rows = []
-        for j in range(m):
-            if j == b0:
-                continue
-            size, full = block_sizes[j], completion_sizes[j]
-            bit = 1 << j
-            rows.append(
-                [(c, math.comb(size, c), bit if c == full else 0) for c in range(size + 1)]
-            )
-        acc: dict[tuple[int, int], int] = {}
-        for combo in itertools.product(*rows):
-            s = need
-            ways = pivot_ways
-            mask = 0
-            for c, w, b in combo:
-                s += c
-                ways *= w
-                mask |= b
-            key = (s, mask)
-            acc[key] = acc.get(key, 0) + ways
-        bit0 = 1 << b0
-        payoff = ZERO
-        for (s, mask), ways in acc.items():
-            marginal = worth_of_mask(mask | bit0) - worth_of_mask(mask)
-            if marginal:
-                payoff += weights[s] * ways * marginal
-        payoffs.append(payoff)
-    return payoffs
+    full = (1 << len(block_sizes)) - 1
+    signatures = [
+        [0 if c == need else 1 << j for c in range(size + 1)]
+        for j, (size, need) in enumerate(zip(block_sizes, completion_sizes))
+    ]
+    return _fold_shapley(
+        block_sizes, signatures, lambda bits: worth_of_mask(full ^ bits), state_cap
+    )
 
 
 def conference_mask_worth(game: HypergraphGame) -> Callable[[int], Fraction]:
-    """Memoized v^N over hyperlink subsets given as bitmasks in canonical order."""
-    links = game.hyperlinks
-    cache: dict[int, Fraction] = {}
-
-    def worth(mask: int) -> Fraction:
-        val = cache.get(mask)
-        if val is None:
-            active = [links[j] for j in range(len(links)) if mask >> j & 1]
-            val = conference_worth(game, active)
-            cache[mask] = val
-        return val
-
-    return worth
+    """v^N over hyperlink subsets given as bitmasks in canonical order,
+    read off the conference table."""
+    table, scale = conference_table(game)
+    return [Fraction(x, scale) for x in table].__getitem__
 
 
 def shapley_blockwise(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:
     """Exact Shapley value of every expanded player via count vectors."""
     links = expansion.game.hyperlinks
-    m = len(links)
-    sizes = [expansion.rho] * m
+    sizes = [expansion.rho] * len(links)
+    require_state_cap(sizes, state_cap)  # before the 2^m conference table
     per_block = block_symmetric_shapley(
         sizes, list(sizes), conference_mask_worth(expansion.game), state_cap=state_cap
     )
-    payoffs: dict[ExpandedPlayer, Fraction] = {}
-    for j, e in enumerate(links):
-        for ep in expansion.blocks[link_key(e)]:
-            payoffs[ep] = per_block[j]
-    return payoffs
+    return {
+        ep: value for e, value in zip(links, per_block) for ep in expansion.blocks[link_key(e)]
+    }
 
 
 def group_by_origin(
@@ -269,127 +287,34 @@ def build_agent_form(game: HypergraphGame) -> AgentFormGame:
     return AgentFormGame(game, base, universe, groups, sub_blocks, tuple(images + internal))
 
 
-def _subblock_shapley(haf: AgentFormGame, state_cap: int) -> tuple[list, list[Fraction]]:
-    """Shapley value of the agent-form point game, one payoff per sub-block.
-
-    Agents inside one sub-block (same player, same hyperlink) are fully
-    symmetric, so coalitions are enumerated as per-sub-block count
-    vectors.  Each count vector is reduced to (present original players,
-    complete image hyperlinks); the point-game worth of that pair is the
-    total worth of the components the complete images induce among the
-    present players.  Adding an agent matters only if its player becomes
-    present or its hyperlink's image completes, which pins the pivot
-    count at 0 or size-1.
-    """
-    game = haf.game
-    players = list(game.players)
-    player_index = {p: n for n, p in enumerate(players)}
-    links = game.hyperlinks
-    lcount = len(links)
-    classes = sorted(haf.sub_blocks)
-    sizes = [len(haf.sub_blocks[c]) for c in classes]
-    m = len(classes)
-    if math.prod(n + 1 for n in sizes) > state_cap:
-        raise CapExceeded(f"count-vector state space exceeds the cap {state_cap}")
-    weights = positional_weights(sum(sizes))
-
-    link_index = {link_key(e): n for n, e in enumerate(links)}
-    class_player = [player_index[c[0]] for c in classes]
-    class_link = [link_index[c[1]] for c in classes]
-    link_class_bits = [0] * lcount
-    for j, ln in enumerate(class_link):
-        link_class_bits[ln] |= 1 << j
-
-    worth_cache: dict[int, Fraction] = {}
-
-    def state_worth(packed: int) -> Fraction:
-        val = worth_cache.get(packed)
-        if val is None:
-            amask = packed & ((1 << lcount) - 1)
-            pmask = packed >> lcount
-            present = [players[n] for n in range(len(players)) if pmask >> n & 1]
-            complete = [links[n] for n in range(lcount) if amask >> n & 1]
-            val = sum(
-                (game.worth(c) for c in merge_groups(present, complete)), ZERO
-            )
-            worth_cache[packed] = val
-        return val
-
-    def option_row(j: int, fixed: int | None):
-        size = sizes[j]
-        pbit = 1 << class_player[j]
-        fbit = 1 << j
-        counts = range(size + 1) if fixed is None else (fixed,)
-        return [(c, math.comb(size, c), pbit if c else 0, fbit if c == size else 0) for c in counts]
-
-    results: list[Fraction] = []
-    for j0 in range(m):
-        n0 = sizes[j0]
-        p0bit = 1 << class_player[j0]
-        l0 = class_link[j0]
-        l0bit = 1 << l0
-        peer_classes = [j for j in range(m) if j != j0 and class_player[j] == class_player[j0]]
-        link_mates = [j for j in range(m) if j != j0 and class_link[j] == l0]
-        mates_bits = 0
-        for j in link_mates:
-            mates_bits |= 1 << j
-
-        acc: dict[tuple[int, int, int], int] = {}
-
-        def run(c0: int, pinned: dict[int, int], mode: str):
-            rows = [option_row(j, pinned.get(j)) for j in range(m) if j != j0]
-            base_ways = math.comb(n0 - 1, c0)
-            base_p = p0bit if c0 else 0
-            for combo in itertools.product(*rows):
-                s = c0
-                ways = base_ways
-                pmask = base_p
-                full = 0
-                for c, w, pb, fb in combo:
-                    s += c
-                    ways *= w
-                    pmask |= pb
-                    full |= fb
-                amask = 0
-                for ln in range(lcount):
-                    req = link_class_bits[ln]
-                    if full & req == req:
-                        amask |= 1 << ln
-                before = (pmask << lcount) | amask
-                if mode == "presence":
-                    after = ((pmask | p0bit) << lcount) | amask
-                elif mode == "completion":
-                    after = (pmask << lcount) | amask | l0bit
-                else:  # single-copy sub-block: the one agent may do either
-                    gains_link = l0bit if full & mates_bits == mates_bits else 0
-                    after = ((pmask | p0bit) << lcount) | amask | gains_link
-                    if after == before:
-                        continue
-                key = (s, before, after)
-                acc[key] = acc.get(key, 0) + ways
-
-        if n0 == 1:
-            run(0, {}, "single")
-        else:
-            run(0, {j: 0 for j in peer_classes}, "presence")
-            run(n0 - 1, {j: sizes[j] for j in link_mates}, "completion")
-
-        payoff = ZERO
-        for (s, before, after), ways in acc.items():
-            marginal = state_worth(after) - state_worth(before)
-            if marginal:
-                payoff += weights[s] * ways * marginal
-        results.append(payoff)
-    return classes, results
-
-
 def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:
     """Myerson value of the agent form: Shapley value of the point game
-    its links induce on the agents."""
+    its links induce on the agents.
+
+    Agents of one sub-block (same player, same hyperlink) are
+    interchangeable.  A sub-block holding c of its agents marks its
+    player present when c > 0 and its hyperlink's image incomplete when
+    c is below its size.  A coalition of agents is worth the total worth
+    of the components the complete images induce among the present
+    players.
+    """
     haf = build_agent_form(game)
-    classes, per_class = _subblock_shapley(haf, state_cap)
-    payoffs: dict[ExpandedPlayer, Fraction] = {}
-    for cls, value in zip(classes, per_class):
-        for ep in haf.sub_blocks[cls]:
-            payoffs[ep] = value
-    return payoffs
+    n = len(game.players)
+    player_bit = {p: 1 << k for k, p in enumerate(game.players)}
+    image_bit = {link_key(e): 1 << (n + t) for t, e in enumerate(game.hyperlinks)}
+    classes = sorted(haf.sub_blocks)
+    sizes = [len(haf.sub_blocks[cls]) for cls in classes]
+    signatures = [
+        [(player_bit[i] if c else 0) | (image_bit[key] if c < size else 0) for c in range(size + 1)]
+        for (i, key), size in zip(classes, sizes)
+    ]
+
+    def worth(bits: int) -> Fraction:
+        present = [p for p in game.players if bits & player_bit[p]]
+        complete = [e for e in game.hyperlinks if not bits & image_bit[link_key(e)]]
+        return sum((game.worth(c) for c in merge_groups(present, complete)), ZERO)
+
+    per_class = _fold_shapley(sizes, signatures, worth, state_cap)
+    return {
+        ep: value for cls, value in zip(classes, per_class) for ep in haf.sub_blocks[cls]
+    }

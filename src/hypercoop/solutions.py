@@ -124,7 +124,7 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
     return _fill(pieces, worth), scale
 
 
-def _conference_table(game: HypergraphGame) -> tuple[list[int], int]:
+def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
     """The conference game over hyperlink masks, scaled to integers.
 
     A piece is a set of hyperlinks joined through shared players; its
@@ -172,7 +172,7 @@ def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloc
     among its members; players on no hyperlink get zero."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap)
-    table, scale = _conference_table(game)
+    table, scale = conference_table(game)
     per_link = shapley_of_table(table)
     # Sh_e = per_link[e] / (m!·scale); over the common denominator
     # m!·scale·eta each share Sh_e/|e| has numerator per_link[e]·eta/|e|.

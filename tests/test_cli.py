@@ -1,11 +1,16 @@
+import errno
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import hypercoop.expansion
 from hypercoop.cli import (
     DocumentError,
     format_rational,
@@ -206,6 +211,22 @@ class TestValueCommand:
         assert main(["value", path]) == 2
         assert "hyperlinks[0]" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_output_write_error_exits_two(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        game = src.parent / "games" / "hub_and_spokes.json"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hypercoop", "value", str(game)],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
     def test_deeply_nested_document(self, tmp_path, capsys):
         depth = 100_000
         path = tmp_path / "deep.json"
@@ -237,6 +258,24 @@ class TestExpandCommand:
     def test_cap_exit_code(self, hub_path, capsys):
         assert main(["expand", hub_path, "--cap-states", "10"]) == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_cap_is_checked_before_the_conference_table(self, tmp_path, monkeypatch, capsys):
+        def refuse(game):
+            raise AssertionError("a 2^m conference table was built over the cap")
+
+        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
+        players = list(range(41))
+        doc = {
+            "players": players,
+            "hyperlinks": [[i, i + 1] for i in range(40)],
+            "characteristic": {"unanimity": [0, 40]},
+        }
+        path = write_doc(tmp_path, doc)
+        message = "error: count-vector state space exceeds the cap 1000\n"
+        assert main(["expand", path, "--cap-states", "1000"]) == 3
+        assert capsys.readouterr().err == message
+        assert main(["verify", path, "--theorem", "lemma1", "--cap-states", "1000"]) == 3
+        assert capsys.readouterr().err == message
 
 
 class TestCheckCommand:

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from hypercoop.expansion import (
     grouped_position,
     shapley_blockwise,
 )
+from hypercoop.corpus import game_corpus
 from hypercoop.model import (
+    CharacteristicFunction,
     HypergraphGame,
     make_hypergraph,
     table_function,
@@ -117,6 +120,28 @@ class TestBlockSymmetricShapley:
         assert set(per_copy.values()) == {F(1, 24)}
         assert len(per_copy) == 24
 
+    @pytest.mark.parametrize(
+        "sizes, completions, worth",
+        [
+            ([3], [2], lambda mask: F(mask)),
+            ([2, 3], [2, 2], lambda mask: F(mask == 3) + F(mask & 1, 2)),
+            ([2, 3], [1, 3], lambda mask: F(mask == 3) - F(mask & 2, 5)),
+            ([4, 1, 2], [2, 1, 3], lambda mask: F(mask, 7) + F(mask == 3)),
+        ],
+    )
+    def test_matches_the_literal_game(self, sizes, completions, worth):
+        """Block j is complete exactly when a coalition holds
+        completions[j] of its members, also below the block size."""
+        members = [(j, t) for j, size in enumerate(sizes) for t in range(size)]
+
+        def literal_worth(coalition):
+            counts = [sum(1 for j, _ in coalition if j == b) for b in range(len(sizes))]
+            return worth(sum(1 << j for j, need in enumerate(completions) if counts[j] == need))
+
+        direct = shapley_by_subsets(TUGame(members, literal_worth))
+        expected = [direct[(j, 0)] for j in range(len(sizes))]
+        assert block_symmetric_shapley(sizes, completions, worth) == expected
+
     def test_mask_worth_matches_conference(self, hub):
         worth = conference_mask_worth(hub)
         assert worth(0b1111) == 1
@@ -136,6 +161,13 @@ def test_grouped_position_matches_position_value(game):
     pi = position_value(game)
     assert grouped_position(build_uniform(game, 1)) == pi
     assert grouped_position(build_uniform(game, 2)) == pi
+
+
+def test_grouped_position_for_larger_k_on_the_corpus():
+    for game in game_corpus(count=200):
+        pi = position_value(game)
+        assert grouped_position(build_uniform(game, 3)) == pi
+        assert grouped_position(build_uniform(game, 4)) == pi
 
 
 class TestAgentForm:
@@ -182,6 +214,23 @@ class TestAgentForm:
     def test_state_cap(self, hub):
         with pytest.raises(CapExceeded, match="state space"):
             agent_form_payoffs(hub, state_cap=100)
+
+    def test_custom_characteristic_nonzero_on_singletons(self):
+        """Present players count even without a complete image."""
+
+        @dataclass(frozen=True)
+        class Squares(CharacteristicFunction):
+            def _worth(self, coalition):
+                return F(len(coalition) ** 2) + (F(3, 2) if 1 in coalition else 0)
+
+        players = [1, 2, 3, 4]
+        game = HypergraphGame(
+            make_hypergraph(players, [[1, 2, 3], [3, 4]]), Squares(frozenset(players))
+        )
+        haf = build_agent_form(game)
+        assert len(haf.players) == 12
+        direct = shapley_by_subsets(TUGame(haf.players, haf.restricted_worth))
+        assert agent_form_payoffs(game) == direct
 
 
 @given(hypergraph_games(max_players=4, max_links=3, max_link_size=3))

@@ -241,7 +241,7 @@ class TestBitmaskKernel:
         def refuse(game):
             raise AssertionError("a table was built over the cap")
 
-        monkeypatch.setattr(solutions, "_conference_table", refuse)
+        monkeypatch.setattr(solutions, "conference_table", refuse)
         monkeypatch.setattr(solutions, "_point_table", refuse)
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
