@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -594,6 +595,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the standard output descriptor at devnull, so that bytes a
+    failed flush left buffered cannot fail again at interpreter shutdown."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # replaced by an in-memory stream; nothing flushes to a descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -606,6 +619,7 @@ def main(argv=None) -> int:
         return code
     except OSError as exc:
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _discard_stdout()
         return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -209,7 +209,7 @@ def conference_mask_worth(game: HypergraphGame) -> Callable[[int], Fraction]:
     """v^N over hyperlink subsets given as bitmasks in canonical order,
     read off the conference table."""
     table, scale = conference_table(game)
-    return [Fraction(x, scale) for x in table].__getitem__
+    return lambda mask: Fraction(table[mask], scale)
 
 
 def shapley_blockwise(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:

@@ -103,14 +103,14 @@ def test_criterion_4_expansion_identity_on_the_corpus(corpus):
     bad = []
     for n, game in enumerate(corpus):
         pi = position_value(game)
-        for k in (1, 2):
+        for k in (1, 2, 3, 4):
             if grouped_position(build_uniform(game, k)) != pi:
                 bad.append((n, k))
     report(
         "criterion 4",
         not bad,
         f"grouped expansion payoffs equal the position value on all "
-        f"{len(corpus)} corpus games for k in {{1, 2}}"
+        f"{len(corpus)} corpus games for k in {{1, 2, 3, 4}}"
         + (f"; failures: {bad[:5]}" if bad else ""),
     )
 

@@ -212,16 +212,23 @@ class TestValueCommand:
         assert "hyperlinks[0]" in capsys.readouterr().err
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-    def test_output_write_error_exits_two(self):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_output_write_error_exits_two(self, unbuffered):
+        """With buffered stdout the unwritten bytes outlive the failed
+        flush, and the flush at interpreter shutdown must not fail again."""
         src = Path(__file__).resolve().parent.parent / "src"
         game = src.parent / "games" / "hub_and_spokes.json"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "hypercoop", "value", str(game)],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,
-                env={**os.environ, "PYTHONPATH": str(src)},
+                env=env,
             )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr

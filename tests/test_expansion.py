@@ -16,7 +16,6 @@ from hypercoop.expansion import (
     grouped_position,
     shapley_blockwise,
 )
-from hypercoop.corpus import game_corpus
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
@@ -161,13 +160,6 @@ def test_grouped_position_matches_position_value(game):
     pi = position_value(game)
     assert grouped_position(build_uniform(game, 1)) == pi
     assert grouped_position(build_uniform(game, 2)) == pi
-
-
-def test_grouped_position_for_larger_k_on_the_corpus():
-    for game in game_corpus(count=200):
-        pi = position_value(game)
-        assert grouped_position(build_uniform(game, 3)) == pi
-        assert grouped_position(build_uniform(game, 4)) == pi
 
 
 class TestAgentForm:
