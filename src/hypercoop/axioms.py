@@ -1,6 +1,10 @@
 """Axiom checkers, identity verifiers, and the axiomatic reconstruction
 of the position value.
 
+The reconstruction solves each component's component-efficiency and
+partial-balanced-contributions equations in closed form, one
+hyperlink-smaller situation at a time; see `value_from_axioms`.
+
 Everything here takes an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
 position value, the Myerson value, and deliberately broken rules alike.
@@ -44,30 +48,6 @@ DEFAULT_RECURSION_CAP = 12
 DEFAULT_DIVIDEND_UNIVERSE_CAP = 16
 
 Rule = Callable[[HypergraphGame], Allocation]
-
-
-class SingularSystemError(ArithmeticError):
-    """An exactly-solved linear system had no unique solution."""
-
-
-def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system exactly by Gauss-Jordan elimination."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    if any(len(row) != n + 1 for row in aug):
-        raise ValueError("matrix must be square and match the right-hand side")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystemError(f"no pivot available in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -259,11 +239,23 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     """Reconstruct the unique allocation rule satisfying component
     efficiency plus partial balanced conference contributions.
 
-    The equal-gains condition against a fixed anchor player, together
-    with the component's efficiency equation, pins down each component's
-    payoffs once every one-hyperlink-smaller situation is solved.  The
-    recursion bottoms out at the empty structure, where everyone is
-    isolated and zero-normalization gives zero.
+    In a component C of two or more players, let a be its smallest
+    player, d_q the weighted degree (sum of 1/|e| over the active
+    hyperlinks e containing q) and r_q the known side of the equal-gains
+    condition between q and a, made of the payoffs of the
+    one-hyperlink-smaller situations.  The conditions read
+    d_q*x_a - d_a*x_q = r_q for every q != a, and efficiency reads
+    sum(x) = v(C), so
+
+        x_a = (d_a*v(C) + sum of r_q over q != a) / (sum of d_q over C)
+        x_q = (d_q*x_a - r_q) / d_a.
+
+    Neither denominator is zero: each hyperlink gives 1/|e| to each of
+    its |e| members, so the sum of d_q over C is the number of active
+    hyperlinks in C, at least one; and every member of C, a included,
+    lies on an active hyperlink, so d_a > 0.  The recursion bottoms out
+    at the empty structure, where everyone is isolated and
+    zero-normalization gives zero.
     """
     links = game.hyperlinks
     m = len(links)
@@ -285,7 +277,6 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
                 out[lone] = cf.worth(comp)
                 continue
             members = sorted(comp)
-            index = {q: t for t, q in enumerate(members)}
             incident = {
                 q: [j for j in range(m) if mask >> j & 1 and q in links[j]]
                 for q in members
@@ -293,30 +284,19 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
             d = {
                 q: sum((weight[links[j]] for j in incident[q]), ZERO) for q in members
             }
-            anchor = members[0]
-            rows: list[list[Fraction]] = []
-            rhs: list[Fraction] = []
-            for q in members[1:]:
-                row = [ZERO] * len(members)
-                row[0] = d[q]
-                row[index[q]] = -d[anchor]
+            anchor, others = members[0], members[1:]
+            r = {}
+            for q in others:
                 value = ZERO
                 for j in incident[q]:
                     value += weight[links[j]] * solve(mask & ~(1 << j))[anchor]
                 for j in incident[anchor]:
                     value -= weight[links[j]] * solve(mask & ~(1 << j))[q]
-                rows.append(row)
-                rhs.append(value)
-            rows.append([ONE] * len(members))
-            rhs.append(cf.worth(comp))
-            try:
-                solution = solve_linear_system(rows, rhs)
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    f"the axiom system is singular on component {sorted(comp)}"
-                ) from exc
-            for q, val in zip(members, solution):
-                out[q] = val
+                r[q] = value
+            x_a = (d[anchor] * cf.worth(comp) + sum(r.values(), ZERO)) / sum(d.values(), ZERO)
+            out[anchor] = x_a
+            for q in others:
+                out[q] = (d[q] * x_a - r[q]) / d[anchor]
         memo[mask] = out
         return out
 

@@ -426,6 +426,7 @@ def handle_verify(args) -> int:
             "no hyperlinks: the position value is identically zero and "
             "there is nothing to expand or delete; trivially PASS"
         )
+        print("result: PASS")
         return 0
 
     if args.theorem == "lemma1":

@@ -2,17 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
-from hypothesis import strategies as st
 
 from hypercoop.axioms import (
-    SingularSystemError,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletion,
     check_partial_balanced_conference_contributions,
     position_by_dividends,
-    solve_linear_system,
     value_from_axioms,
 )
 from hypercoop.expansion import ExpandedPlayer, build_uniform
@@ -25,7 +22,7 @@ from hypercoop.model import (
 from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import myerson_value, position_value
 
-from strategies import hypergraph_games, rationals
+from strategies import hypergraph_games
 
 F = Fraction
 
@@ -34,33 +31,6 @@ def equal_split(game):
     """Deliberately broken rule: splits the grand worth over everybody."""
     share = game.worth(frozenset(game.players)) / len(game.players)
     return {p: share for p in game.players}
-
-
-class TestSolveLinearSystem:
-    def test_known_solution(self):
-        x = solve_linear_system([[F(2), F(1)], [F(1), F(-1)]], [F(4), F(-1)])
-        assert x == [F(1), F(2)]
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularSystemError, match="no pivot"):
-            solve_linear_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="square"):
-            solve_linear_system([[F(1), F(2)]], [F(1)])
-
-    @given(
-        st.lists(rationals, min_size=9, max_size=9),
-        st.lists(rationals, min_size=3, max_size=3),
-    )
-    def test_solution_satisfies_the_system(self, flat, rhs):
-        matrix = [flat[0:3], flat[3:6], flat[6:9]]
-        try:
-            x = solve_linear_system(matrix, rhs)
-        except SingularSystemError:
-            assume(False)
-        for row, b in zip(matrix, rhs):
-            assert sum(c * v for c, v in zip(row, x)) == b
 
 
 class TestContributionChecks:
@@ -225,3 +195,5 @@ class TestValueFromAxioms:
 @given(hypergraph_games(max_players=5, max_links=4, max_link_size=3))
 def test_axiomatic_reconstruction_matches_the_position_value(game):
     assert value_from_axioms(game) == position_value(game)
+    assert check_component_efficiency(value_from_axioms, game).passed
+    assert check_partial_balanced_conference_contributions(value_from_axioms, game).passed

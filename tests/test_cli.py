@@ -331,7 +331,9 @@ class TestVerifyCommand:
         doc = {"players": [1, 2], "characteristic": {"unanimity": [1, 2]}}
         path = write_doc(tmp_path, doc)
         assert main(["verify", path, "--theorem", "1"]) == 0
-        assert "trivially PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "trivially PASS" in out
+        assert out.splitlines()[-1] == "result: PASS"
 
     def test_cap_exit_code(self, hub_path, capsys):
         assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "100"]) == 3
