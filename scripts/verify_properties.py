@@ -11,7 +11,9 @@ Replays the core identities with fresh random games and exact rationals:
   4. deleting one copy of a hyperlink matches deleting the hyperlink,
   5. component efficiency holds for both the position and Myerson values.
 
-Exit status 0 when every pass is clean, 1 otherwise.
+Exit status 0 when every pass is clean, 1 otherwise.  The report goes to
+standard output and the elapsed time to standard error, so two runs of
+the same code print the same report.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(f"game {idx}, {rule_name}")
     ok &= run_pass("component efficiency (both rules)", checked, failures)
 
-    elapsed = time.perf_counter() - started
-    print(f"{'all passes clean' if ok else 'FAILURES above'} in {elapsed:.1f}s")
+    print("all passes clean" if ok else "FAILURES above")
+    print(f"elapsed {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return 0 if ok else 1
 
 

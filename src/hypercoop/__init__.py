@@ -7,118 +7,56 @@ All arithmetic is `fractions.Fraction`; nothing returns a float.
 """
 
 from .axioms import (
-    ComponentEfficiencyReport,
-    ContributionReport,
-    CopyDeletionReport,
-    DEFAULT_DIVIDEND_UNIVERSE_CAP,
     DEFAULT_RECURSION_CAP,
-    PairSides,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletion,
     check_partial_balanced_conference_contributions,
-    position_by_dividends,
     value_from_axioms,
 )
-from .connectivity import (
-    components,
-    components_of_coalition,
-    induced_subhypergraph,
-    merge_groups,
-    partial_components,
-)
+from .connectivity import components
 from .expansion import (
-    AgentFormGame,
     DEFAULT_STATE_CAP,
     ExpandedPlayer,
-    UniformExpansion,
     agent_form_payoffs,
-    as_tu_game,
     block_symmetric_shapley,
     build_agent_form,
     build_uniform,
-    conference_mask_worth,
-    expanded_worth,
     group_by_origin,
     grouped_position,
     shapley_blockwise,
 )
 from .model import (
-    Allocation,
     CharacteristicFunction,
-    Coalition,
-    Hyperlink,
-    Hypergraph,
     HypergraphGame,
-    PlayerId,
-    TableFunction,
-    UnanimityFunction,
-    WeightedUnanimityFunction,
-    as_fraction,
     eta,
-    incident_hyperlinks,
-    is_r_uniform,
-    link_key,
     make_hypergraph,
     table_function,
     unanimity,
     weighted_unanimity,
     zero_allocation,
 )
-from .shapley import (
-    CapExceeded,
-    DEFAULT_DIVIDEND_CAP,
-    DEFAULT_PERMUTATION_CAP,
-    DEFAULT_SUBSET_CAP,
-    TUGame,
-    harsanyi_dividends,
-    positional_weights,
-    shapley_by_dividends,
-    shapley_by_permutations,
-    shapley_by_subsets,
-    shapley_of_table,
-)
+from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, shapley_of_table
 from .solutions import (
     conference_worth,
-    hyperlink_game,
     myerson_value,
-    point_game,
     position_value,
     restricted_worth,
+    shapley_value,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentFormGame",
-    "Allocation",
     "CapExceeded",
     "CharacteristicFunction",
-    "Coalition",
-    "ComponentEfficiencyReport",
-    "ContributionReport",
-    "CopyDeletionReport",
-    "DEFAULT_DIVIDEND_CAP",
-    "DEFAULT_DIVIDEND_UNIVERSE_CAP",
-    "DEFAULT_PERMUTATION_CAP",
     "DEFAULT_RECURSION_CAP",
     "DEFAULT_STATE_CAP",
     "DEFAULT_SUBSET_CAP",
     "ExpandedPlayer",
-    "Hypergraph",
     "HypergraphGame",
-    "Hyperlink",
-    "PairSides",
-    "PlayerId",
-    "TUGame",
-    "TableFunction",
-    "UnanimityFunction",
-    "UniformExpansion",
-    "WeightedUnanimityFunction",
     "agent_form_payoffs",
-    "as_fraction",
-    "as_tu_game",
     "block_symmetric_shapley",
     "build_agent_form",
     "build_uniform",
@@ -128,33 +66,17 @@ __all__ = [
     "check_copy_deletion",
     "check_partial_balanced_conference_contributions",
     "components",
-    "components_of_coalition",
-    "conference_mask_worth",
     "conference_worth",
     "eta",
-    "expanded_worth",
     "group_by_origin",
     "grouped_position",
-    "harsanyi_dividends",
-    "hyperlink_game",
-    "incident_hyperlinks",
-    "induced_subhypergraph",
-    "is_r_uniform",
-    "link_key",
     "make_hypergraph",
-    "merge_groups",
     "myerson_value",
-    "partial_components",
-    "point_game",
-    "position_by_dividends",
     "position_value",
-    "positional_weights",
     "restricted_worth",
     "shapley_blockwise",
-    "shapley_by_dividends",
-    "shapley_by_permutations",
-    "shapley_by_subsets",
     "shapley_of_table",
+    "shapley_value",
     "table_function",
     "unanimity",
     "value_from_axioms",

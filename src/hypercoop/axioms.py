@@ -23,7 +23,6 @@ from .connectivity import components
 from .expansion import (
     DEFAULT_STATE_CAP,
     ExpandedPlayer,
-    as_tu_game,
     block_symmetric_shapley,
     build_uniform,
     conference_mask_worth,
@@ -41,11 +40,10 @@ from .model import (
     link_key,
     zero_allocation,
 )
-from .shapley import CapExceeded, harsanyi_dividends
+from .shapley import CapExceeded
 from .solutions import position_value
 
 DEFAULT_RECURSION_CAP = 12
-DEFAULT_DIVIDEND_UNIVERSE_CAP = 16
 
 Rule = Callable[[HypergraphGame], Allocation]
 
@@ -159,22 +157,6 @@ def check_component_efficiency(rule: Rule, game: HypergraphGame) -> ComponentEff
         allocated = sum((payoffs[i] for i in comp), ZERO)
         entries.append(ComponentEntry(comp, allocated, game.worth(comp)))
     return ComponentEfficiencyReport(tuple(entries))
-
-
-def position_by_dividends(game: HypergraphGame, cap: int = DEFAULT_DIVIDEND_UNIVERSE_CAP) -> Allocation:
-    """Position value recomputed from the dividends of the one-fold
-    expanded game: each dividend is split equally over its coalition of
-    copies and credited to the copies' original players."""
-    payoffs = zero_allocation(game.players)
-    if not game.hyperlinks:
-        return payoffs
-    expansion = build_uniform(game, 1)
-    dividends = harsanyi_dividends(as_tu_game(expansion), cap=cap)
-    for coalition, coeff in dividends.items():
-        share = coeff / len(coalition)
-        for ep in coalition:
-            payoffs[ep.origin] += share
-    return payoffs
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ from .model import (
     unanimity,
     weighted_unanimity,
 )
-from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, TUGame, shapley_by_subsets
-from .solutions import myerson_value, position_value
+from .shapley import CapExceeded, DEFAULT_SUBSET_CAP
+from .solutions import myerson_value, position_value, shapley_value
 
 
 class DocumentError(ValueError):
@@ -279,14 +279,12 @@ def _load(args) -> HypergraphGame:
     return parse_game(text)
 
 
+_RULES = {"position": position_value, "myerson": myerson_value, "shapley": shapley_value}
+
+
 def _rule_for(args):
-    if args.rule == "position":
-        return lambda g: position_value(g, cap=args.cap_subsets)
-    if args.rule == "myerson":
-        return lambda g: myerson_value(g, cap=args.cap_subsets)
-    return lambda g: shapley_by_subsets(
-        TUGame.from_characteristic(g.characteristic), cap=args.cap_subsets
-    )
+    rule = _RULES[args.rule]
+    return lambda g: rule(g, cap=args.cap_subsets)
 
 
 def handle_value(args) -> int:
@@ -535,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("value", help="compute an allocation rule")
     common(p)
-    p.add_argument("--rule", choices=("position", "myerson", "shapley"), default="position")
+    p.add_argument("--rule", choices=tuple(_RULES), default="position")
     cap_subsets(p)
     p.set_defaults(handler=handle_value)
 
@@ -553,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="test an allocation rule against an axiom")
     common(p)
     p.add_argument("--axiom", choices=tuple(_CHECKS), required=True)
-    p.add_argument("--rule", choices=("position", "myerson", "shapley"), default="position")
+    p.add_argument("--rule", choices=tuple(_RULES), default="position")
     cap_subsets(p)
     p.set_defaults(handler=handle_check)
 

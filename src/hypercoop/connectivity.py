@@ -1,4 +1,4 @@
-"""Connected components of hypergraphs and their induced/partial structures."""
+"""Connected components of hypergraphs and of the coalitions inside them."""
 
 from __future__ import annotations
 
@@ -69,26 +69,7 @@ def components(players: Iterable[PlayerId], hyperlinks: Iterable[Hyperlink]) -> 
     return merge_groups(players, hyperlinks)
 
 
-def induced_subhypergraph(coalition: Iterable[PlayerId], hypergraph: Hypergraph) -> Hypergraph:
-    """Restriction to a coalition: keeps exactly the hyperlinks inside it."""
-    s = frozenset(coalition)
-    if not s <= hypergraph.player_set:
-        raise ValueError(f"coalition {sorted(s)} is not within the player set")
-    return Hypergraph(tuple(sorted(s)), tuple(e for e in hypergraph.hyperlinks if e <= s))
-
-
 def components_of_coalition(coalition: Iterable[PlayerId], hypergraph: Hypergraph) -> list[Coalition]:
     """Components of the subhypergraph induced by a coalition."""
     s = frozenset(coalition)
     return components(s, (e for e in hypergraph.hyperlinks if e <= s))
-
-
-def partial_components(hypergraph: Hypergraph, partial: Iterable[Hyperlink]) -> list[Coalition]:
-    """Components of (N, H') for a hyperlink subset H' of the hypergraph."""
-    links = []
-    for raw in partial:
-        e = frozenset(raw)
-        if e not in hypergraph.hyperlinks:
-            raise ValueError(f"{sorted(e)} is not a hyperlink of the hypergraph")
-        links.append(e)
-    return components(hypergraph.players, links)

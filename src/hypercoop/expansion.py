@@ -38,8 +38,8 @@ from .model import (
     link_key,
     zero_allocation,
 )
-from .shapley import CapExceeded, TUGame
-from .solutions import conference_table, conference_worth
+from .shapley import CapExceeded
+from .solutions import conference_table
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -99,23 +99,6 @@ def build_uniform(game: HypergraphGame, k: int = 1) -> UniformExpansion:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     base, rho, universe, blocks, groups, sub_blocks = _expanded_index(game, k)
     return UniformExpansion(game, k, base, rho, universe, blocks, groups, sub_blocks)
-
-
-def expanded_worth(expansion: UniformExpansion, coalition: Iterable[ExpandedPlayer]) -> Fraction:
-    """Worth of a coalition of copies: conference worth of the hyperlinks
-    whose blocks the coalition contains completely."""
-    s = frozenset(coalition)
-    if not s <= frozenset(expansion.universe):
-        raise ValueError("coalition contains foreign expanded players")
-    complete = [
-        e for e in expansion.game.hyperlinks
-        if s.issuperset(expansion.blocks[link_key(e)])
-    ]
-    return conference_worth(expansion.game, complete)
-
-
-def as_tu_game(expansion: UniformExpansion) -> TUGame:
-    return TUGame(expansion.universe, lambda s: expanded_worth(expansion, s))
 
 
 def require_state_cap(sizes: list[int], state_cap: int) -> None:
@@ -298,12 +281,14 @@ def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP)
     of the components the complete images induce among the present
     players.
     """
-    haf = build_agent_form(game)
+    if not game.hyperlinks:
+        raise ValueError("agent form requires at least one hyperlink")
+    *_, sub_blocks = _expanded_index(game, 1)
     n = len(game.players)
     player_bit = {p: 1 << k for k, p in enumerate(game.players)}
     image_bit = {link_key(e): 1 << (n + t) for t, e in enumerate(game.hyperlinks)}
-    classes = sorted(haf.sub_blocks)
-    sizes = [len(haf.sub_blocks[cls]) for cls in classes]
+    classes = sorted(sub_blocks)
+    sizes = [len(sub_blocks[cls]) for cls in classes]
     signatures = [
         [(player_bit[i] if c else 0) | (image_bit[key] if c < size else 0) for c in range(size + 1)]
         for (i, key), size in zip(classes, sizes)
@@ -316,5 +301,5 @@ def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP)
 
     per_class = _fold_shapley(sizes, signatures, worth, state_cap)
     return {
-        ep: value for cls, value in zip(classes, per_class) for ep in haf.sub_blocks[cls]
+        ep: value for cls, value in zip(classes, per_class) for ep in sub_blocks[cls]
     }

@@ -1,21 +1,22 @@
-"""Myerson and position values via the two communication-restricted games.
+"""Myerson, position and Shapley values via the communication-restricted
+games.
 
 The point game lives on the players: a coalition is worth the sum of its
 connected pieces.  The conference game lives on the hyperlinks: a
 hyperlink subset is worth the total component worth it induces over the
 full player set.  The Myerson value is the Shapley value of the former;
 the position value splits each hyperlink's Shapley payoff in the latter
-equally among its members.
+equally among its members.  `shapley_value` ignores the hypergraph and
+takes the Shapley value of the characteristic function itself.
 
-Both values run on one bitmask kernel: players (or hyperlinks) are bit
+All three run on one bitmask kernel: players (or hyperlinks) are bit
 positions, a coalition is an int, and each game becomes a list of
 integer worths indexed by mask — the true worths times one common scale,
-the lcm of the characteristic's denominators.  The table is filled as
-W[mask] = v(piece holding the lowest bit) + W[mask without that piece],
-and `shapley_of_table` sums it in integers; each payoff is one exact
-division at the end.  `point_game` and `hyperlink_game` build the same
-two games on frozensets for `shapley_by_subsets`; the tests use them as
-the reference.
+the lcm of the characteristic's denominators.  The restricted tables
+are filled as W[mask] = v(piece holding the lowest bit) + W[mask without
+that piece], and `shapley_of_table` sums them in integers; each payoff
+is one exact division at the end.  The frozenset versions of the two
+restricted games live in the test suite, as the reference.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .model import (
     PlayerId,
     TableFunction,
     ZERO,
+    as_fraction,
 )
-from .shapley import DEFAULT_SUBSET_CAP, TUGame, require_subset_cap, shapley_of_table
+from .shapley import DEFAULT_SUBSET_CAP, require_subset_cap, shapley_of_table
 
 
 def restricted_worth(game: HypergraphGame, coalition: Iterable) -> Fraction:
@@ -47,15 +49,6 @@ def restricted_worth(game: HypergraphGame, coalition: Iterable) -> Fraction:
 def conference_worth(game: HypergraphGame, hyperlinks: Iterable[Hyperlink]) -> Fraction:
     """Conference-game worth v^N(H'): component worths over all players."""
     return sum((game.worth(t) for t in components(game.players, hyperlinks)), ZERO)
-
-
-def point_game(game: HypergraphGame) -> TUGame:
-    return TUGame(game.players, lambda s: restricted_worth(game, s))
-
-
-def hyperlink_game(game: HypergraphGame) -> TUGame:
-    """TU-game whose ground set is the hyperlinks themselves."""
-    return TUGame(game.hyperlinks, lambda active: conference_worth(game, active))
 
 
 def _scaled_worths(
@@ -76,7 +69,7 @@ def _scaled_worths(
     if isinstance(cf, TableFunction):
         worths = {sum(bit[p] for p in s): w for s, w in cf.entries.items()}
     else:
-        worths = {c: cf.worth(p for p in players if c & bit[p]) for c in coalitions}
+        worths = {c: as_fraction(cf.worth(p for p in players if c & bit[p])) for c in coalitions}
     scale = lcm(*(w.denominator for w in worths.values()))
     scaled = {c: w.numerator * (scale // w.denominator) for c, w in worths.items()}
     return scale, {c: scaled.get(c, 0) for c in coalitions}
@@ -158,13 +151,29 @@ def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
     return _fill(pieces, {piece: worth[c] for piece, c in covered.items()}), scale
 
 
-def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
-    """Shapley value of the point game."""
+def _player_payoffs(players: tuple[PlayerId, ...], table: list[int], scale: int) -> Allocation:
+    """Shapley payoffs of a player table whose worths are scaled by `scale`."""
+    denominator = factorial(len(players)) * scale
+    return {p: Fraction(x, denominator) for p, x in zip(players, shapley_of_table(table))}
+
+
+def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
+    """Shapley value of the characteristic function; the hypergraph plays
+    no part."""
     n = len(game.players)
     require_subset_cap(n, cap)
+    scale, worth = _scaled_worths(game.characteristic, game.players, range(1 << n))
+    table = [worth[mask] for mask in range(1 << n)]
+    if table[0] != 0:
+        raise ValueError("worth of the empty coalition must be 0")
+    return _player_payoffs(game.players, table, scale)
+
+
+def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
+    """Shapley value of the point game."""
+    require_subset_cap(len(game.players), cap)
     table, scale = _point_table(game)
-    denominator = factorial(n) * scale
-    return {p: Fraction(x, denominator) for p, x in zip(game.players, shapley_of_table(table))}
+    return _player_payoffs(game.players, table, scale)
 
 
 def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hypercoop.corpus import connected_coalitions
 from hypercoop.model import HypergraphGame, make_hypergraph, table_function, weighted_unanimity
-from hypercoop.shapley import TUGame
+
+from oracles import TUGame
 
 rationals = st.builds(
     Fraction,

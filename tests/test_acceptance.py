@@ -26,13 +26,14 @@ from hypercoop.expansion import (
     shapley_blockwise,
 )
 from hypercoop.model import eta, table_function, zero_allocation
-from hypercoop.shapley import (
+from hypercoop.solutions import myerson_value, position_value
+
+from oracles import (
     TUGame,
     shapley_by_dividends,
     shapley_by_permutations,
     shapley_by_subsets,
 )
-from hypercoop.solutions import myerson_value, position_value
 
 F = Fraction
 

@@ -9,7 +9,6 @@ from hypercoop.axioms import (
     check_component_efficiency,
     check_copy_deletion,
     check_partial_balanced_conference_contributions,
-    position_by_dividends,
     value_from_axioms,
 )
 from hypercoop.expansion import ExpandedPlayer, build_uniform
@@ -22,6 +21,7 @@ from hypercoop.model import (
 from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import myerson_value, position_value
 
+from oracles import position_by_dividends
 from strategies import hypergraph_games
 
 F = Fraction
@@ -114,7 +114,7 @@ class TestPositionByDividends:
         # copies: the conference game is worth 1 on the full hyperlink set
         # and 0 on every proper subset (checked exhaustively), and an
         # expanded coalition's worth only reads its complete blocks.
-        from hypercoop.shapley import TUGame, shapley_by_dividends
+        from oracles import TUGame, shapley_by_dividends
         from hypercoop.solutions import conference_worth
         from hypercoop.model import unanimity as make_unanimity
 

@@ -1,13 +1,10 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercoop.connectivity import (
     components,
     components_of_coalition,
-    induced_subhypergraph,
     merge_groups,
-    partial_components,
 )
 from hypercoop.model import make_hypergraph
 
@@ -38,15 +35,6 @@ def test_components_two_pieces():
     ]
 
 
-def test_induced_subhypergraph_drops_cut_links():
-    h = make_hypergraph(range(1, 7), [[1, 4], [2, 5], [3, 6], [4, 5, 6]])
-    sub = induced_subhypergraph({1, 4, 5, 6}, h)
-    assert sub.players == (1, 4, 5, 6)
-    assert [sorted(e) for e in sub.hyperlinks] == [[1, 4], [4, 5, 6]]
-    with pytest.raises(ValueError, match="not within"):
-        induced_subhypergraph({1, 9}, h)
-
-
 def test_components_of_coalition():
     h = make_hypergraph(range(1, 7), [[1, 4], [2, 5], [3, 6], [4, 5, 6]])
     assert components_of_coalition({1, 4}, h) == [frozenset({1, 4})]
@@ -56,13 +44,6 @@ def test_components_of_coalition():
         frozenset({2}),
         frozenset({3}),
     ]
-
-
-def test_partial_components_validates_membership():
-    h = make_hypergraph([1, 2, 3], [[1, 2], [2, 3]])
-    assert partial_components(h, [[1, 2]]) == [frozenset({1, 2}), frozenset({3})]
-    with pytest.raises(ValueError, match="not a hyperlink"):
-        partial_components(h, [[1, 3]])
 
 
 @given(hypergraphs())

@@ -7,12 +7,10 @@ from hypothesis import assume, given
 from hypercoop.expansion import (
     ExpandedPlayer,
     agent_form_payoffs,
-    as_tu_game,
     block_symmetric_shapley,
     build_agent_form,
     build_uniform,
     conference_mask_worth,
-    expanded_worth,
     grouped_position,
     shapley_blockwise,
 )
@@ -24,9 +22,10 @@ from hypercoop.model import (
     unanimity,
     zero_allocation,
 )
-from hypercoop.shapley import CapExceeded, TUGame, shapley_by_subsets
+from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import position_value
 
+from oracles import TUGame, as_tu_game, expanded_worth, shapley_by_subsets
 from strategies import hypergraph_games
 
 F = Fraction
@@ -206,6 +205,12 @@ class TestAgentForm:
     def test_state_cap(self, hub):
         with pytest.raises(CapExceeded, match="state space"):
             agent_form_payoffs(hub, state_cap=100)
+
+    def test_needs_a_hyperlink(self):
+        game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
+        for build in (build_agent_form, agent_form_payoffs):
+            with pytest.raises(ValueError, match="^agent form requires at least one hyperlink$"):
+                build(game)
 
     def test_custom_characteristic_nonzero_on_singletons(self):
         """Present players count even without a complete image."""

@@ -169,6 +169,14 @@ class TestHypergraphGame:
         assert replaced.hyperlinks == (frozenset({1, 2, 3}),)
 
 
+def test_every_public_name_resolves():
+    import hypercoop
+
+    assert len(set(hypercoop.__all__)) == len(hypercoop.__all__)
+    for name in hypercoop.__all__:
+        getattr(hypercoop, name)
+
+
 def test_zero_allocation():
     assert zero_allocation([2, 1]) == {1: 0, 2: 0}
 

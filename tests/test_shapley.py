@@ -6,17 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercoop.model import table_function, unanimity, weighted_unanimity
-from hypercoop.shapley import (
-    CapExceeded,
+from hypercoop.shapley import CapExceeded, shapley_of_table
+
+from oracles import (
     TUGame,
     harsanyi_dividends,
     positional_weights,
     shapley_by_dividends,
     shapley_by_permutations,
     shapley_by_subsets,
-    shapley_of_table,
 )
-
 from strategies import rationals, tu_games
 
 

@@ -15,16 +15,16 @@ from hypercoop.model import (
     unanimity,
     weighted_unanimity,
 )
-from hypercoop.shapley import CapExceeded, shapley_by_subsets
+from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import (
     conference_worth,
-    hyperlink_game,
     myerson_value,
-    point_game,
     position_value,
     restricted_worth,
+    shapley_value,
 )
 
+from oracles import TUGame, hyperlink_game, point_game, shapley_by_subsets
 from strategies import hypergraph_games, unanimity_combination_games
 
 F = Fraction
@@ -172,6 +172,8 @@ def position_oracle(game):
 def assert_matches_the_oracle(game):
     assert myerson_value(game) == shapley_by_subsets(point_game(game))
     assert position_value(game) == position_oracle(game)
+    plain = TUGame.from_characteristic(game.characteristic)
+    assert shapley_value(game) == shapley_by_subsets(plain)
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,30 @@ class TestBitmaskKernel:
             position_value(game)
         assert myerson_value(game) == shapley_by_subsets(point_game(game))
 
+    def test_custom_characteristic_must_be_zero_on_the_empty_coalition(self):
+        @dataclass(frozen=True)
+        class Constant(CharacteristicFunction):
+            def _worth(self, coalition):
+                return F(1)
+
+        cf = Constant(frozenset({1, 2, 3}))
+        game = HypergraphGame(make_hypergraph([1, 2, 3], [[1, 2]]), cf)
+        with pytest.raises(ValueError, match="^worth of the empty coalition must be 0$"):
+            TUGame.from_characteristic(cf)
+        with pytest.raises(ValueError, match="^worth of the empty coalition must be 0$"):
+            shapley_value(game)
+
+    def test_custom_characteristic_must_be_exact(self):
+        @dataclass(frozen=True)
+        class Halves(CharacteristicFunction):
+            def _worth(self, coalition):
+                return 0.5 if len(coalition) > 1 else 0
+
+        game = HypergraphGame(make_hypergraph([1, 2, 3], [[1, 2]]), Halves(frozenset({1, 2, 3})))
+        for value in (shapley_value, myerson_value, position_value):
+            with pytest.raises(TypeError, match="floats are not exact"):
+                value(game)
+
     @pytest.mark.parametrize(
         "cf",
         [
@@ -238,11 +264,12 @@ class TestBitmaskKernel:
         assert all(value[p] == 0 for p in game.players if p not in linked)
 
     def test_cap_is_checked_before_any_table(self, monkeypatch):
-        def refuse(game):
+        def refuse(*_args):
             raise AssertionError("a table was built over the cap")
 
         monkeypatch.setattr(solutions, "conference_table", refuse)
         monkeypatch.setattr(solutions, "_point_table", refuse)
+        monkeypatch.setattr(solutions, "_scaled_worths", refuse)
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
@@ -250,3 +277,5 @@ class TestBitmaskKernel:
             position_value(game)
         with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 29$"):
             myerson_value(game, cap=29)
+        with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 24$"):
+            shapley_value(game)
