@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from hypercoop import (
     agent_form_payoffs,
-    build_agent_form,
     build_uniform,
     check_component_efficiency,
     check_copy_deletion,
@@ -123,7 +122,6 @@ def main(argv: list[str] | None = None) -> int:
         if len(expansion.universe) > cfg.agent_budget:
             continue
         checked += 1
-        build_agent_form(game)  # validates construction
         if agent_form_payoffs(game) != shapley_blockwise(expansion):
             failures.append(f"game {idx}")
     ok &= run_pass("agent-form payoffs == block-symmetric payoffs", checked, failures)

@@ -7,23 +7,20 @@ reconstruction, and the contribution comparisons — every number an
 exact rational.
 """
 
-from fractions import Fraction
-
 from hypercoop import (
     agent_form_payoffs,
-    build_agent_form,
     build_uniform,
     check_balanced_conference_contributions,
     check_copy_deletion,
     check_partial_balanced_conference_contributions,
     conference_worth,
+    group_by_origin,
     grouped_position,
     myerson_value,
     position_value,
     restricted_worth,
     shapley_blockwise,
     value_from_axioms,
-    zero_allocation,
 )
 from hypercoop.corpus import hub_and_spokes
 
@@ -68,13 +65,9 @@ def main() -> None:
     print()
 
     print("-- agent form --")
-    haf = build_agent_form(game)
-    print(f"agents: {len(haf.players)}, agent hyperlinks: {len(haf.hyperlinks)}")
     per_agent = agent_form_payoffs(game)
-    grouped = zero_allocation(game.players)
-    for ep, value in per_agent.items():
-        grouped[ep.origin] += value
-    show("grouped agent payoffs", grouped)
+    print(f"agents: {len(per_agent)}")
+    show("grouped agent payoffs", group_by_origin(game.players, per_agent))
     print()
 
     print("-- axiomatic reconstruction --")

@@ -21,7 +21,6 @@ from .expansion import (
     ExpandedPlayer,
     agent_form_payoffs,
     block_symmetric_shapley,
-    build_agent_form,
     build_uniform,
     group_by_origin,
     grouped_position,
@@ -58,7 +57,6 @@ __all__ = [
     "HypergraphGame",
     "agent_form_payoffs",
     "block_symmetric_shapley",
-    "build_agent_form",
     "build_uniform",
     "check_balanced_conference_contributions",
     "check_balanced_link_contributions",

@@ -3,7 +3,8 @@ of the position value.
 
 The reconstruction solves each component's component-efficiency and
 partial-balanced-contributions equations in closed form, one
-hyperlink-smaller situation at a time; see `value_from_axioms`.
+hyperlink-smaller situation at a time, in one loop over hyperlink masks
+that starts at mask 0; see `value_from_axioms`.
 
 Everything here takes an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .connectivity import components
+from .connectivity import components, mask_components
 from .expansion import (
     DEFAULT_STATE_CAP,
     ExpandedPlayer,
@@ -235,8 +236,10 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     Neither denominator is zero: each hyperlink gives 1/|e| to each of
     its |e| members, so the sum of d_q over C is the number of active
     hyperlinks in C, at least one; and every member of C, a included,
-    lies on an active hyperlink, so d_a > 0.  The recursion bottoms out
-    at the empty structure, where everyone is isolated and
+    lies on an active hyperlink, so d_a > 0.  The situations are solved
+    in one loop over hyperlink masks, each row indexed by its mask:
+    clearing a bit gives a smaller mask, solved before.  The loop starts
+    at mask 0, the empty structure, where everyone is isolated and
     zero-normalization gives zero.
     """
     links = game.hyperlinks
@@ -244,42 +247,34 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     if m > cap:
         raise CapExceeded(f"{m} hyperlinks exceeds the recursion cap {cap}")
     cf = game.characteristic
-    weight = {e: Fraction(1, len(e)) for e in links}
-    memo: dict[int, Allocation] = {}
-
-    def solve(mask: int) -> Allocation:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        active = [links[j] for j in range(m) if mask >> j & 1]
-        out = zero_allocation(game.players)
-        for comp in components(game.players, active):
-            if len(comp) == 1:
-                (lone,) = comp
-                out[lone] = cf.worth(comp)
+    players = game.players
+    n = len(players)
+    link_masks = [sum(1 << k for k, p in enumerate(players) if p in e) for e in links]
+    weight = [Fraction(1, len(e)) for e in links]
+    rows: list[list[Fraction]] = []
+    for mask in range(1 << m):
+        active = [j for j in range(m) if mask >> j & 1]
+        row = [ZERO] * n
+        for piece in mask_components((1 << n) - 1, [link_masks[j] for j in active]):
+            members = [k for k in range(n) if piece >> k & 1]
+            worth = cf.worth(players[k] for k in members)
+            if len(members) == 1:
+                row[members[0]] = worth
                 continue
-            members = sorted(comp)
-            incident = {
-                q: [j for j in range(m) if mask >> j & 1 and q in links[j]]
-                for q in members
-            }
-            d = {
-                q: sum((weight[links[j]] for j in incident[q]), ZERO) for q in members
-            }
+            incident = {k: [j for j in active if link_masks[j] >> k & 1] for k in members}
+            d = {k: sum((weight[j] for j in incident[k]), ZERO) for k in members}
             anchor, others = members[0], members[1:]
             r = {}
             for q in others:
                 value = ZERO
                 for j in incident[q]:
-                    value += weight[links[j]] * solve(mask & ~(1 << j))[anchor]
+                    value += weight[j] * rows[mask ^ (1 << j)][anchor]
                 for j in incident[anchor]:
-                    value -= weight[links[j]] * solve(mask & ~(1 << j))[q]
+                    value -= weight[j] * rows[mask ^ (1 << j)][q]
                 r[q] = value
-            x_a = (d[anchor] * cf.worth(comp) + sum(r.values(), ZERO)) / sum(d.values(), ZERO)
-            out[anchor] = x_a
+            x_a = (d[anchor] * worth + sum(r.values(), ZERO)) / sum(d.values(), ZERO)
+            row[anchor] = x_a
             for q in others:
-                out[q] = (d[q] * x_a - r[q]) / d[anchor]
-        memo[mask] = out
-        return out
-
-    return solve((1 << m) - 1)
+                row[q] = (d[q] * x_a - r[q]) / d[anchor]
+        rows.append(row)
+    return dict(zip(players, rows[-1]))

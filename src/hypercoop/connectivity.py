@@ -1,72 +1,54 @@
-"""Connected components of hypergraphs and of the coalitions inside them."""
+"""Connected components of hypergraphs and of the coalitions inside them.
+
+One bitmask closure, `mask_components`, does the work: players are bit
+positions and a hyperlink is the mask of its members.  `components` and
+`components_of_coalition` are frozenset wrappers over it.
+"""
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from .model import Coalition, Hyperlink, Hypergraph, PlayerId
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable elements."""
+def mask_components(universe: int, links: Iterable[int]) -> list[int]:
+    """Split the player mask `universe` into its connected pieces under
+    the hyperlink masks `links`, each of which must lie inside it.
 
-    def __init__(self, elements: Iterable[Hashable] = ()):
-        self.parent: dict = {}
-        self.size: dict = {}
-        for x in elements:
-            self.add(x)
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def groups(self) -> list[set]:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return list(out.values())
-
-
-def merge_groups(elements: Iterable[Hashable], groups: Iterable[Iterable[Hashable]]) -> list[frozenset]:
-    """Partition `elements` into the classes generated by merging each group.
-
-    Blocks come back sorted by their smallest element, so the result is
-    deterministic for orderable elements (ints, tuples).
+    A piece starts at the lowest player left and absorbs every hyperlink
+    touching it until none does; pieces come back in order of their
+    lowest bit.
     """
-    uf = UnionFind(elements)
-    for group in groups:
-        members = iter(group)
-        first = next(members, None)
-        if first is None:
-            continue
-        uf.add(first)
-        for other in members:
-            uf.add(other)
-            uf.union(first, other)
-    return sorted((frozenset(g) for g in uf.groups()), key=min)
+    pieces = []
+    pending = list(links)
+    while universe:
+        piece = universe & -universe
+        count = -1
+        while count != len(pending):
+            count = len(pending)
+            rest = []
+            for e in pending:
+                if e & piece:
+                    piece |= e
+                else:
+                    rest.append(e)
+            pending = rest
+        pieces.append(piece)
+        universe &= ~piece
+    return pieces
 
 
 def components(players: Iterable[PlayerId], hyperlinks: Iterable[Hyperlink]) -> list[Coalition]:
-    """Maximal connected player sets under hyperlink adjacency."""
-    return merge_groups(players, hyperlinks)
+    """Maximal connected player sets under hyperlink adjacency, sorted by
+    their smallest player.  Every hyperlink must lie inside `players`."""
+    order = sorted(set(players))
+    bit = {p: 1 << k for k, p in enumerate(order)}
+    links = [sum(bit[p] for p in set(e)) for e in hyperlinks]
+    return [
+        frozenset(p for k, p in enumerate(order) if piece >> k & 1)
+        for piece in mask_components((1 << len(order)) - 1, links)
+    ]
 
 
 def components_of_coalition(coalition: Iterable[PlayerId], hypergraph: Hypergraph) -> list[Coalition]:

@@ -21,13 +21,12 @@ it is used to verify.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .connectivity import merge_groups
+from .connectivity import mask_components
 from .model import (
     Allocation,
     HypergraphGame,
@@ -227,49 +226,6 @@ def grouped_position(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE
     )
 
 
-@dataclass(frozen=True)
-class AgentFormGame:
-    """The agent form: one agent per held copy (k = 1), all agents of a
-    player pairwise linked, plus one image hyperlink per original one.
-
-    A coalition of agents is worth whatever the original players it
-    touches are worth.
-    """
-
-    game: HypergraphGame
-    eta: int
-    players: tuple[ExpandedPlayer, ...]
-    groups: dict[PlayerId, tuple[ExpandedPlayer, ...]]
-    sub_blocks: dict[tuple[PlayerId, tuple[PlayerId, ...]], tuple[ExpandedPlayer, ...]]
-    hyperlinks: tuple[frozenset[ExpandedPlayer], ...]
-
-    def original_players(self, agents: Iterable[ExpandedPlayer]) -> frozenset[PlayerId]:
-        s = frozenset(agents)
-        return frozenset(i for i, mine in self.groups.items() if s & frozenset(mine))
-
-    def worth(self, agents: Iterable[ExpandedPlayer]) -> Fraction:
-        return self.game.worth(self.original_players(agents))
-
-    def restricted_worth(self, agents: Iterable[ExpandedPlayer]) -> Fraction:
-        """Point-game worth of an agent coalition under the agent-form links."""
-        s = frozenset(agents)
-        inside = [h for h in self.hyperlinks if h <= s]
-        return sum((self.worth(c) for c in merge_groups(s, inside)), ZERO)
-
-
-def build_agent_form(game: HypergraphGame) -> AgentFormGame:
-    if not game.hyperlinks:
-        raise ValueError("agent form requires at least one hyperlink")
-    base, _rho, universe, blocks, groups, sub_blocks = _expanded_index(game, 1)
-    images = [frozenset(blocks[link_key(e)]) for e in game.hyperlinks]
-    internal = [
-        frozenset(pair)
-        for i in sorted(groups)
-        for pair in itertools.combinations(groups[i], 2)
-    ]
-    return AgentFormGame(game, base, universe, groups, sub_blocks, tuple(images + internal))
-
-
 def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:
     """Myerson value of the agent form: Shapley value of the point game
     its links induce on the agents.
@@ -287,6 +243,7 @@ def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP)
     n = len(game.players)
     player_bit = {p: 1 << k for k, p in enumerate(game.players)}
     image_bit = {link_key(e): 1 << (n + t) for t, e in enumerate(game.hyperlinks)}
+    link_masks = [sum(player_bit[p] for p in e) for e in game.hyperlinks]
     classes = sorted(sub_blocks)
     sizes = [len(sub_blocks[cls]) for cls in classes]
     signatures = [
@@ -295,9 +252,15 @@ def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP)
     ]
 
     def worth(bits: int) -> Fraction:
-        present = [p for p in game.players if bits & player_bit[p]]
-        complete = [e for e in game.hyperlinks if not bits & image_bit[link_key(e)]]
-        return sum((game.worth(c) for c in merge_groups(present, complete)), ZERO)
+        present = bits & ((1 << n) - 1)
+        complete = [e for t, e in enumerate(link_masks) if not bits >> (n + t) & 1]
+        return sum(
+            (
+                game.worth(p for p in game.players if piece & player_bit[p])
+                for piece in mask_components(present, complete)
+            ),
+            ZERO,
+        )
 
     per_class = _fold_shapley(sizes, signatures, worth, state_cap)
     return {

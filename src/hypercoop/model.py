@@ -48,9 +48,6 @@ class Hypergraph:
     def player_set(self) -> Coalition:
         return frozenset(self.players)
 
-    def degree(self, player: PlayerId) -> int:
-        return len(incident_hyperlinks(self, player))
-
 
 def make_hypergraph(players: Iterable[PlayerId], hyperlinks: Iterable[Iterable[PlayerId]] = ()) -> Hypergraph:
     ids = list(players)

@@ -11,7 +11,11 @@ coalition at a time, and shares no code with the bitmask integer kernel
 * the point game and the conference (hyperlink) game of a hypergraph
   game, and the worth of a coalition of copies in a uniform expansion;
 * the position value recomputed from the dividends of the one-fold
-  expanded game.
+  expanded game;
+* a union-find over hashable elements and `merge_groups`, the reference
+  partition for `hypercoop.connectivity.mask_components`;
+* the agent form as a game on explicit agents, with its pairwise and
+  image hyperlinks, whose Myerson value `agent_form_payoffs` must match.
 
 Each route refuses games larger than its cap.
 """
@@ -21,13 +25,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from hypercoop.expansion import UniformExpansion, build_uniform
+from hypercoop.expansion import ExpandedPlayer, UniformExpansion, build_uniform
 from hypercoop.model import (
     Allocation,
     CharacteristicFunction,
     HypergraphGame,
+    PlayerId,
     ZERO,
     as_fraction,
     link_key,
@@ -210,3 +216,110 @@ def position_by_dividends(game: HypergraphGame, cap: int = DEFAULT_DIVIDEND_UNIV
         for ep in coalition:
             payoffs[ep.origin] += share
     return payoffs
+
+
+class UnionFind:
+    """Disjoint sets over arbitrary hashable elements."""
+
+    def __init__(self, elements: Iterable[Hashable] = ()):
+        self.parent: dict = {}
+        self.size: dict = {}
+        for x in elements:
+            self.add(x)
+
+    def add(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+            self.size[x] = 1
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:  # path compression
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+    def groups(self) -> list[set]:
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), set()).add(x)
+        return list(out.values())
+
+
+def merge_groups(elements: Iterable[Hashable], groups: Iterable[Iterable[Hashable]]) -> list[frozenset]:
+    """Partition `elements` into the classes generated by merging each group.
+
+    Blocks come back sorted by their smallest element, so the result is
+    deterministic for orderable elements (ints, tuples).
+    """
+    uf = UnionFind(elements)
+    for group in groups:
+        members = iter(group)
+        first = next(members, None)
+        if first is None:
+            continue
+        uf.add(first)
+        for other in members:
+            uf.add(other)
+            uf.union(first, other)
+    return sorted((frozenset(g) for g in uf.groups()), key=min)
+
+
+@dataclass(frozen=True)
+class AgentFormGame:
+    """The agent form: one agent per held copy (k = 1), all agents of a
+    player pairwise linked, plus one image hyperlink per original one.
+
+    A coalition of agents is worth whatever the original players it
+    touches are worth.
+    """
+
+    game: HypergraphGame
+    eta: int
+    players: tuple[ExpandedPlayer, ...]
+    groups: dict[PlayerId, tuple[ExpandedPlayer, ...]]
+    sub_blocks: dict[tuple[PlayerId, tuple[PlayerId, ...]], tuple[ExpandedPlayer, ...]]
+    hyperlinks: tuple[frozenset[ExpandedPlayer], ...]
+
+    def original_players(self, agents: Iterable[ExpandedPlayer]) -> frozenset[PlayerId]:
+        s = frozenset(agents)
+        return frozenset(i for i, mine in self.groups.items() if s & frozenset(mine))
+
+    def worth(self, agents: Iterable[ExpandedPlayer]) -> Fraction:
+        return self.game.worth(self.original_players(agents))
+
+    def restricted_worth(self, agents: Iterable[ExpandedPlayer]) -> Fraction:
+        """Point-game worth of an agent coalition under the agent-form links."""
+        s = frozenset(agents)
+        inside = [h for h in self.hyperlinks if h <= s]
+        return sum((self.worth(c) for c in merge_groups(s, inside)), ZERO)
+
+
+def build_agent_form(game: HypergraphGame) -> AgentFormGame:
+    if not game.hyperlinks:
+        raise ValueError("agent form requires at least one hyperlink")
+    expansion = build_uniform(game, 1)
+    images = [frozenset(expansion.blocks[link_key(e)]) for e in game.hyperlinks]
+    internal = [
+        frozenset(pair)
+        for i in sorted(expansion.groups)
+        for pair in itertools.combinations(expansion.groups[i], 2)
+    ]
+    return AgentFormGame(
+        game,
+        expansion.eta,
+        expansion.universe,
+        expansion.groups,
+        expansion.sub_blocks,
+        tuple(images + internal),
+    )

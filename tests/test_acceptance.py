@@ -25,7 +25,7 @@ from hypercoop.expansion import (
     grouped_position,
     shapley_blockwise,
 )
-from hypercoop.model import eta, table_function, zero_allocation
+from hypercoop.model import eta, table_function
 from hypercoop.solutions import myerson_value, position_value
 
 from oracles import (

@@ -1,23 +1,20 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypercoop.connectivity import (
-    components,
-    components_of_coalition,
-    merge_groups,
-)
+from hypercoop.connectivity import components, components_of_coalition
 from hypercoop.model import make_hypergraph
 
+from oracles import merge_groups
 from strategies import hypergraphs
 
 
-def test_merge_groups_basic():
-    blocks = merge_groups([1, 2, 3, 4, 5], [[1, 2], [2, 3]])
+def test_components_basic():
+    blocks = components([1, 2, 3, 4, 5], [[1, 2], [2, 3]])
     assert blocks == [frozenset({1, 2, 3}), frozenset({4}), frozenset({5})]
 
 
-def test_merge_groups_orders_by_min():
-    blocks = merge_groups([3, 1, 2], [[3, 2]])
+def test_components_orders_by_min():
+    blocks = components([3, 1, 2], [[3, 2]])
     assert blocks == [frozenset({1}), frozenset({2, 3})]
 
 
@@ -65,3 +62,20 @@ def test_dropping_links_refines_components(h, data):
     fine = components(h.players, partial)
     for small in fine:
         assert any(small <= big for big in coarse)
+
+
+def _subsets(items):
+    return st.lists(st.sampled_from(items), unique=True) if items else st.just([])
+
+
+@given(hypergraphs(max_players=7, max_links=6), st.data())
+def test_components_match_the_union_find(h, data):
+    """Exact list equality, order included, against the reference
+    partition: on a drawn subset of the hyperlinks over all players, and
+    on the subhypergraph a drawn coalition induces."""
+    partial = data.draw(_subsets(list(h.hyperlinks)))
+    assert components(h.players, partial) == merge_groups(h.players, partial)
+    coalition = frozenset(data.draw(_subsets(list(h.players))))
+    inside = [e for e in h.hyperlinks if e <= coalition]
+    assert components(coalition, inside) == merge_groups(coalition, inside)
+    assert components_of_coalition(coalition, h) == merge_groups(coalition, inside)

@@ -8,7 +8,6 @@ from hypercoop.expansion import (
     ExpandedPlayer,
     agent_form_payoffs,
     block_symmetric_shapley,
-    build_agent_form,
     build_uniform,
     conference_mask_worth,
     grouped_position,
@@ -25,7 +24,7 @@ from hypercoop.model import (
 from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import position_value
 
-from oracles import TUGame, as_tu_game, expanded_worth, shapley_by_subsets
+from oracles import TUGame, as_tu_game, build_agent_form, expanded_worth, shapley_by_subsets
 from strategies import hypergraph_games
 
 F = Fraction

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from hypercoop.model import (
     HypergraphGame,
