@@ -4,7 +4,8 @@ of the position value.
 The reconstruction solves each component's component-efficiency and
 partial-balanced-contributions equations in closed form, one
 hyperlink-smaller situation at a time, in one loop over hyperlink masks
-that starts at mask 0; see `value_from_axioms`.
+on integer numerators over one common denominator; see
+`value_from_axioms`.
 
 Everything here takes an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
@@ -16,18 +17,17 @@ much* an invariant breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Callable
 
 from .connectivity import components, mask_components
 from .expansion import (
     DEFAULT_STATE_CAP,
     ExpandedPlayer,
-    block_symmetric_shapley,
     build_uniform,
-    conference_mask_worth,
-    require_state_cap,
+    grouped_position,
 )
 from .model import (
     Allocation,
@@ -39,7 +39,7 @@ from .model import (
     incident_hyperlinks,
     is_r_uniform,
     link_key,
-    zero_allocation,
+    scaled_worths,
 )
 from .shapley import CapExceeded
 from .solutions import position_value
@@ -194,26 +194,14 @@ def check_copy_deletion(
     if e not in game.hyperlinks:
         raise ValueError(f"no hyperlink {sorted(e)} to delete a copy of")
     expansion = build_uniform(game, 1)
-    block = expansion.blocks[link_key(e)]
+    key = link_key(e)
+    block = expansion.blocks[key]
     if removed is None:
         removed = block[0]
     if removed not in block:
         raise ValueError("the removed copy must belong to the deleted hyperlink's block")
-    links = game.hyperlinks
-    target = links.index(e)
-    sizes = [expansion.rho] * len(links)
-    completions = list(sizes)
-    sizes[target] -= 1
-    require_state_cap(sizes, state_cap)  # before the 2^m conference table
-    per_block = block_symmetric_shapley(
-        sizes, completions, conference_mask_worth(game), state_cap=state_cap
-    )
-    grouped = zero_allocation(game.players)
-    for j, other in enumerate(links):
-        for ep in expansion.blocks[link_key(other)]:
-            if ep == removed:
-                continue
-            grouped[ep.origin] += per_block[j]
+    pruned = {**expansion.blocks, key: tuple(ep for ep in block if ep != removed)}
+    grouped = grouped_position(replace(expansion, blocks=pruned), state_cap)
     reduced = position_value(game.without_hyperlink(e))
     return CopyDeletionReport(e, removed, grouped, reduced)
 
@@ -238,43 +226,51 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     hyperlinks in C, at least one; and every member of C, a included,
     lies on an active hyperlink, so d_a > 0.  The situations are solved
     in one loop over hyperlink masks, each row indexed by its mask:
-    clearing a bit gives a smaller mask, solved before.  The loop starts
-    at mask 0, the empty structure, where everyone is isolated and
-    zero-normalization gives zero.
+    clearing a bit gives a smaller mask, solved before.  Each solution
+    is a position value, so rows hold integer numerators over
+    D = m!·scale·eta (worths from `scaled_worths`, eta the lcm of the
+    hyperlink sizes, d_q scaled by eta).  A division that leaves a
+    remainder raises ArithmeticError naming the mask; nothing is rounded.
     """
     links = game.hyperlinks
     m = len(links)
     if m > cap:
         raise CapExceeded(f"{m} hyperlinks exceeds the recursion cap {cap}")
-    cf = game.characteristic
     players = game.players
     n = len(players)
     link_masks = [sum(1 << k for k, p in enumerate(players) if p in e) for e in links]
-    weight = [Fraction(1, len(e)) for e in links]
-    rows: list[list[Fraction]] = []
-    for mask in range(1 << m):
+    eta = lcm(*(len(e) for e in links))
+    weight = [eta // len(e) for e in links]
+    pieces = [
+        mask_components((1 << n) - 1, [e for j, e in enumerate(link_masks) if mask >> j & 1])
+        for mask in range(1 << m)
+    ]
+    scale, worth = scaled_worths(game.characteristic, players, {p for ps in pieces for p in ps})
+    unit = factorial(m) * eta
+    rows: list[list[int]] = []
+    for mask, mask_pieces in enumerate(pieces):
         active = [j for j in range(m) if mask >> j & 1]
-        row = [ZERO] * n
-        for piece in mask_components((1 << n) - 1, [link_masks[j] for j in active]):
+        row = [0] * n
+        for piece in mask_pieces:
             members = [k for k in range(n) if piece >> k & 1]
-            worth = cf.worth(players[k] for k in members)
+            total = worth[piece] * unit
             if len(members) == 1:
-                row[members[0]] = worth
+                row[members[0]] = total
                 continue
             incident = {k: [j for j in active if link_masks[j] >> k & 1] for k in members}
-            d = {k: sum((weight[j] for j in incident[k]), ZERO) for k in members}
+            d = {k: sum(weight[j] for j in incident[k]) for k in members}
             anchor, others = members[0], members[1:]
-            r = {}
-            for q in others:
-                value = ZERO
-                for j in incident[q]:
-                    value += weight[j] * rows[mask ^ (1 << j)][anchor]
-                for j in incident[anchor]:
-                    value -= weight[j] * rows[mask ^ (1 << j)][q]
-                r[q] = value
-            x_a = (d[anchor] * worth + sum(r.values(), ZERO)) / sum(d.values(), ZERO)
+            r = {
+                q: sum(weight[j] * rows[mask ^ (1 << j)][anchor] for j in incident[q])
+                - sum(weight[j] * rows[mask ^ (1 << j)][q] for j in incident[anchor])
+                for q in others
+            }
+            x_a, inexact = divmod(d[anchor] * total + sum(r.values()), sum(d.values()))
             row[anchor] = x_a
             for q in others:
-                row[q] = (d[q] * x_a - r[q]) / d[anchor]
+                row[q], remainder = divmod(d[q] * x_a - r[q], d[anchor])
+                inexact |= remainder
+            if inexact:
+                raise ArithmeticError(f"axioms unsolvable over 1/{unit * scale} at mask {mask:#b}")
         rows.append(row)
-    return dict(zip(players, rows[-1]))
+    return {p: Fraction(x, unit * scale) for p, x in zip(players, rows[-1])}

@@ -44,6 +44,7 @@ from .expansion import (
     build_uniform,
     group_by_origin,
     grouped_position,
+    require_state_cap,
     shapley_blockwise,
 )
 from .model import (
@@ -52,6 +53,7 @@ from .model import (
     TableFunction,
     UnanimityFunction,
     WeightedUnanimityFunction,
+    eta,
     link_key,
     make_hypergraph,
     table_function,
@@ -235,7 +237,11 @@ def game_to_document(game: HypergraphGame) -> dict:
 
 
 def _approx(value: Fraction, decimals: int) -> str:
-    return f"{float(value):.{decimals}f}"
+    try:
+        return f"{float(value):.{decimals}f}"
+    except OverflowError:  # beyond float range: round exactly, ties to even
+        digits = str(round(value * 10**decimals))
+        return f"{digits[:-decimals]}.{digits[-decimals:]}" if decimals else digits
 
 
 def _allocation_lines(alloc: Allocation, decimals: int | None) -> list[str]:
@@ -298,6 +304,12 @@ def handle_value(args) -> int:
     return 0
 
 
+def _uniform(game: HypergraphGame, k: int, state_cap: int):
+    """The k-fold expansion, refused over the state cap before it is built."""
+    require_state_cap([k * eta(game.hypergraph)] * len(game.hyperlinks), state_cap)
+    return build_uniform(game, k)
+
+
 def _copy_label(ep) -> str:
     members = ",".join(str(p) for p in ep.hyperlink)
     return f"{ep.origin}[{members}]#{ep.copy}"
@@ -305,7 +317,7 @@ def _copy_label(ep) -> str:
 
 def handle_expand(args) -> int:
     game = _load(args)
-    expansion = build_uniform(game, args.k)
+    expansion = _uniform(game, args.k, args.cap_states)
     per_copy = shapley_blockwise(expansion, state_cap=args.cap_states)
     grouped = group_by_origin(game.players, per_copy)
     blocks = [
@@ -441,12 +453,10 @@ def handle_verify(args) -> int:
         return 0 if all_ok else 1
 
     expected = position_value(game, cap=args.cap_subsets)
-    if args.theorem == "1":
-        got = grouped_position(build_uniform(game, 1), state_cap=args.cap_states)
-        label = "grouped Shapley payoffs of the 1-fold uniform expansion"
-    elif args.theorem == "2":
-        got = grouped_position(build_uniform(game, args.k), state_cap=args.cap_states)
-        label = f"grouped Shapley payoffs of the {args.k}-fold uniform expansion"
+    if args.theorem in ("1", "2"):
+        k = args.k if args.theorem == "2" else 1
+        got = grouped_position(_uniform(game, k, args.cap_states), state_cap=args.cap_states)
+        label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
     else:  # corollary1
         per_agent = agent_form_payoffs(game, state_cap=args.cap_states)
         got = group_by_origin(game.players, per_agent)

@@ -13,9 +13,10 @@ a block holding c members contributes a signature bitmask, the worth
 depends only on the OR of the signatures, and for each pivot block the
 other blocks are folded in one at a time into a map from (coalition
 size, OR-ed bits) to the exact number of coalitions realizing them
-(products of binomials).  It uses nothing beyond that within-block
-symmetry — in particular it never assumes the grouped-payoff identity
-it is used to verify.
+(products of binomials).  Each pivot reads the worths it needs once,
+as integers over one scale (`scaled_worths`), and ends in one Fraction.
+It uses nothing beyond that within-block symmetry — in particular it
+never assumes the grouped-payoff identity it is used to verify.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .model import (
     Allocation,
     HypergraphGame,
     PlayerId,
-    ZERO,
     eta,
     incident_hyperlinks,
     link_key,
+    scaled_worths,
     zero_allocation,
 )
 from .shapley import CapExceeded
@@ -96,8 +97,7 @@ def build_uniform(game: HypergraphGame, k: int = 1) -> UniformExpansion:
         raise ValueError("uniform expansion requires at least one hyperlink")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    base, rho, universe, blocks, groups, sub_blocks = _expanded_index(game, k)
-    return UniformExpansion(game, k, base, rho, universe, blocks, groups, sub_blocks)
+    return UniformExpansion(game, k, *_expanded_index(game, k))
 
 
 def require_state_cap(sizes: list[int], state_cap: int) -> None:
@@ -108,27 +108,24 @@ def require_state_cap(sizes: list[int], state_cap: int) -> None:
 
 
 def _fold_shapley(
-    sizes: list[int],
-    signatures: list[list[int]],
-    worth_of_bits: Callable[[int], Fraction],
-    state_cap: int,
+    sizes: list[int], signatures: list[list[int]], worths: Callable, state_cap: int
 ) -> list[Fraction]:
     """Per-member Shapley payoffs of a game whose members fall into blocks
     of interchangeable players, one payoff per block.
 
     A coalition holding c of block j's sizes[j] members gets the bits
-    signatures[j][c] from it, and is worth `worth_of_bits` of the OR of
-    its blocks' bits.  For each pivot block the other blocks are folded
-    in one at a time into a map from (coalition size, OR-ed bits) to the
+    signatures[j][c] from it, and its worth depends only on the OR of its
+    blocks' bits.  For each pivot block the other blocks are folded in
+    one at a time into a map from (coalition size, OR-ed bits) to the
     number of coalitions with them, a sum of products of binomials.  A
     pivot member arriving to c others of its block changes the worth only
     where signatures[pivot][c] differs from signatures[pivot][c+1], so
-    only those counts contribute.
+    only those counts contribute.  `worths(needed)` returns (scale, w)
+    with w[bits] = scale·worth for those bits, as `scaled_worths` does.
     """
     require_state_cap(sizes, state_cap)
     total = sum(sizes)
     fact = [math.factorial(s) for s in range(total + 1)]
-    worth = functools.cache(worth_of_bits)
     payoffs: list[Fraction] = []
     for b0, (size0, sig0) in enumerate(zip(sizes, signatures)):
         states = {(0, 0): 1}
@@ -154,11 +151,19 @@ def _fold_shapley(
                 x = fact[s + c] * fact[total - 1 - s - c] * pivot_ways * ways
                 coefficient[bits | after] = coefficient.get(bits | after, 0) + x
                 coefficient[bits | before] = coefficient.get(bits | before, 0) - x
-        payoff = sum(
-            (x * w for bits, x in coefficient.items() if x and (w := worth(bits))), ZERO
-        )
-        payoffs.append(payoff / fact[total])
+        needed = [bits for bits, x in coefficient.items() if x]
+        scale, worth = worths(needed)
+        payoffs.append(Fraction(sum(coefficient[b] * worth[b] for b in needed), fact[-1] * scale))
     return payoffs
+
+
+def _blockwise(sizes: list[int], completions: list[int], worths: Callable, state_cap: int) -> list[Fraction]:
+    """`_fold_shapley` with bit j set while block j holds completions[j] members."""
+    signatures = [
+        [1 << j if c == need else 0 for c in range(size + 1)]
+        for j, (size, need) in enumerate(zip(sizes, completions))
+    ]
+    return _fold_shapley(sizes, signatures, worths, state_cap)
 
 
 def block_symmetric_shapley(
@@ -177,34 +182,25 @@ def block_symmetric_shapley(
     members of a block are symmetric).  A block whose completion size
     exceeds its size can never complete and its members are null players.
     """
-    full = (1 << len(block_sizes)) - 1
-    signatures = [
-        [0 if c == need else 1 << j for c in range(size + 1)]
-        for j, (size, need) in enumerate(zip(block_sizes, completion_sizes))
-    ]
-    return _fold_shapley(
-        block_sizes, signatures, lambda bits: worth_of_mask(full ^ bits), state_cap
+    return _blockwise(
+        block_sizes, completion_sizes, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
     )
-
-
-def conference_mask_worth(game: HypergraphGame) -> Callable[[int], Fraction]:
-    """v^N over hyperlink subsets given as bitmasks in canonical order,
-    read off the conference table."""
-    table, scale = conference_table(game)
-    return lambda mask: Fraction(table[mask], scale)
 
 
 def shapley_blockwise(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:
-    """Exact Shapley value of every expanded player via count vectors."""
-    links = expansion.game.hyperlinks
-    sizes = [expansion.rho] * len(links)
-    require_state_cap(sizes, state_cap)  # before the 2^m conference table
-    per_block = block_symmetric_shapley(
-        sizes, list(sizes), conference_mask_worth(expansion.game), state_cap=state_cap
-    )
-    return {
-        ep: value for e, value in zip(links, per_block) for ep in expansion.blocks[link_key(e)]
-    }
+    """Exact Shapley value of every expanded player via count vectors.
+    A hyperlink counts only with all rho of its copies, so a block with
+    a copy taken out (see `axioms.check_copy_deletion`) never completes."""
+    keys = [link_key(e) for e in expansion.game.hyperlinks]
+    sizes = [len(expansion.blocks[key]) for key in keys]
+    table = functools.cache(lambda: conference_table(expansion.game))  # after the cap check
+
+    def worths(needed: list[int]) -> tuple[int, list[int]]:
+        values, scale = table()
+        return scale, values
+
+    per_block = _blockwise(sizes, [expansion.rho] * len(keys), worths, state_cap)
+    return {ep: value for key, value in zip(keys, per_block) for ep in expansion.blocks[key]}
 
 
 def group_by_origin(
@@ -251,18 +247,17 @@ def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP)
         for (i, key), size in zip(classes, sizes)
     ]
 
-    def worth(bits: int) -> Fraction:
-        present = bits & ((1 << n) - 1)
+    @functools.cache
+    def pieces_of(bits: int) -> list[int]:
         complete = [e for t, e in enumerate(link_masks) if not bits >> (n + t) & 1]
-        return sum(
-            (
-                game.worth(p for p in game.players if piece & player_bit[p])
-                for piece in mask_components(present, complete)
-            ),
-            ZERO,
-        )
+        return mask_components(bits & ((1 << n) - 1), complete)
 
-    per_class = _fold_shapley(sizes, signatures, worth, state_cap)
+    def worths(needed: list[int]) -> tuple[int, dict[int, int]]:
+        union = {p for bits in needed for p in pieces_of(bits)}
+        scale, worth = scaled_worths(game.characteristic, game.players, union)
+        return scale, {bits: sum(worth[p] for p in pieces_of(bits)) for bits in needed}
+
+    per_class = _fold_shapley(sizes, signatures, worths, state_cap)
     return {
         ep: value for cls, value in zip(classes, per_class) for ep in sub_blocks[cls]
     }

@@ -3,7 +3,8 @@
 Players are small non-negative integers, coalitions are frozensets, and
 every worth or payoff is a `fractions.Fraction`.  Nothing in the
 computation path ever touches a float, so comparisons between
-allocations are exact equality, not tolerance checks.
+allocations are exact equality, not tolerance checks.  The hot paths
+read worths once, through `scaled_worths`, as integers over one scale.
 """
 
 from __future__ import annotations
@@ -243,3 +244,27 @@ class HypergraphGame:
 
 def zero_allocation(players: Iterable[PlayerId]) -> Allocation:
     return {p: ZERO for p in players}
+
+
+def scaled_worths(
+    cf: CharacteristicFunction, players: tuple[PlayerId, ...], coalitions: Iterable[int]
+) -> tuple[int, dict[int, int]]:
+    """(scale, {mask: scale·v(mask)}) for coalitions given as bitmasks over
+    `players`.  Unanimity combinations and tables are read off their
+    representation; any other characteristic goes through `cf.worth`."""
+    bit = {p: 1 << k for k, p in enumerate(players)}
+    coefficients = cf.unanimity_coefficients()
+    if coefficients is not None:
+        scale = lcm(*(c.denominator for c in coefficients.values()))
+        terms = [
+            (sum(bit[p] for p in s), c.numerator * (scale // c.denominator))
+            for s, c in coefficients.items()
+        ]
+        return scale, {c: sum(w for s, w in terms if c & s == s) for c in coalitions}
+    if isinstance(cf, TableFunction):
+        worths = {sum(bit[p] for p in s): w for s, w in cf.entries.items()}
+    else:
+        worths = {c: as_fraction(cf.worth(p for p in players if c & bit[p])) for c in coalitions}
+    scale = lcm(*(w.denominator for w in worths.values()))
+    scaled = {c: w.numerator * (scale // w.denominator) for c, w in worths.items()}
+    return scale, {c: scaled.get(c, 0) for c in coalitions}

@@ -11,12 +11,12 @@ takes the Shapley value of the characteristic function itself.
 
 All three run on one bitmask kernel: players (or hyperlinks) are bit
 positions, a coalition is an int, and each game becomes a list of
-integer worths indexed by mask — the true worths times one common scale,
-the lcm of the characteristic's denominators.  The restricted tables
-are filled as W[mask] = v(piece holding the lowest bit) + W[mask without
-that piece], and `shapley_of_table` sums them in integers; each payoff
-is one exact division at the end.  The frozenset versions of the two
-restricted games live in the test suite, as the reference.
+integer worths indexed by mask, scaled by `model.scaled_worths`, the
+one worth reader shared with the expansion and axiom modules.  The
+restricted tables are filled as W[mask] = v(piece holding the lowest
+bit) + W[mask without that piece], and `shapley_of_table` sums them in
+integers; each payoff is one exact division at the end.  The frozenset
+versions of the two restricted games are the test suite's reference.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from typing import Iterable
 from .connectivity import components
 from .model import (
     Allocation,
-    CharacteristicFunction,
     Hyperlink,
     HypergraphGame,
     PlayerId,
-    TableFunction,
     ZERO,
-    as_fraction,
+    scaled_worths,
 )
 from .shapley import DEFAULT_SUBSET_CAP, require_subset_cap, shapley_of_table
 
@@ -49,30 +47,6 @@ def restricted_worth(game: HypergraphGame, coalition: Iterable) -> Fraction:
 def conference_worth(game: HypergraphGame, hyperlinks: Iterable[Hyperlink]) -> Fraction:
     """Conference-game worth v^N(H'): component worths over all players."""
     return sum((game.worth(t) for t in components(game.players, hyperlinks)), ZERO)
-
-
-def _scaled_worths(
-    cf: CharacteristicFunction, players: tuple[PlayerId, ...], coalitions: Iterable[int]
-) -> tuple[int, dict[int, int]]:
-    """(scale, {mask: scale·v(mask)}) for coalitions given as bitmasks over
-    `players`.  Unanimity combinations and tables are read off their
-    representation; any other characteristic goes through `cf.worth`."""
-    bit = {p: 1 << k for k, p in enumerate(players)}
-    coefficients = cf.unanimity_coefficients()
-    if coefficients is not None:
-        scale = lcm(*(c.denominator for c in coefficients.values()))
-        terms = [
-            (sum(bit[p] for p in s), c.numerator * (scale // c.denominator))
-            for s, c in coefficients.items()
-        ]
-        return scale, {c: sum(w for s, w in terms if c & s == s) for c in coalitions}
-    if isinstance(cf, TableFunction):
-        worths = {sum(bit[p] for p in s): w for s, w in cf.entries.items()}
-    else:
-        worths = {c: as_fraction(cf.worth(p for p in players if c & bit[p])) for c in coalitions}
-    scale = lcm(*(w.denominator for w in worths.values()))
-    scaled = {c: w.numerator * (scale // w.denominator) for c, w in worths.items()}
-    return scale, {c: scaled.get(c, 0) for c in coalitions}
 
 
 def _fill(pieces: list[int], worth: dict[int, int]) -> list[int]:
@@ -113,7 +87,7 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
                     frontier |= e & ~piece
                     piece |= e
         pieces[mask] = piece
-    scale, worth = _scaled_worths(game.characteristic, game.players, set(pieces[1:]))
+    scale, worth = scaled_worths(game.characteristic, game.players, set(pieces[1:]))
     return _fill(pieces, worth), scale
 
 
@@ -143,7 +117,7 @@ def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
         pieces[mask] = piece
     covered = {piece: members[piece] for piece in set(pieces[1:])}
     singletons = [bit[p] for p in game.players]
-    scale, worth = _scaled_worths(
+    scale, worth = scaled_worths(
         game.characteristic, game.players, {*covered.values(), *singletons}
     )
     if any(worth[s] for s in singletons):
@@ -162,7 +136,7 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     no part."""
     n = len(game.players)
     require_subset_cap(n, cap)
-    scale, worth = _scaled_worths(game.characteristic, game.players, range(1 << n))
+    scale, worth = scaled_worths(game.characteristic, game.players, range(1 << n))
     table = [worth[mask] for mask in range(1 << n)]
     if table[0] != 0:
         raise ValueError("worth of the empty coalition must be 0")

@@ -1,8 +1,11 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import hypercoop.axioms
 from hypercoop.axioms import (
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
@@ -13,6 +16,7 @@ from hypercoop.axioms import (
 )
 from hypercoop.expansion import ExpandedPlayer, build_uniform
 from hypercoop.model import (
+    CharacteristicFunction,
     HypergraphGame,
     make_hypergraph,
     table_function,
@@ -22,7 +26,7 @@ from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import myerson_value, position_value
 
 from oracles import position_by_dividends
-from strategies import hypergraph_games
+from strategies import hypergraph_games, unanimity_combination_games
 
 F = Fraction
 
@@ -191,8 +195,34 @@ class TestValueFromAxioms:
         )
         assert value_from_axioms(game) == {1: 0, 2: 0}
 
+    def test_custom_characteristic(self):
+        """A characteristic without a table or unanimity form is read
+        through its worth function."""
 
-@given(hypergraph_games(max_players=5, max_links=4, max_link_size=3))
+        @dataclass(frozen=True)
+        class Pairs(CharacteristicFunction):
+            def _worth(self, coalition):
+                bonus = F(3, 2) if {1, 4} <= coalition else 0
+                return F(len(coalition) * (len(coalition) - 1), 2) + bonus
+
+        players = [1, 2, 3, 4]
+        game = HypergraphGame(
+            make_hypergraph(players, [[1, 2, 3], [3, 4]]), Pairs(frozenset(players))
+        )
+        assert value_from_axioms(game) == position_value(game)
+
+    def test_a_too_small_denominator_is_an_error_not_a_rounding(self, hub, monkeypatch):
+        monkeypatch.setattr(hypercoop.axioms, "factorial", lambda n: 1)
+        with pytest.raises(ArithmeticError, match="^axioms unsolvable over 1/6 at mask 0b"):
+            value_from_axioms(hub)
+
+
+@given(
+    st.one_of(
+        hypergraph_games(max_players=5, max_links=4, max_link_size=3),
+        unanimity_combination_games(max_players=5, max_links=4, max_link_size=3),
+    )
+)
 def test_axiomatic_reconstruction_matches_the_position_value(game):
     assert value_from_axioms(game) == position_value(game)
     assert check_component_efficiency(value_from_axioms, game).passed

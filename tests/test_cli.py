@@ -187,6 +187,25 @@ class TestValueCommand:
         assert main(["value", hub_path, "--decimals", "3"]) == 0
         assert "1/8 ≈ 0.125" in capsys.readouterr().out
 
+    def test_decimals_beyond_float_range_are_rounded_exactly(self, tmp_path, capsys):
+        big = 10**400
+        doc = {
+            "players": [1, 2],
+            "hyperlinks": [[1, 2]],
+            "characteristic": {
+                "weighted_unanimity": [{"coalition": [1, 2], "coeff": f"-{big}/3"}]
+            },
+        }
+        path = write_doc(tmp_path, doc)
+        # each player gets -10^400/6 = -1666...6.666...
+        approx = f"≈ -{big // 6}.67"
+        assert main(["value", path, "--decimals", "2"]) == 0
+        assert capsys.readouterr().out.count(approx) == 2
+        assert main(["verify", path, "--theorem", "1", "--decimals", "2"]) == 0
+        assert capsys.readouterr().out.count(approx) == 2
+        assert main(["value", path, "--decimals", "0"]) == 0
+        assert capsys.readouterr().out.count(f"≈ -{big // 6 + 1}\n") == 2
+
     def test_json_payload(self, hub_path, capsys):
         assert main(["value", hub_path, "--rule", "myerson", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -282,6 +301,17 @@ class TestExpandCommand:
         assert main(["expand", path, "--cap-states", "1000"]) == 3
         assert capsys.readouterr().err == message
         assert main(["verify", path, "--theorem", "lemma1", "--cap-states", "1000"]) == 3
+        assert capsys.readouterr().err == message
+
+    def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
+        def refuse(game, k):
+            raise AssertionError("the expanded universe was built over the cap")
+
+        monkeypatch.setattr(hypercoop.expansion, "_expanded_index", refuse)
+        message = f"error: count-vector state space exceeds the cap {10**7}\n"
+        assert main(["expand", hub_path, "--k", "1000000"]) == 3
+        assert capsys.readouterr().err == message
+        assert main(["verify", hub_path, "--theorem", "2", "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
 
 

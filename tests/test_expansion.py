@@ -1,15 +1,15 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hypercoop.expansion import (
     ExpandedPlayer,
     agent_form_payoffs,
     block_symmetric_shapley,
     build_uniform,
-    conference_mask_worth,
     grouped_position,
     shapley_blockwise,
 )
@@ -22,10 +22,10 @@ from hypercoop.model import (
     zero_allocation,
 )
 from hypercoop.shapley import CapExceeded
-from hypercoop.solutions import position_value
+from hypercoop.solutions import conference_table, position_value
 
 from oracles import TUGame, as_tu_game, build_agent_form, expanded_worth, shapley_by_subsets
-from strategies import hypergraph_games
+from strategies import hypergraph_games, unanimity_combination_games
 
 F = Fraction
 
@@ -139,10 +139,20 @@ class TestBlockSymmetricShapley:
         expected = [direct[(j, 0)] for j in range(len(sizes))]
         assert block_symmetric_shapley(sizes, completions, worth) == expected
 
-    def test_mask_worth_matches_conference(self, hub):
-        worth = conference_mask_worth(hub)
-        assert worth(0b1111) == 1
-        assert all(worth(mask) == 0 for mask in range(15))
+    def test_blockwise_reads_the_conference_game(self, hub):
+        table, scale = conference_table(hub)
+        assert table[0b1111] == scale
+        assert not any(table[:0b1111])
+        worth = lambda mask: F(mask == 0b1111)
+        keys = [tuple(sorted(e)) for e in hub.hyperlinks]
+        exp = build_uniform(hub, 1)
+        # a block with a copy taken out never completes
+        for sizes in ([6, 6, 6, 6], [6, 5, 6, 6]):
+            blocks = {key: exp.blocks[key][:size] for key, size in zip(keys, sizes)}
+            per_copy = shapley_blockwise(replace(exp, blocks=blocks))
+            expected = block_symmetric_shapley(sizes, [6] * 4, worth)
+            assert [per_copy[blocks[key][0]] for key in keys] == expected
+            assert len(per_copy) == sum(sizes)
 
 
 @given(hypergraph_games(max_players=4, max_links=3, max_link_size=3))
@@ -239,7 +249,12 @@ def test_agent_payoffs_equal_direct_myerson_of_the_agent_form(game):
     assert agent_form_payoffs(game) == direct
 
 
-@given(hypergraph_games(max_players=5, max_links=3, max_link_size=3))
+@given(
+    st.one_of(
+        hypergraph_games(max_players=5, max_links=3, max_link_size=3),
+        unanimity_combination_games(max_players=5, max_links=3, max_link_size=3),
+    )
+)
 def test_agent_payoffs_group_to_the_position_value(game):
     per_agent = agent_form_payoffs(game)
     grouped = zero_allocation(game.players)

@@ -269,7 +269,7 @@ class TestBitmaskKernel:
 
         monkeypatch.setattr(solutions, "conference_table", refuse)
         monkeypatch.setattr(solutions, "_point_table", refuse)
-        monkeypatch.setattr(solutions, "_scaled_worths", refuse)
+        monkeypatch.setattr(solutions, "scaled_worths", refuse)
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
