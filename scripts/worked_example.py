@@ -76,11 +76,11 @@ def main() -> None:
 
     print("-- contribution comparisons for the position value --")
     partial = check_partial_balanced_conference_contributions(position_value, game)
-    side = partial.pairs[(6, 1)]
+    side = partial.sides[(6, 1)]
     print(f"partial-balanced pair (6,1): left {side.left}, right {side.right}"
           f" -> {'balanced' if side.residual == 0 else 'unbalanced'}")
     unweighted = check_balanced_conference_contributions(position_value, game)
-    side = unweighted.pairs[(1, 6)]
+    side = unweighted.sides[(1, 6)]
     print(f"unweighted pair (1,6):      left {side.left}, right {side.right}"
           f" -> {'balanced' if side.residual == 0 else 'unbalanced'}")
     print()

@@ -7,12 +7,14 @@ hyperlink-smaller situation at a time, in one loop over hyperlink masks
 on integer numerators over one common denominator; see
 `value_from_axioms`.
 
-Everything here takes an allocation *rule* — a callable mapping a
+The axiom checkers take an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
 position value, the Myerson value, and deliberately broken rules alike.
-Reports carry exact residuals for every ordered player pair (or every
-component), never just a boolean, so failures show *where* and *by how
-much* an invariant breaks.
+Every check, axiom or identity, returns one `Report`: a `Side` (left,
+right) per key — an ordered player pair, a component or a player — with
+an exact residual, never just a boolean, so failures show *where* and
+*by how much* an invariant breaks.  `compare` builds the player-by-player
+report of two allocations.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .model import (
     Hyperlink,
     HypergraphGame,
     ONE,
-    PlayerId,
     ZERO,
     incident_hyperlinks,
     is_r_uniform,
@@ -50,11 +51,9 @@ Rule = Callable[[HypergraphGame], Allocation]
 
 
 @dataclass(frozen=True)
-class PairSides:
-    """The two sides of an equal-gains condition for one ordered pair."""
+class Side:
+    """Two exact quantities that a checked property says are equal."""
 
-    i: PlayerId
-    j: PlayerId
     left: Fraction
     right: Fraction
 
@@ -64,21 +63,27 @@ class PairSides:
 
 
 @dataclass(frozen=True)
-class ContributionReport:
-    """All ordered-pair comparisons for one balanced-contributions axiom."""
+class Report:
+    """One `Side` per key: an ordered player pair, a component or a player."""
 
     axiom: str
-    pairs: dict[tuple[PlayerId, PlayerId], PairSides]
+    sides: dict
 
-    def residual(self, i: PlayerId, j: PlayerId) -> Fraction:
-        return self.pairs[(i, j)].residual
+    def residual(self, *key) -> Fraction:
+        """The residual at `report.residual(i, j)`, `(component)` or `(player)`."""
+        return self.sides[key if len(key) > 1 else key[0]].residual
 
-    def failures(self) -> list[PairSides]:
-        return [p for p in self.pairs.values() if p.residual != 0]
+    def failures(self) -> dict:
+        return {key: side for key, side in self.sides.items() if side.residual}
 
     @property
     def passed(self) -> bool:
         return not self.failures()
+
+
+def compare(axiom: str, left: Allocation, right: Allocation) -> Report:
+    """Player-by-player report of two allocations over the same players."""
+    return Report(axiom, {p: Side(left[p], right[p]) for p in sorted(right)})
 
 
 def _pair_report(
@@ -86,38 +91,34 @@ def _pair_report(
     game: HypergraphGame,
     axiom: str,
     weight_of: Callable[[Hyperlink], Fraction],
-) -> ContributionReport:
-    """left(i, j) totals what i gains from j's hyperlinks existing:
-    sum over e containing j of weight(e) * (f_i(H) - f_i(H minus e))."""
+) -> Report:
+    """gain[i, j] totals what i gains from j's hyperlinks existing:
+    sum over e containing j of weight(e) * (f_i(H) - f_i(H minus e)).
+    The pair (i, j) compares gain[i, j] with gain[j, i]."""
     base = rule(game)
     removed = {e: rule(game.without_hyperlink(e)) for e in game.hyperlinks}
-    pairs: dict[tuple[PlayerId, PlayerId], PairSides] = {}
-    incident = {i: incident_hyperlinks(game.hypergraph, i) for i in game.players}
-    for i in game.players:
-        for j in game.players:
-            left = sum(
-                (weight_of(e) * (base[i] - removed[e][i]) for e in incident[j]), ZERO
-            )
-            right = sum(
-                (weight_of(e) * (base[j] - removed[e][j]) for e in incident[i]), ZERO
-            )
-            pairs[(i, j)] = PairSides(i, j, left, right)
-    return ContributionReport(axiom, pairs)
+    incident = {j: incident_hyperlinks(game.hypergraph, j) for j in game.players}
+    gain = {
+        (i, j): sum((weight_of(e) * (base[i] - removed[e][i]) for e in incident[j]), ZERO)
+        for i in game.players
+        for j in game.players
+    }
+    return Report(axiom, {(i, j): Side(g, gain[j, i]) for (i, j), g in gain.items()})
 
 
-def check_balanced_link_contributions(rule: Rule, game: HypergraphGame) -> ContributionReport:
+def check_balanced_link_contributions(rule: Rule, game: HypergraphGame) -> Report:
     """Pairwise-link version: every hyperlink must have exactly two members."""
     if not is_r_uniform(game.hypergraph, 2):
         raise ValueError("balanced link contributions applies only to 2-member hyperlinks")
     return _pair_report(rule, game, "balanced link contributions", lambda e: ONE)
 
 
-def check_balanced_conference_contributions(rule: Rule, game: HypergraphGame) -> ContributionReport:
+def check_balanced_conference_contributions(rule: Rule, game: HypergraphGame) -> Report:
     """Unweighted equal gains over whole hyperlinks of any size."""
     return _pair_report(rule, game, "balanced conference contributions", lambda e: ONE)
 
 
-def check_partial_balanced_conference_contributions(rule: Rule, game: HypergraphGame) -> ContributionReport:
+def check_partial_balanced_conference_contributions(rule: Rule, game: HypergraphGame) -> Report:
     """Equal gains with each hyperlink weighted by one over its size."""
     return _pair_report(
         rule,
@@ -127,61 +128,15 @@ def check_partial_balanced_conference_contributions(rule: Rule, game: Hypergraph
     )
 
 
-@dataclass(frozen=True)
-class ComponentEntry:
-    component: frozenset[PlayerId]
-    allocated: Fraction
-    worth: Fraction
-
-    @property
-    def residual(self) -> Fraction:
-        return self.allocated - self.worth
-
-
-@dataclass(frozen=True)
-class ComponentEfficiencyReport:
-    entries: tuple[ComponentEntry, ...]
-
-    def failures(self) -> list[ComponentEntry]:
-        return [e for e in self.entries if e.residual != 0]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-
-def check_component_efficiency(rule: Rule, game: HypergraphGame) -> ComponentEfficiencyReport:
-    """Each communication component must split exactly its own worth."""
+def check_component_efficiency(rule: Rule, game: HypergraphGame) -> Report:
+    """Each communication component must split exactly its own worth:
+    left is what the rule allocates to it, right its worth."""
     payoffs = rule(game)
-    entries = []
-    for comp in components(game.players, game.hyperlinks):
-        allocated = sum((payoffs[i] for i in comp), ZERO)
-        entries.append(ComponentEntry(comp, allocated, game.worth(comp)))
-    return ComponentEfficiencyReport(tuple(entries))
-
-
-@dataclass(frozen=True)
-class CopyDeletionReport:
-    """Deleting one copy of a hyperlink from the one-fold expansion versus
-    deleting the hyperlink outright.
-
-    `grouped` sums the expanded game's Shapley payoffs per original
-    player after the copy is removed from the universe; `reduced` is the
-    position value of the game without the hyperlink.  The two must
-    agree exactly.
-    """
-
-    link: Hyperlink
-    removed: ExpandedPlayer
-    grouped: Allocation
-    reduced: Allocation
-
-    def residual(self, i: PlayerId) -> Fraction:
-        return self.grouped[i] - self.reduced[i]
-
-    @property
-    def passed(self) -> bool:
-        return self.grouped == self.reduced
+    sides = {
+        comp: Side(sum((payoffs[i] for i in comp), ZERO), game.worth(comp))
+        for comp in components(game.players, game.hyperlinks)
+    }
+    return Report("component efficiency", sides)
 
 
 def check_copy_deletion(
@@ -189,7 +144,14 @@ def check_copy_deletion(
     link,
     removed: ExpandedPlayer | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
-) -> CopyDeletionReport:
+) -> Report:
+    """Deleting one copy of a hyperlink from the one-fold expansion versus
+    deleting the hyperlink outright.
+
+    Left sums the expanded game's Shapley payoffs per original player
+    after the copy is removed from the universe; right is the position
+    value of the game without the hyperlink.  The two must agree exactly.
+    """
     e = frozenset(link)
     if e not in game.hyperlinks:
         raise ValueError(f"no hyperlink {sorted(e)} to delete a copy of")
@@ -202,8 +164,7 @@ def check_copy_deletion(
         raise ValueError("the removed copy must belong to the deleted hyperlink's block")
     pruned = {**expansion.blocks, key: tuple(ep for ep in block if ep != removed)}
     grouped = grouped_position(replace(expansion, blocks=pruned), state_cap)
-    reduced = position_value(game.without_hyperlink(e))
-    return CopyDeletionReport(e, removed, grouped, reduced)
+    return compare("copy deletion", grouped, position_value(game.without_hyperlink(e)))
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:

@@ -30,12 +30,13 @@ from pathlib import Path
 
 from .axioms import (
     DEFAULT_RECURSION_CAP,
-    ComponentEfficiencyReport,
+    Report,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletion,
     check_partial_balanced_conference_contributions,
+    compare,
     value_from_axioms,
 )
 from .expansion import (
@@ -244,15 +245,15 @@ def _approx(value: Fraction, decimals: int) -> str:
         return f"{digits[:-decimals]}.{digits[-decimals:]}" if decimals else digits
 
 
+def _cell(value: Fraction, decimals: int | None) -> str:
+    """An exact rational, followed by its decimal approximation if asked for."""
+    exact = format_rational(value)
+    return exact if decimals is None else f"{exact} ≈ {_approx(value, decimals)}"
+
+
 def _allocation_lines(alloc: Allocation, decimals: int | None) -> list[str]:
     width = max((len(str(p)) for p in alloc), default=1)
-    lines = []
-    for p in sorted(alloc):
-        cell = format_rational(alloc[p])
-        if decimals is not None:
-            cell += f" ≈ {_approx(alloc[p], decimals)}"
-        lines.append(f"  player {str(p).rjust(width)}: {cell}")
-    return lines
+    return [f"  player {str(p).rjust(width)}: {_cell(alloc[p], decimals)}" for p in sorted(alloc)]
 
 
 def _allocation_json(alloc: Allocation) -> dict:
@@ -263,15 +264,13 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _print_comparison(expected: Allocation, got: Allocation, decimals: int | None) -> None:
-    width = max((len(str(p)) for p in expected), default=1)
-    for p in sorted(expected):
-        mark = "" if expected[p] == got[p] else "   <-- mismatch"
-        left = format_rational(expected[p])
-        right = format_rational(got[p])
-        if decimals is not None:
-            right += f" ≈ {_approx(got[p], decimals)}"
-        print(f"  player {str(p).rjust(width)}: expected {left}, got {right}{mark}")
+def _print_report(report: Report, decimals: int | None) -> None:
+    """One line per player: the expected right side, the computed left."""
+    width = max((len(str(p)) for p in report.sides), default=1)
+    for p, side in report.sides.items():
+        mark = "   <-- mismatch" if side.residual else ""
+        expected, got = format_rational(side.right), _cell(side.left, decimals)
+        print(f"  player {str(p).rjust(width)}: expected {expected}, got {got}{mark}")
 
 
 # ---------------------------------------------------------------- handlers
@@ -377,35 +376,29 @@ _CHECKS = {
 _MAX_FAILURE_LINES = 10
 
 
-def _component_failure(entry) -> tuple[dict, str]:
-    allocated, worth = format_rational(entry.allocated), format_rational(entry.worth)
-    fields = {"component": sorted(entry.component), "allocated": allocated, "worth": worth}
-    return fields, f"component {fields['component']}: allocated {allocated}, worth {worth}"
-
-
-def _pair_failure(side) -> tuple[dict, str]:
+def _failure_row(axiom: str, key, side) -> tuple[dict, str]:
     left, right = format_rational(side.left), format_rational(side.right)
-    fields = {"pair": [side.i, side.j], "left": left, "right": right}
-    return fields, (
-        f"pair ({side.i}, {side.j}): left {left}, right {right}, "
-        f"residual {format_rational(side.residual)}"
-    )
+    if axiom == "component-efficiency":
+        fields = {"component": sorted(key), "allocated": left, "worth": right}
+        return fields, f"component {fields['component']}: allocated {left}, worth {right}"
+    residual = format_rational(side.residual)
+    fields = {"pair": list(key), "left": left, "right": right}
+    return fields, f"pair {key}: left {left}, right {right}, residual {residual}"
 
 
 def handle_check(args) -> int:
     game = _load(args)
     report = _CHECKS[args.axiom](_rule_for(args), game)
-    failures = report.failures()
-    if isinstance(report, ComponentEfficiencyReport):
-        axiom, count_key, total = "component efficiency", "components", len(report.entries)
+    failures, total = report.failures(), len(report.sides)
+    if args.axiom == "component-efficiency":
+        count_key = "components"
         passed = f"{total} components allocate exactly their worth"
         failed = f"{len(failures)} of {total} components off"
-        rows = [_component_failure(entry) for entry in failures]
     else:
-        axiom, count_key, total = report.axiom, "ordered_pairs", len(report.pairs)
+        count_key = "ordered_pairs"
         passed = f"all {total} ordered pairs balance"
         failed = f"{len(failures)} of {total} ordered pairs unbalanced"
-        rows = [_pair_failure(side) for side in failures]
+    rows = [_failure_row(args.axiom, key, side) for key, side in failures.items()]
     if args.format == "json":
         _emit_json(
             {
@@ -417,7 +410,7 @@ def handle_check(args) -> int:
             }
         )
         return 1 if failures else 0
-    print(f"axiom: {axiom}\nrule: {args.rule}")
+    print(f"axiom: {report.axiom}\nrule: {args.rule}")
     if not failures:
         print(f"result: PASS — {passed}")
         return 0
@@ -440,30 +433,34 @@ def handle_verify(args) -> int:
         return 0
 
     if args.theorem == "lemma1":
-        all_ok = True
+        ok = True
         for e in game.hyperlinks:
             report = check_copy_deletion(game, e, state_cap=args.cap_states)
-            ok = report.passed
-            all_ok &= ok
+            ok &= report.passed
             members = ", ".join(str(p) for p in sorted(e))
-            print(f"  delete one copy of {{{members}}}: {'PASS' if ok else 'FAIL'}")
-            if not ok:
-                _print_comparison(report.reduced, report.grouped, args.decimals)
-        print(f"result: {'PASS' if all_ok else 'FAIL'}")
-        return 0 if all_ok else 1
-
-    expected = position_value(game, cap=args.cap_subsets)
-    if args.theorem in ("1", "2"):
-        k = args.k if args.theorem == "2" else 1
-        got = grouped_position(_uniform(game, k, args.cap_states), state_cap=args.cap_states)
-        label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
-    else:  # corollary1
-        per_agent = agent_form_payoffs(game, state_cap=args.cap_states)
-        got = group_by_origin(game.players, per_agent)
-        label = "grouped Myerson payoffs of the agent form"
-    print(f"verification: {label} == position value")
-    _print_comparison(expected, got, args.decimals)
-    ok = expected == got
+            print(f"  delete one copy of {{{members}}}: {'PASS' if report.passed else 'FAIL'}")
+            if not report.passed:
+                _print_report(report, args.decimals)
+    else:
+        # Both caps are checked before either side builds anything: the
+        # identity side's state cap first, then position_value's subset cap.
+        if args.theorem in ("1", "2"):
+            k = args.k if args.theorem == "2" else 1
+            expansion = _uniform(game, k, args.cap_states)
+            identity = lambda: grouped_position(expansion, state_cap=args.cap_states)
+            label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
+        else:  # corollary1: a sub-block of eta/|e| agents per member of each e
+            base = eta(game.hypergraph)
+            require_state_cap([base // len(e) for e in game.hyperlinks for _ in e], args.cap_states)
+            identity = lambda: group_by_origin(
+                game.players, agent_form_payoffs(game, state_cap=args.cap_states)
+            )
+            label = "grouped Myerson payoffs of the agent form"
+        expected = position_value(game, cap=args.cap_subsets)
+        report = compare(label, identity(), expected)
+        print(f"verification: {label} == position value")
+        _print_report(report, args.decimals)
+        ok = report.passed
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -23,10 +23,11 @@ class CapExceeded(RuntimeError):
     """An enumeration would exceed its configured size cap."""
 
 
-def require_subset_cap(n: int, cap: int) -> None:
-    """Refuse a subset enumeration over n elements when n exceeds the cap."""
+def require_subset_cap(n: int, cap: int, elements: str) -> None:
+    """Refuse a subset enumeration over n elements (named by `elements`,
+    "players" or "hyperlinks") when n exceeds the cap."""
     if n > cap:
-        raise CapExceeded(f"{n} players exceeds the subset cap {cap}")
+        raise CapExceeded(f"{n} {elements} exceeds the subset cap {cap}")
 
 
 def shapley_of_table(table: Sequence[int]) -> list[int]:

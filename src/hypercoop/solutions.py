@@ -135,7 +135,7 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     """Shapley value of the characteristic function; the hypergraph plays
     no part."""
     n = len(game.players)
-    require_subset_cap(n, cap)
+    require_subset_cap(n, cap, "players")
     scale, worth = scaled_worths(game.characteristic, game.players, range(1 << n))
     table = [worth[mask] for mask in range(1 << n)]
     if table[0] != 0:
@@ -145,7 +145,7 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
 
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Shapley value of the point game."""
-    require_subset_cap(len(game.players), cap)
+    require_subset_cap(len(game.players), cap, "players")
     table, scale = _point_table(game)
     return _player_payoffs(game.players, table, scale)
 
@@ -154,7 +154,7 @@ def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloc
     """Each hyperlink's conference-game Shapley payoff, split equally
     among its members; players on no hyperlink get zero."""
     m = len(game.hyperlinks)
-    require_subset_cap(m, cap)
+    require_subset_cap(m, cap, "hyperlinks")
     table, scale = conference_table(game)
     per_link = shapley_of_table(table)
     # Sh_e = per_link[e] / (m!·scale); over the common denominator

@@ -122,7 +122,7 @@ def shapley_by_permutations(game: TUGame, cap: int = DEFAULT_PERMUTATION_CAP) ->
 def shapley_by_subsets(game: TUGame, cap: int = DEFAULT_SUBSET_CAP) -> dict:
     """Subset enumeration with exact positional weights."""
     n = len(game.players)
-    require_subset_cap(n, cap)
+    require_subset_cap(n, cap, "players")
     if n == 0:
         return {}
     sets = _coalitions_by_mask(game.players)

@@ -81,9 +81,9 @@ def test_criterion_2_hub_expanded_payoffs(hub):
 
 def test_criterion_3_hub_contribution_sides(hub):
     partial = check_partial_balanced_conference_contributions(position_value, hub)
-    side_61 = partial.pairs[(6, 1)]
+    side_61 = partial.sides[(6, 1)]
     unweighted = check_balanced_conference_contributions(position_value, hub)
-    side_16 = unweighted.pairs[(1, 6)]
+    side_16 = unweighted.sides[(1, 6)]
     ok = (
         side_61.left == F(5, 48)
         and side_61.right == F(5, 48)

@@ -44,14 +44,14 @@ class TestContributionChecks:
 
     def test_position_fails_unweighted_on_the_hub(self, hub):
         report = check_balanced_conference_contributions(position_value, hub)
-        side = report.pairs[(1, 6)]
+        side = report.sides[(1, 6)]
         assert (side.left, side.right) == (F(1, 4), F(5, 24))
         assert not report.passed
         assert side.residual == F(1, 24)
 
     def test_position_passes_partial_on_the_hub(self, hub):
         report = check_partial_balanced_conference_contributions(position_value, hub)
-        side = report.pairs[(6, 1)]
+        side = report.sides[(6, 1)]
         assert side.left == side.right == F(5, 48)
         assert report.passed
         assert not report.failures()
@@ -95,10 +95,9 @@ class TestComponentEfficiency:
         game = HypergraphGame(h, table_function([1, 2, 3, 4], {frozenset({1, 2}): 1}))
         report = check_component_efficiency(equal_split, game)
         assert not report.passed
-        by_component = {entry.component: entry for entry in report.entries}
-        entry = by_component[frozenset({1, 2})]
+        side = report.sides[frozenset({1, 2})]
         # the grand worth is 0 under the table, so equal split hands out 0
-        assert (entry.allocated, entry.worth) == (F(0), F(1))
+        assert (side.left, side.right) == (F(0), F(1))
 
 
 class TestPositionByDividends:
@@ -161,7 +160,8 @@ class TestCopyDeletion:
             for copy in exp.blocks[tuple(sorted(e))]:
                 report = check_copy_deletion(hub, e, removed=copy)
                 assert report.passed
-                assert report.grouped == position_value(hub.without_hyperlink(e))
+                grouped = {i: side.left for i, side in report.sides.items()}
+                assert grouped == position_value(hub.without_hyperlink(e))
 
     def test_report_residual(self, path3):
         report = check_copy_deletion(path3, [1, 2])

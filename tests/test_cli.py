@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
+import hypercoop.axioms
+import hypercoop.cli
 import hypercoop.expansion
+import hypercoop.solutions
 from hypercoop.cli import (
     DocumentError,
     format_rational,
@@ -286,22 +289,26 @@ class TestExpandCommand:
         assert "cap" in capsys.readouterr().err
 
     def test_cap_is_checked_before_the_conference_table(self, tmp_path, monkeypatch, capsys):
+        """40 links trip both caps; 20 are under the subset cap, so only
+        the state cap keeps the 2^20 position-value table from being built."""
         def refuse(game):
             raise AssertionError("a 2^m conference table was built over the cap")
 
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
-        players = list(range(41))
-        doc = {
-            "players": players,
-            "hyperlinks": [[i, i + 1] for i in range(40)],
-            "characteristic": {"unanimity": [0, 40]},
-        }
-        path = write_doc(tmp_path, doc)
+        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         message = "error: count-vector state space exceeds the cap 1000\n"
-        assert main(["expand", path, "--cap-states", "1000"]) == 3
-        assert capsys.readouterr().err == message
-        assert main(["verify", path, "--theorem", "lemma1", "--cap-states", "1000"]) == 3
-        assert capsys.readouterr().err == message
+        for links in (40, 20):
+            doc = {
+                "players": list(range(links + 1)),
+                "hyperlinks": [[i, i + 1] for i in range(links)],
+                "characteristic": {"unanimity": [0, links]},
+            }
+            path = write_doc(tmp_path, doc)
+            assert main(["expand", path, "--cap-states", "1000"]) == 3
+            assert capsys.readouterr().err == message
+            for theorem in ("1", "2", "corollary1", "lemma1"):
+                assert main(["verify", path, "--theorem", theorem, "--cap-states", "1000"]) == 3
+                assert capsys.readouterr().err == message
 
     def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
         def refuse(game, k):
@@ -367,6 +374,52 @@ class TestVerifyCommand:
 
     def test_cap_exit_code(self, hub_path, capsys):
         assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "100"]) == 3
+
+    def test_subset_cap_refuses_before_the_identity_side_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A state cap high enough to admit the identity side must not let
+        it build anything over the subset cap."""
+        def refuse(*_args):
+            raise AssertionError("a table or fold ran over the subset cap")
+
+        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        pairs = [[i, j] for i in range(10) for j in range(i + 1, 10)][:30]
+        doc = {
+            "players": list(range(10)),
+            "hyperlinks": pairs,
+            "characteristic": {"unanimity": [0, 1]},
+        }
+        path = write_doc(tmp_path, doc)
+        for theorem in ("1", "corollary1"):
+            assert main(["verify", path, "--theorem", theorem, "--cap-states", str(10**19)]) == 3
+            assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
+
+    @pytest.mark.parametrize("decimals", [[], ["--decimals", "2"]])
+    @pytest.mark.parametrize("theorem", ["1", "lemma1"])
+    def test_a_mismatch_is_marked_on_its_player(
+        self, hub_path, monkeypatch, capsys, theorem, decimals
+    ):
+        def perturbed(expansion, state_cap):
+            grouped = hypercoop.expansion.grouped_position(expansion, state_cap)
+            grouped[4] += F(1, 100)
+            return grouped
+
+        monkeypatch.setattr(hypercoop.cli, "grouped_position", perturbed)
+        monkeypatch.setattr(hypercoop.axioms, "grouped_position", perturbed)
+        assert main(["verify", hub_path, "--theorem", theorem, *decimals]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "result: FAIL"
+        marked = [line for line in lines if "<-- mismatch" in line]
+        failed = [line for line in lines if line.startswith("  delete one copy") and "FAIL" in line]
+        assert len(marked) == (4 if theorem == "lemma1" else 1)
+        assert len(failed) == (4 if theorem == "lemma1" else 0)
+        assert all(line.startswith("  player 4: ") for line in marked)
+        if theorem == "1":
+            got = "131/600 ≈ 0.22" if decimals else "131/600"
+            assert marked == [f"  player 4: expected 5/24, got {got}   <-- mismatch"]
 
 
 class TestSolveAxiomsCommand:

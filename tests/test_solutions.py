@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -273,9 +274,15 @@ class TestBitmaskKernel:
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
-        with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 24$"):
+        with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 24$"):
             position_value(game)
         with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 29$"):
             myerson_value(game, cap=29)
         with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 24$"):
             shapley_value(game)
+        # position_value enumerates hyperlink sets, so its cap counts hyperlinks
+        few = range(10)
+        pairs = list(itertools.combinations(few, 2))[:30]
+        dense = HypergraphGame(make_hypergraph(few, pairs), unanimity(few, [0, 1]))
+        with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 24$"):
+            position_value(dense)
