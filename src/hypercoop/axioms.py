@@ -42,7 +42,7 @@ from .model import (
     link_key,
     scaled_worths,
 )
-from .shapley import CapExceeded
+from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
 from .solutions import position_value
 
 DEFAULT_RECURSION_CAP = 12
@@ -144,13 +144,15 @@ def check_copy_deletion(
     link,
     removed: ExpandedPlayer | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
 ) -> Report:
     """Deleting one copy of a hyperlink from the one-fold expansion versus
     deleting the hyperlink outright.
 
     Left sums the expanded game's Shapley payoffs per original player
     after the copy is removed from the universe; right is the position
-    value of the game without the hyperlink.  The two must agree exactly.
+    value of the game without the hyperlink, under the subset cap `cap`.
+    The two must agree exactly.
     """
     e = frozenset(link)
     if e not in game.hyperlinks:
@@ -164,7 +166,7 @@ def check_copy_deletion(
         raise ValueError("the removed copy must belong to the deleted hyperlink's block")
     pruned = {**expansion.blocks, key: tuple(ep for ep in block if ep != removed)}
     grouped = grouped_position(replace(expansion, blocks=pruned), state_cap)
-    return compare("copy deletion", grouped, position_value(game.without_hyperlink(e)))
+    return compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:

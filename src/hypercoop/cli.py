@@ -21,6 +21,7 @@ an output write error, 3 an enumeration cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -61,7 +62,7 @@ from .model import (
     unanimity,
     weighted_unanimity,
 )
-from .shapley import CapExceeded, DEFAULT_SUBSET_CAP
+from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, require_subset_cap
 from .solutions import myerson_value, position_value, shapley_value
 
 
@@ -317,6 +318,7 @@ def _copy_label(ep) -> str:
 def handle_expand(args) -> int:
     game = _load(args)
     expansion = _uniform(game, args.k, args.cap_states)
+    require_subset_cap(len(game.hyperlinks), args.cap_subsets, "hyperlinks")
     per_copy = shapley_blockwise(expansion, state_cap=args.cap_states)
     grouped = group_by_origin(game.players, per_copy)
     blocks = [
@@ -433,9 +435,17 @@ def handle_verify(args) -> int:
         return 0
 
     if args.theorem == "lemma1":
+        # Both caps are checked before the first fold, in the order the
+        # other theorems use: the state cap of the 1-fold expansion less
+        # one copy (the same for every hyperlink), then the subset cap.
+        m, base = len(game.hyperlinks), eta(game.hypergraph)
+        require_state_cap([base] * (m - 1) + [base - 1], args.cap_states)
+        require_subset_cap(m, args.cap_subsets, "hyperlinks")
         ok = True
         for e in game.hyperlinks:
-            report = check_copy_deletion(game, e, state_cap=args.cap_states)
+            report = check_copy_deletion(
+                game, e, state_cap=args.cap_states, cap=args.cap_subsets
+            )
             ok &= report.passed
             members = ", ".join(str(p) for p in sorted(e))
             print(f"  delete one copy of {{{members}}}: {'PASS' if report.passed else 'FAIL'}")
@@ -485,6 +495,17 @@ def handle_solve_axioms(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+# The shared parser yields a command name, not a handler: `main` looks the
+# handler up here on every call, so a handler swapped into this table after
+# the parser was built (perfbench's tracer does so) is the one called.
+_HANDLERS = {
+    "value": handle_value,
+    "expand": handle_expand,
+    "check": handle_check,
+    "verify": handle_verify,
+    "solve-axioms": handle_solve_axioms,
+}
 
 
 def _nonnegative(text: str) -> int:
@@ -542,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rule", choices=tuple(_RULES), default="position")
     cap_subsets(p)
-    p.set_defaults(handler=handle_value)
 
     p = sub.add_parser("expand", help="build a uniform expansion and its Shapley payoffs")
     common(p)
@@ -552,15 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="expansion multiplier: every hyperlink becomes k*eta equal copies",
     )
+    cap_subsets(p)
     cap_states(p)
-    p.set_defaults(handler=handle_expand)
 
     p = sub.add_parser("check", help="test an allocation rule against an axiom")
     common(p)
     p.add_argument("--axiom", choices=tuple(_CHECKS), required=True)
     p.add_argument("--rule", choices=tuple(_RULES), default="position")
     cap_subsets(p)
-    p.set_defaults(handler=handle_check)
 
     p = sub.add_parser("verify", help="verify a structural identity of the position value")
     common(p)
@@ -581,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cap_subsets(p)
     cap_states(p)
-    p.set_defaults(handler=handle_verify)
 
     p = sub.add_parser(
         "solve-axioms",
@@ -596,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse axiom recursions over more than N hyperlinks",
     )
     cap_subsets(p)
-    p.set_defaults(handler=handle_solve_axioms)
 
     return parser
 
@@ -613,14 +630,22 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call of this process shares, built on the
+    first call rather than at import.  Parsing keeps no state in it: each
+    call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; may be called any number of times in a process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.handler(args)
+        code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code
     except OSError as exc:

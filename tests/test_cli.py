@@ -16,6 +16,7 @@ import hypercoop.expansion
 import hypercoop.solutions
 from hypercoop.cli import (
     DocumentError,
+    build_parser,
     format_rational,
     game_to_document,
     main,
@@ -310,6 +311,26 @@ class TestExpandCommand:
                 assert main(["verify", path, "--theorem", theorem, "--cap-states", "1000"]) == 3
                 assert capsys.readouterr().err == message
 
+    def test_subset_cap_is_checked_before_the_conference_table(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A path of 30 pair hyperlinks fits a raised state cap (3^30
+        states) but not the subset cap, which must refuse it before the
+        2^30 conference table is built."""
+        def refuse(*_args):
+            raise AssertionError("a table or fold ran over the subset cap")
+
+        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        doc = {
+            "players": list(range(31)),
+            "hyperlinks": [[i, i + 1] for i in range(30)],
+            "characteristic": {"unanimity": [0, 30]},
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["expand", path, "--cap-states", str(10**17)]) == 3
+        assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
+
     def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
         def refuse(game, k):
             raise AssertionError("the expanded universe was built over the cap")
@@ -393,9 +414,24 @@ class TestVerifyCommand:
             "characteristic": {"unanimity": [0, 1]},
         }
         path = write_doc(tmp_path, doc)
-        for theorem in ("1", "corollary1"):
+        for theorem in ("1", "corollary1", "lemma1"):
             assert main(["verify", path, "--theorem", theorem, "--cap-states", str(10**19)]) == 3
             assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
+
+    def test_lemma1_refuses_over_the_subset_cap_like_theorem_one(
+        self, hub_path, monkeypatch, capsys
+    ):
+        def refuse(*_args):
+            raise AssertionError("a table or fold ran over the subset cap")
+
+        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        for theorem in ("1", "lemma1"):
+            assert main(["verify", hub_path, "--theorem", theorem, "--cap-subsets", "1"]) == 3
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "error: 4 hyperlinks exceeds the subset cap 1\n"
+            )
 
     @pytest.mark.parametrize("decimals", [[], ["--decimals", "2"]])
     @pytest.mark.parametrize("theorem", ["1", "lemma1"])
@@ -455,3 +491,64 @@ class TestArgumentHandling:
 
     def test_nonpositive_k_rejected(self, hub_path):
         assert main(["expand", hub_path, "--k", "0"]) == 2
+
+
+class TestParserReuse:
+    """`main` shares one parser across the calls of a process."""
+
+    @staticmethod
+    def run(capsys, argv) -> tuple[int, str, str]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_the_parser_is_built_once(self, hub_path, monkeypatch, capsys):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(hypercoop.cli, "build_parser", counted)
+        hypercoop.cli._parser.cache_clear()
+        for argv in (["value", hub_path], ["frobnicate"], ["expand", hub_path]):
+            main(argv)
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_an_option_does_not_leak_into_the_next_call(self, hub_path, capsys):
+        assert main(["verify", hub_path, "--theorem", "2", "--k", "3"]) == 0
+        assert "3-fold" in capsys.readouterr().out
+        assert main(["verify", hub_path, "--theorem", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "2-fold" in out and "3-fold" not in out
+
+    @pytest.mark.parametrize(
+        "first, code", [(["expand", "hub", "--k", "0"], 2), (["--help"], 0)]
+    )
+    def test_an_error_or_help_does_not_leak_into_the_next_call(
+        self, hub_path, capsys, first, code
+    ):
+        good = ["verify", hub_path, "--theorem", "2"]
+        alone = self.run(capsys, good)
+        assert self.run(capsys, [hub_path if a == "hub" else a for a in first])[0] == code
+        assert self.run(capsys, good) == alone
+
+    def test_output_matches_a_freshly_built_parser(self, hub_path, monkeypatch, capsys):
+        calls = [
+            ["value", hub_path, "--rule", "myerson", "--decimals", "2"],
+            ["value", hub_path],
+            ["expand", hub_path, "--k", "0"],
+            ["expand", hub_path, "--format", "json"],
+            ["check", hub_path, "--axiom", "balanced-conference"],
+            ["check", hub_path, "--axiom", "fairness"],
+            ["check", hub_path, "--axiom", "partial-balanced", "--format", "json"],
+            ["verify", hub_path, "--theorem", "lemma1", "--cap-subsets", "1"],
+            ["verify", hub_path, "--theorem", "corollary1"],
+            ["solve-axioms", hub_path, "--help"],
+            ["solve-axioms", hub_path],
+            [],
+        ]
+        shared = [self.run(capsys, argv) for argv in calls]
+        monkeypatch.setattr(hypercoop.cli, "_parser", build_parser)
+        assert [self.run(capsys, argv) for argv in calls] == shared
