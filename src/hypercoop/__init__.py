@@ -20,7 +20,6 @@ from .expansion import (
     DEFAULT_STATE_CAP,
     ExpandedPlayer,
     agent_form_payoffs,
-    block_symmetric_shapley,
     build_uniform,
     group_by_origin,
     grouped_position,
@@ -56,7 +55,6 @@ __all__ = [
     "ExpandedPlayer",
     "HypergraphGame",
     "agent_form_payoffs",
-    "block_symmetric_shapley",
     "build_uniform",
     "check_balanced_conference_contributions",
     "check_balanced_link_contributions",

@@ -10,13 +10,14 @@ The expanded game and the agent form are symmetric under permuting the
 copies (or agents) inside a block, so a coalition matters only through
 its per-block member counts.  One kernel, `_fold_shapley`, serves both:
 a block holding c members contributes a signature bitmask, the worth
-depends only on the OR of the signatures, and for each pivot block the
-other blocks are folded in one at a time into a map from (coalition
-size, OR-ed bits) to the exact number of coalitions realizing them
-(products of binomials).  Each pivot reads the worths it needs once,
-as integers over one scale (`scaled_worths`), and ends in one Fraction.
-It uses nothing beyond that within-block symmetry — in particular it
-never assumes the grouped-payoff identity it is used to verify.
+depends only on the OR of the signatures, and blocks are folded into a
+map from (OR-ed bits, coalition size) to the exact number of coalitions
+realizing them (products of binomials).  Halving the blocks recursively
+hands each pivot block the fold of all others in O(B log B) block folds.
+Each pivot reads the worths it needs once, as integers over one scale
+(`scaled_worths`), and ends in one Fraction.  It uses nothing beyond
+that within-block symmetry — in particular it never assumes the
+grouped-payoff identity it is used to verify.
 """
 
 from __future__ import annotations
@@ -107,6 +108,17 @@ def require_state_cap(sizes: list[int], state_cap: int) -> None:
         raise CapExceeded(f"count-vector state space exceeds the cap {state_cap}")
 
 
+def _fold_block(states: dict[int, int], size: int, sig: list[int], shift: int) -> dict[int, int]:
+    """Fold one block into the map from (bits << shift | coalition size) to ways."""
+    row = [(c, sig[c] << shift, math.comb(size, c)) for c in range(size + 1)]
+    folded: dict[int, int] = {}
+    for state, ways in states.items():
+        for c, high, w in row:
+            key = (state + c) | high
+            folded[key] = folded.get(key, 0) + ways * w
+    return folded
+
+
 def _fold_shapley(
     sizes: list[int], signatures: list[list[int]], worths: Callable, state_cap: int
 ) -> list[Fraction]:
@@ -115,45 +127,54 @@ def _fold_shapley(
 
     A coalition holding c of block j's sizes[j] members gets the bits
     signatures[j][c] from it, and its worth depends only on the OR of its
-    blocks' bits.  For each pivot block the other blocks are folded in
-    one at a time into a map from (coalition size, OR-ed bits) to the
-    number of coalitions with them, a sum of products of binomials.  A
-    pivot member arriving to c others of its block changes the worth only
-    where signatures[pivot][c] differs from signatures[pivot][c+1], so
-    only those counts contribute.  `worths(needed)` returns (scale, w)
-    with w[bits] = scale·worth for those bits, as `scaled_worths` does.
+    blocks' bits.  `solve(lo, hi, states)` holds the fold of every block
+    outside [lo, hi) and recurses into each half with the other half
+    folded in: about B·log2(B) block folds in all, not B·(B-1).  A pivot
+    member arriving to c others of its block changes the worth only where
+    signatures[pivot][c] differs from signatures[pivot][c+1], so only
+    those counts contribute.  `worths(needed)`, asked once per pivot,
+    returns (scale, w) with w[bits] = scale·worth, as `scaled_worths` does.
     """
     require_state_cap(sizes, state_cap)
     total = sum(sizes)
+    shift = total.bit_length()
     fact = [math.factorial(s) for s in range(total + 1)]
     payoffs: list[Fraction] = []
-    for b0, (size0, sig0) in enumerate(zip(sizes, signatures)):
-        states = {(0, 0): 1}
-        for j, (size, sig) in enumerate(zip(sizes, signatures)):
-            if j == b0:
-                continue
-            row = [(c, math.comb(size, c), sig[c]) for c in range(size + 1)]
-            folded: dict[tuple[int, int], int] = {}
-            for (s, bits), ways in states.items():
-                for c, w, b in row:
-                    key = (s + c, bits | b)
-                    folded[key] = folded.get(key, 0) + ways * w
-            states = folded
+
+    def fold(states: dict[int, int], blocks: range) -> dict[int, int]:
+        for j in blocks:
+            states = _fold_block(states, sizes[j], signatures[j], shift)
+        return states
+
+    def solve(lo: int, hi: int, states: dict[int, int]) -> None:
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            solve(lo, mid, fold(states, range(mid, hi)))
+            solve(mid, hi, fold(states, range(lo, mid)))
+            return
         # n!·Sh = Σ (s+c)!·(n-s-c-1)!·C(size0-1, c)·ways·(v(after) - v(before)),
-        # gathered as one integer coefficient per OR-ed bits value.
+        # summed per OR-ed bits, then gathered as one integer coefficient per worth.
+        size0, sig0 = sizes[lo], signatures[lo]
         coefficient: dict[int, int] = {}
         for c in range(size0):
             before, after = sig0[c], sig0[c + 1]
             if before == after:
                 continue
+            weight = [fact[s + c] * fact[total - 1 - s - c] for s in range(total - size0 + 1)]
+            per_bits: dict[int, int] = {}
+            for state, ways in states.items():
+                bits = state >> shift
+                per_bits[bits] = per_bits.get(bits, 0) + weight[state - (bits << shift)] * ways
             pivot_ways = math.comb(size0 - 1, c)
-            for (s, bits), ways in states.items():
-                x = fact[s + c] * fact[total - 1 - s - c] * pivot_ways * ways
-                coefficient[bits | after] = coefficient.get(bits | after, 0) + x
-                coefficient[bits | before] = coefficient.get(bits | before, 0) - x
+            for bits, x in per_bits.items():
+                coefficient[bits | after] = coefficient.get(bits | after, 0) + x * pivot_ways
+                coefficient[bits | before] = coefficient.get(bits | before, 0) - x * pivot_ways
         needed = [bits for bits, x in coefficient.items() if x]
         scale, worth = worths(needed)
         payoffs.append(Fraction(sum(coefficient[b] * worth[b] for b in needed), fact[-1] * scale))
+
+    if sizes:
+        solve(0, len(sizes), {0: 1})
     return payoffs
 
 
@@ -164,27 +185,6 @@ def _blockwise(sizes: list[int], completions: list[int], worths: Callable, state
         for j, (size, need) in enumerate(zip(sizes, completions))
     ]
     return _fold_shapley(sizes, signatures, worths, state_cap)
-
-
-def block_symmetric_shapley(
-    block_sizes: list[int],
-    completion_sizes: list[int],
-    worth_of_mask: Callable[[int], Fraction],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> list[Fraction]:
-    """Per-member Shapley payoffs of a block-symmetric game.
-
-    The game's ground set is partitioned into blocks; block j has
-    block_sizes[j] members and counts as complete exactly when a
-    coalition holds completion_sizes[j] of them.  The worth of a
-    coalition must depend only on the set of complete blocks, passed to
-    `worth_of_mask` as a bitmask.  Returns one payoff per block (all
-    members of a block are symmetric).  A block whose completion size
-    exceeds its size can never complete and its members are null players.
-    """
-    return _blockwise(
-        block_sizes, completion_sizes, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
-    )
 
 
 def shapley_blockwise(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:

@@ -1,6 +1,6 @@
 """Slow, independent reference routes the tests compare the package against.
 
-Everything here works on frozenset coalitions and `Fraction` worths, one
+Most routes here work on frozenset coalitions and `Fraction` worths, one
 coalition at a time, and shares no code with the bitmask integer kernel
 `hypercoop.shapley.shapley_of_table`:
 
@@ -15,7 +15,11 @@ coalition at a time, and shares no code with the bitmask integer kernel
 * a union-find over hashable elements and `merge_groups`, the reference
   partition for `hypercoop.connectivity.mask_components`;
 * the agent form as a game on explicit agents, with its pairwise and
-  image hyperlinks, whose Myerson value `agent_form_payoffs` must match.
+  image hyperlinks, whose Myerson value `agent_form_payoffs` must match;
+* the count-vector fold with every other block refolded for each pivot
+  (`fold_shapley_by_pivot`), the reference for the divide-and-conquer
+  fold, and `block_symmetric_shapley`, that fold on Fraction worths of
+  complete-block masks, checked against literal block games.
 
 Each route refuses games larger than its cap.
 """
@@ -24,11 +28,18 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from hypercoop.expansion import ExpandedPlayer, UniformExpansion, build_uniform
+from hypercoop.expansion import (
+    DEFAULT_STATE_CAP,
+    ExpandedPlayer,
+    UniformExpansion,
+    _blockwise,
+    build_uniform,
+    require_state_cap,
+)
 from hypercoop.model import (
     Allocation,
     CharacteristicFunction,
@@ -322,4 +333,63 @@ def build_agent_form(game: HypergraphGame) -> AgentFormGame:
         expansion.groups,
         expansion.sub_blocks,
         tuple(images + internal),
+    )
+
+
+def fold_shapley_by_pivot(
+    sizes: list[int], signatures: list[list[int]], worths: Callable, state_cap: int
+) -> list[Fraction]:
+    """`hypercoop.expansion._fold_shapley` the slow way: for each pivot
+    block every other block is folded in afresh, B·(B-1) block folds in
+    all, into a map from (coalition size, OR-ed bits) to the number of
+    coalitions with them.  Same arguments and results."""
+    require_state_cap(sizes, state_cap)
+    total = sum(sizes)
+    fact = [factorial(s) for s in range(total + 1)]
+    payoffs: list[Fraction] = []
+    for b0, (size0, sig0) in enumerate(zip(sizes, signatures)):
+        states = {(0, 0): 1}
+        for j, (size, sig) in enumerate(zip(sizes, signatures)):
+            if j == b0:
+                continue
+            folded: dict[tuple[int, int], int] = {}
+            for (s, bits), ways in states.items():
+                for c in range(size + 1):
+                    key = (s + c, bits | sig[c])
+                    folded[key] = folded.get(key, 0) + ways * comb(size, c)
+            states = folded
+        coefficient: dict[int, int] = {}
+        for c in range(size0):
+            before, after = sig0[c], sig0[c + 1]
+            if before == after:
+                continue
+            for (s, bits), ways in states.items():
+                x = fact[s + c] * fact[total - 1 - s - c] * comb(size0 - 1, c) * ways
+                coefficient[bits | after] = coefficient.get(bits | after, 0) + x
+                coefficient[bits | before] = coefficient.get(bits | before, 0) - x
+        needed = [bits for bits, x in coefficient.items() if x]
+        scale, worth = worths(needed)
+        payoffs.append(Fraction(sum(coefficient[b] * worth[b] for b in needed), fact[-1] * scale))
+    return payoffs
+
+
+def block_symmetric_shapley(
+    block_sizes: list[int],
+    completion_sizes: list[int],
+    worth_of_mask: Callable[[int], Fraction],
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> list[Fraction]:
+    """Per-member Shapley payoffs of a block-symmetric game, through the
+    package's fold with one `Fraction` worth per mask.
+
+    The game's ground set is partitioned into blocks; block j has
+    block_sizes[j] members and counts as complete exactly when a
+    coalition holds completion_sizes[j] of them.  The worth of a
+    coalition must depend only on the set of complete blocks, passed to
+    `worth_of_mask` as a bitmask.  Returns one payoff per block (all
+    members of a block are symmetric).  A block whose completion size
+    exceeds its size can never complete and its members are null players.
+    """
+    return _blockwise(
+        block_sizes, completion_sizes, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
     )

@@ -1,3 +1,4 @@
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from hypercoop import expansion
 from hypercoop.expansion import (
+    DEFAULT_STATE_CAP,
     ExpandedPlayer,
     agent_form_payoffs,
-    block_symmetric_shapley,
     build_uniform,
     grouped_position,
     shapley_blockwise,
@@ -24,7 +26,15 @@ from hypercoop.model import (
 from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import conference_table, position_value
 
-from oracles import TUGame, as_tu_game, build_agent_form, expanded_worth, shapley_by_subsets
+from oracles import (
+    TUGame,
+    as_tu_game,
+    block_symmetric_shapley,
+    build_agent_form,
+    expanded_worth,
+    fold_shapley_by_pivot,
+    shapley_by_subsets,
+)
 from strategies import hypergraph_games, unanimity_combination_games
 
 F = Fraction
@@ -153,6 +163,75 @@ class TestBlockSymmetricShapley:
             expected = block_symmetric_shapley(sizes, [6] * 4, worth)
             assert [per_copy[blocks[key][0]] for key in keys] == expected
             assert len(per_copy) == sum(sizes)
+
+
+def random_fold_case(blocks: int, style: str, seed: int):
+    """Block sizes 0..5 with expansion-style signatures (bit j while block
+    j holds its completion count; one block never completes on odd seeds,
+    as after a copy deletion) or agent-form-style ones (a player bit
+    shared by several blocks when c > 0, an image bit when c < size)."""
+    rng = random.Random(f"{blocks}-{style}-{seed}")
+    sizes = [rng.randint(0, 5) for _ in range(blocks)]
+    if style == "expansion":
+        needs = [rng.randint(0, size + 1) for size in sizes]
+        if seed % 2:
+            j = rng.randrange(blocks)
+            needs[j] = sizes[j] + 1
+        signatures = [
+            [1 << j if c == need else 0 for c in range(size + 1)]
+            for j, (size, need) in enumerate(zip(sizes, needs))
+        ]
+    else:
+        players = rng.randint(1, 3)
+        signatures = []
+        for size in sizes:
+            player = 1 << rng.randrange(players)
+            image = 1 << (players + rng.randrange(3))
+            signatures.append(
+                [(player if c else 0) | (image if c < size else 0) for c in range(size + 1)]
+            )
+    return sizes, signatures
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("style", ["expansion", "agent"])
+@pytest.mark.parametrize("blocks", range(1, 10))
+def test_fold_equals_the_per_pivot_refold(blocks, style, seed):
+    sizes, signatures = random_fold_case(blocks, style, seed)
+    requests = []
+
+    def worths(needed):
+        requests.append(needed)
+        return 3, {bits: (bits * 7919 + 13) % 23 - 11 for bits in needed}
+
+    fast = expansion._fold_shapley(sizes, signatures, worths, DEFAULT_STATE_CAP)
+    assert len(requests) == blocks
+    assert fast == fold_shapley_by_pivot(sizes, signatures, worths, DEFAULT_STATE_CAP)
+
+
+def block_folds(blocks: int) -> int:
+    """f(1) = 0, f(B) = B + f(floor(B/2)) + f(ceil(B/2))."""
+    if blocks == 1:
+        return 0
+    return blocks + block_folds(blocks // 2) + block_folds(blocks - blocks // 2)
+
+
+def test_fold_does_b_log_b_block_folds(monkeypatch):
+    calls = []
+    fold_block = expansion._fold_block
+    monkeypatch.setattr(expansion, "_fold_block", lambda *a: calls.append(a) or fold_block(*a))
+    assert block_folds(12) == 44
+    for blocks in range(1, 16):
+        calls.clear()
+        full = (1 << blocks) - 1
+        payoffs = expansion._fold_shapley(
+            [1] * blocks,
+            [[0, 1 << j] for j in range(blocks)],
+            lambda needed: (1, {bits: int(bits == full) for bits in needed}),
+            DEFAULT_STATE_CAP,
+        )
+        assert payoffs == [F(1, blocks)] * blocks
+        assert len(calls) == block_folds(blocks)
 
 
 @given(hypergraph_games(max_players=4, max_links=3, max_link_size=3))
