@@ -9,17 +9,18 @@ exact rational.
 
 from hypercoop import (
     agent_form_payoffs,
-    build_uniform,
     check_balanced_conference_contributions,
     check_copy_deletion,
     check_partial_balanced_conference_contributions,
     conference_worth,
-    group_by_origin,
+    copy_counts,
+    eta,
+    group_copies,
     grouped_position,
     myerson_value,
     position_value,
     restricted_worth,
-    shapley_blockwise,
+    uniform_payoffs,
     value_from_axioms,
 )
 from hypercoop.corpus import hub_and_spokes
@@ -28,10 +29,6 @@ from hypercoop.corpus import hub_and_spokes
 def show(title: str, alloc) -> None:
     cells = ", ".join(f"{p}: {alloc[p]}" for p in sorted(alloc))
     print(f"{title}: {{{cells}}}")
-
-
-def label(ep) -> str:
-    return f"{ep.origin}[{','.join(map(str, ep.hyperlink))}]#{ep.copy}"
 
 
 def main() -> None:
@@ -52,22 +49,24 @@ def main() -> None:
     print()
 
     print("-- uniform expansions --")
+    base = eta(game.hypergraph)
     for k in (1, 2):
-        expansion = build_uniform(game, k)
-        per_copy = shapley_blockwise(expansion)
-        some = expansion.universe[0]
+        per_copy = uniform_payoffs(game, k)
+        counts = copy_counts(game, k)
+        i, e = next(iter(counts))  # the first copy: player 1's first hyperlink
         print(
-            f"k={k}: eta={expansion.eta}, rho={expansion.rho}, "
-            f"universe={len(expansion.universe)} copies, "
-            f"payoff of {label(some)} = {per_copy[some]}"
+            f"k={k}: eta={base}, rho={k * base}, "
+            f"universe={sum(counts.values())} copies, "
+            f"payoff of {i}[{','.join(map(str, sorted(e)))}]#1 = {per_copy[i, e]}"
         )
-        show(f"grouped (k={k})", grouped_position(expansion))
+        show(f"grouped (k={k})", grouped_position(game, k))
     print()
 
     print("-- agent form --")
     per_agent = agent_form_payoffs(game)
-    print(f"agents: {len(per_agent)}")
-    show("grouped agent payoffs", group_by_origin(game.players, per_agent))
+    counts = copy_counts(game)
+    print(f"agents: {sum(counts.values())}")
+    show("grouped agent payoffs", group_copies(game.players, counts, per_agent))
     print()
 
     print("-- axiomatic reconstruction --")

@@ -18,12 +18,11 @@ from .axioms import (
 from .connectivity import components
 from .expansion import (
     DEFAULT_STATE_CAP,
-    ExpandedPlayer,
     agent_form_payoffs,
-    build_uniform,
-    group_by_origin,
+    copy_counts,
+    group_copies,
     grouped_position,
-    shapley_blockwise,
+    uniform_payoffs,
 )
 from .model import (
     CharacteristicFunction,
@@ -52,10 +51,8 @@ __all__ = [
     "DEFAULT_RECURSION_CAP",
     "DEFAULT_STATE_CAP",
     "DEFAULT_SUBSET_CAP",
-    "ExpandedPlayer",
     "HypergraphGame",
     "agent_form_payoffs",
-    "build_uniform",
     "check_balanced_conference_contributions",
     "check_balanced_link_contributions",
     "check_component_efficiency",
@@ -63,18 +60,19 @@ __all__ = [
     "check_partial_balanced_conference_contributions",
     "components",
     "conference_worth",
+    "copy_counts",
     "eta",
-    "group_by_origin",
+    "group_copies",
     "grouped_position",
     "make_hypergraph",
     "myerson_value",
     "position_value",
     "restricted_worth",
-    "shapley_blockwise",
     "shapley_of_table",
     "shapley_value",
     "table_function",
     "unanimity",
+    "uniform_payoffs",
     "value_from_axioms",
     "weighted_unanimity",
     "zero_allocation",

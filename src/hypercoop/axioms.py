@@ -19,18 +19,13 @@ report of two allocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable
 
 from .connectivity import components, mask_components
-from .expansion import (
-    DEFAULT_STATE_CAP,
-    ExpandedPlayer,
-    build_uniform,
-    grouped_position,
-)
+from .expansion import DEFAULT_STATE_CAP, grouped_position
 from .model import (
     Allocation,
     Hyperlink,
@@ -39,7 +34,6 @@ from .model import (
     ZERO,
     incident_hyperlinks,
     is_r_uniform,
-    link_key,
     scaled_worths,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
@@ -142,7 +136,6 @@ def check_component_efficiency(rule: Rule, game: HypergraphGame) -> Report:
 def check_copy_deletion(
     game: HypergraphGame,
     link,
-    removed: ExpandedPlayer | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> Report:
@@ -150,22 +143,13 @@ def check_copy_deletion(
     deleting the hyperlink outright.
 
     Left sums the expanded game's Shapley payoffs per original player
-    after the copy is removed from the universe; right is the position
-    value of the game without the hyperlink, under the subset cap `cap`.
-    The two must agree exactly.
+    after one copy is taken out of the hyperlink's block (its copies
+    then earn 0, so which member held it does not matter); right is the
+    position value of the game without the hyperlink, under the subset
+    cap `cap`.  The two must agree exactly.
     """
     e = frozenset(link)
-    if e not in game.hyperlinks:
-        raise ValueError(f"no hyperlink {sorted(e)} to delete a copy of")
-    expansion = build_uniform(game, 1)
-    key = link_key(e)
-    block = expansion.blocks[key]
-    if removed is None:
-        removed = block[0]
-    if removed not in block:
-        raise ValueError("the removed copy must belong to the deleted hyperlink's block")
-    pruned = {**expansion.blocks, key: tuple(ep for ep in block if ep != removed)}
-    grouped = grouped_position(replace(expansion, blocks=pruned), state_cap)
+    grouped = grouped_position(game, 1, e, state_cap, cap)
     return compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
 
 

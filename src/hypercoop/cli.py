@@ -43,11 +43,11 @@ from .axioms import (
 from .expansion import (
     DEFAULT_STATE_CAP,
     agent_form_payoffs,
-    build_uniform,
-    group_by_origin,
+    copy_counts,
+    group_copies,
     grouped_position,
     require_state_cap,
-    shapley_blockwise,
+    uniform_payoffs,
 )
 from .model import (
     Allocation,
@@ -304,45 +304,36 @@ def handle_value(args) -> int:
     return 0
 
 
-def _uniform(game: HypergraphGame, k: int, state_cap: int):
-    """The k-fold expansion, refused over the state cap before it is built."""
-    require_state_cap([k * eta(game.hypergraph)] * len(game.hyperlinks), state_cap)
-    return build_uniform(game, k)
-
-
-def _copy_label(ep) -> str:
-    members = ",".join(str(p) for p in ep.hyperlink)
-    return f"{ep.origin}[{members}]#{ep.copy}"
-
-
 def handle_expand(args) -> int:
     game = _load(args)
-    expansion = _uniform(game, args.k, args.cap_states)
-    require_subset_cap(len(game.hyperlinks), args.cap_subsets, "hyperlinks")
-    per_copy = shapley_blockwise(expansion, state_cap=args.cap_states)
-    grouped = group_by_origin(game.players, per_copy)
+    per_copy = uniform_payoffs(game, args.k, state_cap=args.cap_states, cap=args.cap_subsets)
+    counts = copy_counts(game, args.k)
+    grouped = group_copies(game.players, counts, per_copy)
+    labels = {
+        (i, e): [f"{i}[{','.join(map(str, sorted(e)))}]#{t}" for t in range(1, copies + 1)]
+        for (i, e), copies in counts.items()
+    }
     blocks = [
         {
             "hyperlink": sorted(e),
-            "copies": [_copy_label(ep) for ep in expansion.blocks[link_key(e)]],
-            "per_copy": format_rational(per_copy[expansion.blocks[link_key(e)][0]]),
+            "copies": [label for i in sorted(e) for label in labels[i, e]],
+            "per_copy": format_rational(per_copy[min(e), e]),
         }
         for e in game.hyperlinks
     ]
-    groups = [
-        {
-            "player": i,
-            "copies": [_copy_label(ep) for ep in expansion.groups[i]],
-        }
-        for i in sorted(expansion.groups)
-    ]
+    held: dict[int, list[str]] = {}
+    for (i, _), mine in labels.items():
+        held.setdefault(i, []).extend(mine)
+    groups = [{"player": i, "copies": mine} for i, mine in held.items()]
+    base = eta(game.hypergraph)
+    universe = sum(counts.values())
     if args.format == "json":
         _emit_json(
             {
-                "k": expansion.k,
-                "eta": expansion.eta,
-                "rho": expansion.rho,
-                "universe_size": len(expansion.universe),
+                "k": args.k,
+                "eta": base,
+                "rho": args.k * base,
+                "universe_size": universe,
                 "blocks": blocks,
                 "groups": groups,
                 "grouped": _allocation_json(grouped),
@@ -350,8 +341,8 @@ def handle_expand(args) -> int:
         )
         return 0
     print(
-        f"uniform expansion: k={expansion.k}, eta={expansion.eta}, "
-        f"rho={expansion.rho} copies per hyperlink, universe size {len(expansion.universe)}"
+        f"uniform expansion: k={args.k}, eta={base}, "
+        f"rho={args.k * base} copies per hyperlink, universe size {universe}"
     )
     print("blocks (one per hyperlink):")
     for entry in blocks:
@@ -435,12 +426,6 @@ def handle_verify(args) -> int:
         return 0
 
     if args.theorem == "lemma1":
-        # Both caps are checked before the first fold, in the order the
-        # other theorems use: the state cap of the 1-fold expansion less
-        # one copy (the same for every hyperlink), then the subset cap.
-        m, base = len(game.hyperlinks), eta(game.hypergraph)
-        require_state_cap([base] * (m - 1) + [base - 1], args.cap_states)
-        require_subset_cap(m, args.cap_subsets, "hyperlinks")
         ok = True
         for e in game.hyperlinks:
             report = check_copy_deletion(
@@ -452,22 +437,21 @@ def handle_verify(args) -> int:
             if not report.passed:
                 _print_report(report, args.decimals)
     else:
-        # Both caps are checked before either side builds anything: the
-        # identity side's state cap first, then position_value's subset cap.
         if args.theorem in ("1", "2"):
             k = args.k if args.theorem == "2" else 1
-            expansion = _uniform(game, k, args.cap_states)
-            identity = lambda: grouped_position(expansion, state_cap=args.cap_states)
+            grouped = grouped_position(game, k, state_cap=args.cap_states, cap=args.cap_subsets)
             label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
-        else:  # corollary1: a sub-block of eta/|e| agents per member of each e
-            base = eta(game.hypergraph)
-            require_state_cap([base // len(e) for e in game.hyperlinks for _ in e], args.cap_states)
-            identity = lambda: group_by_origin(
-                game.players, agent_form_payoffs(game, state_cap=args.cap_states)
-            )
+        else:
+            # The agent form builds no conference table, so position_value's
+            # subset cap is checked here, after the fold's state cap and
+            # before the fold.
+            counts = copy_counts(game)
+            require_state_cap(list(counts.values()), args.cap_states)
+            require_subset_cap(len(game.hyperlinks), args.cap_subsets, "hyperlinks")
+            per_agent = agent_form_payoffs(game, state_cap=args.cap_states)
+            grouped = group_copies(game.players, counts, per_agent)
             label = "grouped Myerson payoffs of the agent form"
-        expected = position_value(game, cap=args.cap_subsets)
-        report = compare(label, identity(), expected)
+        report = compare(label, grouped, position_value(game, cap=args.cap_subsets))
         print(f"verification: {label} == position value")
         _print_report(report, args.decimals)
         ok = report.passed

@@ -1,5 +1,5 @@
 """Uniform hyperlink expansions, the agent form, and exact Shapley values
-on the expanded universes.
+on the expanded universes, computed from block sizes alone.
 
 Every hyperlink e is replaced by a block of rho = k*eta equal copies,
 rho/|e| of them held by each member, where eta is the lcm of the
@@ -7,98 +7,79 @@ hyperlink sizes.  The expanded game w gives a coalition of copies the
 conference worth of the hyperlinks whose blocks it contains completely.
 
 The expanded game and the agent form are symmetric under permuting the
-copies (or agents) inside a block, so a coalition matters only through
-its per-block member counts.  One kernel, `_fold_shapley`, serves both:
-a block holding c members contributes a signature bitmask, the worth
-depends only on the OR of the signatures, and blocks are folded into a
-map from (OR-ed bits, coalition size) to the exact number of coalitions
-realizing them (products of binomials).  Halving the blocks recursively
-hands each pivot block the fold of all others in O(B log B) block folds.
-Each pivot reads the worths it needs once, as integers over one scale
-(`scaled_worths`), and ends in one Fraction.  It uses nothing beyond
-that within-block symmetry — in particular it never assumes the
-grouped-payoff identity it is used to verify.
+copies (or agents) inside a block, so no copy is ever built:
+`copy_counts` gives how many copies of each hyperlink each player holds,
+both solvers return one payoff per (player, hyperlink) sub-block, and
+`group_copies` sums them per original player.  A coalition matters
+only through its per-block member counts.  One kernel, `_fold_shapley`,
+serves both solvers: a block holding c members contributes a signature
+bitmask, the worth depends only on the OR of the signatures, and blocks
+are folded into a map from (OR-ed bits, coalition size) to the exact
+number of coalitions realizing them (products of binomials).  Halving
+the blocks recursively hands each pivot block the fold of all others in
+O(B log B) block folds.  Each pivot reads the worths it needs once, as
+integers over one scale (`scaled_worths`), and ends in one Fraction.
+It uses nothing beyond that within-block symmetry — in particular it
+never assumes the grouped-payoff identity it is used to verify.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from .connectivity import mask_components
 from .model import (
     Allocation,
+    Hyperlink,
     HypergraphGame,
     PlayerId,
     eta,
     incident_hyperlinks,
-    link_key,
     scaled_worths,
     zero_allocation,
 )
-from .shapley import CapExceeded
+from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
 from .solutions import conference_table
 
 DEFAULT_STATE_CAP = 10_000_000
 
-
-class ExpandedPlayer(NamedTuple):
-    """One copy of a hyperlink membership: (original player, hyperlink, copy)."""
-
-    origin: PlayerId
-    hyperlink: tuple[PlayerId, ...]
-    copy: int
+SubBlock = tuple[PlayerId, Hyperlink]
 
 
-@dataclass(frozen=True)
-class UniformExpansion:
-    """The k-fold uniform expansion of a hypergraph game."""
-
-    game: HypergraphGame
-    k: int
-    eta: int
-    rho: int
-    universe: tuple[ExpandedPlayer, ...]
-    blocks: dict[tuple[PlayerId, ...], tuple[ExpandedPlayer, ...]]
-    groups: dict[PlayerId, tuple[ExpandedPlayer, ...]]
-    sub_blocks: dict[tuple[PlayerId, tuple[PlayerId, ...]], tuple[ExpandedPlayer, ...]]
-
-
-def _expanded_index(game: HypergraphGame, k: int):
-    """Shared builder for the (origin, hyperlink, copy) universe."""
-    base = eta(game.hypergraph)
-    rho = k * base
-    universe: list[ExpandedPlayer] = []
-    groups: dict[PlayerId, tuple[ExpandedPlayer, ...]] = {}
-    sub_blocks: dict[tuple[PlayerId, tuple[PlayerId, ...]], tuple[ExpandedPlayer, ...]] = {}
-    for i in game.players:
-        mine: list[ExpandedPlayer] = []
-        for e in incident_hyperlinks(game.hypergraph, i):
-            key = link_key(e)
-            copies = tuple(ExpandedPlayer(i, key, t) for t in range(1, rho // len(e) + 1))
-            sub_blocks[(i, key)] = copies
-            mine.extend(copies)
-        if mine:
-            groups[i] = tuple(mine)
-            universe.extend(mine)
-    blocks = {
-        link_key(e): tuple(
-            ep for i in sorted(e) for ep in sub_blocks[(i, link_key(e))]
-        )
-        for e in game.hyperlinks
-    }
-    return base, rho, tuple(universe), blocks, groups, sub_blocks
-
-
-def build_uniform(game: HypergraphGame, k: int = 1) -> UniformExpansion:
+def _block_size(game: HypergraphGame, k: int) -> int:
+    """rho = k*eta, the copies in each hyperlink's block of the k-fold
+    uniform expansion."""
     if not game.hyperlinks:
         raise ValueError("uniform expansion requires at least one hyperlink")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    return UniformExpansion(game, k, *_expanded_index(game, k))
+    return k * eta(game.hypergraph)
+
+
+def copy_counts(game: HypergraphGame, k: int = 1) -> dict[SubBlock, int]:
+    """The copies player i holds of hyperlink e in the k-fold uniform
+    expansion, k*eta/|e| per (i, e) sub-block, players in order and each
+    player's hyperlinks in canonical order.  At k = 1 these are also the
+    agent form's sub-blocks."""
+    rho = _block_size(game, k)
+    return {
+        (i, e): rho // len(e) for i in game.players for e in incident_hyperlinks(game.hypergraph, i)
+    }
+
+
+def group_copies(
+    players: Iterable[PlayerId], counts: Mapping[SubBlock, int], per_copy: Mapping[SubBlock, Fraction]
+) -> Allocation:
+    """Payoffs of copies (or agents) summed per original player: each
+    (i, e) sub-block gives player i counts[i, e] times per_copy[i, e].
+    Players with no copy keep payoff 0."""
+    out = zero_allocation(players)
+    for (i, e), n in counts.items():
+        out[i] += n * per_copy[i, e]
+    return out
 
 
 def require_state_cap(sizes: list[int], state_cap: int) -> None:
@@ -178,73 +159,70 @@ def _fold_shapley(
     return payoffs
 
 
-def _blockwise(sizes: list[int], completions: list[int], worths: Callable, state_cap: int) -> list[Fraction]:
-    """`_fold_shapley` with bit j set while block j holds completions[j] members."""
-    signatures = [
-        [1 << j if c == need else 0 for c in range(size + 1)]
-        for j, (size, need) in enumerate(zip(sizes, completions))
-    ]
-    return _fold_shapley(sizes, signatures, worths, state_cap)
+def uniform_payoffs(
+    game: HypergraphGame,
+    k: int = 1,
+    removed: Iterable[PlayerId] | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> dict[SubBlock, Fraction]:
+    """Shapley payoff of one copy in each (player, hyperlink) sub-block
+    of the k-fold uniform expansion, keyed like `copy_counts(game, k)`.
+    `removed` = e takes one copy out of hyperlink e's block; a hyperlink
+    counts only with all k*eta of its copies, so that block never
+    completes and its copies earn 0, whichever member held the copy.
+    The state cap, then the subset cap over the hyperlinks, are checked
+    before the conference table is built or any block folded."""
+    if removed is not None:
+        removed = frozenset(removed)
+        if removed not in game.hyperlinks:
+            raise ValueError(f"no hyperlink {sorted(removed)} to delete a copy of")
+    rho = _block_size(game, k)
+    sizes = [rho - (e == removed) for e in game.hyperlinks]
+    require_state_cap(sizes, state_cap)
+    require_subset_cap(len(sizes), cap, "hyperlinks")
+    signatures = [[1 << j if c == rho else 0 for c in range(size + 1)] for j, size in enumerate(sizes)]
+    values, scale = conference_table(game)
+    per_block = _fold_shapley(sizes, signatures, lambda needed: (scale, values), state_cap)
+    return {(i, e): x for e, x in zip(game.hyperlinks, per_block) for i in sorted(e)}
 
 
-def shapley_blockwise(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:
-    """Exact Shapley value of every expanded player via count vectors.
-    A hyperlink counts only with all rho of its copies, so a block with
-    a copy taken out (see `axioms.check_copy_deletion`) never completes."""
-    keys = [link_key(e) for e in expansion.game.hyperlinks]
-    sizes = [len(expansion.blocks[key]) for key in keys]
-    table = functools.cache(lambda: conference_table(expansion.game))  # after the cap check
-
-    def worths(needed: list[int]) -> tuple[int, list[int]]:
-        values, scale = table()
-        return scale, values
-
-    per_block = _blockwise(sizes, [expansion.rho] * len(keys), worths, state_cap)
-    return {ep: value for key, value in zip(keys, per_block) for ep in expansion.blocks[key]}
-
-
-def group_by_origin(
-    players: Iterable[PlayerId], per_copy: Mapping[ExpandedPlayer, Fraction]
+def grouped_position(
+    game: HypergraphGame,
+    k: int = 1,
+    removed: Iterable[PlayerId] | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
 ) -> Allocation:
-    """Payoffs of expanded players (copies or agents) summed per original
-    player; players with no copy keep payoff 0."""
-    out = zero_allocation(players)
-    for ep, value in per_copy.items():
-        out[ep.origin] += value
-    return out
+    """`uniform_payoffs` summed per original player over the copies it
+    holds; players on no hyperlink keep payoff 0.  A removed copy's
+    block pays 0 per copy, so its holder does not matter here."""
+    per_copy = uniform_payoffs(game, k, removed, state_cap, cap)
+    return group_copies(game.players, copy_counts(game, k), per_copy)
 
 
-def grouped_position(expansion: UniformExpansion, state_cap: int = DEFAULT_STATE_CAP) -> Allocation:
-    """Expanded Shapley payoffs summed per original player; players on no
-    hyperlink keep payoff 0."""
-    return group_by_origin(
-        expansion.game.players, shapley_blockwise(expansion, state_cap=state_cap)
-    )
-
-
-def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP) -> dict[ExpandedPlayer, Fraction]:
+def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP) -> dict[SubBlock, Fraction]:
     """Myerson value of the agent form: Shapley value of the point game
-    its links induce on the agents.
+    its links induce on the agents, one payoff per agent of each
+    (player, hyperlink) sub-block of `copy_counts(game)`.
 
-    Agents of one sub-block (same player, same hyperlink) are
-    interchangeable.  A sub-block holding c of its agents marks its
-    player present when c > 0 and its hyperlink's image incomplete when
-    c is below its size.  A coalition of agents is worth the total worth
-    of the components the complete images induce among the present
-    players.
+    Agents of one sub-block are interchangeable.  A sub-block holding c
+    of its agents marks its player present when c > 0 and its
+    hyperlink's image incomplete when c is below its size.  A coalition
+    of agents is worth the total worth of the components the complete
+    images induce among the present players.
     """
     if not game.hyperlinks:
         raise ValueError("agent form requires at least one hyperlink")
-    *_, sub_blocks = _expanded_index(game, 1)
+    counts = copy_counts(game)
     n = len(game.players)
     player_bit = {p: 1 << k for k, p in enumerate(game.players)}
-    image_bit = {link_key(e): 1 << (n + t) for t, e in enumerate(game.hyperlinks)}
+    image_bit = {e: 1 << (n + t) for t, e in enumerate(game.hyperlinks)}
     link_masks = [sum(player_bit[p] for p in e) for e in game.hyperlinks]
-    classes = sorted(sub_blocks)
-    sizes = [len(sub_blocks[cls]) for cls in classes]
+    sizes = list(counts.values())
     signatures = [
-        [(player_bit[i] if c else 0) | (image_bit[key] if c < size else 0) for c in range(size + 1)]
-        for (i, key), size in zip(classes, sizes)
+        [(player_bit[i] if c else 0) | (image_bit[e] if c < size else 0) for c in range(size + 1)]
+        for (i, e), size in counts.items()
     ]
 
     @functools.cache
@@ -257,7 +235,4 @@ def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP)
         scale, worth = scaled_worths(game.characteristic, game.players, union)
         return scale, {bits: sum(worth[p] for p in pieces_of(bits)) for bits in needed}
 
-    per_class = _fold_shapley(sizes, signatures, worths, state_cap)
-    return {
-        ep: value for cls, value in zip(classes, per_class) for ep in sub_blocks[cls]
-    }
+    return dict(zip(counts, _fold_shapley(sizes, signatures, worths, state_cap)))

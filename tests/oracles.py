@@ -9,7 +9,11 @@ coalition at a time, and shares no code with the bitmask integer kernel
   contributions, subset enumeration with the |S|!(n-|S|-1)!/n! weights,
   and Harsanyi dividends split equally inside their coalition;
 * the point game and the conference (hyperlink) game of a hypergraph
-  game, and the worth of a coalition of copies in a uniform expansion;
+  game;
+* the uniform expansion as an explicit universe of (player, hyperlink,
+  copy) players (`build_uniform`), its game on coalitions of copies,
+  optionally with one copy taken out (`as_tu_game`), and
+  `group_by_origin`, which sums per-copy payoffs one copy at a time;
 * the position value recomputed from the dividends of the one-fold
   expanded game;
 * a union-find over hashable elements and `merge_groups`, the reference
@@ -30,16 +34,9 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from hypercoop.expansion import (
-    DEFAULT_STATE_CAP,
-    ExpandedPlayer,
-    UniformExpansion,
-    _blockwise,
-    build_uniform,
-    require_state_cap,
-)
+from hypercoop.expansion import DEFAULT_STATE_CAP, _fold_shapley, require_state_cap
 from hypercoop.model import (
     Allocation,
     CharacteristicFunction,
@@ -47,6 +44,8 @@ from hypercoop.model import (
     PlayerId,
     ZERO,
     as_fraction,
+    eta,
+    incident_hyperlinks,
     link_key,
     zero_allocation,
 )
@@ -196,6 +195,57 @@ def hyperlink_game(game: HypergraphGame) -> TUGame:
     return TUGame(game.hyperlinks, lambda active: conference_worth(game, active))
 
 
+class ExpandedPlayer(NamedTuple):
+    """One copy of a hyperlink membership: (original player, hyperlink, copy)."""
+
+    origin: PlayerId
+    hyperlink: tuple[PlayerId, ...]
+    copy: int
+
+
+@dataclass(frozen=True)
+class UniformExpansion:
+    """The k-fold uniform expansion of a hypergraph game, every copy
+    spelled out: `blocks` per hyperlink, `groups` per player and
+    `sub_blocks` per (player, hyperlink)."""
+
+    game: HypergraphGame
+    k: int
+    eta: int
+    rho: int
+    universe: tuple[ExpandedPlayer, ...]
+    blocks: dict[tuple[PlayerId, ...], tuple[ExpandedPlayer, ...]]
+    groups: dict[PlayerId, tuple[ExpandedPlayer, ...]]
+    sub_blocks: dict[tuple[PlayerId, tuple[PlayerId, ...]], tuple[ExpandedPlayer, ...]]
+
+
+def build_uniform(game: HypergraphGame, k: int = 1) -> UniformExpansion:
+    if not game.hyperlinks:
+        raise ValueError("uniform expansion requires at least one hyperlink")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    base = eta(game.hypergraph)
+    rho = k * base
+    universe: list[ExpandedPlayer] = []
+    groups: dict[PlayerId, tuple[ExpandedPlayer, ...]] = {}
+    sub_blocks: dict[tuple[PlayerId, tuple[PlayerId, ...]], tuple[ExpandedPlayer, ...]] = {}
+    for i in game.players:
+        mine: list[ExpandedPlayer] = []
+        for e in incident_hyperlinks(game.hypergraph, i):
+            key = link_key(e)
+            copies = tuple(ExpandedPlayer(i, key, t) for t in range(1, rho // len(e) + 1))
+            sub_blocks[(i, key)] = copies
+            mine.extend(copies)
+        if mine:
+            groups[i] = tuple(mine)
+            universe.extend(mine)
+    blocks = {
+        link_key(e): tuple(ep for i in sorted(e) for ep in sub_blocks[(i, link_key(e))])
+        for e in game.hyperlinks
+    }
+    return UniformExpansion(game, k, base, rho, tuple(universe), blocks, groups, sub_blocks)
+
+
 def expanded_worth(expansion: UniformExpansion, coalition: Iterable) -> Fraction:
     """Worth of a coalition of copies: conference worth of the hyperlinks
     whose blocks the coalition contains completely."""
@@ -209,8 +259,20 @@ def expanded_worth(expansion: UniformExpansion, coalition: Iterable) -> Fraction
     return conference_worth(expansion.game, complete)
 
 
-def as_tu_game(expansion: UniformExpansion) -> TUGame:
-    return TUGame(expansion.universe, lambda s: expanded_worth(expansion, s))
+def as_tu_game(expansion: UniformExpansion, removed: ExpandedPlayer | None = None) -> TUGame:
+    """The expanded game on the universe, less the copy `removed` if one
+    is given: its hyperlink's block can then never be complete."""
+    players = [ep for ep in expansion.universe if ep != removed]
+    return TUGame(players, lambda s: expanded_worth(expansion, s))
+
+
+def group_by_origin(players: Iterable[PlayerId], per_copy: dict) -> Allocation:
+    """Payoffs of expanded players (copies or agents) summed per original
+    player, one copy at a time; players with no copy keep payoff 0."""
+    out = zero_allocation(players)
+    for ep, value in per_copy.items():
+        out[ep.origin] += value
+    return out
 
 
 def position_by_dividends(game: HypergraphGame, cap: int = DEFAULT_DIVIDEND_UNIVERSE_CAP) -> Allocation:
@@ -390,6 +452,10 @@ def block_symmetric_shapley(
     members of a block are symmetric).  A block whose completion size
     exceeds its size can never complete and its members are null players.
     """
-    return _blockwise(
-        block_sizes, completion_sizes, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
+    signatures = [
+        [1 << j if c == need else 0 for c in range(size + 1)]
+        for j, (size, need) in enumerate(zip(block_sizes, completion_sizes))
+    ]
+    return _fold_shapley(
+        block_sizes, signatures, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
     )

@@ -332,15 +332,26 @@ class TestExpandCommand:
         assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
 
     def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
-        def refuse(game, k):
-            raise AssertionError("the expanded universe was built over the cap")
+        def refuse(*_args):
+            raise AssertionError("a table or fold ran over the state cap")
 
-        monkeypatch.setattr(hypercoop.expansion, "_expanded_index", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         message = f"error: count-vector state space exceeds the cap {10**7}\n"
         assert main(["expand", hub_path, "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
         assert main(["verify", hub_path, "--theorem", "2", "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
+
+
+    def test_no_hyperlinks_reports_the_library_error(self, tmp_path, capsys):
+        doc = {"players": [1, 2], "characteristic": {"unanimity": [1, 2]}}
+        assert main(["expand", write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: uniform expansion requires at least one hyperlink\n"
+        )
 
 
 class TestCheckCommand:
@@ -438,8 +449,8 @@ class TestVerifyCommand:
     def test_a_mismatch_is_marked_on_its_player(
         self, hub_path, monkeypatch, capsys, theorem, decimals
     ):
-        def perturbed(expansion, state_cap):
-            grouped = hypercoop.expansion.grouped_position(expansion, state_cap)
+        def perturbed(game, *args, **kwargs):
+            grouped = hypercoop.expansion.grouped_position(game, *args, **kwargs)
             grouped[4] += F(1, 100)
             return grouped
 

@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,30 +9,33 @@ from hypothesis import strategies as st
 from hypercoop import expansion
 from hypercoop.expansion import (
     DEFAULT_STATE_CAP,
-    ExpandedPlayer,
     agent_form_payoffs,
-    build_uniform,
+    copy_counts,
+    group_copies,
     grouped_position,
-    shapley_blockwise,
+    uniform_payoffs,
 )
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
+    link_key,
     make_hypergraph,
     table_function,
     unanimity,
-    zero_allocation,
 )
 from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import conference_table, position_value
 
 from oracles import (
+    ExpandedPlayer,
     TUGame,
     as_tu_game,
     block_symmetric_shapley,
     build_agent_form,
+    build_uniform,
     expanded_worth,
     fold_shapley_by_pivot,
+    group_by_origin,
     shapley_by_subsets,
 )
 from strategies import hypergraph_games, unanimity_combination_games
@@ -44,16 +47,28 @@ def single_link_game():
     return HypergraphGame(make_hypergraph([1, 2], [[1, 2]]), unanimity([1, 2], [1, 2]))
 
 
+def sub_block_sizes(exp) -> dict:
+    """The oracle universe's sub-block sizes, keyed like `copy_counts`."""
+    return {(i, frozenset(key)): len(copies) for (i, key), copies in exp.sub_blocks.items()}
+
+
+def per_agent_of(payoffs: dict, agents) -> dict:
+    """Per-(player, hyperlink) payoffs spread over the oracle's agents."""
+    return {ep: payoffs[ep.origin, frozenset(ep.hyperlink)] for ep in agents}
+
+
 class TestBuildUniform:
     def test_requires_hyperlinks(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
-        with pytest.raises(ValueError, match="at least one hyperlink"):
-            build_uniform(game)
+        for build in (build_uniform, copy_counts, uniform_payoffs, grouped_position):
+            with pytest.raises(ValueError, match="^uniform expansion requires at least one hyperlink$"):
+                build(game)
 
     def test_requires_positive_integer_k(self, hub):
         for bad in (0, -1, True, 2.0):
-            with pytest.raises(ValueError, match="positive integer"):
-                build_uniform(hub, bad)
+            for build in (build_uniform, copy_counts, uniform_payoffs, grouped_position):
+                with pytest.raises(ValueError, match="positive integer"):
+                    build(hub, bad)
 
     def test_hub_structure(self, hub):
         exp = build_uniform(hub, 1)
@@ -65,6 +80,9 @@ class TestBuildUniform:
         assert len(exp.groups[4]) == 5
         assert len(exp.sub_blocks[(4, (4, 5, 6))]) == 2
         assert len(exp.sub_blocks[(4, (1, 4))]) == 3
+        counts = copy_counts(hub)
+        assert list(counts.items()) == list(sub_block_sizes(exp).items())
+        assert counts[4, frozenset({4, 5, 6})] == 2
 
     def test_universe_is_lexicographic_and_consistent(self, hub):
         exp = build_uniform(hub, 1)
@@ -79,6 +97,13 @@ class TestBuildUniform:
         assert exp.rho == 12
         assert len(exp.universe) == 48
         assert len(exp.sub_blocks[(6, (4, 5, 6))]) == 4
+        assert copy_counts(hub, 2) == sub_block_sizes(exp)
+        assert sum(copy_counts(hub, 2).values()) == 48
+
+    def test_a_removed_copy_must_come_from_a_hyperlink(self, hub):
+        for build in (uniform_payoffs, grouped_position):
+            with pytest.raises(ValueError, match=r"^no hyperlink \[1, 2\] to delete a copy of$"):
+                build(hub, 1, [2, 1])
 
 
 class TestExpandedWorth:
@@ -122,10 +147,9 @@ class TestBlockSymmetricShapley:
             block_symmetric_shapley([9] * 8, [9] * 8, lambda m: F(0), state_cap=10**6)
 
     def test_matches_direct_shapley_on_the_hub(self, hub):
-        exp = build_uniform(hub, 1)
-        per_copy = shapley_blockwise(exp)
-        assert set(per_copy.values()) == {F(1, 24)}
-        assert len(per_copy) == 24
+        per_copy = uniform_payoffs(hub)
+        assert per_copy == dict.fromkeys(copy_counts(hub), F(1, 24))
+        assert sum(copy_counts(hub).values()) == 24
 
     @pytest.mark.parametrize(
         "sizes, completions, worth",
@@ -154,15 +178,15 @@ class TestBlockSymmetricShapley:
         assert table[0b1111] == scale
         assert not any(table[:0b1111])
         worth = lambda mask: F(mask == 0b1111)
-        keys = [tuple(sorted(e)) for e in hub.hyperlinks]
-        exp = build_uniform(hub, 1)
-        # a block with a copy taken out never completes
-        for sizes in ([6, 6, 6, 6], [6, 5, 6, 6]):
-            blocks = {key: exp.blocks[key][:size] for key, size in zip(keys, sizes)}
-            per_copy = shapley_blockwise(replace(exp, blocks=blocks))
+        assert [link_key(e) for e in hub.hyperlinks][1] == (2, 5)
+        # a block with a copy taken out never completes, so its copies earn 0
+        for sizes, removed in (([6, 6, 6, 6], None), ([6, 5, 6, 6], [5, 2])):
+            per_copy = uniform_payoffs(hub, removed=removed)
             expected = block_symmetric_shapley(sizes, [6] * 4, worth)
-            assert [per_copy[blocks[key][0]] for key in keys] == expected
-            assert len(per_copy) == sum(sizes)
+            assert per_copy == {
+                (i, e): x for e, x in zip(hub.hyperlinks, expected) for i in e
+            }
+        assert expected[1] == 0
 
 
 def random_fold_case(blocks: int, style: str, seed: int):
@@ -239,14 +263,29 @@ def test_blockwise_equals_direct_subset_shapley(game):
     exp = build_uniform(game, 1)
     assume(len(exp.universe) <= 12)
     direct = shapley_by_subsets(as_tu_game(exp), cap=12)
-    assert shapley_blockwise(exp) == direct
+    assert per_agent_of(uniform_payoffs(game), exp.universe) == direct
+
+
+@given(hypergraph_games(max_players=4, max_links=3, max_link_size=3), st.integers(1, 2))
+def test_grouped_position_less_a_copy_equals_the_grouped_subset_oracle(game, k):
+    """Each hyperlink's copy deletion, grouped by count, against the
+    explicit expanded game with one copy taken out of its universe, the
+    copy held by each member in turn: the holder must not matter."""
+    exp = build_uniform(game, k)
+    assume(len(exp.universe) <= 12)
+    for e in game.hyperlinks:
+        grouped = grouped_position(game, k, removed=e)
+        for i in sorted(e):
+            copy = exp.sub_blocks[(i, link_key(e))][-1]
+            direct = shapley_by_subsets(as_tu_game(exp, removed=copy), cap=12)
+            assert grouped == group_by_origin(game.players, direct)
 
 
 @given(hypergraph_games(max_players=5, max_links=3, max_link_size=3))
 def test_grouped_position_matches_position_value(game):
     pi = position_value(game)
-    assert grouped_position(build_uniform(game, 1)) == pi
-    assert grouped_position(build_uniform(game, 2)) == pi
+    assert grouped_position(game, 1) == pi
+    assert grouped_position(game, 2) == pi
 
 
 class TestAgentForm:
@@ -281,14 +320,13 @@ class TestAgentForm:
         assert haf.restricted_worth(agents - {haf.sub_blocks[(2, (1, 2))][0]}) == 0
 
     def test_single_link_payoffs(self):
-        payoffs = agent_form_payoffs(single_link_game())
-        assert set(payoffs.values()) == {F(1, 2)}
-        assert len(payoffs) == 2
+        game = single_link_game()
+        e = frozenset({1, 2})
+        assert agent_form_payoffs(game) == {(1, e): F(1, 2), (2, e): F(1, 2)}
+        assert copy_counts(game) == {(1, e): 1, (2, e): 1}
 
     def test_hub_pointwise_equals_blockwise(self, hub):
-        per_agent = agent_form_payoffs(hub)
-        per_copy = shapley_blockwise(build_uniform(hub, 1))
-        assert per_agent == per_copy
+        assert agent_form_payoffs(hub) == uniform_payoffs(hub)
 
     def test_state_cap(self, hub):
         with pytest.raises(CapExceeded, match="state space"):
@@ -315,7 +353,7 @@ class TestAgentForm:
         haf = build_agent_form(game)
         assert len(haf.players) == 12
         direct = shapley_by_subsets(TUGame(haf.players, haf.restricted_worth))
-        assert agent_form_payoffs(game) == direct
+        assert per_agent_of(agent_form_payoffs(game), haf.players) == direct
 
 
 @given(hypergraph_games(max_players=4, max_links=3, max_link_size=3))
@@ -325,7 +363,7 @@ def test_agent_payoffs_equal_direct_myerson_of_the_agent_form(game):
     direct = shapley_by_subsets(
         TUGame(haf.players, haf.restricted_worth), cap=12
     )
-    assert agent_form_payoffs(game) == direct
+    assert per_agent_of(agent_form_payoffs(game), haf.players) == direct
 
 
 @given(
@@ -336,7 +374,4 @@ def test_agent_payoffs_equal_direct_myerson_of_the_agent_form(game):
 )
 def test_agent_payoffs_group_to_the_position_value(game):
     per_agent = agent_form_payoffs(game)
-    grouped = zero_allocation(game.players)
-    for ep, value in per_agent.items():
-        grouped[ep.origin] += value
-    assert grouped == position_value(game)
+    assert group_copies(game.players, copy_counts(game), per_agent) == position_value(game)
