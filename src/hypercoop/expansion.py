@@ -41,7 +41,7 @@ from .model import (
     scaled_worths,
     zero_allocation,
 )
-from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
+from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, factorials, require_subset_cap
 from .solutions import conference_table
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -119,7 +119,7 @@ def _fold_shapley(
     require_state_cap(sizes, state_cap)
     total = sum(sizes)
     shift = total.bit_length()
-    fact = [math.factorial(s) for s in range(total + 1)]
+    fact = factorials(total)
     payoffs: list[Fraction] = []
 
     def fold(states: dict[int, int], blocks: range) -> dict[int, int]:

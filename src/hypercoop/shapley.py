@@ -1,20 +1,23 @@
-"""The integer Shapley kernel behind every value the package computes.
+"""The integer Shapley kernels behind every value the package computes.
 
 `shapley_of_table` takes a worth table indexed by bitmask, already
-scaled to integers, and returns the payoffs scaled by n!.  The Myerson,
-position and plain Shapley values in `hypercoop.solutions` all end in
-it.  Callers check `require_subset_cap` before they build a table, so an
-over-cap request fails before anything is allocated; the cap is a
-keyword argument, not a constant baked into call sites.  The slower frozenset routes
-(permutations, subset sums, Harsanyi dividends) live in the test suite
-as oracles for this kernel.
+scaled to integers, and returns the payoffs scaled by n!.
+`shapley_of_pieces` does the same for a graph-restricted game given by
+its connected sets, their boundaries and their worths, without any
+2^n table.  The Myerson, position and plain Shapley values in
+`hypercoop.solutions` all end in one of them.  Callers check
+`require_subset_cap` before they build a table or list connected sets,
+so an over-cap request fails before anything is allocated; the cap is a
+keyword argument, not a constant baked into call sites.  The slower
+frozenset routes (permutations, subset sums, Harsanyi dividends) live in
+the test suite as oracles for these kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_SUBSET_CAP = 24
 
@@ -28,6 +31,14 @@ def require_subset_cap(n: int, cap: int, elements: str) -> None:
     "players" or "hyperlinks") when n exceeds the cap."""
     if n > cap:
         raise CapExceeded(f"{n} {elements} exceeds the subset cap {cap}")
+
+
+def factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!] by a running product."""
+    fact = [1]
+    for s in range(1, n + 1):
+        fact.append(fact[-1] * s)
+    return fact
 
 
 def shapley_of_table(table: Sequence[int]) -> list[int]:
@@ -54,3 +65,38 @@ def shapley_of_table(table: Sequence[int]) -> list[int]:
         sums.append(sum(itertools.compress(weighted, holds_k)))
     offset = (sum(sums) - factorial(n) * table[-1]) // n
     return [a - offset for a in sums]
+
+
+def shapley_of_pieces(n: int, pieces: Iterable[tuple[int, int, int]]) -> list[int]:
+    """n!·Shapley value of the graph-restricted game Σ_P w_P·[P is a piece
+    of S] on n players, given one (P, ∂P, w_P) triple of bitmasks and an
+    integer worth per connected set P with boundary ∂P; entry k belongs
+    to the player on bit k.
+
+    P is a piece of S when P ⊆ S and S misses ∂P.  In a random order a
+    member of P completes that piece when it comes after the rest of P
+    and before all of ∂P, and a member of ∂P breaks it when it comes
+    after all of P and before the rest of ∂P.  With p = |P| and
+    b = |∂P| the indicator game therefore pays (p-1)!·b!/(p+b)! to each
+    member of P and -p!·(b-1)!/(p+b)! to each member of ∂P.
+    """
+    fact = factorials(n)
+    over = [fact[n] // f for f in fact]
+    out = [0] * n
+    for members, boundary, w in pieces:
+        if not w:
+            continue
+        p, b = members.bit_count(), boundary.bit_count()
+        share = w * over[p + b]
+        gain = share * fact[p - 1] * fact[b]
+        while members:
+            low = members & -members
+            members ^= low
+            out[low.bit_length() - 1] += gain
+        if b:
+            loss = share * fact[p] * fact[b - 1]
+            while boundary:
+                low = boundary & -boundary
+                boundary ^= low
+                out[low.bit_length() - 1] -= loss
+    return out

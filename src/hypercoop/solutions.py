@@ -9,14 +9,29 @@ the position value splits each hyperlink's Shapley payoff in the latter
 equally among its members.  `shapley_value` ignores the hypergraph and
 takes the Shapley value of the characteristic function itself.
 
-All three run on one bitmask kernel: players (or hyperlinks) are bit
-positions, a coalition is an int, and each game becomes a list of
-integer worths indexed by mask, scaled by `model.scaled_worths`, the
-one worth reader shared with the expansion and axiom modules.  The
-restricted tables are filled as W[mask] = v(piece holding the lowest
-bit) + W[mask without that piece], and `shapley_of_table` sums them in
-integers; each payoff is one exact division at the end.  The frozenset
-versions of the two restricted games are the test suite's reference.
+Players (or hyperlinks) are bit positions, a coalition is an int, and
+worths are integers scaled by `model.scaled_worths`, the one worth reader
+shared with the expansion and axiom modules; each payoff is one exact
+division at the end.  A restricted game is Σ_P v(P)·[P is a piece of S]
+over the connected sets P, so two routes give the same payoffs:
+
+- connected sets: `connectivity.connected_sets` lists each connected P
+  with its boundary ∂P, and `shapley_of_pieces` pays each member of P
+  (p-1)!·b!/(p+b)! and each member of ∂P -p!·(b-1)!/(p+b)! times v(P),
+  with p = |P| and b = |∂P|;
+- tables: W[mask] = v(piece holding the lowest bit) + W[mask without
+  that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`.
+
+The position value runs the first route on the line graph of the
+hyperlinks (two hyperlinks adjacent when they share a player), and the
+Myerson value on the player graph when every hyperlink has two members.
+With a larger hyperlink a piece's boundary is not a set of neighbours, so
+Myerson keeps the table there.  The rule between the two, stated on the
+input alone: the enumeration runs unless it would list more than 2^m/4
+sets (2^n/4 for Myerson), judged first by the degree lower bound of
+`connected_sets` and then by the count itself; past that the table runs.
+The subset cap is checked before either.  The frozenset versions of the
+two restricted games are the test suite's reference.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable
 
-from .connectivity import components
+from .connectivity import components, connected_sets
 from .model import (
     Allocation,
     Hyperlink,
@@ -34,7 +49,12 @@ from .model import (
     ZERO,
     scaled_worths,
 )
-from .shapley import DEFAULT_SUBSET_CAP, require_subset_cap, shapley_of_table
+from .shapley import (
+    DEFAULT_SUBSET_CAP,
+    require_subset_cap,
+    shapley_of_pieces,
+    shapley_of_table,
+)
 
 
 def restricted_worth(game: HypergraphGame, coalition: Iterable) -> Fraction:
@@ -91,16 +111,34 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
     return _fill(pieces, worth), scale
 
 
+def _hyperlink_masks(game: HypergraphGame) -> tuple[list[int], list[int]]:
+    """Each hyperlink's player mask, and the mask of the hyperlinks
+    sharing a player with it (itself included)."""
+    bit = {p: 1 << k for k, p in enumerate(game.players)}
+    links = [sum(bit[p] for p in e) for e in game.hyperlinks]
+    return links, [sum(1 << t for t, f in enumerate(links) if f & e) for e in links]
+
+
+def _piece_worths(game: HypergraphGame, covered: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(scale, {piece: scale·v(players it covers)}) for hyperlink pieces
+    given with their covered player masks.  Players on no active
+    hyperlink are singletons, which must be worth zero."""
+    singletons = [1 << k for k in range(len(game.players))]
+    scale, worth = scaled_worths(
+        game.characteristic, game.players, {*covered.values(), *singletons}
+    )
+    if any(worth[s] for s in singletons):
+        raise ValueError("worth of the empty coalition must be 0")
+    return scale, {piece: worth[c] for piece, c in covered.items()}
+
+
 def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
     """The conference game over hyperlink masks, scaled to integers.
 
     A piece is a set of hyperlinks joined through shared players; its
-    worth is that of the players it covers.  Players on no active
-    hyperlink are singletons, worth zero in a zero-normalized game."""
+    worth is that of the players it covers."""
     m = len(game.hyperlinks)
-    bit = {p: 1 << k for k, p in enumerate(game.players)}
-    links = [sum(bit[p] for p in e) for e in game.hyperlinks]
-    touching = [sum(1 << t for t, f in enumerate(links) if f & e) for e in links]
+    links, touching = _hyperlink_masks(game)
     # members[S]: players on the hyperlinks of S; reach[S]: hyperlinks
     # sharing a player with S (S included).
     members = [0] * (1 << m)
@@ -115,20 +153,17 @@ def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
         while (grown := reach[piece] & mask) != piece:
             piece = grown
         pieces[mask] = piece
-    covered = {piece: members[piece] for piece in set(pieces[1:])}
-    singletons = [bit[p] for p in game.players]
-    scale, worth = scaled_worths(
-        game.characteristic, game.players, {*covered.values(), *singletons}
-    )
-    if any(worth[s] for s in singletons):
-        raise ValueError("worth of the empty coalition must be 0")
-    return _fill(pieces, {piece: worth[c] for piece, c in covered.items()}), scale
+    covered = {piece: members[piece] for piece in pieces if piece}
+    # The route's memory peaks here: free the 2^m helper lists first.
+    del members, reach
+    scale, worth = _piece_worths(game, covered)
+    return _fill(pieces, worth), scale
 
 
-def _player_payoffs(players: tuple[PlayerId, ...], table: list[int], scale: int) -> Allocation:
-    """Shapley payoffs of a player table whose worths are scaled by `scale`."""
+def _player_payoffs(players: tuple[PlayerId, ...], sums: list[int], scale: int) -> Allocation:
+    """Shapley payoffs from n!·scale·Sh, one integer per player."""
     denominator = factorial(len(players)) * scale
-    return {p: Fraction(x, denominator) for p, x in zip(players, shapley_of_table(table))}
+    return {p: Fraction(x, denominator) for p, x in zip(players, sums)}
 
 
 def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
@@ -140,14 +175,28 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     table = [worth[mask] for mask in range(1 << n)]
     if table[0] != 0:
         raise ValueError("worth of the empty coalition must be 0")
-    return _player_payoffs(game.players, table, scale)
+    return _player_payoffs(game.players, shapley_of_table(table), scale)
 
 
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Shapley value of the point game."""
-    require_subset_cap(len(game.players), cap, "players")
-    table, scale = _point_table(game)
-    return _player_payoffs(game.players, table, scale)
+    n = len(game.players)
+    require_subset_cap(n, cap, "players")
+    sets = None
+    if all(len(e) == 2 for e in game.hyperlinks):
+        index = {p: k for k, p in enumerate(game.players)}
+        partners = [0] * n
+        for e in game.hyperlinks:
+            a, b = (index[p] for p in e)
+            partners[a] |= 1 << b
+            partners[b] |= 1 << a
+        sets = connected_sets(partners, (1 << n) >> 2)
+    if sets is None:
+        table, scale = _point_table(game)
+        return _player_payoffs(game.players, shapley_of_table(table), scale)
+    scale, worth = scaled_worths(game.characteristic, game.players, [s for s, _ in sets])
+    sums = shapley_of_pieces(n, ((s, b, worth[s]) for s, b in sets))
+    return _player_payoffs(game.players, sums, scale)
 
 
 def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
@@ -155,8 +204,22 @@ def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloc
     among its members; players on no hyperlink get zero."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap, "hyperlinks")
-    table, scale = conference_table(game)
-    per_link = shapley_of_table(table)
+    links, touching = _hyperlink_masks(game)
+    sets = connected_sets([t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2)
+    if sets is None:
+        table, scale = conference_table(game)
+        per_link = shapley_of_table(table)
+    else:
+        covered = {}
+        for s, _ in sets:
+            players, rest = 0, s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                players |= links[low.bit_length() - 1]
+            covered[s] = players
+        scale, worth = _piece_worths(game, covered)
+        per_link = shapley_of_pieces(m, ((s, b, worth[s]) for s, b in sets))
     # Sh_e = per_link[e] / (m!·scale); over the common denominator
     # m!·scale·eta each share Sh_e/|e| has numerator per_link[e]·eta/|e|.
     eta = lcm(*(len(e) for e in game.hyperlinks))

@@ -225,6 +225,29 @@ class TestValueCommand:
             "1": "1/3", "2": "1/3", "3": "1/3", "4": "0", "5": "0", "6": "0",
         }
 
+    def test_subset_cap_refuses_before_any_work(self, tmp_path, monkeypatch, capsys):
+        """A ring of 30 pair hyperlinks has only 871 connected hyperlink
+        sets, yet m = 30 over --cap-subsets still exits 3 before the
+        enumeration or any table runs."""
+        def refuse(*_args):
+            raise AssertionError("a table or connected-set enumeration ran over the cap")
+
+        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "_point_table", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
+        doc = {
+            "players": list(range(30)),
+            "hyperlinks": [[i, (i + 1) % 30] for i in range(30)],
+            "characteristic": {"unanimity": [0, 15]},
+        }
+        path = write_doc(tmp_path, doc)
+        for rule, elements in (("position", "hyperlinks"), ("myerson", "players")):
+            assert main(["value", path, "--rule", rule, "--cap-subsets", "29"]) == 3
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: 30 {elements} exceeds the subset cap 29\n"
+            )
+
     def test_missing_file(self, capsys):
         assert main(["value", "no-such-file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -292,11 +315,12 @@ class TestExpandCommand:
     def test_cap_is_checked_before_the_conference_table(self, tmp_path, monkeypatch, capsys):
         """40 links trip both caps; 20 are under the subset cap, so only
         the state cap keeps the 2^20 position-value table from being built."""
-        def refuse(game):
-            raise AssertionError("a 2^m conference table was built over the cap")
+        def refuse(*_args):
+            raise AssertionError("a conference table or connected-set enumeration ran over the cap")
 
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         message = "error: count-vector state space exceeds the cap 1000\n"
         for links in (40, 20):
             doc = {
@@ -322,6 +346,7 @@ class TestExpandCommand:
 
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         doc = {
             "players": list(range(31)),
             "hyperlinks": [[i, i + 1] for i in range(30)],
@@ -338,6 +363,7 @@ class TestExpandCommand:
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         message = f"error: count-vector state space exceeds the cap {10**7}\n"
         assert main(["expand", hub_path, "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
@@ -418,6 +444,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         pairs = [[i, j] for i in range(10) for j in range(i + 1, 10)][:30]
         doc = {
             "players": list(range(10)),
@@ -437,6 +464,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         for theorem in ("1", "lemma1"):
             assert main(["verify", hub_path, "--theorem", theorem, "--cap-subsets", "1"]) == 3
             captured = capsys.readouterr()

@@ -1,7 +1,10 @@
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypercoop.connectivity import components, components_of_coalition
+from hypercoop import connectivity
+from hypercoop.connectivity import components, components_of_coalition, connected_sets
 from hypercoop.model import make_hypergraph
 
 from oracles import merge_groups
@@ -79,3 +82,101 @@ def test_components_match_the_union_find(h, data):
     inside = [e for e in h.hyperlinks if e <= coalition]
     assert components(coalition, inside) == merge_groups(coalition, inside)
     assert components_of_coalition(coalition, h) == merge_groups(coalition, inside)
+
+
+@st.composite
+def graphs(draw, max_vertices: int = 8):
+    """Neighbour masks of a simple graph on up to `max_vertices` vertices."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    adjacency = [0] * n
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for a, b in chosen:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    return adjacency
+
+
+def connected_sets_by_brute_force(adjacency):
+    """(set, boundary) for every nonempty vertex mask whose closure from
+    its lowest vertex inside the mask is the whole mask."""
+    found = []
+    for mask in range(1, 1 << len(adjacency)):
+        piece = mask & -mask
+        while True:
+            grown = piece
+            for v in range(len(adjacency)):
+                if piece >> v & 1:
+                    grown |= adjacency[v] & mask
+            if grown == piece:
+                break
+            piece = grown
+        if piece == mask:
+            reach = 0
+            for v in range(len(adjacency)):
+                if mask >> v & 1:
+                    reach |= adjacency[v]
+            found.append((mask, reach & ~mask))
+    return found
+
+
+@given(graphs())
+def test_connected_sets_match_the_brute_force(adjacency):
+    """Each connected set exactly once, with its boundary; a limit equal
+    to their number admits them all (so the degree bound never exceeds
+    it), and one less refuses."""
+    expected = connected_sets_by_brute_force(adjacency)
+    found = connected_sets(adjacency, 1 << len(adjacency))
+    assert sorted(found) == expected
+    assert sorted(connected_sets(adjacency, len(expected))) == expected
+    if expected:
+        assert connected_sets(adjacency, len(expected) - 1) is None
+
+
+def ring(n):
+    return [1 << (v + 1) % n | 1 << (v - 1) % n for v in range(n)]
+
+
+def test_a_ring_has_n_squared_minus_n_connected_sets():
+    for n in (3, 5, 12, 24):
+        assert len(connected_sets(ring(n), 1 << n)) == n * n - n + 1
+
+
+def test_the_degree_bound_refuses_without_growing(monkeypatch):
+    grown = []
+
+    def spy(adjacency, root, banned):
+        grown.append(root)
+        return original(adjacency, root, banned)
+
+    original = connectivity._grow
+    monkeypatch.setattr(connectivity, "_grow", spy)
+    complete = [((1 << 6) - 1) ^ (1 << v) for v in range(6)]
+    star = [(1 << 7) - 2] + [1] * 6
+    # 2^5 + 2^4 + ... + 1 = 63 sets through the first-ranked vertices of
+    # K6, 2^6 + 6 = 70 through the star's hub and leaves
+    assert connected_sets(complete, 62) is None
+    assert connected_sets(star, 69) is None
+    assert grown == []
+    assert len(connected_sets(complete, 63)) == 63
+    assert len(connected_sets(star, 70)) == 70
+    assert len(grown) == 13
+
+
+def test_growth_stops_once_the_limit_is_passed(monkeypatch):
+    """A path on 6 vertices has 21 connected sets but a degree bound of
+    4 + 2 + 2 + 2 + 1 + 1 = 12: a limit between the two is only found
+    out by growing, which stops at the 17th set."""
+    path = [(1 << v - 1 if v else 0) | (1 << v + 1 if v < 5 else 0) for v in range(6)]
+    yielded = []
+
+    def spy(adjacency, root, banned):
+        for pair in original(adjacency, root, banned):
+            yielded.append(pair)
+            yield pair
+
+    original = connectivity._grow
+    monkeypatch.setattr(connectivity, "_grow", spy)
+    assert connected_sets(path, 16) is None
+    assert len(yielded) == 17
+    assert len(connected_sets(path, 21)) == 21

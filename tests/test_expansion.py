@@ -288,6 +288,15 @@ def test_grouped_position_matches_position_value(game):
     assert grouped_position(game, 2) == pi
 
 
+def test_one_hyperlink_at_k_2500_pays_each_copy_its_share():
+    """The hyperlink {1, 2} expands to one block of 5,000 copies that
+    completes only as a whole, so each copy earns 1/5000.  The fold's
+    factorials up to 5,000! come from one running product."""
+    e = frozenset({1, 2})
+    assert uniform_payoffs(single_link_game(), 2500) == {(1, e): F(1, 5000), (2, e): F(1, 5000)}
+    assert grouped_position(single_link_game(), 2500) == {1: F(1, 2), 2: F(1, 2)}
+
+
 class TestAgentForm:
     def test_requires_hyperlinks(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))

@@ -1,12 +1,16 @@
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 
-from hypercoop import solutions
-from hypercoop.connectivity import components
+from hypercoop import connectivity, solutions
+from hypercoop.cli import parse_game
+from hypercoop.connectivity import components, connected_sets
 from hypercoop.corpus import game_corpus
 from hypercoop.model import (
     CharacteristicFunction,
@@ -271,6 +275,7 @@ class TestBitmaskKernel:
         monkeypatch.setattr(solutions, "conference_table", refuse)
         monkeypatch.setattr(solutions, "_point_table", refuse)
         monkeypatch.setattr(solutions, "scaled_worths", refuse)
+        monkeypatch.setattr(solutions, "connected_sets", refuse)
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
@@ -286,3 +291,167 @@ class TestBitmaskKernel:
         dense = HypergraphGame(make_hypergraph(few, pairs), unanimity(few, [0, 1]))
         with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 24$"):
             position_value(dense)
+
+
+GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json"))
+
+
+@contextlib.contextmanager
+def route(name):
+    """Force `position_value` and `myerson_value` onto one route: "table"
+    refuses every enumeration, "pieces" admits any number of connected
+    sets.  Myerson on a hyperlink of 3 or more members keeps the table."""
+    if name == "table":
+        def sets(adjacency, limit):
+            return None
+    else:
+        def sets(adjacency, limit):
+            return connected_sets(adjacency, 1 << len(adjacency))
+    with mock.patch.object(solutions, "connected_sets", sets):
+        yield
+
+
+def assert_the_routes_agree(game):
+    with route("table"):
+        table = position_value(game), myerson_value(game)
+    with route("pieces"):
+        pieces = position_value(game), myerson_value(game)
+    assert pieces == table
+
+
+def ring(n):
+    """Players 1..n, pair hyperlinks {i, i+1 mod n}, worth
+    3/2·u{1, n/2+1} - 1/3·u{2,3,4} + u{N}."""
+    players = list(range(1, n + 1))
+    cf = weighted_unanimity(
+        players, [([1, n // 2 + 1], F(3, 2)), ([2, 3, 4], F(-1, 3)), (players, 1)]
+    )
+    return HypergraphGame(make_hypergraph(players, [[i, i % n + 1] for i in players]), cf)
+
+
+def path_game(links):
+    """Players 1..links+1 on a path of pair hyperlinks, unanimity on the ends."""
+    players = range(1, links + 2)
+    h = make_hypergraph(players, [[i, i + 1] for i in range(1, links + 1)])
+    return HypergraphGame(h, unanimity(players, [1, links + 1]))
+
+
+class TestConnectedSetRoute:
+    def test_the_corpus_agrees_with_the_table_route(self):
+        for game in game_corpus(count=200):
+            assert_the_routes_agree(game)
+
+    @pytest.mark.parametrize("path", GAMES, ids=lambda p: p.name)
+    def test_sample_games_agree_with_the_table_route(self, path):
+        assert_the_routes_agree(parse_game(path.read_text()))
+
+    @given(hypergraph_games(max_players=6, max_links=6))
+    def test_table_games_agree_with_the_table_route(self, game):
+        assert_the_routes_agree(game)
+
+    @given(unanimity_combination_games(max_players=6, max_links=6))
+    def test_unanimity_combinations_agree_with_the_table_route(self, game):
+        assert_the_routes_agree(game)
+
+    @given(hypergraph_games(max_players=6, max_links=8, max_link_size=2))
+    def test_myerson_on_pairs_matches_the_subset_sum(self, game):
+        with route("pieces"):
+            assert myerson_value(game) == shapley_by_subsets(point_game(game))
+            assert position_value(game) == position_oracle(game)
+
+    def test_rings_agree_with_the_table_route(self):
+        for n in (5, 8, 12):
+            assert_the_routes_agree(ring(n))
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "links",
+        [
+            list(itertools.combinations(range(4), 2)),
+            [s for r in (2, 3, 4) for s in itertools.combinations(range(4), r)],
+            [[0, i] for i in range(1, 7)],
+        ],
+        ids=["complete graph", "complete hypergraph", "star"],
+    )
+    def test_complete_and_star_are_refused_by_the_bound(self, monkeypatch, links):
+        grown = []
+        original = connectivity._grow
+
+        def spy(*args):
+            grown.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(connectivity, "_grow", spy)
+        players = sorted({p for e in links for p in e})
+        game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
+        assert position_value(game) == position_oracle(game)
+        assert myerson_value(game) == shapley_by_subsets(point_game(game))
+        assert grown == []
+
+    def test_a_pair_ring_builds_no_table(self, monkeypatch):
+        with route("table"):
+            expected = position_value(ring(12)), myerson_value(ring(12))
+
+        def refuse(*_args):
+            raise AssertionError("a 2^m or 2^n table was built")
+
+        monkeypatch.setattr(solutions, "conference_table", refuse)
+        monkeypatch.setattr(solutions, "_point_table", refuse)
+        assert (position_value(ring(12)), myerson_value(ring(12))) == expected
+        # the table route needs 2^20 hyperlink masks and 2^18 player masks
+        for value, n in ((position_value, 20), (myerson_value, 18)):
+            game = ring(n)
+            assert sum(value(game).values()) == game.worth(game.players)
+
+    def test_past_the_bound_but_over_the_limit_falls_back(self, monkeypatch):
+        """A path of 6 pair hyperlinks has a line graph P6, and a path of 6
+        players is P6 itself: degree bound 12 against the limit 2^6/4 = 16,
+        yet 21 connected sets, so growth starts and then gives way."""
+        yielded, tables = [], []
+        grow = connectivity._grow
+        conference, point = solutions.conference_table, solutions._point_table
+
+        def spy_grow(*args):
+            for pair in grow(*args):
+                yielded.append(pair)
+                yield pair
+
+        def spy(build):
+            def spied(game):
+                tables.append(build.__name__)
+                return build(game)
+            return spied
+
+        monkeypatch.setattr(connectivity, "_grow", spy_grow)
+        monkeypatch.setattr(solutions, "conference_table", spy(conference))
+        monkeypatch.setattr(solutions, "_point_table", spy(point))
+        assert position_value(path_game(6)) == position_oracle(path_game(6))
+        assert len(yielded) == 17 and tables == ["conference_table"]
+        yielded.clear()
+        assert myerson_value(path_game(5)) == shapley_by_subsets(point_game(path_game(5)))
+        assert len(yielded) == 17 and tables == ["conference_table", "_point_table"]
+
+    def test_a_three_member_hyperlink_sends_myerson_to_the_point_table(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("Myerson enumerated connected sets on a hypergraph")
+
+        monkeypatch.setattr(solutions, "connected_sets", refuse)
+        h = make_hypergraph(range(1, 9), [[i, i + 1] for i in range(1, 8)] + [[2, 3, 4]])
+        game = HypergraphGame(h, unanimity(range(1, 9), [1, 8]))
+        assert myerson_value(game) == shapley_by_subsets(point_game(game))
+
+    def test_a_nonzero_singleton_raises_on_both_routes(self):
+        @dataclass(frozen=True)
+        class Flat(CharacteristicFunction):
+            def _worth(self, coalition):
+                return F(len(coalition))
+
+        players = range(6)
+        h = make_hypergraph(players, [[i, (i + 1) % 6] for i in players])
+        game = HypergraphGame(h, Flat(frozenset(players)))
+        for name in ("table", "pieces"):
+            with route(name):
+                with pytest.raises(ValueError, match="^worth of the empty coalition must be 0$"):
+                    position_value(game)
+                assert myerson_value(game) == shapley_by_subsets(point_game(game))
