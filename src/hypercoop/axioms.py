@@ -3,9 +3,11 @@ of the position value.
 
 The reconstruction solves each component's component-efficiency and
 partial-balanced-contributions equations in closed form, one
-hyperlink-smaller situation at a time, in one loop over hyperlink masks
-on integer numerators over one common denominator; see
-`value_from_axioms`.
+hyperlink-smaller situation at a time, with one row per connected
+hyperlink set (component efficiency splits every other set into
+connected pieces), on integer numerators over one common denominator;
+see `value_from_axioms`.  Its recursion cap N admits up to 2^N - 1
+connected hyperlink sets.
 
 The axiom checkers take an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
@@ -24,7 +26,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable
 
-from .connectivity import components, mask_components
+from .connectivity import components, connected_sets
 from .expansion import DEFAULT_STATE_CAP, grouped_position
 from .model import (
     Allocation,
@@ -37,7 +39,7 @@ from .model import (
     scaled_worths,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
-from .solutions import position_value
+from .solutions import _covered, _hyperlink_masks, position_value
 
 DEFAULT_RECURSION_CAP = 12
 
@@ -157,67 +159,98 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     """Reconstruct the unique allocation rule satisfying component
     efficiency plus partial balanced conference contributions.
 
-    In a component C of two or more players, let a be its smallest
-    player, d_q the weighted degree (sum of 1/|e| over the active
-    hyperlinks e containing q) and r_q the known side of the equal-gains
-    condition between q and a, made of the payoffs of the
-    one-hyperlink-smaller situations.  The conditions read
-    d_q*x_a - d_a*x_q = r_q for every q != a, and efficiency reads
-    sum(x) = v(C), so
+    By component efficiency, a situation's payoffs are those of its
+    connected pieces, each solved on its own, so there is one row per
+    connected hyperlink set A (listed by `connected_sets` on the line
+    graph of the hyperlinks), solved in order of increasing size.  The
+    players of A form one component C.  Let a be its smallest player,
+    d_q the weighted degree (sum of 1/|e| over the hyperlinks e of A
+    containing q) and r_q the known side of the equal-gains condition
+    between q and a, made of the payoffs of the situations A minus one
+    hyperlink.  Such a situation is read from its row when it is
+    connected, or else from the rows of its pieces (a bitmask closure on
+    the line graph); a player on none of its hyperlinks takes v({i}).
+    The conditions read d_q*x_a - d_a*x_q = r_q for every q != a, and
+    efficiency reads sum(x) = v(C), so
 
         x_a = (d_a*v(C) + sum of r_q over q != a) / (sum of d_q over C)
         x_q = (d_q*x_a - r_q) / d_a.
 
     Neither denominator is zero: each hyperlink gives 1/|e| to each of
-    its |e| members, so the sum of d_q over C is the number of active
-    hyperlinks in C, at least one; and every member of C, a included,
-    lies on an active hyperlink, so d_a > 0.  The situations are solved
-    in one loop over hyperlink masks, each row indexed by its mask:
-    clearing a bit gives a smaller mask, solved before.  Each solution
-    is a position value, so rows hold integer numerators over
-    D = m!·scale·eta (worths from `scaled_worths`, eta the lcm of the
-    hyperlink sizes, d_q scaled by eta).  A division that leaves a
-    remainder raises ArithmeticError naming the mask; nothing is rounded.
+    its |e| members, so the sum of d_q over C is the number of
+    hyperlinks in A, at least one; and every member of C, a included,
+    lies on one of them, so d_a > 0.  Each solution is a position value,
+    so rows hold integer numerators over D = m!·scale·eta (worths from
+    `scaled_worths`, eta the lcm of the hyperlink sizes, d_q scaled by
+    eta).  A division that leaves a remainder raises ArithmeticError
+    naming the set's mask; nothing is rounded.
+
+    The cap N refuses a structure with more than 2^N - 1 connected
+    hyperlink sets, the most that N hyperlinks can form, before any row
+    is solved.
     """
-    links = game.hyperlinks
-    m = len(links)
-    if m > cap:
-        raise CapExceeded(f"{m} hyperlinks exceeds the recursion cap {cap}")
     players = game.players
     n = len(players)
-    link_masks = [sum(1 << k for k, p in enumerate(players) if p in e) for e in links]
-    eta = lcm(*(len(e) for e in links))
-    weight = [eta // len(e) for e in links]
-    pieces = [
-        mask_components((1 << n) - 1, [e for j, e in enumerate(link_masks) if mask >> j & 1])
-        for mask in range(1 << m)
-    ]
-    scale, worth = scaled_worths(game.characteristic, players, {p for ps in pieces for p in ps})
+    m = len(game.hyperlinks)
+    links, touching = _hyperlink_masks(game)
+    limit = (1 << cap) - 1
+    sets = connected_sets([t ^ (1 << j) for j, t in enumerate(touching)], limit)
+    if sets is None:
+        raise CapExceeded(
+            f"{m} hyperlinks form more than {limit} connected hyperlink sets: "
+            f"the recursion cap {cap} admits at most 2^{cap} - 1"
+        )
+    covered = _covered(links, sets)
+    members = {s: [k for k in range(n) if c >> k & 1] for s, c in covered.items()}
+    singletons = [1 << k for k in range(n)]
+    scale, worth = scaled_worths(game.characteristic, players, {*covered.values(), *singletons})
+    eta = lcm(*(len(e) for e in game.hyperlinks))
+    weight = [eta // len(e) for e in game.hyperlinks]
     unit = factorial(m) * eta
-    rows: list[list[int]] = []
-    for mask, mask_pieces in enumerate(pieces):
-        active = [j for j in range(m) if mask >> j & 1]
-        row = [0] * n
-        for piece in mask_pieces:
-            members = [k for k in range(n) if piece >> k & 1]
-            total = worth[piece] * unit
-            if len(members) == 1:
-                row[members[0]] = total
-                continue
-            incident = {k: [j for j in active if link_masks[j] >> k & 1] for k in members}
-            d = {k: sum(weight[j] for j in incident[k]) for k in members}
-            anchor, others = members[0], members[1:]
-            r = {
-                q: sum(weight[j] * rows[mask ^ (1 << j)][anchor] for j in incident[q])
-                - sum(weight[j] * rows[mask ^ (1 << j)][q] for j in incident[anchor])
-                for q in others
-            }
-            x_a, inexact = divmod(d[anchor] * total + sum(r.values()), sum(d.values()))
-            row[anchor] = x_a
-            for q in others:
-                row[q], remainder = divmod(d[q] * x_a - r[q], d[anchor])
-                inexact |= remainder
-            if inexact:
-                raise ArithmeticError(f"axioms unsolvable over 1/{unit * scale} at mask {mask:#b}")
-        rows.append(row)
-    return {p: Fraction(x, unit * scale) for p, x in zip(players, rows[-1])}
+    # rows[A]: the payoffs with hyperlinks A; players on none of them
+    # stand alone.
+    rows: dict[int, list[int]] = {0: [worth[s] * unit for s in singletons]}
+
+    def known(sub: int) -> list[int]:
+        """The payoffs with hyperlinks `sub`, from the rows of its pieces:
+        each piece grows from its lowest hyperlink through shared players."""
+        row = rows.get(sub)
+        if row is not None:
+            return row
+        row = rows[0][:]
+        while sub:
+            piece = frontier = sub & -sub
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = touching[low.bit_length() - 1] & sub & ~piece
+                piece |= grown
+                frontier |= grown
+            sub ^= piece
+            solved = rows[piece]
+            for k in members[piece]:
+                row[k] = solved[k]
+        return row
+
+    for s in sorted(covered, key=int.bit_count):
+        active = [j for j in range(m) if s >> j & 1]
+        before = {j: known(s ^ (1 << j)) for j in active}
+        incident = {k: [j for j in active if links[j] >> k & 1] for k in members[s]}
+        d = {k: sum(weight[j] for j in incident[k]) for k in members[s]}
+        anchor, *others = members[s]
+        r = {
+            q: sum(weight[j] * before[j][anchor] for j in incident[q])
+            - sum(weight[j] * before[j][q] for j in incident[anchor])
+            for q in others
+        }
+        row = rows[0][:]
+        total = worth[covered[s]] * unit
+        x_a, inexact = divmod(d[anchor] * total + sum(r.values()), sum(d.values()))
+        row[anchor] = x_a
+        for q in others:
+            row[q], remainder = divmod(d[q] * x_a - r[q], d[anchor])
+            inexact |= remainder
+        if inexact:
+            raise ArithmeticError(f"axioms unsolvable over 1/{unit * scale} at mask {s:#b}")
+        rows[s] = row
+    return {p: Fraction(x, unit * scale) for p, x in zip(players, known((1 << m) - 1))}

@@ -595,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive,
         default=DEFAULT_RECURSION_CAP,
         metavar="N",
-        help="refuse axiom recursions over more than N hyperlinks",
+        help="refuse axiom reconstructions over more than 2^N - 1 connected "
+        "hyperlink sets, the most that N hyperlinks can form",
     )
     cap_subsets(p)
 

@@ -17,8 +17,9 @@ bitmask, the worth depends only on the OR of the signatures, and blocks
 are folded into a map from (OR-ed bits, coalition size) to the exact
 number of coalitions realizing them (products of binomials).  Halving
 the blocks recursively hands each pivot block the fold of all others in
-O(B log B) block folds.  Each pivot reads the worths it needs once, as
-integers over one scale (`scaled_worths`), and ends in one Fraction.
+O(B log B) block folds.  The worths all pivots need are read once, as
+integers over one scale (`scaled_worths`), and each pivot ends in one
+Fraction.
 It uses nothing beyond that within-block symmetry — in particular it
 never assumes the grouped-payoff identity it is used to verify.
 """
@@ -36,6 +37,7 @@ from .model import (
     Hyperlink,
     HypergraphGame,
     PlayerId,
+    ZERO,
     eta,
     incident_hyperlinks,
     scaled_worths,
@@ -113,26 +115,29 @@ def _fold_shapley(
     folded in: about B·log2(B) block folds in all, not B·(B-1).  A pivot
     member arriving to c others of its block changes the worth only where
     signatures[pivot][c] differs from signatures[pivot][c+1], so only
-    those counts contribute.  `worths(needed)`, asked once per pivot,
-    returns (scale, w) with w[bits] = scale·worth, as `scaled_worths` does.
+    those counts contribute.  Each pivot keeps one integer coefficient
+    per OR-ed bits; `worths(needed)`, asked once for the union over all
+    pivots, returns (scale, w) with w[bits] = scale·worth, as
+    `scaled_worths` does, and each pivot ends in one Fraction.
     """
     require_state_cap(sizes, state_cap)
     total = sum(sizes)
     shift = total.bit_length()
     fact = factorials(total)
-    payoffs: list[Fraction] = []
 
     def fold(states: dict[int, int], blocks: range) -> dict[int, int]:
         for j in blocks:
             states = _fold_block(states, sizes[j], signatures[j], shift)
         return states
 
-    def solve(lo: int, hi: int, states: dict[int, int]) -> None:
+    # `solve` returns the coefficients of the pivots in [lo, hi) rather than
+    # filling a list it closes over: the recursive closure is a reference
+    # cycle, and what it holds lives on until the cyclic collector runs.
+    def solve(lo: int, hi: int, states: dict[int, int]) -> list[dict[int, int]]:
         if hi - lo > 1:
             mid = (lo + hi) // 2
-            solve(lo, mid, fold(states, range(mid, hi)))
-            solve(mid, hi, fold(states, range(lo, mid)))
-            return
+            left = solve(lo, mid, fold(states, range(mid, hi)))
+            return left + solve(mid, hi, fold(states, range(lo, mid)))
         # n!·Sh = Σ (s+c)!·(n-s-c-1)!·C(size0-1, c)·ways·(v(after) - v(before)),
         # summed per OR-ed bits, then gathered as one integer coefficient per worth.
         size0, sig0 = sizes[lo], signatures[lo]
@@ -150,13 +155,16 @@ def _fold_shapley(
             for bits, x in per_bits.items():
                 coefficient[bits | after] = coefficient.get(bits | after, 0) + x * pivot_ways
                 coefficient[bits | before] = coefficient.get(bits | before, 0) - x * pivot_ways
-        needed = [bits for bits, x in coefficient.items() if x]
-        scale, worth = worths(needed)
-        payoffs.append(Fraction(sum(coefficient[b] * worth[b] for b in needed), fact[-1] * scale))
+        return [{bits: x for bits, x in coefficient.items() if x}]
 
-    if sizes:
-        solve(0, len(sizes), {0: 1})
-    return payoffs
+    if not sizes:
+        return []
+    coefficients = solve(0, len(sizes), {0: 1})
+    scale, worth = worths(list({bits for coefficient in coefficients for bits in coefficient}))
+    return [
+        Fraction(sum(x * worth[bits] for bits, x in coefficient.items()), fact[-1] * scale)
+        for coefficient in coefficients
+    ]
 
 
 def uniform_payoffs(
@@ -171,8 +179,10 @@ def uniform_payoffs(
     `removed` = e takes one copy out of hyperlink e's block; a hyperlink
     counts only with all k*eta of its copies, so that block never
     completes and its copies earn 0, whichever member held the copy.
-    The state cap, then the subset cap over the hyperlinks, are checked
-    before the conference table is built or any block folded."""
+    Those null copies change no other payoff, so that block is left out
+    of the fold.  The state cap (on the full block sizes), then the
+    subset cap over the hyperlinks, are checked before the conference
+    table is built or any block folded."""
     if removed is not None:
         removed = frozenset(removed)
         if removed not in game.hyperlinks:
@@ -181,10 +191,12 @@ def uniform_payoffs(
     sizes = [rho - (e == removed) for e in game.hyperlinks]
     require_state_cap(sizes, state_cap)
     require_subset_cap(len(sizes), cap, "hyperlinks")
-    signatures = [[1 << j if c == rho else 0 for c in range(size + 1)] for j, size in enumerate(sizes)]
+    folded = [j for j, e in enumerate(game.hyperlinks) if e != removed]
+    signatures = [[1 << j if c == rho else 0 for c in range(rho + 1)] for j in folded]
     values, scale = conference_table(game)
-    per_block = _fold_shapley(sizes, signatures, lambda needed: (scale, values), state_cap)
-    return {(i, e): x for e, x in zip(game.hyperlinks, per_block) for i in sorted(e)}
+    per_block = _fold_shapley([rho] * len(folded), signatures, lambda needed: (scale, values), state_cap)
+    payoff = dict(zip(folded, per_block))
+    return {(i, e): payoff.get(j, ZERO) for j, e in enumerate(game.hyperlinks) for i in sorted(e)}
 
 
 def grouped_position(

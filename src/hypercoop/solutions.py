@@ -119,6 +119,20 @@ def _hyperlink_masks(game: HypergraphGame) -> tuple[list[int], list[int]]:
     return links, [sum(1 << t for t, f in enumerate(links) if f & e) for e in links]
 
 
+def _covered(links: list[int], sets: list[tuple[int, int]]) -> dict[int, int]:
+    """{hyperlink set: mask of the players on its hyperlinks} for each
+    (set, boundary) pair of `connected_sets`."""
+    covered = {}
+    for s, _ in sets:
+        players, rest = 0, s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            players |= links[low.bit_length() - 1]
+        covered[s] = players
+    return covered
+
+
 def _piece_worths(game: HypergraphGame, covered: dict[int, int]) -> tuple[int, dict[int, int]]:
     """(scale, {piece: scale·v(players it covers)}) for hyperlink pieces
     given with their covered player masks.  Players on no active
@@ -210,15 +224,7 @@ def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloc
         table, scale = conference_table(game)
         per_link = shapley_of_table(table)
     else:
-        covered = {}
-        for s, _ in sets:
-            players, rest = 0, s
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                players |= links[low.bit_length() - 1]
-            covered[s] = players
-        scale, worth = _piece_worths(game, covered)
+        scale, worth = _piece_worths(game, _covered(links, sets))
         per_link = shapley_of_pieces(m, ((s, b, worth[s]) for s, b in sets))
     # Sh_e = per_link[e] / (m!·scale); over the common denominator
     # m!·scale·eta each share Sh_e/|e| has numerator per_link[e]·eta/|e|.

@@ -23,7 +23,10 @@ coalition at a time, and shares no code with the bitmask integer kernel
 * the count-vector fold with every other block refolded for each pivot
   (`fold_shapley_by_pivot`), the reference for the divide-and-conquer
   fold, and `block_symmetric_shapley`, that fold on Fraction worths of
-  complete-block masks, checked against literal block games.
+  complete-block masks, checked against literal block games;
+* the axiomatic reconstruction with one row per hyperlink mask
+  (`value_from_axioms_by_masks`), the reference for the connected-set
+  rows of `hypercoop.axioms.value_from_axioms`.
 
 Each route refuses games larger than its cap.
 """
@@ -32,10 +35,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
+from hypercoop.connectivity import mask_components
 from hypercoop.expansion import DEFAULT_STATE_CAP, _fold_shapley, require_state_cap
 from hypercoop.model import (
     Allocation,
@@ -47,6 +51,7 @@ from hypercoop.model import (
     eta,
     incident_hyperlinks,
     link_key,
+    scaled_worths,
     zero_allocation,
 )
 from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
@@ -459,3 +464,54 @@ def block_symmetric_shapley(
     return _fold_shapley(
         block_sizes, signatures, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
     )
+
+
+def value_from_axioms_by_masks(game: HypergraphGame, cap: int = 12) -> Allocation:
+    """`hypercoop.axioms.value_from_axioms` with one row per hyperlink
+    mask, all 2^m of them, refused above `cap` hyperlinks.  Each mask's
+    pieces come from `mask_components` over the players; a piece of two
+    or more players is solved by the same closed form (anchor, weighted
+    degrees d_q, known sides r_q from the masks one bit smaller), a lone
+    player takes its own worth.  Integer rows over m!·scale·eta."""
+    links = game.hyperlinks
+    m = len(links)
+    if m > cap:
+        raise CapExceeded(f"{m} hyperlinks exceeds the mask cap {cap}")
+    players = game.players
+    n = len(players)
+    link_masks = [sum(1 << k for k, p in enumerate(players) if p in e) for e in links]
+    sizes_lcm = lcm(*(len(e) for e in links))
+    weight = [sizes_lcm // len(e) for e in links]
+    pieces = [
+        mask_components((1 << n) - 1, [e for j, e in enumerate(link_masks) if mask >> j & 1])
+        for mask in range(1 << m)
+    ]
+    scale, worth = scaled_worths(game.characteristic, players, {p for ps in pieces for p in ps})
+    unit = factorial(m) * sizes_lcm
+    rows: list[list[int]] = []
+    for mask, mask_pieces in enumerate(pieces):
+        active = [j for j in range(m) if mask >> j & 1]
+        row = [0] * n
+        for piece in mask_pieces:
+            members = [k for k in range(n) if piece >> k & 1]
+            total = worth[piece] * unit
+            if len(members) == 1:
+                row[members[0]] = total
+                continue
+            incident = {k: [j for j in active if link_masks[j] >> k & 1] for k in members}
+            d = {k: sum(weight[j] for j in incident[k]) for k in members}
+            anchor, others = members[0], members[1:]
+            r = {
+                q: sum(weight[j] * rows[mask ^ (1 << j)][anchor] for j in incident[q])
+                - sum(weight[j] * rows[mask ^ (1 << j)][q] for j in incident[anchor])
+                for q in others
+            }
+            x_a, inexact = divmod(d[anchor] * total + sum(r.values()), sum(d.values()))
+            row[anchor] = x_a
+            for q in others:
+                row[q], remainder = divmod(d[q] * x_a - r[q], d[anchor])
+                inexact |= remainder
+            if inexact:
+                raise ArithmeticError(f"axioms unsolvable over 1/{unit * scale} at mask {mask:#b}")
+        rows.append(row)
+    return {p: Fraction(x, unit * scale) for p, x in zip(players, rows[-1])}

@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -14,18 +15,22 @@ from hypercoop.axioms import (
     check_partial_balanced_conference_contributions,
     value_from_axioms,
 )
+from hypercoop.cli import parse_game
+from hypercoop.corpus import game_corpus
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
     make_hypergraph,
     table_function,
     unanimity,
+    weighted_unanimity,
 )
 from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import myerson_value, position_value
 
-from oracles import build_uniform, position_by_dividends
+from oracles import build_uniform, position_by_dividends, value_from_axioms_by_masks
 from strategies import hypergraph_games, unanimity_combination_games
+from test_solutions import ring
 
 F = Fraction
 
@@ -180,6 +185,32 @@ class TestValueFromAxioms:
         with pytest.raises(CapExceeded, match="recursion cap"):
             value_from_axioms(game, cap=11)
 
+    def test_the_cap_error_names_the_limit(self):
+        """The 12 pair hyperlinks above form 3,798 connected sets: refused
+        at cap 11 (at most 2,047), admitted at cap 12 (at most 4,095)."""
+        players = list(range(1, 7))
+        links = [[i, p] for i in (1, 2, 3) for p in range(i + 1, 7)]
+        game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [1, 4, 6]))
+        message = (
+            "^12 hyperlinks form more than 2047 connected hyperlink sets: "
+            r"the recursion cap 11 admits at most 2\^11 - 1$"
+        )
+        with pytest.raises(CapExceeded, match=message):
+            value_from_axioms(game, cap=11)
+        assert value_from_axioms(game) == position_value(game)
+
+    def test_the_cap_counts_connected_sets_not_hyperlinks(self):
+        # a 4-ring has 4·3 + 1 = 13 connected hyperlink sets; a 13-ring
+        # has 157, far below the 4,095 that cap 12 admits
+        with pytest.raises(CapExceeded, match="^4 hyperlinks form more than 7 "):
+            value_from_axioms(ring(4), cap=3)
+        assert value_from_axioms(ring(4), cap=4) == position_value(ring(4))
+        assert value_from_axioms(ring(13)) == position_value(ring(13))
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_rings_past_the_mask_rows(self, n):
+        assert value_from_axioms(ring(n)) == position_value(ring(n))
+
     def test_single_player(self):
         game = HypergraphGame(make_hypergraph([1]), table_function([1], {}))
         assert value_from_axioms(game) == {1: 0}
@@ -212,6 +243,32 @@ class TestValueFromAxioms:
             value_from_axioms(hub)
 
 
+def ring3(c):
+    """2c players, hyperlinks {2i+1, 2i+2, 2i+3 mod 2c}, worth u{N} + 2·u{1,4}."""
+    players = list(range(1, 2 * c + 1))
+    links = [[2 * i + 1, 2 * i + 2, (2 * i + 2) % (2 * c) + 1] for i in range(c)]
+    cf = weighted_unanimity(players, [(players, 1), ([1, 4], 2)])
+    return HypergraphGame(make_hypergraph(players, links), cf)
+
+
+GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json"))
+
+
+class TestConnectedSetRowsMatchTheMaskRows:
+    def test_the_corpus(self):
+        for game in game_corpus():
+            assert value_from_axioms(game) == value_from_axioms_by_masks(game)
+
+    @pytest.mark.parametrize("path", GAMES, ids=lambda p: p.name)
+    def test_sample_games(self, path):
+        game = parse_game(path.read_text(encoding="utf-8"))
+        assert value_from_axioms(game) == value_from_axioms_by_masks(game)
+
+    def test_ring3_and_the_hub(self, hub):
+        for game in (ring3(5), hub):
+            assert value_from_axioms(game) == value_from_axioms_by_masks(game)
+
+
 @given(
     st.one_of(
         hypergraph_games(max_players=5, max_links=4, max_link_size=3),
@@ -219,6 +276,7 @@ class TestValueFromAxioms:
     )
 )
 def test_axiomatic_reconstruction_matches_the_position_value(game):
+    assert value_from_axioms(game) == value_from_axioms_by_masks(game)
     assert value_from_axioms(game) == position_value(game)
     assert check_component_efficiency(value_from_axioms, game).passed
     assert check_partial_balanced_conference_contributions(value_from_axioms, game).passed

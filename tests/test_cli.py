@@ -510,6 +510,23 @@ class TestSolveAxiomsCommand:
         assert payload["matches_position_value"] is True
         assert payload["payoffs"]["1"] == "1/8"
 
+    def test_a_24_pair_ring_passes_at_the_default_caps(self, tmp_path, capsys):
+        """553 connected hyperlink sets, within the 4,095 of cap 12."""
+        doc = {
+            "players": list(range(24)),
+            "hyperlinks": [[i, (i + 1) % 24] for i in range(24)],
+            "characteristic": {"unanimity": [0, 12]},
+        }
+        assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 0
+        assert "matches the directly computed position value: yes" in capsys.readouterr().out
+
+    def test_the_cap_error_names_the_limit(self, hub_path, capsys):
+        assert main(["solve-axioms", hub_path, "--cap-recursion", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: 4 hyperlinks form more than 3 connected hyperlink sets: "
+            "the recursion cap 2 admits at most 2^2 - 1\n"
+        )
+
 
 class TestArgumentHandling:
     def test_unknown_subcommand(self, capsys):
