@@ -1,6 +1,8 @@
 """The command line's stdout, stderr and exit code, byte for byte, against
-a recorded transcript: `expand` and `verify`, their cap refusals, both
-formats, on the sample games plus a document with no hyperlinks.
+a recorded transcript: every subcommand (`value` under each rule, `check`
+under each axiom, `expand`, `verify`, `solve-axioms`) and their cap
+refusals, both formats, on the sample games plus a document with no
+hyperlinks.
 
 After a deliberate change of output, regenerate the transcript with
 
@@ -26,6 +28,14 @@ TRANSCRIPT = Path(__file__).with_name("transcripts") / "cli.json"
 NO_HYPERLINKS = {"players": [1, 2], "characteristic": {"unanimity": [1, 2]}}
 
 COMMANDS = [
+    *(["value", "--rule", rule] for rule in ("position", "myerson", "shapley")),
+    ["value", "--rule", "myerson", "--decimals", "3"],
+    *(
+        ["check", "--axiom", axiom]
+        for axiom in ("component-efficiency", "balanced-link", "balanced-conference", "partial-balanced")
+    ),
+    ["solve-axioms"],
+    ["solve-axioms", "--cap-recursion", "2"],
     ["expand", "--k", "1"],
     ["expand", "--k", "2"],
     *(["verify", "--theorem", t] for t in ("1", "corollary1", "lemma1")),
