@@ -7,23 +7,35 @@ reconstruction, and the contribution comparisons — every number an
 exact rational.
 """
 
+from fractions import Fraction
+
 from hypercoop import (
     agent_form_payoffs,
     check_balanced_conference_contributions,
     check_copy_deletion,
     check_partial_balanced_conference_contributions,
-    conference_worth,
+    components,
     copy_counts,
     eta,
     group_copies,
     grouped_position,
     myerson_value,
     position_value,
-    restricted_worth,
     uniform_payoffs,
     value_from_axioms,
 )
 from hypercoop.corpus import hub_and_spokes
+
+
+def restricted_worth(game, coalition) -> Fraction:
+    """Point-game worth: the total worth of the coalition's connected pieces."""
+    inside = [e for e in game.hyperlinks if e <= frozenset(coalition)]
+    return sum((game.worth(t) for t in components(coalition, inside)), Fraction(0))
+
+
+def conference_worth(game, hyperlinks) -> Fraction:
+    """Conference-game worth: the component worths the hyperlinks induce."""
+    return sum((game.worth(t) for t in components(game.players, hyperlinks)), Fraction(0))
 
 
 def show(title: str, alloc) -> None:

@@ -36,10 +36,8 @@ from .model import (
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, shapley_of_table
 from .solutions import (
-    conference_worth,
     myerson_value,
     position_value,
-    restricted_worth,
     shapley_value,
 )
 
@@ -59,7 +57,6 @@ __all__ = [
     "check_copy_deletion",
     "check_partial_balanced_conference_contributions",
     "components",
-    "conference_worth",
     "copy_counts",
     "eta",
     "group_copies",
@@ -67,7 +64,6 @@ __all__ = [
     "make_hypergraph",
     "myerson_value",
     "position_value",
-    "restricted_worth",
     "shapley_of_table",
     "shapley_value",
     "table_function",

@@ -16,6 +16,12 @@ entries, unlisted coalitions worth zero).  Rationals are integers or
 
 Exit codes: 0 success / property holds, 1 property fails, 2 bad input or
 an output write error, 3 an enumeration cap was exceeded.
+
+Handlers write nothing.  Each returns a `Result` ``(payload, text, code)``:
+the ``--format json`` object (it may hold ``Fraction``s and allocations
+keyed by player), a function from ``--decimals`` to the ``--format table``
+lines, called only on that path, and the exit code.  `main` alone prints,
+and maps the errors a handler raises to exit codes.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .axioms import (
     DEFAULT_RECURSION_CAP,
@@ -42,11 +49,10 @@ from .axioms import (
 )
 from .expansion import (
     DEFAULT_STATE_CAP,
-    agent_form_payoffs,
     copy_counts,
     group_copies,
+    grouped_agent_form,
     grouped_position,
-    require_state_cap,
     uniform_payoffs,
 )
 from .model import (
@@ -257,24 +263,20 @@ def _allocation_lines(alloc: Allocation, decimals: int | None) -> list[str]:
     return [f"  player {str(p).rjust(width)}: {_cell(alloc[p], decimals)}" for p in sorted(alloc)]
 
 
-def _allocation_json(alloc: Allocation) -> dict:
-    return {str(p): format_rational(alloc[p]) for p in sorted(alloc)}
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _print_report(report: Report, decimals: int | None) -> None:
+def _report_lines(report: Report, decimals: int | None) -> list[str]:
     """One line per player: the expected right side, the computed left."""
     width = max((len(str(p)) for p in report.sides), default=1)
+    lines = []
     for p, side in report.sides.items():
         mark = "   <-- mismatch" if side.residual else ""
         expected, got = format_rational(side.right), _cell(side.left, decimals)
-        print(f"  player {str(p).rjust(width)}: expected {expected}, got {got}{mark}")
+        lines.append(f"  player {str(p).rjust(width)}: expected {expected}, got {got}{mark}")
+    return lines
 
 
 # ---------------------------------------------------------------- handlers
+
+Result = tuple[dict | None, Callable[[int | None], list[str]], int]
 
 
 def _load(args) -> HypergraphGame:
@@ -293,22 +295,19 @@ def _rule_for(args):
     return lambda g: rule(g, cap=args.cap_subsets)
 
 
-def handle_value(args) -> int:
-    game = _load(args)
-    alloc = _rule_for(args)(game)
-    if args.format == "json":
-        _emit_json({"rule": args.rule, "payoffs": _allocation_json(alloc)})
-    else:
-        print(f"rule: {args.rule}")
-        print("\n".join(_allocation_lines(alloc, args.decimals)))
-    return 0
+def handle_value(args) -> Result:
+    alloc = _rule_for(args)(_load(args))
+
+    def text(decimals):
+        return [f"rule: {args.rule}", *_allocation_lines(alloc, decimals)]
+
+    return {"rule": args.rule, "payoffs": alloc}, text, 0
 
 
-def handle_expand(args) -> int:
+def handle_expand(args) -> Result:
     game = _load(args)
     per_copy = uniform_payoffs(game, args.k, state_cap=args.cap_states, cap=args.cap_subsets)
     counts = copy_counts(game, args.k)
-    grouped = group_copies(game.players, counts, per_copy)
     labels = {
         (i, e): [f"{i}[{','.join(map(str, sorted(e)))}]#{t}" for t in range(1, copies + 1)]
         for (i, e), copies in counts.items()
@@ -317,7 +316,7 @@ def handle_expand(args) -> int:
         {
             "hyperlink": sorted(e),
             "copies": [label for i in sorted(e) for label in labels[i, e]],
-            "per_copy": format_rational(per_copy[min(e), e]),
+            "per_copy": per_copy[min(e), e],
         }
         for e in game.hyperlinks
     ]
@@ -326,37 +325,31 @@ def handle_expand(args) -> int:
         held.setdefault(i, []).extend(mine)
     groups = [{"player": i, "copies": mine} for i, mine in held.items()]
     base = eta(game.hypergraph)
-    universe = sum(counts.values())
-    if args.format == "json":
-        _emit_json(
-            {
-                "k": args.k,
-                "eta": base,
-                "rho": args.k * base,
-                "universe_size": universe,
-                "blocks": blocks,
-                "groups": groups,
-                "grouped": _allocation_json(grouped),
-            }
-        )
-        return 0
-    print(
-        f"uniform expansion: k={args.k}, eta={base}, "
-        f"rho={args.k * base} copies per hyperlink, universe size {universe}"
-    )
-    print("blocks (one per hyperlink):")
-    for entry in blocks:
-        members = ", ".join(str(p) for p in entry["hyperlink"])
-        print(
-            f"  {{{members}}} ({entry['per_copy']} per copy): "
-            + " ".join(entry["copies"])
-        )
-    print("groups (one per connected player):")
-    for entry in groups:
-        print(f"  player {entry['player']}: " + " ".join(entry["copies"]))
-    print("grouped per original player:")
-    print("\n".join(_allocation_lines(grouped, args.decimals)))
-    return 0
+    payload = {
+        "k": args.k,
+        "eta": base,
+        "rho": args.k * base,
+        "universe_size": sum(counts.values()),
+        "blocks": blocks,
+        "groups": groups,
+        "grouped": group_copies(game.players, counts, per_copy),
+    }
+
+    def text(decimals):
+        lines = [
+            f"uniform expansion: k={args.k}, eta={base}, "
+            f"rho={args.k * base} copies per hyperlink, universe size {payload['universe_size']}",
+            "blocks (one per hyperlink):",
+        ]
+        for entry in blocks:
+            members = ", ".join(str(p) for p in entry["hyperlink"])
+            lines.append(f"  {{{members}}} ({entry['per_copy']} per copy): " + " ".join(entry["copies"]))
+        lines.append("groups (one per connected player):")
+        lines += [f"  player {entry['player']}: " + " ".join(entry["copies"]) for entry in groups]
+        lines.append("grouped per original player:")
+        return lines + _allocation_lines(payload["grouped"], decimals)
+
+    return payload, text, 0
 
 
 _CHECKS = {
@@ -369,113 +362,114 @@ _CHECKS = {
 _MAX_FAILURE_LINES = 10
 
 
-def _failure_row(axiom: str, key, side) -> tuple[dict, str]:
-    left, right = format_rational(side.left), format_rational(side.right)
-    if axiom == "component-efficiency":
-        fields = {"component": sorted(key), "allocated": left, "worth": right}
-        return fields, f"component {fields['component']}: allocated {left}, worth {right}"
-    residual = format_rational(side.residual)
-    fields = {"pair": list(key), "left": left, "right": right}
-    return fields, f"pair {key}: left {left}, right {right}, residual {residual}"
-
-
-def handle_check(args) -> int:
-    game = _load(args)
-    report = _CHECKS[args.axiom](_rule_for(args), game)
+def handle_check(args) -> Result:
+    report = _CHECKS[args.axiom](_rule_for(args), _load(args))
     failures, total = report.failures(), len(report.sides)
-    if args.axiom == "component-efficiency":
+    efficiency = args.axiom == "component-efficiency"
+    if efficiency:
         count_key = "components"
         passed = f"{total} components allocate exactly their worth"
         failed = f"{len(failures)} of {total} components off"
+        rows = [
+            {"component": sorted(key), "allocated": side.left, "worth": side.right}
+            for key, side in failures.items()
+        ]
     else:
         count_key = "ordered_pairs"
         passed = f"all {total} ordered pairs balance"
         failed = f"{len(failures)} of {total} ordered pairs unbalanced"
-    rows = [_failure_row(args.axiom, key, side) for key, side in failures.items()]
-    if args.format == "json":
-        _emit_json(
-            {
-                "axiom": args.axiom,
-                "rule": args.rule,
-                "passed": not failures,
-                count_key: total,
-                "failures": [fields for fields, _ in rows],
-            }
-        )
-        return 1 if failures else 0
-    print(f"axiom: {report.axiom}\nrule: {args.rule}")
-    if not failures:
-        print(f"result: PASS — {passed}")
-        return 0
-    print(f"result: FAIL — {failed}")
-    for _, line in rows[:_MAX_FAILURE_LINES]:
-        print(f"  {line}")
-    if len(failures) > _MAX_FAILURE_LINES:
-        print(f"  ... and {len(failures) - _MAX_FAILURE_LINES} more")
-    return 1
+        rows = [
+            {"pair": list(key), "left": side.left, "right": side.right}
+            for key, side in failures.items()
+        ]
+    payload = {
+        "axiom": args.axiom,
+        "rule": args.rule,
+        "passed": not failures,
+        count_key: total,
+        "failures": rows,
+    }
+
+    def text(decimals):
+        lines = [f"axiom: {report.axiom}", f"rule: {args.rule}"]
+        if not failures:
+            return [*lines, f"result: PASS — {passed}"]
+        lines.append(f"result: FAIL — {failed}")
+        for key, side in list(failures.items())[:_MAX_FAILURE_LINES]:
+            if efficiency:
+                lines.append(f"  component {sorted(key)}: allocated {side.left}, worth {side.right}")
+            else:
+                lines.append(
+                    f"  pair {key}: left {side.left}, right {side.right}, residual {side.residual}"
+                )
+        if len(failures) > _MAX_FAILURE_LINES:
+            lines.append(f"  ... and {len(failures) - _MAX_FAILURE_LINES} more")
+        return lines
+
+    return payload, text, 1 if failures else 0
 
 
-def handle_verify(args) -> int:
+def handle_verify(args) -> Result:
     game = _load(args)
     if not game.hyperlinks:
-        print(
+        lines = [
             "no hyperlinks: the position value is identically zero and "
-            "there is nothing to expand or delete; trivially PASS"
-        )
-        print("result: PASS")
-        return 0
+            "there is nothing to expand or delete; trivially PASS",
+            "result: PASS",
+        ]
+        return None, lambda decimals: lines, 0
 
     if args.theorem == "lemma1":
-        ok = True
-        for e in game.hyperlinks:
-            report = check_copy_deletion(
-                game, e, state_cap=args.cap_states, cap=args.cap_subsets
-            )
-            ok &= report.passed
-            members = ", ".join(str(p) for p in sorted(e))
-            print(f"  delete one copy of {{{members}}}: {'PASS' if report.passed else 'FAIL'}")
-            if not report.passed:
-                _print_report(report, args.decimals)
+        deletions = {
+            e: check_copy_deletion(game, e, state_cap=args.cap_states, cap=args.cap_subsets)
+            for e in game.hyperlinks
+        }
+        ok = all(report.passed for report in deletions.values())
+
+        def body(decimals):
+            lines = []
+            for e, report in deletions.items():
+                members = ", ".join(str(p) for p in sorted(e))
+                lines.append(f"  delete one copy of {{{members}}}: {'PASS' if report.passed else 'FAIL'}")
+                if not report.passed:
+                    lines += _report_lines(report, decimals)
+            return lines
     else:
         if args.theorem in ("1", "2"):
             k = args.k if args.theorem == "2" else 1
             grouped = grouped_position(game, k, state_cap=args.cap_states, cap=args.cap_subsets)
             label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
         else:
-            # The agent form builds no conference table, so position_value's
-            # subset cap is checked here, after the fold's state cap and
-            # before the fold.
-            counts = copy_counts(game)
-            require_state_cap(list(counts.values()), args.cap_states)
-            require_subset_cap(len(game.hyperlinks), args.cap_subsets, "hyperlinks")
-            per_agent = agent_form_payoffs(game, state_cap=args.cap_states)
-            grouped = group_copies(game.players, counts, per_agent)
+            grouped = grouped_agent_form(game, state_cap=args.cap_states, cap=args.cap_subsets)
             label = "grouped Myerson payoffs of the agent form"
         report = compare(label, grouped, position_value(game, cap=args.cap_subsets))
-        print(f"verification: {label} == position value")
-        _print_report(report, args.decimals)
         ok = report.passed
-    print(f"result: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+
+        def body(decimals):
+            return [f"verification: {label} == position value", *_report_lines(report, decimals)]
+
+    def text(decimals):
+        return [*body(decimals), f"result: {'PASS' if ok else 'FAIL'}"]
+
+    return None, text, 0 if ok else 1
 
 
-def handle_solve_axioms(args) -> int:
+def handle_solve_axioms(args) -> Result:
     game = _load(args)
+    # The reconstruction has no use for the subset cap, but the position
+    # value it is checked against does: refuse before reconstructing.
+    require_subset_cap(len(game.hyperlinks), args.cap_subsets, "hyperlinks")
     solved = value_from_axioms(game, cap=args.cap_recursion)
-    direct = position_value(game, cap=args.cap_subsets)
-    match = solved == direct
-    if args.format == "json":
-        _emit_json(
-            {
-                "payoffs": _allocation_json(solved),
-                "matches_position_value": match,
-            }
-        )
-    else:
-        print("allocation solved from component efficiency + partial balanced contributions:")
-        print("\n".join(_allocation_lines(solved, args.decimals)))
-        print(f"matches the directly computed position value: {'yes' if match else 'no'}")
-    return 0 if match else 1
+    match = solved == position_value(game, cap=args.cap_subsets)
+
+    def text(decimals):
+        return [
+            "allocation solved from component efficiency + partial balanced contributions:",
+            *_allocation_lines(solved, decimals),
+            f"matches the directly computed position value: {'yes' if match else 'no'}",
+        ]
+
+    return {"payoffs": solved, "matches_position_value": match}, text, 0 if match else 1
 
 
 # ---------------------------------------------------------------- parser
@@ -630,7 +624,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _HANDLERS[args.command](args)
+        payload, text, code = _HANDLERS[args.command](args)
+        # `verify` returns no payload and prints its text report under both
+        # formats: the benchmark's reference check (perfbench/reference.py,
+        # `_verify`) reads its `player N: expected a, got b` and `result:`
+        # lines, so it keeps them until that check reads JSON.
+        if args.format == "json" and payload is not None:
+            print(json.dumps(payload, indent=2, default=format_rational))
+        else:
+            print("\n".join(text(args.decimals)))
         sys.stdout.flush()
         return code
     except OSError as exc:
@@ -640,10 +642,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a DocumentError or another bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -120,6 +120,8 @@ def _fold_shapley(
     pivots, returns (scale, w) with w[bits] = scale·worth, as
     `scaled_worths` does, and each pivot ends in one Fraction.
     """
+    if not sizes:
+        return []
     require_state_cap(sizes, state_cap)
     total = sum(sizes)
     shift = total.bit_length()
@@ -131,8 +133,10 @@ def _fold_shapley(
         return states
 
     # `solve` returns the coefficients of the pivots in [lo, hi) rather than
-    # filling a list it closes over: the recursive closure is a reference
-    # cycle, and what it holds lives on until the cyclic collector runs.
+    # filling a list it closes over.  The recursive closure is a reference
+    # cycle (solve -> its cell -> solve), deleted once the fold is done so
+    # that `fact` and the fold state go on return, not when the cyclic
+    # collector runs.
     def solve(lo: int, hi: int, states: dict[int, int]) -> list[dict[int, int]]:
         if hi - lo > 1:
             mid = (lo + hi) // 2
@@ -157,9 +161,8 @@ def _fold_shapley(
                 coefficient[bits | before] = coefficient.get(bits | before, 0) - x * pivot_ways
         return [{bits: x for bits, x in coefficient.items() if x}]
 
-    if not sizes:
-        return []
     coefficients = solve(0, len(sizes), {0: 1})
+    del solve
     scale, worth = worths(list({bits for coefficient in coefficients for bits in coefficient}))
     return [
         Fraction(sum(x * worth[bits] for bits, x in coefficient.items()), fact[-1] * scale)
@@ -211,6 +214,20 @@ def grouped_position(
     block pays 0 per copy, so its holder does not matter here."""
     per_copy = uniform_payoffs(game, k, removed, state_cap, cap)
     return group_copies(game.players, copy_counts(game, k), per_copy)
+
+
+def grouped_agent_form(
+    game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP, cap: int = DEFAULT_SUBSET_CAP
+) -> Allocation:
+    """`agent_form_payoffs` summed per original player, Corollary 1's
+    side of its identity with the position value.  The state cap, then
+    the subset cap over the hyperlinks, are checked before the fold, as
+    in `grouped_position`: the fold builds no conference table, but the
+    position value it is compared with does."""
+    counts = copy_counts(game)
+    require_state_cap(list(counts.values()), state_cap)
+    require_subset_cap(len(game.hyperlinks), cap, "hyperlinks")
+    return group_copies(game.players, counts, agent_form_payoffs(game, state_cap))
 
 
 def agent_form_payoffs(game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP) -> dict[SubBlock, Fraction]:

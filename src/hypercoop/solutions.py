@@ -38,15 +38,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable
 
-from .connectivity import components, connected_sets
+from .connectivity import connected_sets
 from .model import (
     Allocation,
-    Hyperlink,
     HypergraphGame,
     PlayerId,
-    ZERO,
     scaled_worths,
 )
 from .shapley import (
@@ -55,18 +52,6 @@ from .shapley import (
     shapley_of_pieces,
     shapley_of_table,
 )
-
-
-def restricted_worth(game: HypergraphGame, coalition: Iterable) -> Fraction:
-    """Point-game worth: total worth of the coalition's connected pieces."""
-    s = frozenset(coalition)
-    inside = (e for e in game.hyperlinks if e <= s)
-    return sum((game.worth(t) for t in components(s, inside)), ZERO)
-
-
-def conference_worth(game: HypergraphGame, hyperlinks: Iterable[Hyperlink]) -> Fraction:
-    """Conference-game worth v^N(H'): component worths over all players."""
-    return sum((game.worth(t) for t in components(game.players, hyperlinks)), ZERO)
 
 
 def _fill(pieces: list[int], worth: dict[int, int]) -> list[int]:

@@ -9,7 +9,7 @@ coalition at a time, and shares no code with the bitmask integer kernel
   contributions, subset enumeration with the |S|!(n-|S|-1)!/n! weights,
   and Harsanyi dividends split equally inside their coalition;
 * the point game and the conference (hyperlink) game of a hypergraph
-  game;
+  game, on the worths `restricted_worth` and `conference_worth`;
 * the uniform expansion as an explicit universe of (player, hyperlink,
   copy) players (`build_uniform`), its game on coalitions of copies,
   optionally with one copy taken out (`as_tu_game`), and
@@ -39,11 +39,12 @@ from math import comb, factorial, lcm
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from hypercoop.connectivity import mask_components
+from hypercoop.connectivity import components, mask_components
 from hypercoop.expansion import DEFAULT_STATE_CAP, _fold_shapley, require_state_cap
 from hypercoop.model import (
     Allocation,
     CharacteristicFunction,
+    Hyperlink,
     HypergraphGame,
     PlayerId,
     ZERO,
@@ -55,7 +56,6 @@ from hypercoop.model import (
     zero_allocation,
 )
 from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
-from hypercoop.solutions import conference_worth, restricted_worth
 
 DEFAULT_PERMUTATION_CAP = 8
 DEFAULT_DIVIDEND_CAP = 20
@@ -189,6 +189,18 @@ def shapley_by_dividends(game: TUGame, cap: int = DEFAULT_DIVIDEND_CAP) -> dict:
         for p in t:
             payoffs[p] += share
     return payoffs
+
+
+def restricted_worth(game: HypergraphGame, coalition: Iterable) -> Fraction:
+    """Point-game worth: total worth of the coalition's connected pieces."""
+    s = frozenset(coalition)
+    inside = (e for e in game.hyperlinks if e <= s)
+    return sum((game.worth(t) for t in components(s, inside)), ZERO)
+
+
+def conference_worth(game: HypergraphGame, hyperlinks: Iterable[Hyperlink]) -> Fraction:
+    """Conference-game worth v^N(H'): component worths over all players."""
+    return sum((game.worth(t) for t in components(game.players, hyperlinks)), ZERO)
 
 
 def point_game(game: HypergraphGame) -> TUGame:

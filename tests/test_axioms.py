@@ -121,8 +121,7 @@ class TestPositionByDividends:
         # copies: the conference game is worth 1 on the full hyperlink set
         # and 0 on every proper subset (checked exhaustively), and an
         # expanded coalition's worth only reads its complete blocks.
-        from oracles import TUGame, shapley_by_dividends
-        from hypercoop.solutions import conference_worth
+        from oracles import TUGame, conference_worth, shapley_by_dividends
         from hypercoop.model import unanimity as make_unanimity
 
         links = hub.hyperlinks

@@ -415,7 +415,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("theorem", ["1", "2", "corollary1", "lemma1"])
     def test_hub_passes_everything(self, hub_path, capsys, theorem):
         assert main(["verify", hub_path, "--theorem", theorem]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "result: PASS"
+        # The same text report under --format json: the benchmark parses it.
+        assert main(["verify", hub_path, "--theorem", theorem, "--format", "json"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_theorem_two_with_explicit_k(self, tmp_path, capsys):
         path = write_doc(tmp_path, game_to_document(path_three()))
@@ -519,6 +523,27 @@ class TestSolveAxiomsCommand:
         }
         assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 0
         assert "matches the directly computed position value: yes" in capsys.readouterr().out
+
+    def test_the_subset_cap_refuses_before_the_reconstruction(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A 30-pair ring's 871 connected hyperlink sets are within the
+        recursion cap, but its 30 hyperlinks are over the subset cap of the
+        position value the reconstruction is checked against."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the reconstruction ran over the subset cap")
+
+        monkeypatch.setattr(hypercoop.cli, "value_from_axioms", refuse)
+        doc = {
+            "players": list(range(30)),
+            "hyperlinks": [[i, (i + 1) % 30] for i in range(30)],
+            "characteristic": {"unanimity": [0, 15]},
+        }
+        assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: 30 hyperlinks exceeds the subset cap 24\n"
+        )
 
     def test_the_cap_error_names_the_limit(self, hub_path, capsys):
         assert main(["solve-axioms", hub_path, "--cap-recursion", "2"]) == 3

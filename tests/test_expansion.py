@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypercoop.expansion import (
     agent_form_payoffs,
     copy_counts,
     group_copies,
+    grouped_agent_form,
     grouped_position,
     uniform_payoffs,
 )
@@ -297,6 +300,26 @@ def test_one_hyperlink_at_k_2500_pays_each_copy_its_share():
     assert grouped_position(single_link_game(), 2500) == {1: F(1, 2), 2: F(1, 2)}
 
 
+def test_the_fold_frees_its_factorials_on_return():
+    """With the cyclic collector off, what the fold allocated (the 2,001
+    factorials of a 2,000-copy block, about 2.4 MB) is gone once the call
+    returns: no reference cycle keeps it."""
+    e = frozenset({1, 2})
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        payoffs = uniform_payoffs(single_link_game(), 1000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert payoffs == {(1, e): F(1, 2000), (2, e): F(1, 2000)}
+    assert held < 100_000
+
+
 class TestAgentForm:
     def test_requires_hyperlinks(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
@@ -341,6 +364,18 @@ class TestAgentForm:
         with pytest.raises(CapExceeded, match="state space"):
             agent_form_payoffs(hub, state_cap=100)
 
+    def test_grouped_caps_come_before_the_fold(self, hub, monkeypatch):
+        """The state cap first, then the subset cap over the hyperlinks,
+        both before any block is folded."""
+        def refuse(*_args):
+            raise AssertionError("the fold ran over a cap")
+
+        monkeypatch.setattr(expansion, "_fold_shapley", refuse)
+        with pytest.raises(CapExceeded, match="^count-vector state space exceeds the cap 100$"):
+            grouped_agent_form(hub, state_cap=100, cap=1)
+        with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
+            grouped_agent_form(hub, cap=3)
+
     def test_needs_a_hyperlink(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
         for build in (build_agent_form, agent_form_payoffs):
@@ -383,4 +418,5 @@ def test_agent_payoffs_equal_direct_myerson_of_the_agent_form(game):
 )
 def test_agent_payoffs_group_to_the_position_value(game):
     per_agent = agent_form_payoffs(game)
-    assert group_copies(game.players, copy_counts(game), per_agent) == position_value(game)
+    grouped = group_copies(game.players, copy_counts(game), per_agent)
+    assert grouped_agent_form(game) == grouped == position_value(game)

@@ -21,15 +21,16 @@ from hypercoop.model import (
     weighted_unanimity,
 )
 from hypercoop.shapley import CapExceeded
-from hypercoop.solutions import (
-    conference_worth,
-    myerson_value,
-    position_value,
-    restricted_worth,
-    shapley_value,
-)
+from hypercoop.solutions import myerson_value, position_value, shapley_value
 
-from oracles import TUGame, hyperlink_game, point_game, shapley_by_subsets
+from oracles import (
+    TUGame,
+    conference_worth,
+    hyperlink_game,
+    point_game,
+    restricted_worth,
+    shapley_by_subsets,
+)
 from strategies import hypergraph_games, unanimity_combination_games
 
 F = Fraction
