@@ -12,6 +12,7 @@ from .axioms import (
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletion,
+    check_copy_deletions,
     check_partial_balanced_conference_contributions,
     value_from_axioms,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "check_balanced_link_contributions",
     "check_component_efficiency",
     "check_copy_deletion",
+    "check_copy_deletions",
     "check_partial_balanced_conference_contributions",
     "components",
     "copy_counts",

@@ -27,7 +27,7 @@ from math import factorial, lcm
 from typing import Callable
 
 from .connectivity import components, connected_sets
-from .expansion import DEFAULT_STATE_CAP, grouped_position
+from .expansion import DEFAULT_STATE_CAP, copy_deletions, grouped_position
 from .model import (
     Allocation,
     Hyperlink,
@@ -153,6 +153,20 @@ def check_copy_deletion(
     e = frozenset(link)
     grouped = grouped_position(game, 1, e, state_cap, cap)
     return compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
+
+
+def check_copy_deletions(
+    game: HypergraphGame,
+    state_cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> dict[Hyperlink, Report]:
+    """`check_copy_deletion` for every hyperlink, Lemma 1 in full: the
+    left sides come from one conference table (`copy_deletions`), each
+    right side from its own position value."""
+    return {
+        e: compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
+        for e, grouped in copy_deletions(game, state_cap, cap).items()
+    }
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:

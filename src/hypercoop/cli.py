@@ -42,7 +42,7 @@ from .axioms import (
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
-    check_copy_deletion,
+    check_copy_deletions,
     check_partial_balanced_conference_contributions,
     compare,
     value_from_axioms,
@@ -420,10 +420,7 @@ def handle_verify(args) -> Result:
         return None, lambda decimals: lines, 0
 
     if args.theorem == "lemma1":
-        deletions = {
-            e: check_copy_deletion(game, e, state_cap=args.cap_states, cap=args.cap_subsets)
-            for e in game.hyperlinks
-        }
+        deletions = check_copy_deletions(game, state_cap=args.cap_states, cap=args.cap_subsets)
         ok = all(report.passed for report in deletions.values())
 
         def body(decimals):
@@ -534,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive,
             default=DEFAULT_STATE_CAP,
             metavar="N",
-            help="refuse count-vector enumerations over more than N states",
+            help="refuse expansions (and agent forms) of more than N copies, "
+            "the universe size N = m*k*eta",
         )
 
     p = sub.add_parser("value", help="compute an allocation rule")

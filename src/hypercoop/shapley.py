@@ -1,7 +1,8 @@
 """The integer Shapley kernels behind every value the package computes.
 
 `shapley_of_table` takes a worth table indexed by bitmask, already
-scaled to integers, and returns the payoffs scaled by n!.
+scaled to integers, and returns the payoffs scaled by n!, or the same
+subset sum under other integer weights per coalition size.
 `shapley_of_pieces` does the same for a graph-restricted game given by
 its connected sets, their boundaries and their worths, without any
 2^n table.  The Myerson, position and plain Shapley values in
@@ -41,7 +42,7 @@ def factorials(n: int) -> list[int]:
     return fact
 
 
-def shapley_of_table(table: Sequence[int]) -> list[int]:
+def shapley_of_table(table: Sequence[int], coefficients: Sequence[int] | None = None) -> list[int]:
     """n!·Shapley value of the game with worth table[mask] on the coalition
     whose members are the set bits of mask; len(table) must be 2^n and
     table[0] must be 0.  Entry k belongs to the player on bit k.
@@ -51,11 +52,18 @@ def shapley_of_table(table: Sequence[int]) -> list[int]:
     A_i = Σ_{S∋i} (c(|S|-1) + c(|S|))·v(S), one weighted table shared by
     every player, and T = Σ_S c(|S|)·v(S).  Efficiency, Σ_i n!·Sh_i =
     n!·v(N), gives T = (Σ_i A_i - n!·v(N)) / n without a second pass.
+
+    `coefficients`, one integer c(s) per s = 0..n-1, replaces Shapley's
+    weights in the same subset sum; T is then summed directly, since
+    efficiency need not hold for them.
     """
     n = len(table).bit_length() - 1
     if n == 0:
         return []
-    c = [factorial(s) * factorial(n - 1 - s) for s in range(n)] + [0]
+    if coefficients is None:
+        c = [factorial(s) * factorial(n - 1 - s) for s in range(n)] + [0]
+    else:
+        c = [*coefficients, 0]
     d = [c[0]] + [c[s - 1] + c[s] for s in range(1, n + 1)]
     weighted = [d[mask.bit_count()] * w for mask, w in enumerate(table)]
     sums = []
@@ -63,7 +71,10 @@ def shapley_of_table(table: Sequence[int]) -> list[int]:
         half = 1 << k
         holds_k = (bytes(half) + b"\x01" * half) * (len(table) // (2 * half))
         sums.append(sum(itertools.compress(weighted, holds_k)))
-    offset = (sum(sums) - factorial(n) * table[-1]) // n
+    if coefficients is None:
+        offset = (sum(sums) - factorial(n) * table[-1]) // n
+    else:
+        offset = sum(c[mask.bit_count()] * w for mask, w in enumerate(table))
     return [a - offset for a in sums]
 
 

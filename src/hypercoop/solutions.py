@@ -119,15 +119,16 @@ def _covered(links: list[int], sets: list[tuple[int, int]]) -> dict[int, int]:
 
 
 def _piece_worths(game: HypergraphGame, covered: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """(scale, {piece: scale·v(players it covers)}) for hyperlink pieces
-    given with their covered player masks.  Players on no active
-    hyperlink are singletons, which must be worth zero."""
+    """(scale, {piece: scale·v(players it covers)}) for pieces given with
+    their covered player masks.  Players on no active hyperlink are
+    singletons, which must be worth zero."""
     singletons = [1 << k for k in range(len(game.players))]
     scale, worth = scaled_worths(
         game.characteristic, game.players, {*covered.values(), *singletons}
     )
-    if any(worth[s] for s in singletons):
-        raise ValueError("worth of the empty coalition must be 0")
+    for p, s in zip(game.players, singletons):
+        if worth[s]:
+            raise ValueError(f"worth of the singleton [{p}] must be 0, got {Fraction(worth[s], scale)}")
     return scale, {piece: worth[c] for piece, c in covered.items()}
 
 

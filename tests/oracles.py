@@ -20,10 +20,15 @@ coalition at a time, and shares no code with the bitmask integer kernel
   partition for `hypercoop.connectivity.mask_components`;
 * the agent form as a game on explicit agents, with its pairwise and
   image hyperlinks, whose Myerson value `agent_form_payoffs` must match;
-* the count-vector fold with every other block refolded for each pivot
-  (`fold_shapley_by_pivot`), the reference for the divide-and-conquer
-  fold, and `block_symmetric_shapley`, that fold on Fraction worths of
-  complete-block masks, checked against literal block games;
+* the count-vector fold (`fold_shapley`), which solves a game of blocks
+  of interchangeable players from the OR of per-block signature bits
+  under a cap on the product of (block size + 1); the same fold with
+  every other block refolded for each pivot (`fold_shapley_by_pivot`);
+  `block_symmetric_shapley`, the fold on Fraction worths of
+  complete-block masks, checked against literal block games; and the
+  fold's uniform expansion (`uniform_by_fold`) and full-signature agent
+  form (`agent_form_by_fold`), the references for the completion-weight
+  kernel of `hypercoop.expansion`;
 * the axiomatic reconstruction with one row per hyperlink mask
   (`value_from_axioms_by_masks`), the reference for the connected-set
   rows of `hypercoop.axioms.value_from_axioms`.
@@ -35,12 +40,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from hypercoop.connectivity import components, mask_components
-from hypercoop.expansion import DEFAULT_STATE_CAP, _fold_shapley, require_state_cap
 from hypercoop.model import (
     Allocation,
     CharacteristicFunction,
@@ -55,11 +59,13 @@ from hypercoop.model import (
     scaled_worths,
     zero_allocation,
 )
-from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
+from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, factorials, require_subset_cap
+from hypercoop.solutions import conference_table
 
 DEFAULT_PERMUTATION_CAP = 8
 DEFAULT_DIVIDEND_CAP = 20
 DEFAULT_DIVIDEND_UNIVERSE_CAP = 16
+DEFAULT_STATE_CAP = 10_000_000
 
 
 class TUGame:
@@ -415,10 +421,93 @@ def build_agent_form(game: HypergraphGame) -> AgentFormGame:
     )
 
 
-def fold_shapley_by_pivot(
-    sizes: list[int], signatures: list[list[int]], worths: Callable, state_cap: int
+def require_state_cap(sizes: list[int], state_cap: int) -> None:
+    """Refuse a count-vector fold whose product of (block size + 1)
+    exceeds the cap."""
+    if prod(n + 1 for n in sizes) > state_cap:
+        raise CapExceeded(f"count-vector state space exceeds the cap {state_cap}")
+
+
+def _fold_block(states: dict[int, int], size: int, sig: list[int], shift: int) -> dict[int, int]:
+    """Fold one block into the map from (bits << shift | coalition size) to ways."""
+    row = [(c, sig[c] << shift, comb(size, c)) for c in range(size + 1)]
+    folded: dict[int, int] = {}
+    for state, ways in states.items():
+        for c, high, w in row:
+            key = (state + c) | high
+            folded[key] = folded.get(key, 0) + ways * w
+    return folded
+
+
+def fold_shapley(
+    sizes: list[int], signatures: list[list[int]], worths: Callable, state_cap: int = DEFAULT_STATE_CAP
 ) -> list[Fraction]:
-    """`hypercoop.expansion._fold_shapley` the slow way: for each pivot
+    """Per-member Shapley payoffs of a game whose members fall into blocks
+    of interchangeable players, one payoff per block, by folding count
+    vectors.
+
+    A coalition holding c of block j's sizes[j] members gets the bits
+    signatures[j][c] from it, and its worth depends only on the OR of its
+    blocks' bits.  `solve(lo, hi, states)` holds the fold of every block
+    outside [lo, hi) and recurses into each half with the other half
+    folded in: about B·log2(B) block folds in all, not B·(B-1).  A pivot
+    member arriving to c others of its block changes the worth only where
+    signatures[pivot][c] differs from signatures[pivot][c+1], so only
+    those counts contribute.  Each pivot keeps one integer coefficient
+    per OR-ed bits; `worths(needed)`, asked once for the union over all
+    pivots, returns (scale, w) with w[bits] = scale·worth, and each pivot
+    ends in one Fraction.  It uses nothing beyond the symmetry inside
+    blocks, and no worth table: the slow reference for the package's
+    completion-weight kernel.
+    """
+    if not sizes:
+        return []
+    require_state_cap(sizes, state_cap)
+    total = sum(sizes)
+    shift = total.bit_length()
+    fact = factorials(total)
+
+    def fold(states: dict[int, int], blocks: range) -> dict[int, int]:
+        for j in blocks:
+            states = _fold_block(states, sizes[j], signatures[j], shift)
+        return states
+
+    def solve(lo: int, hi: int, states: dict[int, int]) -> list[dict[int, int]]:
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            left = solve(lo, mid, fold(states, range(mid, hi)))
+            return left + solve(mid, hi, fold(states, range(lo, mid)))
+        # n!·Sh = Σ (s+c)!·(n-s-c-1)!·C(size0-1, c)·ways·(v(after) - v(before)),
+        # summed per OR-ed bits, then gathered as one integer coefficient per worth.
+        size0, sig0 = sizes[lo], signatures[lo]
+        coefficient: dict[int, int] = {}
+        for c in range(size0):
+            before, after = sig0[c], sig0[c + 1]
+            if before == after:
+                continue
+            weight = [fact[s + c] * fact[total - 1 - s - c] for s in range(total - size0 + 1)]
+            per_bits: dict[int, int] = {}
+            for state, ways in states.items():
+                bits = state >> shift
+                per_bits[bits] = per_bits.get(bits, 0) + weight[state - (bits << shift)] * ways
+            pivot_ways = comb(size0 - 1, c)
+            for bits, x in per_bits.items():
+                coefficient[bits | after] = coefficient.get(bits | after, 0) + x * pivot_ways
+                coefficient[bits | before] = coefficient.get(bits | before, 0) - x * pivot_ways
+        return [{bits: x for bits, x in coefficient.items() if x}]
+
+    coefficients = solve(0, len(sizes), {0: 1})
+    scale, worth = worths(list({bits for coefficient in coefficients for bits in coefficient}))
+    return [
+        Fraction(sum(x * worth[bits] for bits, x in coefficient.items()), fact[-1] * scale)
+        for coefficient in coefficients
+    ]
+
+
+def fold_shapley_by_pivot(
+    sizes: list[int], signatures: list[list[int]], worths: Callable, state_cap: int = DEFAULT_STATE_CAP
+) -> list[Fraction]:
+    """`fold_shapley` the slow way: for each pivot
     block every other block is folded in afresh, B·(B-1) block folds in
     all, into a map from (coalition size, OR-ed bits) to the number of
     coalitions with them.  Same arguments and results."""
@@ -458,8 +547,8 @@ def block_symmetric_shapley(
     worth_of_mask: Callable[[int], Fraction],
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[Fraction]:
-    """Per-member Shapley payoffs of a block-symmetric game, through the
-    package's fold with one `Fraction` worth per mask.
+    """Per-member Shapley payoffs of a block-symmetric game, through
+    `fold_shapley` with one `Fraction` worth per mask.
 
     The game's ground set is partitioned into blocks; block j has
     block_sizes[j] members and counts as complete exactly when a
@@ -473,9 +562,69 @@ def block_symmetric_shapley(
         [1 << j if c == need else 0 for c in range(size + 1)]
         for j, (size, need) in enumerate(zip(block_sizes, completion_sizes))
     ]
-    return _fold_shapley(
+    return fold_shapley(
         block_sizes, signatures, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
     )
+
+
+def uniform_by_fold(
+    game: HypergraphGame, k: int = 1, removed: Iterable[PlayerId] | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> dict[tuple[PlayerId, Hyperlink], Fraction]:
+    """`hypercoop.expansion.uniform_payoffs` by `fold_shapley`: one block
+    of k*eta copies per hyperlink with one signature bit once complete,
+    the copy-deleted block (which never completes) left out, and the
+    worths read off the conference table."""
+    removed = None if removed is None else frozenset(removed)
+    rho = k * eta(game.hypergraph)
+    folded = [j for j, e in enumerate(game.hyperlinks) if e != removed]
+    signatures = [[1 << j if c == rho else 0 for c in range(rho + 1)] for j in folded]
+    values, scale = conference_table(game)
+    per_block = fold_shapley([rho] * len(folded), signatures, lambda needed: (scale, values), state_cap)
+    payoff = dict(zip(folded, per_block))
+    return {(i, e): payoff.get(j, ZERO) for j, e in enumerate(game.hyperlinks) for i in sorted(e)}
+
+
+def agent_form_by_fold(
+    game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP
+) -> dict[tuple[PlayerId, Hyperlink], Fraction]:
+    """`hypercoop.expansion.agent_form_payoffs` by `fold_shapley` with the
+    full signatures of the agent form, assuming nothing of the worths.
+
+    Agents of one (player, hyperlink) sub-block are interchangeable.  A
+    sub-block holding c of its agents marks its player present when c > 0
+    and its hyperlink's image incomplete when c is below its size.  A
+    coalition of agents is worth the total worth of the components the
+    complete images induce among the present players, singletons
+    included at whatever worth they have.
+    """
+    if not game.hyperlinks:
+        raise ValueError("agent form requires at least one hyperlink")
+    size_of = eta(game.hypergraph)
+    counts = {
+        (i, e): size_of // len(e) for i in game.players for e in incident_hyperlinks(game.hypergraph, i)
+    }
+    n = len(game.players)
+    player_bit = {p: 1 << k for k, p in enumerate(game.players)}
+    image_bit = {e: 1 << (n + t) for t, e in enumerate(game.hyperlinks)}
+    link_masks = [sum(player_bit[p] for p in e) for e in game.hyperlinks]
+    sizes = list(counts.values())
+    signatures = [
+        [(player_bit[i] if c else 0) | (image_bit[e] if c < size else 0) for c in range(size + 1)]
+        for (i, e), size in counts.items()
+    ]
+
+    def pieces_of(bits: int) -> list[int]:
+        complete = [e for t, e in enumerate(link_masks) if not bits >> (n + t) & 1]
+        return mask_components(bits & ((1 << n) - 1), complete)
+
+    def worths(needed: list[int]) -> tuple[int, dict[int, int]]:
+        pieces = {bits: pieces_of(bits) for bits in needed}
+        union = {p for ps in pieces.values() for p in ps}
+        scale, worth = scaled_worths(game.characteristic, game.players, union)
+        return scale, {bits: sum(worth[p] for p in ps) for bits, ps in pieces.items()}
+
+    return dict(zip(counts, fold_shapley(sizes, signatures, worths, state_cap)))
 
 
 def value_from_axioms_by_masks(game: HypergraphGame, cap: int = 12) -> Allocation:

@@ -141,7 +141,7 @@ def test_criterion_6_agent_form_pointwise(corpus, hub):
         not bad and len(eligible) > 50,
         f"agent-form Myerson payoffs equal the expanded Shapley payoffs "
         f"pointwise on {len(eligible) - 1} small corpus games plus the hub "
-        f"(24 agents, count-vector reduction)"
+        f"(24 agents in 4 image blocks)"
         + (f"; failures: {bad[:5]}" if bad else ""),
     )
 

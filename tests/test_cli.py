@@ -314,14 +314,14 @@ class TestExpandCommand:
 
     def test_cap_is_checked_before_the_conference_table(self, tmp_path, monkeypatch, capsys):
         """40 links trip both caps; 20 are under the subset cap, so only
-        the state cap keeps the 2^20 position-value table from being built."""
+        the state cap, on 2 copies per link (4 at Theorem 2's default
+        k = 2), keeps the 2^20 position-value table from being built."""
         def refuse(*_args):
             raise AssertionError("a conference table or connected-set enumeration ran over the cap")
 
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
-        message = "error: count-vector state space exceeds the cap 1000\n"
         for links in (40, 20):
             doc = {
                 "players": list(range(links + 1)),
@@ -329,23 +329,25 @@ class TestExpandCommand:
                 "characteristic": {"unanimity": [0, links]},
             }
             path = write_doc(tmp_path, doc)
-            assert main(["expand", path, "--cap-states", "1000"]) == 3
-            assert capsys.readouterr().err == message
+            assert main(["expand", path, "--cap-states", "30"]) == 3
+            message = "error: universe size {} exceeds the state cap 30\n"
+            assert capsys.readouterr().err == message.format(2 * links)
             for theorem in ("1", "2", "corollary1", "lemma1"):
-                assert main(["verify", path, "--theorem", theorem, "--cap-states", "1000"]) == 3
-                assert capsys.readouterr().err == message
+                size = 2 * links * (2 if theorem == "2" else 1)
+                assert main(["verify", path, "--theorem", theorem, "--cap-states", "30"]) == 3
+                assert capsys.readouterr().err == message.format(size)
 
     def test_subset_cap_is_checked_before_the_conference_table(
         self, tmp_path, monkeypatch, capsys
     ):
-        """A path of 30 pair hyperlinks fits a raised state cap (3^30
-        states) but not the subset cap, which must refuse it before the
-        2^30 conference table is built."""
+        """A path of 30 pair hyperlinks fits the state cap (60 copies) but
+        not the subset cap, which must refuse it before the 2^30
+        conference table is built."""
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         doc = {
             "players": list(range(31)),
@@ -353,7 +355,7 @@ class TestExpandCommand:
             "characteristic": {"unanimity": [0, 30]},
         }
         path = write_doc(tmp_path, doc)
-        assert main(["expand", path, "--cap-states", str(10**17)]) == 3
+        assert main(["expand", path]) == 3
         assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
 
     def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
@@ -361,10 +363,10 @@ class TestExpandCommand:
             raise AssertionError("a table or fold ran over the state cap")
 
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
-        message = f"error: count-vector state space exceeds the cap {10**7}\n"
+        message = "error: universe size 24000000 exceeds the state cap 1000000\n"
         assert main(["expand", hub_path, "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
         assert main(["verify", hub_path, "--theorem", "2", "--k", "1000000"]) == 3
@@ -435,7 +437,8 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "result: PASS"
 
     def test_cap_exit_code(self, hub_path, capsys):
-        assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "100"]) == 3
+        assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "47"]) == 3
+        assert capsys.readouterr().err == "error: universe size 48 exceeds the state cap 47\n"
 
     def test_subset_cap_refuses_before_the_identity_side_runs(
         self, tmp_path, monkeypatch, capsys
@@ -446,7 +449,7 @@ class TestVerifyCommand:
             raise AssertionError("a table or fold ran over the subset cap")
 
         monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         pairs = [[i, j] for i in range(10) for j in range(i + 1, 10)][:30]
@@ -466,7 +469,7 @@ class TestVerifyCommand:
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
-        monkeypatch.setattr(hypercoop.expansion, "_fold_shapley", refuse)
+        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         for theorem in ("1", "lemma1"):
@@ -486,8 +489,14 @@ class TestVerifyCommand:
             grouped[4] += F(1, 100)
             return grouped
 
+        def perturbed_deletions(game, *args, **kwargs):
+            deletions = hypercoop.expansion.copy_deletions(game, *args, **kwargs)
+            for grouped in deletions.values():
+                grouped[4] += F(1, 100)
+            return deletions
+
         monkeypatch.setattr(hypercoop.cli, "grouped_position", perturbed)
-        monkeypatch.setattr(hypercoop.axioms, "grouped_position", perturbed)
+        monkeypatch.setattr(hypercoop.axioms, "copy_deletions", perturbed_deletions)
         assert main(["verify", hub_path, "--theorem", theorem, *decimals]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "result: FAIL"

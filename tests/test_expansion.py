@@ -1,17 +1,21 @@
 import gc
+import itertools
 import random
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import oracles
 from hypercoop import expansion
+from hypercoop.corpus import game_corpus
 from hypercoop.expansion import (
-    DEFAULT_STATE_CAP,
     agent_form_payoffs,
+    completion_weights,
     copy_counts,
     group_copies,
     grouped_agent_form,
@@ -25,6 +29,7 @@ from hypercoop.model import (
     make_hypergraph,
     table_function,
     unanimity,
+    weighted_unanimity,
 )
 from hypercoop.shapley import CapExceeded
 from hypercoop.solutions import conference_table, position_value
@@ -32,14 +37,17 @@ from hypercoop.solutions import conference_table, position_value
 from oracles import (
     ExpandedPlayer,
     TUGame,
+    agent_form_by_fold,
     as_tu_game,
     block_symmetric_shapley,
     build_agent_form,
     build_uniform,
     expanded_worth,
+    fold_shapley,
     fold_shapley_by_pivot,
     group_by_origin,
     shapley_by_subsets,
+    uniform_by_fold,
 )
 from strategies import hypergraph_games, unanimity_combination_games
 
@@ -231,9 +239,9 @@ def test_fold_equals_the_per_pivot_refold(blocks, style, seed):
         requests.append(needed)
         return 3, {bits: (bits * 7919 + 13) % 23 - 11 for bits in needed}
 
-    fast = expansion._fold_shapley(sizes, signatures, worths, DEFAULT_STATE_CAP)
+    fast = fold_shapley(sizes, signatures, worths)
     assert len(requests) == 1
-    assert fast == fold_shapley_by_pivot(sizes, signatures, worths, DEFAULT_STATE_CAP)
+    assert fast == fold_shapley_by_pivot(sizes, signatures, worths)
 
 
 def block_folds(blocks: int) -> int:
@@ -245,17 +253,16 @@ def block_folds(blocks: int) -> int:
 
 def test_fold_does_b_log_b_block_folds(monkeypatch):
     calls = []
-    fold_block = expansion._fold_block
-    monkeypatch.setattr(expansion, "_fold_block", lambda *a: calls.append(a) or fold_block(*a))
+    fold_block = oracles._fold_block
+    monkeypatch.setattr(oracles, "_fold_block", lambda *a: calls.append(a) or fold_block(*a))
     assert block_folds(12) == 44
     for blocks in range(1, 16):
         calls.clear()
         full = (1 << blocks) - 1
-        payoffs = expansion._fold_shapley(
+        payoffs = fold_shapley(
             [1] * blocks,
             [[0, 1 << j] for j in range(blocks)],
             lambda needed: (1, {bits: int(bits == full) for bits in needed}),
-            DEFAULT_STATE_CAP,
         )
         assert payoffs == [F(1, blocks)] * blocks
         assert len(calls) == block_folds(blocks)
@@ -293,17 +300,15 @@ def test_grouped_position_matches_position_value(game):
 
 def test_one_hyperlink_at_k_2500_pays_each_copy_its_share():
     """The hyperlink {1, 2} expands to one block of 5,000 copies that
-    completes only as a whole, so each copy earns 1/5000.  The fold's
-    factorials up to 5,000! come from one running product."""
+    completes only as a whole, so each copy earns 1/5000."""
     e = frozenset({1, 2})
     assert uniform_payoffs(single_link_game(), 2500) == {(1, e): F(1, 5000), (2, e): F(1, 5000)}
     assert grouped_position(single_link_game(), 2500) == {1: F(1, 2), 2: F(1, 2)}
 
 
-def test_the_fold_frees_its_factorials_on_return():
-    """With the cyclic collector off, what the fold allocated (the 2,001
-    factorials of a 2,000-copy block, about 2.4 MB) is gone once the call
-    returns: no reference cycle keeps it."""
+def test_a_large_block_leaves_nothing_behind():
+    """With the cyclic collector off, nothing `uniform_payoffs` allocated
+    for a 2,000-copy block is held once the call returns."""
     e = frozenset({1, 2})
     enabled = gc.isenabled()
     gc.disable()
@@ -318,6 +323,65 @@ def test_the_fold_frees_its_factorials_on_return():
             gc.enable()
     assert payoffs == {(1, e): F(1, 2000), (2, e): F(1, 2000)}
     assert held < 100_000
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
+@pytest.mark.parametrize("blocks", range(1, 10))
+def test_completion_weights_are_the_shapley_weights_over_rho(blocks, rho):
+    """Counted from the block sizes alone, pi(t) comes out as the Shapley
+    weight of t other hyperlinks among m = blocks, t!(m-1-t)!/m!, shared
+    by the rho copies of a block, with or without the rho - 1 null
+    copies a copy deletion leaves."""
+    shapley = [
+        F(factorial(t) * factorial(blocks - 1 - t), factorial(blocks) * rho) for t in range(blocks)
+    ]
+    assert completion_weights(blocks, rho) == shapley
+    assert completion_weights(blocks, rho, rho - 1) == shapley
+
+
+def ring3(c: int) -> HypergraphGame:
+    """2c players, hyperlinks {2i+1, 2i+2, 2i+3 mod 2c}, worth u{N} + 2·u{1, 4}."""
+    players = range(1, 2 * c + 1)
+    links = [[2 * i + 1, 2 * i + 2, (2 * i + 2) % (2 * c) + 1] for i in range(c)]
+    return HypergraphGame(
+        make_hypergraph(players, links), weighted_unanimity(players, [(players, 1), ([1, 4], 2)])
+    )
+
+
+def test_the_kernel_equals_the_fold_on_the_corpus():
+    """Every corpus game at k = 1..3, whole and less one copy of each
+    hyperlink in turn, against the count-vector fold, which builds no
+    completion weights."""
+    for game in game_corpus():
+        for k in (1, 2, 3):
+            for removed in (None, *game.hyperlinks):
+                fold = uniform_by_fold(game, k, removed, state_cap=10**30)
+                assert uniform_payoffs(game, k, removed) == fold
+
+
+def test_the_agent_form_equals_the_full_signature_fold():
+    """The merged image blocks against the fold over every (player,
+    hyperlink) sub-block with its player-present and image-incomplete
+    bits, on every corpus game and on ring3(5)."""
+    for game in [*game_corpus(), ring3(5)]:
+        assert agent_form_payoffs(game) == agent_form_by_fold(game, state_cap=10**30)
+
+
+def test_four_player_structures_run_at_the_default_caps():
+    """A seeded sample of the 2,047 hypergraphs on four labelled players
+    with at least one hyperlink, plus the complete one (K4*): Theorem 1
+    and Corollary 1 both run at the default caps and give the position
+    value."""
+    players = [1, 2, 3, 4]
+    pool = [s for r in (2, 3, 4) for s in itertools.combinations(players, r)]
+    structures = [links for r in range(1, 12) for links in itertools.combinations(pool, r)]
+    assert len(structures) == 2047
+    worth = weighted_unanimity(players, [(players, 1), ([1, 4], 2), ([2, 3], F(-1, 3))])
+    for links in [*random.Random(2047).sample(structures, 60), pool]:
+        game = HypergraphGame(make_hypergraph(players, links), worth)
+        position = position_value(game)
+        assert grouped_position(game) == position
+        assert grouped_agent_form(game) == position
 
 
 class TestAgentForm:
@@ -361,18 +425,21 @@ class TestAgentForm:
         assert agent_form_payoffs(hub) == uniform_payoffs(hub)
 
     def test_state_cap(self, hub):
-        with pytest.raises(CapExceeded, match="state space"):
-            agent_form_payoffs(hub, state_cap=100)
+        """The cap counts agents: m*eta = 4*6 on the hub."""
+        assert agent_form_payoffs(hub, state_cap=24) == uniform_payoffs(hub)
+        with pytest.raises(CapExceeded, match="^universe size 24 exceeds the state cap 23$"):
+            agent_form_payoffs(hub, state_cap=23)
 
-    def test_grouped_caps_come_before_the_fold(self, hub, monkeypatch):
+    def test_grouped_caps_come_before_the_table(self, hub, monkeypatch):
         """The state cap first, then the subset cap over the hyperlinks,
-        both before any block is folded."""
+        both before any worth is read."""
         def refuse(*_args):
-            raise AssertionError("the fold ran over a cap")
+            raise AssertionError("the agent form read worths over a cap")
 
-        monkeypatch.setattr(expansion, "_fold_shapley", refuse)
-        with pytest.raises(CapExceeded, match="^count-vector state space exceeds the cap 100$"):
-            grouped_agent_form(hub, state_cap=100, cap=1)
+        monkeypatch.setattr(expansion, "mask_components", refuse)
+        monkeypatch.setattr(expansion, "_piece_worths", refuse)
+        with pytest.raises(CapExceeded, match="^universe size 24 exceeds the state cap 23$"):
+            grouped_agent_form(hub, state_cap=23, cap=1)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
             grouped_agent_form(hub, cap=3)
 
@@ -383,12 +450,33 @@ class TestAgentForm:
                 build(game)
 
     def test_custom_characteristic_nonzero_on_singletons(self):
-        """Present players count even without a complete image."""
+        """A present player on no complete image is a singleton, which
+        must be worth zero: the agent form refuses, as the position value
+        does."""
 
         @dataclass(frozen=True)
         class Squares(CharacteristicFunction):
             def _worth(self, coalition):
                 return F(len(coalition) ** 2) + (F(3, 2) if 1 in coalition else 0)
+
+        players = [1, 2, 3, 4]
+        game = HypergraphGame(
+            make_hypergraph(players, [[1, 2, 3], [3, 4]]), Squares(frozenset(players))
+        )
+        message = r"^worth of the singleton \[1\] must be 0, got 5/2$"
+        for solve in (agent_form_payoffs, grouped_agent_form, position_value):
+            with pytest.raises(ValueError, match=message):
+                solve(game)
+
+    def test_custom_characteristic_zero_on_singletons(self):
+        """A custom characteristic zero on singletons but read coalition by
+        coalition, against the direct agent-form game."""
+
+        @dataclass(frozen=True)
+        class Squares(CharacteristicFunction):
+            def _worth(self, coalition):
+                n = len(coalition)
+                return F(n * n - n) + (F(3, 2) if {1, 2} <= coalition else 0)
 
         players = [1, 2, 3, 4]
         game = HypergraphGame(

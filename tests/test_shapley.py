@@ -170,3 +170,22 @@ def test_integer_table_kernel_matches_the_subset_sum(game):
 
 def test_integer_table_kernel_on_no_players():
     assert shapley_of_table([0]) == []
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-9, 9), min_size=1 << n, max_size=1 << n),
+        st.lists(st.integers(0, 50), min_size=n, max_size=n),
+    )
+))
+def test_integer_table_kernel_with_other_coefficients(case):
+    """Weights c(s) that need not add up to efficiency, on any table:
+    the kernel gives the subset sum Σ_{S∌i} c(|S|)·(v(S+i) - v(S))."""
+    table, c = case
+    n = len(c)
+    expected = [
+        sum(c[mask.bit_count()] * (table[mask | 1 << k] - table[mask])
+            for mask in range(1 << n) if not mask >> k & 1)
+        for k in range(n)
+    ]
+    assert shapley_of_table(table, c) == expected

@@ -225,7 +225,7 @@ class TestBitmaskKernel:
                 return F(len(coalition))
 
         game = HypergraphGame(make_hypergraph([1, 2, 3], [[1, 2]]), Flat(frozenset({1, 2, 3})))
-        with pytest.raises(ValueError, match="empty coalition"):
+        with pytest.raises(ValueError, match=r"^worth of the singleton \[1\] must be 0, got 1$"):
             position_value(game)
         assert myerson_value(game) == shapley_by_subsets(point_game(game))
 
@@ -453,6 +453,6 @@ class TestRouting:
         game = HypergraphGame(h, Flat(frozenset(players)))
         for name in ("table", "pieces"):
             with route(name):
-                with pytest.raises(ValueError, match="^worth of the empty coalition must be 0$"):
+                with pytest.raises(ValueError, match=r"^worth of the singleton \[0\] must be 0, got 1$"):
                     position_value(game)
                 assert myerson_value(game) == shapley_by_subsets(point_game(game))
