@@ -7,7 +7,7 @@ Replays the core identities with fresh random games and exact rationals:
      uniform expansion (per requested k),
   2. the axiomatic system reconstructs the position value,
   3. agent-form payoffs match the block-symmetric Shapley computation
-     on the one-fold expansion (on games within the agent budget),
+     on the one-fold expansion,
   4. deleting one copy of a hyperlink matches deleting the hyperlink,
   5. component efficiency holds for both the position and Myerson values.
 
@@ -21,13 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from hypercoop import (
     agent_form_payoffs,
     check_component_efficiency,
     check_copy_deletion,
-    copy_counts,
     grouped_position,
     myerson_value,
     position_value,
@@ -37,43 +35,15 @@ from hypercoop import (
 from hypercoop.corpus import DEFAULT_SEED, game_corpus
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    seed: int = DEFAULT_SEED
-    count: int = 200
-    max_players: int = 6
-    max_links: int = 4
-    max_link_size: int = 4
-    ks: tuple[int, ...] = (1, 2)
-    agent_budget: int = 12      # max expanded-universe size for the agent pass
-    deletion_links: int = 3     # copy-deletion pass runs on games with at most this many links
-    axiom_links: int = 5        # axiom pass runs on games with at most this many links
-
-
-def parse_args(argv: list[str] | None = None) -> VerifyConfig:
-    defaults = VerifyConfig()
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--count", type=int, default=defaults.count)
-    parser.add_argument("--max-players", type=int, default=defaults.max_players)
-    parser.add_argument("--max-links", type=int, default=defaults.max_links)
-    parser.add_argument("--max-link-size", type=int, default=defaults.max_link_size)
-    parser.add_argument("--ks", type=int, nargs="+", default=list(defaults.ks))
-    parser.add_argument("--agent-budget", type=int, default=defaults.agent_budget)
-    parser.add_argument("--deletion-links", type=int, default=defaults.deletion_links)
-    parser.add_argument("--axiom-links", type=int, default=defaults.axiom_links)
-    ns = parser.parse_args(argv)
-    return VerifyConfig(
-        seed=ns.seed,
-        count=ns.count,
-        max_players=ns.max_players,
-        max_links=ns.max_links,
-        max_link_size=ns.max_link_size,
-        ks=tuple(ns.ks),
-        agent_budget=ns.agent_budget,
-        deletion_links=ns.deletion_links,
-        axiom_links=ns.axiom_links,
-    )
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--count", type=int, default=200)
+    parser.add_argument("--max-players", type=int, default=6)
+    parser.add_argument("--max-links", type=int, default=4)
+    parser.add_argument("--max-link-size", type=int, default=4)
+    parser.add_argument("--ks", type=int, nargs="+", default=[1, 2])
+    return parser.parse_args(argv)
 
 
 def run_pass(name: str, checked: int, failures: list[str]) -> bool:
@@ -109,8 +79,6 @@ def main(argv: list[str] | None = None) -> int:
 
     failures, checked = [], 0
     for idx, game in enumerate(games):
-        if len(game.hyperlinks) > cfg.axiom_links:
-            continue
         checked += 1
         if value_from_axioms(game) != position_value(game):
             failures.append(f"game {idx}")
@@ -118,8 +86,6 @@ def main(argv: list[str] | None = None) -> int:
 
     failures, checked = [], 0
     for idx, game in enumerate(games):
-        if sum(copy_counts(game).values()) > cfg.agent_budget:
-            continue
         checked += 1
         if agent_form_payoffs(game) != uniform_payoffs(game):
             failures.append(f"game {idx}")
@@ -127,8 +93,6 @@ def main(argv: list[str] | None = None) -> int:
 
     failures, checked = [], 0
     for idx, game in enumerate(games):
-        if len(game.hyperlinks) > cfg.deletion_links:
-            continue
         for e in game.hyperlinks:
             checked += 1
             if not check_copy_deletion(game, e).passed:

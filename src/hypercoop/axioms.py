@@ -36,10 +36,9 @@ from .model import (
     ZERO,
     incident_hyperlinks,
     is_r_uniform,
-    scaled_worths,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
-from .solutions import _covered, _hyperlink_masks, position_value
+from .solutions import _covered, _hyperlink_masks, _piece_worths, position_value
 
 DEFAULT_RECURSION_CAP = 12
 
@@ -183,7 +182,7 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     between q and a, made of the payoffs of the situations A minus one
     hyperlink.  Such a situation is read from its row when it is
     connected, or else from the rows of its pieces (a bitmask closure on
-    the line graph); a player on none of its hyperlinks takes v({i}).
+    the line graph); a player on none of its hyperlinks earns 0.
     The conditions read d_q*x_a - d_a*x_q = r_q for every q != a, and
     efficiency reads sum(x) = v(C), so
 
@@ -194,9 +193,11 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     its |e| members, so the sum of d_q over C is the number of
     hyperlinks in A, at least one; and every member of C, a included,
     lies on one of them, so d_a > 0.  Each solution is a position value,
-    so rows hold integer numerators over D = m!·scale·eta (worths from
-    `scaled_worths`, eta the lcm of the hyperlink sizes, d_q scaled by
-    eta).  A division that leaves a remainder raises ArithmeticError
+    so rows hold integer numerators over D = m!·scale·eta (worths read
+    as the position value reads them, by `solutions._piece_worths`, eta
+    the lcm of the hyperlink sizes, d_q scaled by eta).  Like the
+    position value, it raises ValueError on a singleton of nonzero
+    worth.  A division that leaves a remainder raises ArithmeticError
     naming the set's mask; nothing is rounded.
 
     The cap N refuses a structure with more than 2^N - 1 connected
@@ -216,14 +217,13 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
         )
     covered = _covered(links, sets)
     members = {s: [k for k in range(n) if c >> k & 1] for s, c in covered.items()}
-    singletons = [1 << k for k in range(n)]
-    scale, worth = scaled_worths(game.characteristic, players, {*covered.values(), *singletons})
+    scale, worth = _piece_worths(game, covered)
     eta = lcm(*(len(e) for e in game.hyperlinks))
     weight = [eta // len(e) for e in game.hyperlinks]
     unit = factorial(m) * eta
     # rows[A]: the payoffs with hyperlinks A; players on none of them
-    # stand alone.
-    rows: dict[int, list[int]] = {0: [worth[s] * unit for s in singletons]}
+    # stand alone and earn 0.
+    rows: dict[int, list[int]] = {0: [0] * n}
 
     def known(sub: int) -> list[int]:
         """The payoffs with hyperlinks `sub`, from the rows of its pieces:
@@ -258,7 +258,7 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
             for q in others
         }
         row = rows[0][:]
-        total = worth[covered[s]] * unit
+        total = worth[s] * unit
         x_a, inexact = divmod(d[anchor] * total + sum(r.values()), sum(d.values()))
         row[anchor] = x_a
         for q in others:

@@ -245,11 +245,11 @@ def game_to_document(game: HypergraphGame) -> dict:
 
 
 def _approx(value: Fraction, decimals: int) -> str:
-    try:
-        return f"{float(value):.{decimals}f}"
-    except OverflowError:  # beyond float range: round exactly, ties to even
-        digits = str(round(value * 10**decimals))
-        return f"{digits[:-decimals]}.{digits[-decimals:]}" if decimals else digits
+    """`value` rounded exactly to `decimals` places, ties to even; a value
+    that rounds to 0 carries no sign."""
+    whole, fraction = divmod(round(abs(value) * 10**decimals), 10**decimals)
+    sign = "-" if value < 0 and (whole or fraction) else ""
+    return f"{sign}{whole}.{fraction:0{decimals}d}" if decimals else f"{sign}{whole}"
 
 
 def _cell(value: Fraction, decimals: int | None) -> str:

@@ -16,9 +16,10 @@ are complete.  All blocks hold rho copies, so π depends on t alone;
 `completion_weights` counts it from the block sizes, never from the
 grouped-payoff identity it serves to verify, and `shapley_of_table` sums
 W with π in place of Shapley's weights.  A deleted copy leaves rho - 1
-null copies and a block that never completes, so W becomes the table on
-the masks without that hyperlink's bit.  The agent form runs the same
-kernel on its own worth reader.
+copies of a block that never completes; they earn 0 and leave π as it
+is, so W becomes the table on the masks without that hyperlink's bit.
+The agent form is the same sum at k = 1 on the same table: a set of
+complete images is worth its conference worth.
 
 The state cap bounds the universe size m*k*eta (copies or agents), the
 subset cap the m hyperlinks of W; both are checked before W is built.
@@ -31,7 +32,6 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .connectivity import mask_components
 from .model import (
     Allocation,
     Hyperlink,
@@ -43,7 +43,7 @@ from .model import (
     zero_allocation,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap, shapley_of_table
-from .solutions import _piece_worths, conference_table
+from .solutions import conference_table
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -94,38 +94,30 @@ def group_copies(
     return out
 
 
-def completion_weights(blocks: int, rho: int, null: int = 0) -> list[Fraction]:
+def completion_weights(blocks: int, rho: int) -> list[Fraction]:
     """π(t), t = 0..blocks-1: in a random order of `blocks` blocks of rho
-    copies plus `null` copies of no block, N copies in all, the chance
-    that a given copy arrives last in its block while exactly t given
-    other blocks are complete.
+    copies, the chance that a given copy arrives last in its block while
+    exactly t given other blocks are complete.
 
-    The s copies before it weigh s!(N-1-s)!/N! as a set.  They hold the
-    rho - 1 others of its block, the t complete blocks, fewer than rho
-    copies of each of the r = blocks-1-t other blocks, and any null
-    copies.  By inclusion-exclusion, ((1+x)^rho - x^rho)^r =
-    Σ_i (-1)^i C(r, i) x^(rho·i) (1+x)^(rho(r-i)): term i fixes
-    b = rho(1+t+i) - 1 copies before it and leaves a = rho(r-i) + null
-    free, and the beta integral gives Σ_p C(a, p)·(b+p)!·(c-p)! =
-    N!·b!·(c-a)!/(N-a)! with c = N-1-b.
+    Copies outside every block (those a copy deletion leaves) do not
+    change the relative order of the others, so they do not change π.
+    By inclusion-exclusion over the i of the r = blocks-1-t other blocks
+    that are complete too, the copy arrives last among the rho(1+t+i)
+    copies of its own block, the t blocks and those i, which has chance
+    1/(rho(1+t+i)): π(t) = Σ_i (-1)^i C(r, i) / (rho(1+t+i)).
     """
-    n = blocks * rho + null
     weights = []
     for t in range(blocks):
         r = blocks - 1 - t
-        total = ZERO
-        for i in range(r + 1):
-            a, b = rho * (r - i) + null, rho * (1 + t + i) - 1
-            total += Fraction((-1) ** i * comb(r, i), (n - a) * comb(n - a - 1, b))
-        weights.append(total)
+        terms = (Fraction((-1) ** i * comb(r, i), rho * (1 + t + i)) for i in range(r + 1))
+        weights.append(sum(terms, ZERO))
     return weights
 
 
-def _block_payoffs(table: list[int], scale: int, rho: int, null: int) -> list[Fraction]:
+def _block_payoffs(table: list[int], scale: int, rho: int) -> list[Fraction]:
     """Per-copy payoff in each of B blocks of rho copies, from the 2^B
-    entries table[mask] = scale·worth(blocks in mask complete), with
-    `null` further copies of no block."""
-    weights = completion_weights(len(table).bit_length() - 1, rho, null)
+    entries table[mask] = scale·worth(blocks in mask complete)."""
+    weights = completion_weights(len(table).bit_length() - 1, rho)
     denominator = lcm(*(w.denominator for w in weights))
     sums = shapley_of_table(table, [w.numerator * (denominator // w.denominator) for w in weights])
     return [Fraction(x, denominator * scale) for x in sums]
@@ -135,13 +127,13 @@ def _uniform(
     game: HypergraphGame, rho: int, table: list[int], scale: int, removed: Hyperlink | None
 ) -> dict[SubBlock, Fraction]:
     """`uniform_payoffs` from the conference table of all the hyperlinks."""
-    live, null = game.hyperlinks, 0
+    live = game.hyperlinks
     if removed is not None:
         half = 1 << game.hyperlinks.index(removed)
         without = (b"\x01" * half + bytes(half)) * (len(table) // (2 * half))
         table = list(itertools.compress(table, without))
-        live, null = [e for e in game.hyperlinks if e != removed], rho - 1
-    payoff = dict(zip(live, _block_payoffs(table, scale, rho, null)))
+        live = [e for e in game.hyperlinks if e != removed]
+    payoff = dict(zip(live, _block_payoffs(table, scale, rho)))
     return {(i, e): payoff.get(e, ZERO) for e in game.hyperlinks for i in sorted(e)}
 
 
@@ -211,20 +203,11 @@ def agent_form_payoffs(
     complete images induce among its present players.  A present player
     on no complete image stands alone, and must be worth zero
     (ValueError otherwise), so only the complete images matter: the |e|
-    sub-blocks of e act as one block of eta agents.  The expansion's
-    kernel then runs at k = 1 on a table of complete-image masks, each
-    read from `mask_components` over the complete images.
+    sub-blocks of e act as one block of eta agents, and the worth of a
+    set of complete images is its conference worth.  The expansion's
+    kernel then runs at k = 1 on the conference table.
     """
     if not game.hyperlinks:
         raise ValueError("agent form requires at least one hyperlink")
     rho = _require_caps(game, 1, state_cap, cap)
-    bit = {p: 1 << k for k, p in enumerate(game.players)}
-    images = [sum(bit[p] for p in e) for e in game.hyperlinks]
-    pieces = [
-        mask_components((1 << len(bit)) - 1, [e for j, e in enumerate(images) if mask >> j & 1])
-        for mask in range(1 << len(images))
-    ]
-    scale, worth = _piece_worths(game, {p: p for mask_pieces in pieces for p in mask_pieces})
-    table = [sum(worth[p] for p in mask_pieces) for mask_pieces in pieces]
-    payoff = dict(zip(game.hyperlinks, _block_payoffs(table, scale, rho, 0)))
-    return {(i, e): payoff[e] for i, e in copy_counts(game)}
+    return _uniform(game, rho, *conference_table(game), None)

@@ -210,6 +210,32 @@ class TestValueCommand:
         assert main(["value", path, "--decimals", "0"]) == 0
         assert capsys.readouterr().out.count(f"≈ -{big // 6 + 1}\n") == 2
 
+    @pytest.mark.parametrize(
+        "coeff, decimals, cell",
+        [
+            ("1", 20, "1/3 ≈ 0.33333333333333333333"),
+            ("2", 17, "2/3 ≈ 0.66666666666666667"),
+            ("-1", 4, "-1/3 ≈ -0.3333"),
+            ("-3/10000", 3, "-1/10000 ≈ 0.000"),
+            ("3/8", 2, "1/8 ≈ 0.12"),
+            ("9/8", 2, "3/8 ≈ 0.38"),
+            ("3/2", 0, "1/2 ≈ 0"),
+        ],
+    )
+    def test_decimals_round_the_exact_value(self, tmp_path, capsys, coeff, decimals, cell):
+        """Rounded from the exact rational, ties to even, never through a
+        float: the sign is kept unless the value rounds to 0."""
+        doc = {
+            "players": [1, 2, 3],
+            "hyperlinks": [[1, 2, 3]],
+            "characteristic": {
+                "weighted_unanimity": [{"coalition": [1, 2, 3], "coeff": coeff}]
+            },
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["value", path, "--decimals", str(decimals)]) == 0
+        assert capsys.readouterr().out.count(f": {cell}\n") == 3
+
     def test_json_payload(self, hub_path, capsys):
         assert main(["value", hub_path, "--rule", "myerson", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercoop import expansion
+from hypercoop.axioms import value_from_axioms
 from hypercoop.corpus import game_corpus
 from hypercoop.expansion import (
     agent_form_payoffs,
@@ -330,13 +331,11 @@ def test_a_large_block_leaves_nothing_behind():
 def test_completion_weights_are_the_shapley_weights_over_rho(blocks, rho):
     """Counted from the block sizes alone, pi(t) comes out as the Shapley
     weight of t other hyperlinks among m = blocks, t!(m-1-t)!/m!, shared
-    by the rho copies of a block, with or without the rho - 1 null
-    copies a copy deletion leaves."""
+    by the rho copies of a block."""
     shapley = [
         F(factorial(t) * factorial(blocks - 1 - t), factorial(blocks) * rho) for t in range(blocks)
     ]
     assert completion_weights(blocks, rho) == shapley
-    assert completion_weights(blocks, rho, rho - 1) == shapley
 
 
 def ring3(c: int) -> HypergraphGame:
@@ -436,8 +435,7 @@ class TestAgentForm:
         def refuse(*_args):
             raise AssertionError("the agent form read worths over a cap")
 
-        monkeypatch.setattr(expansion, "mask_components", refuse)
-        monkeypatch.setattr(expansion, "_piece_worths", refuse)
+        monkeypatch.setattr(expansion, "conference_table", refuse)
         with pytest.raises(CapExceeded, match="^universe size 24 exceeds the state cap 23$"):
             grouped_agent_form(hub, state_cap=23, cap=1)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
@@ -451,8 +449,8 @@ class TestAgentForm:
 
     def test_custom_characteristic_nonzero_on_singletons(self):
         """A present player on no complete image is a singleton, which
-        must be worth zero: the agent form refuses, as the position value
-        does."""
+        must be worth zero: the agent form and the axiomatic
+        reconstruction refuse, as the position value does."""
 
         @dataclass(frozen=True)
         class Squares(CharacteristicFunction):
@@ -464,7 +462,7 @@ class TestAgentForm:
             make_hypergraph(players, [[1, 2, 3], [3, 4]]), Squares(frozenset(players))
         )
         message = r"^worth of the singleton \[1\] must be 0, got 5/2$"
-        for solve in (agent_form_payoffs, grouped_agent_form, position_value):
+        for solve in (agent_form_payoffs, grouped_agent_form, value_from_axioms, position_value):
             with pytest.raises(ValueError, match=message):
                 solve(game)
 
