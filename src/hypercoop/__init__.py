@@ -39,6 +39,7 @@ from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, shapley_of_table
 from .solutions import (
     myerson_value,
     position_value,
+    position_values_without,
     shapley_value,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "make_hypergraph",
     "myerson_value",
     "position_value",
+    "position_values_without",
     "shapley_of_table",
     "shapley_value",
     "table_function",

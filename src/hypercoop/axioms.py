@@ -12,7 +12,10 @@ connected hyperlink sets.
 The axiom checkers take an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
 position value, the Myerson value, and deliberately broken rules alike.
-Every check, axiom or identity, returns one `Report`: a `Side` (left,
+A rule may also carry `deletions`, a function giving its payoffs for the
+game without each hyperlink in one pass, as the command line's position
+rule does with `solutions.position_values_without`; the pair checks then
+call the rule itself once.  Every check, axiom or identity, returns one `Report`: a `Side` (left,
 right) per key — an ordered player pair, a component or a player — with
 an exact residual, never just a boolean, so failures show *where* and
 *by how much* an invariant breaks.  `compare` builds the player-by-player
@@ -38,7 +41,13 @@ from .model import (
     is_r_uniform,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
-from .solutions import _covered, _hyperlink_masks, _piece_worths, position_value
+from .solutions import (
+    _covered,
+    _hyperlink_masks,
+    _piece_worths,
+    position_value,
+    position_values_without,
+)
 
 DEFAULT_RECURSION_CAP = 12
 
@@ -69,11 +78,11 @@ class Report:
         return self.sides[key if len(key) > 1 else key[0]].residual
 
     def failures(self) -> dict:
-        return {key: side for key, side in self.sides.items() if side.residual}
+        return {key: side for key, side in self.sides.items() if side.left != side.right}
 
     @property
     def passed(self) -> bool:
-        return not self.failures()
+        return all(side.left == side.right for side in self.sides.values())
 
 
 def compare(axiom: str, left: Allocation, right: Allocation) -> Report:
@@ -89,16 +98,30 @@ def _pair_report(
 ) -> Report:
     """gain[i, j] totals what i gains from j's hyperlinks existing:
     sum over e containing j of weight(e) * (f_i(H) - f_i(H minus e)).
-    The pair (i, j) compares gain[i, j] with gain[j, i]."""
+    The pair (i, j) compares gain[i, j] with gain[j, i].
+
+    A rule may carry `deletions`, giving {e: rule(H minus e)} for every
+    e in one pass; otherwise each is its own call.  With the payoffs over
+    one common denominator and the weights over another, the gains are
+    integer sums."""
+    players, links = game.players, game.hyperlinks
+    deletions = getattr(rule, "deletions", None)
     base = rule(game)
-    removed = {e: rule(game.without_hyperlink(e)) for e in game.hyperlinks}
-    incident = {j: incident_hyperlinks(game.hypergraph, j) for j in game.players}
-    gain = {
-        (i, j): sum((weight_of(e) * (base[i] - removed[e][i]) for e in incident[j]), ZERO)
-        for i in game.players
-        for j in game.players
+    removed = deletions(game) if deletions else {e: rule(game.without_hyperlink(e)) for e in links}
+    rows = [[f[i] for i in players] for f in (base, *(removed[e] for e in links))]
+    weights = [weight_of(e) for e in links]
+    unit = lcm(*(x.denominator for row in rows for x in row))
+    per = lcm(*(w.denominator for w in weights))
+    before, *after = [[x.numerator * (unit // x.denominator) for x in row] for row in rows]
+    delta = {
+        e: [w.numerator * (per // w.denominator) * (b - r) for b, r in zip(before, row)]
+        for e, w, row in zip(links, weights, after)
     }
-    return Report(axiom, {(i, j): Side(g, gain[j, i]) for (i, j), g in gain.items()})
+    zero, gain = [0] * len(players), {}
+    for j in players:
+        column = zip(zero, *(delta[e] for e in incident_hyperlinks(game.hypergraph, j)))
+        gain.update(((i, j), Fraction(sum(g), unit * per)) for i, g in zip(players, column))
+    return Report(axiom, {(i, j): Side(gain[i, j], gain[j, i]) for i in players for j in players})
 
 
 def check_balanced_link_contributions(rule: Rule, game: HypergraphGame) -> Report:
@@ -160,12 +183,11 @@ def check_copy_deletions(
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[Hyperlink, Report]:
     """`check_copy_deletion` for every hyperlink, Lemma 1 in full: the
-    left sides come from one conference table (`copy_deletions`), each
-    right side from its own position value."""
-    return {
-        e: compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
-        for e, grouped in copy_deletions(game, state_cap, cap).items()
-    }
+    left sides come from one conference table (`copy_deletions`), the
+    right sides from one pass (`position_values_without`)."""
+    grouped = copy_deletions(game, state_cap, cap)
+    right = position_values_without(game, cap)
+    return {e: compare("copy deletion", left, right[e]) for e, left in grouped.items()}
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:
@@ -191,12 +213,12 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
 
     Neither denominator is zero: each hyperlink gives 1/|e| to each of
     its |e| members, so the sum of d_q over C is the number of
-    hyperlinks in A, at least one; and every member of C, a included,
-    lies on one of them, so d_a > 0.  Each solution is a position value,
-    so rows hold integer numerators over D = m!·scale·eta (worths read
-    as the position value reads them, by `solutions._piece_worths`, eta
-    the lcm of the hyperlink sizes, d_q scaled by eta).  Like the
-    position value, it raises ValueError on a singleton of nonzero
+    hyperlinks in A (times eta once scaled), at least one; and every
+    member of C, a included, lies on one of them, so d_a > 0.  Each
+    solution is a position value, so rows hold integer numerators over
+    D = m!·scale·eta (worths read as the position value reads them, by
+    `solutions._piece_worths`, eta the lcm of the hyperlink sizes, d_q
+    scaled by eta).  Like the position value, it raises ValueError on a singleton of nonzero
     worth.  A division that leaves a remainder raises ArithmeticError
     naming the set's mask; nothing is rounded.
 
@@ -247,19 +269,20 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
         return row
 
     for s in sorted(covered, key=int.bit_count):
-        active = [j for j in range(m) if s >> j & 1]
-        before = {j: known(s ^ (1 << j)) for j in active}
-        incident = {k: [j for j in active if links[j] >> k & 1] for k in members[s]}
-        d = {k: sum(weight[j] for j in incident[k]) for k in members[s]}
         anchor, *others = members[s]
-        r = {
-            q: sum(weight[j] * before[j][anchor] for j in incident[q])
-            - sum(weight[j] * before[j][q] for j in incident[anchor])
-            for q in others
-        }
+        d, r = [0] * n, [0] * n
+        for j in [j for j in range(m) if s >> j & 1]:
+            before, w = known(s ^ (1 << j)), weight[j]
+            for k in members[1 << j]:
+                d[k] += w
+                r[k] += w * before[anchor]
+            if links[j] >> anchor & 1:
+                # r[anchor] nets to zero: it gains and loses the same terms
+                for q in members[s]:
+                    r[q] -= w * before[q]
         row = rows[0][:]
         total = worth[s] * unit
-        x_a, inexact = divmod(d[anchor] * total + sum(r.values()), sum(d.values()))
+        x_a, inexact = divmod(d[anchor] * total + sum(r), eta * s.bit_count())
         row[anchor] = x_a
         for q in others:
             row[q], remainder = divmod(d[q] * x_a - r[q], d[anchor])

@@ -69,7 +69,7 @@ from .model import (
     weighted_unanimity,
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, require_subset_cap
-from .solutions import myerson_value, position_value, shapley_value
+from .solutions import myerson_value, position_value, position_values_without, shapley_value
 
 
 class DocumentError(ValueError):
@@ -291,8 +291,12 @@ _RULES = {"position": position_value, "myerson": myerson_value, "shapley": shapl
 
 
 def _rule_for(args):
-    rule = _RULES[args.rule]
-    return lambda g: rule(g, cap=args.cap_subsets)
+    """The chosen rule under the subset cap; the position rule also
+    carries the one-pass deletions that the pair checks read."""
+    rule = functools.partial(_RULES[args.rule], cap=args.cap_subsets)
+    if args.rule == "position":
+        rule.deletions = functools.partial(position_values_without, cap=args.cap_subsets)
+    return rule
 
 
 def handle_value(args) -> Result:

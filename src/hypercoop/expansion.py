@@ -27,7 +27,6 @@ subset cap the m hyperlinks of W; both are checked before W is built.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping
@@ -43,7 +42,7 @@ from .model import (
     zero_allocation,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap, shapley_of_table
-from .solutions import conference_table
+from .solutions import _without_bit, conference_table
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -129,9 +128,7 @@ def _uniform(
     """`uniform_payoffs` from the conference table of all the hyperlinks."""
     live = game.hyperlinks
     if removed is not None:
-        half = 1 << game.hyperlinks.index(removed)
-        without = (b"\x01" * half + bytes(half)) * (len(table) // (2 * half))
-        table = list(itertools.compress(table, without))
+        table = _without_bit(table, game.hyperlinks.index(removed))
         live = [e for e in game.hyperlinks if e != removed]
     payoff = dict(zip(live, _block_payoffs(table, scale, rho)))
     return {(i, e): payoff.get(e, ZERO) for e in game.hyperlinks for i in sorted(e)}

@@ -30,18 +30,22 @@ Myerson keeps the table there.  The rule between the two, stated on the
 input alone: the enumeration runs unless it would list more than 2^m/4
 sets (2^n/4 for Myerson), judged first by the degree lower bound of
 `connected_sets` and then by the count itself; past that the table runs.
-The subset cap is checked before either.  The frozenset versions of the
-two restricted games are the test suite's reference.
+The subset cap is checked before either.  `position_values_without`
+gives the position value without each hyperlink from one pass on the
+route of the whole game.  The frozenset versions of the two restricted
+games are the test suite's reference.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import factorial, lcm
 
 from .connectivity import connected_sets
 from .model import (
     Allocation,
+    Hyperlink,
     HypergraphGame,
     PlayerId,
     scaled_worths,
@@ -199,25 +203,67 @@ def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     return _player_payoffs(game.players, sums, scale)
 
 
-def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
-    """Each hyperlink's conference-game Shapley payoff, split equally
-    among its members; players on no hyperlink get zero."""
+def _without_bit(table: list[int], j: int) -> list[int]:
+    """A 2^m table's entries at the masks without bit j, in order."""
+    half = 1 << j
+    keep = (b"\x01" * half + bytes(half)) * (len(table) // (2 * half))
+    return list(itertools.compress(table, keep))
+
+
+def _conference_shapley(game: HypergraphGame, cap: int):
+    """(scale, solve) for the conference game on the route the rule in
+    the module docstring picks, worths read once.  solve(j) is m!·scale
+    times its Shapley value without hyperlink j (None: with all), 0 at j.
+    Without j the connected sets are those missing j, with j cleared from
+    their boundaries, and their piece weights do not depend on m; the
+    table is the one at the masks without j's bit, whose (m-1)!-scaled
+    payoffs times m are over m!."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap, "hyperlinks")
     links, touching = _hyperlink_masks(game)
     sets = connected_sets([t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2)
     if sets is None:
         table, scale = conference_table(game)
-        per_link = shapley_of_table(table)
-    else:
-        scale, worth = _piece_worths(game, _covered(links, sets))
-        per_link = shapley_of_pieces(m, ((s, b, worth[s]) for s, b in sets))
-    # Sh_e = per_link[e] / (m!·scale); over the common denominator
-    # m!·scale·eta each share Sh_e/|e| has numerator per_link[e]·eta/|e|.
+
+        def solve(j: int | None) -> list[int]:
+            if j is None:
+                return shapley_of_table(table)
+            rest = [m * x for x in shapley_of_table(_without_bit(table, j))]
+            return rest[:j] + [0] + rest[j:]
+
+        return scale, solve
+    scale, worth = _piece_worths(game, _covered(links, sets))
+
+    def solve(j: int | None) -> list[int]:
+        bit = 0 if j is None else 1 << j
+        return shapley_of_pieces(m, ((s, b & ~bit, worth[s]) for s, b in sets if not s & bit))
+
+    return scale, solve
+
+
+def _split(game: HypergraphGame, per_link: list[int], scale: int) -> Allocation:
+    """Each hyperlink's payoff per_link[e]/(m!·scale), split equally
+    among its members over m!·scale·eta; players on no hyperlink get 0."""
     eta = lcm(*(len(e) for e in game.hyperlinks))
     numerators = dict.fromkeys(game.players, 0)
     for e, x in zip(game.hyperlinks, per_link):
         for i in e:
             numerators[i] += x * (eta // len(e))
-    denominator = factorial(m) * scale * eta
+    denominator = factorial(len(game.hyperlinks)) * scale * eta
     return {p: Fraction(x, denominator) for p, x in numerators.items()}
+
+
+def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
+    """Each hyperlink's conference-game Shapley payoff, split equally
+    among its members; players on no hyperlink get zero."""
+    scale, solve = _conference_shapley(game, cap)
+    return _split(game, solve(None), scale)
+
+
+def position_values_without(
+    game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP
+) -> dict[Hyperlink, Allocation]:
+    """{e: position_value(game.without_hyperlink(e))} for every hyperlink
+    e, from one pass; the subset cap counts all m hyperlinks."""
+    scale, solve = _conference_shapley(game, cap)
+    return {e: _split(game, solve(j), scale) for j, e in enumerate(game.hyperlinks)}

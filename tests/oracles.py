@@ -31,7 +31,10 @@ coalition at a time, and shares no code with the bitmask integer kernel
   kernel of `hypercoop.expansion`;
 * the axiomatic reconstruction with one row per hyperlink mask
   (`value_from_axioms_by_masks`), the reference for the connected-set
-  rows of `hypercoop.axioms.value_from_axioms`.
+  rows of `hypercoop.axioms.value_from_axioms`;
+* the pair report of the contribution axioms with one rule call per
+  hyperlink deletion and `Fraction` gains (`pair_report_by_rule_calls`),
+  the reference for the integer gains of `hypercoop.axioms`.
 
 Each route refuses games larger than its cap.
 """
@@ -44,6 +47,7 @@ from math import comb, factorial, lcm, prod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
+from hypercoop.axioms import Report, Side
 from hypercoop.connectivity import components, mask_components
 from hypercoop.model import (
     Allocation,
@@ -676,3 +680,24 @@ def value_from_axioms_by_masks(game: HypergraphGame, cap: int = 12) -> Allocatio
                 raise ArithmeticError(f"axioms unsolvable over 1/{unit * scale} at mask {mask:#b}")
         rows.append(row)
     return {p: Fraction(x, unit * scale) for p, x in zip(players, rows[-1])}
+
+
+def pair_report_by_rule_calls(
+    rule: Callable[[HypergraphGame], Allocation],
+    game: HypergraphGame,
+    axiom: str,
+    weight_of: Callable[[Hyperlink], Fraction],
+) -> Report:
+    """The contribution axioms' pair report from the definition: one
+    rule call per game without a hyperlink, and gain[i, j] = sum over e
+    containing j of weight(e) * (f_i(H) - f_i(H minus e)) in Fractions.
+    The pair (i, j) compares gain[i, j] with gain[j, i]."""
+    base = rule(game)
+    removed = {e: rule(game.without_hyperlink(e)) for e in game.hyperlinks}
+    incident = {j: incident_hyperlinks(game.hypergraph, j) for j in game.players}
+    gain = {
+        (i, j): sum((weight_of(e) * (base[i] - removed[e][i]) for e in incident[j]), ZERO)
+        for i in game.players
+        for j in game.players
+    }
+    return Report(axiom, {(i, j): Side(g, gain[j, i]) for (i, j), g in gain.items()})

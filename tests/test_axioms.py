@@ -1,6 +1,6 @@
+from argparse import Namespace
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import hypercoop.axioms
 from hypercoop.axioms import (
+    Report,
+    Side,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
@@ -15,7 +17,7 @@ from hypercoop.axioms import (
     check_partial_balanced_conference_contributions,
     value_from_axioms,
 )
-from hypercoop.cli import parse_game
+from hypercoop.cli import _rule_for, parse_game
 from hypercoop.corpus import game_corpus
 from hypercoop.model import (
     CharacteristicFunction,
@@ -25,12 +27,22 @@ from hypercoop.model import (
     unanimity,
     weighted_unanimity,
 )
-from hypercoop.shapley import CapExceeded
-from hypercoop.solutions import myerson_value, position_value
+from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded
+from hypercoop.solutions import (
+    myerson_value,
+    position_value,
+    position_values_without,
+    shapley_value,
+)
 
-from oracles import build_uniform, position_by_dividends, value_from_axioms_by_masks
+from oracles import (
+    build_uniform,
+    pair_report_by_rule_calls,
+    position_by_dividends,
+    value_from_axioms_by_masks,
+)
 from strategies import hypergraph_games, unanimity_combination_games
-from test_solutions import ring
+from test_solutions import GAMES, ring, route
 
 F = Fraction
 
@@ -250,9 +262,6 @@ def ring3(c):
     return HypergraphGame(make_hypergraph(players, links), cf)
 
 
-GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json"))
-
-
 class TestConnectedSetRowsMatchTheMaskRows:
     def test_the_corpus(self):
         for game in game_corpus():
@@ -279,3 +288,81 @@ def test_axiomatic_reconstruction_matches_the_position_value(game):
     assert value_from_axioms(game) == position_value(game)
     assert check_component_efficiency(value_from_axioms, game).passed
     assert check_partial_balanced_conference_contributions(value_from_axioms, game).passed
+
+
+def cli_rule(name):
+    return _rule_for(Namespace(rule=name, cap_subsets=DEFAULT_SUBSET_CAP))
+
+
+def doubled_position(game):
+    return {p: 2 * x for p, x in position_value(game).items()}
+
+
+PAIR_CHECKS = [
+    (check_balanced_link_contributions, "balanced link contributions", lambda e: F(1)),
+    (check_balanced_conference_contributions, "balanced conference contributions", lambda e: F(1)),
+    (
+        check_partial_balanced_conference_contributions,
+        "partial balanced conference contributions",
+        lambda e: F(1, len(e)),
+    ),
+]
+RULES = [cli_rule("position"), position_value, myerson_value, shapley_value, doubled_position]
+
+
+def assert_pair_reports_match_the_oracle(game):
+    """Every rule under every pair axiom that applies: the same sides in
+    the same key order as one rule call per deletion and Fraction gains."""
+    two_member = all(len(e) == 2 for e in game.hyperlinks)
+    for check, axiom, weight_of in PAIR_CHECKS[0 if two_member else 1:]:
+        for rule in RULES:
+            report = check(rule, game)
+            expected = pair_report_by_rule_calls(rule, game, axiom, weight_of)
+            assert report.axiom == expected.axiom
+            assert list(report.sides) == list(expected.sides)
+            assert report.sides == expected.sides
+
+
+class TestPairReportsMatchTheRuleCalls:
+    def test_the_cli_rule_carries_the_pass_for_position_only(self):
+        assert cli_rule("position").deletions.func is position_values_without
+        assert not hasattr(cli_rule("myerson"), "deletions")
+        assert not hasattr(cli_rule("shapley"), "deletions")
+
+    def test_the_pass_replaces_the_calls_per_hyperlink(self, hub):
+        calls = []
+
+        def counted(game):
+            calls.append(game)
+            return position_value(game)
+
+        counted.deletions = position_values_without
+        assert check_partial_balanced_conference_contributions(counted, hub).passed
+        assert calls == [hub]
+
+    def test_the_corpus(self):
+        for game in game_corpus(count=200):
+            assert_pair_reports_match_the_oracle(game)
+
+    @pytest.mark.parametrize("path", GAMES, ids=lambda p: p.name)
+    def test_sample_games(self, path):
+        assert_pair_reports_match_the_oracle(parse_game(path.read_text(encoding="utf-8")))
+
+    def test_the_hub_path_and_rings(self, hub, path3):
+        for game in (hub, path3, ring(6), ring(12), ring3(3)):
+            assert_pair_reports_match_the_oracle(game)
+
+    @given(hypergraph_games(max_players=4, max_links=4, max_link_size=3))
+    def test_table_games_on_both_routes(self, game):
+        for name in ("table", "pieces"):
+            with route(name):
+                assert_pair_reports_match_the_oracle(game)
+
+
+class TestReport:
+    def test_failures_and_passed(self):
+        report = Report("x", {1: Side(F(1), F(1)), 2: Side(F(1, 2), F(1, 3)), 3: Side(F(0), F(0))})
+        assert report.failures() == {2: Side(F(1, 2), F(1, 3))}
+        assert not report.passed
+        assert report.residual(2) == F(1, 6)
+        assert Report("x", {1: Side(F(2), F(2))}).passed

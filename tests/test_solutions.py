@@ -21,7 +21,12 @@ from hypercoop.model import (
     weighted_unanimity,
 )
 from hypercoop.shapley import CapExceeded
-from hypercoop.solutions import myerson_value, position_value, shapley_value
+from hypercoop.solutions import (
+    myerson_value,
+    position_value,
+    position_values_without,
+    shapley_value,
+)
 
 from oracles import (
     TUGame,
@@ -453,6 +458,60 @@ class TestRouting:
         game = HypergraphGame(h, Flat(frozenset(players)))
         for name in ("table", "pieces"):
             with route(name):
-                with pytest.raises(ValueError, match=r"^worth of the singleton \[0\] must be 0, got 1$"):
-                    position_value(game)
+                for value in (position_value, position_values_without):
+                    with pytest.raises(ValueError, match=r"^worth of the singleton \[0\] must be 0, got 1$"):
+                        value(game)
                 assert myerson_value(game) == shapley_by_subsets(point_game(game))
+
+
+def assert_deletions_match(game) -> str:
+    """`position_values_without` equals the position value of each game
+    without one hyperlink, keys in order; returns the route it took."""
+    build, tables = solutions.conference_table, []
+
+    def spied(game):
+        tables.append(game)
+        return build(game)
+
+    with mock.patch.object(solutions, "conference_table", spied):
+        deleted = position_values_without(game)
+    assert list(deleted) == list(game.hyperlinks)
+    for e, payoffs in deleted.items():
+        expected = position_value(game.without_hyperlink(e))
+        assert payoffs == expected
+        assert list(payoffs) == list(expected)
+    return "table" if tables else "pieces"
+
+
+class TestDeletionsInOnePass:
+    def test_the_corpus_the_hub_and_rings_take_both_routes(self, hub):
+        corpus = {assert_deletions_match(game) for game in game_corpus(count=200)}
+        assert corpus | {assert_deletions_match(hub)} == {"table"}
+        assert {assert_deletions_match(ring(n)) for n in (12, 20)} == {"pieces"}
+
+    @pytest.mark.parametrize("path", GAMES, ids=lambda p: p.name)
+    def test_sample_games(self, path):
+        assert_deletions_match(parse_game(path.read_text()))
+
+    @given(hypergraph_games(max_players=6, max_links=6))
+    def test_table_games_on_both_routes(self, game):
+        for name in ("table", "pieces"):
+            with route(name):
+                assert assert_deletions_match(game) == name
+
+    @given(unanimity_combination_games(max_players=6, max_links=6))
+    def test_unanimity_combinations_on_both_routes(self, game):
+        for name in ("table", "pieces"):
+            with route(name):
+                assert assert_deletions_match(game) == name
+
+    def test_one_hyperlink_and_none(self):
+        assert position_values_without(single_link_game()) == {
+            frozenset({1, 2}): {1: 0, 2: 0}
+        }
+        game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
+        assert position_values_without(game) == {}
+
+    def test_respects_the_cap(self, hub):
+        with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
+            position_values_without(hub, cap=3)
