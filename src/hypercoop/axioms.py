@@ -12,14 +12,14 @@ connected hyperlink sets.
 The axiom checkers take an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
 position value, the Myerson value, and deliberately broken rules alike.
-A rule may also carry `deletions`, a function giving its payoffs for the
-game without each hyperlink in one pass, as the command line's position
-rule does with `solutions.position_values_without`; the pair checks then
-call the rule itself once.  Every check, axiom or identity, returns one `Report`: a `Side` (left,
-right) per key — an ordered player pair, a component or a player — with
-an exact residual, never just a boolean, so failures show *where* and
-*by how much* an invariant breaks.  `compare` builds the player-by-player
-report of two allocations.
+A rule may also carry `with_deletions`, giving its payoffs on the game
+and without each hyperlink from one pass, as the command line's position
+rule does with `solutions._position_pass`.  Every check, axiom or
+identity, returns one `Report`: a `Side` (left, right) per key — an
+ordered player pair, a component or a player — with an exact residual,
+never just a boolean, so failures show *where* and *by how much* an
+invariant breaks.  `compare` builds the player-by-player report of two
+allocations.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ def _pair_report(
     sum over e containing j of weight(e) * (f_i(H) - f_i(H minus e)).
     The pair (i, j) compares gain[i, j] with gain[j, i].
 
-    A rule may carry `deletions`, giving {e: rule(H minus e)} for every
-    e in one pass; otherwise each is its own call.  With the payoffs over
-    one common denominator and the weights over another, the gains are
-    integer sums."""
+    A rule may carry `with_deletions`, giving (rule(H), {e: rule(H minus
+    e)}) for every e in one pass; otherwise each is its own call.  With
+    the payoffs over one common denominator and the weights over another,
+    the gains are integer sums."""
     players, links = game.players, game.hyperlinks
-    deletions = getattr(rule, "deletions", None)
-    base = rule(game)
-    removed = deletions(game) if deletions else {e: rule(game.without_hyperlink(e)) for e in links}
+    one_pass = getattr(rule, "with_deletions", None) or (
+        lambda g: (rule(g), {e: rule(g.without_hyperlink(e)) for e in links}))
+    base, removed = one_pass(game)
     rows = [[f[i] for i in players] for f in (base, *(removed[e] for e in links))]
     weights = [weight_of(e) for e in links]
     unit = lcm(*(x.denominator for row in rows for x in row))

@@ -69,7 +69,7 @@ from .model import (
     weighted_unanimity,
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, require_subset_cap
-from .solutions import myerson_value, position_value, position_values_without, shapley_value
+from .solutions import _position_pass, myerson_value, position_value, shapley_value
 
 
 class DocumentError(ValueError):
@@ -292,10 +292,10 @@ _RULES = {"position": position_value, "myerson": myerson_value, "shapley": shapl
 
 def _rule_for(args):
     """The chosen rule under the subset cap; the position rule also
-    carries the one-pass deletions that the pair checks read."""
+    carries the one pass (value and deletions) that the pair checks read."""
     rule = functools.partial(_RULES[args.rule], cap=args.cap_subsets)
     if args.rule == "position":
-        rule.deletions = functools.partial(position_values_without, cap=args.cap_subsets)
+        rule.with_deletions = functools.partial(_position_pass, cap=args.cap_subsets)
     return rule
 
 

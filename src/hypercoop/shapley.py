@@ -16,8 +16,8 @@ the test suite as oracles for these kernels.
 
 from __future__ import annotations
 
-import itertools
 from math import factorial
+from operator import add
 from typing import Iterable, Sequence
 
 DEFAULT_SUBSET_CAP = 24
@@ -49,9 +49,11 @@ def shapley_of_table(table: Sequence[int], coefficients: Sequence[int] | None = 
 
     With c(s) = s!(n-s-1)! (and c(-1) = c(n) = 0) the subset sum
     n!·Sh_i = Σ_{S∌i} c(|S|)·(v(S+i) - v(S)) regroups as A_i - T with
-    A_i = Σ_{S∋i} (c(|S|-1) + c(|S|))·v(S), one weighted table shared by
-    every player, and T = Σ_S c(|S|)·v(S).  Efficiency, Σ_i n!·Sh_i =
-    n!·v(N), gives T = (Σ_i A_i - n!·v(N)) / n without a second pass.
+    A_i = Σ_{S∋i} (c(|S|-1) + c(|S|))·v(S) and T = Σ_S c(|S|)·v(S).  A
+    halving fold of the weighted table gives every A_i in about 2^(n+1)
+    additions: from the top bit k down, A_k sums the upper half of the
+    entries left, which is then added onto the lower half.  Efficiency,
+    Σ_i n!·Sh_i = n!·v(N), gives T = (Σ_i A_i - n!·v(N)) / n.
 
     `coefficients`, one integer c(s) per s = 0..n-1, replaces Shapley's
     weights in the same subset sum; T is then summed directly, since
@@ -66,11 +68,11 @@ def shapley_of_table(table: Sequence[int], coefficients: Sequence[int] | None = 
         c = [*coefficients, 0]
     d = [c[0]] + [c[s - 1] + c[s] for s in range(1, n + 1)]
     weighted = [d[mask.bit_count()] * w for mask, w in enumerate(table)]
-    sums = []
-    for k in range(n):
-        half = 1 << k
-        holds_k = (bytes(half) + b"\x01" * half) * (len(table) // (2 * half))
-        sums.append(sum(itertools.compress(weighted, holds_k)))
+    sums = [0] * n
+    for k in reversed(range(n)):
+        upper = weighted[1 << k:]
+        sums[k] = sum(upper)
+        weighted = list(map(add, weighted, upper))
     if coefficients is None:
         offset = (sum(sums) - factorial(n) * table[-1]) // n
     else:

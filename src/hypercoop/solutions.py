@@ -20,7 +20,9 @@ over the connected sets P, so two routes give the same payoffs:
   (p-1)!·b!/(p+b)! and each member of ∂P -p!·(b-1)!/(p+b)! times v(P),
   with p = |P| and b = |∂P|;
 - tables: W[mask] = v(piece holding the lowest bit) + W[mask without
-  that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`.
+  that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`;
+  the conference table reads its worths first, once per covered player
+  set, and then fills W in one pass.
 
 The position value runs the first route on the line graph of the
 hyperlinks (two hyperlinks adjacent when they share a player), and the
@@ -58,20 +60,10 @@ from .shapley import (
 )
 
 
-def _fill(pieces: list[int], worth: dict[int, int]) -> list[int]:
-    """W[mask] = worth[piece] + W[mask minus piece], piece = pieces[mask]."""
-    table = [0] * len(pieces)
-    for mask in range(1, len(pieces)):
-        piece = pieces[mask]
-        table[mask] = worth[piece] + table[mask ^ piece]
-    return table
-
-
 def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
     """The point game over player masks, scaled to integers."""
     n = len(game.players)
-    bit = {p: 1 << k for k, p in enumerate(game.players)}
-    links = [sum(bit[p] for p in e) for e in game.hyperlinks]
+    links = _hyperlink_masks(game)[0]
     incident = {1 << k: [e for e in links if e >> k & 1] for k in range(n)}
     topped = {1 << k: [e for e in links if e.bit_length() == k + 1] for k in range(n)}
     pieces = [0] * (1 << n)
@@ -97,7 +89,10 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
                     piece |= e
         pieces[mask] = piece
     scale, worth = scaled_worths(game.characteristic, game.players, set(pieces[1:]))
-    return _fill(pieces, worth), scale
+    table = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        table[mask] = worth[pieces[mask]] + table[mask ^ pieces[mask]]
+    return table, scale
 
 
 def _hyperlink_masks(game: HypergraphGame) -> tuple[list[int], list[int]]:
@@ -140,28 +135,24 @@ def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
     """The conference game over hyperlink masks, scaled to integers.
 
     A piece is a set of hyperlinks joined through shared players; its
-    worth is that of the players it covers."""
-    m = len(game.hyperlinks)
+    worth is that of the players it covers.  The worths are read first,
+    once per distinct player set some hyperlink set covers (at most 2^n),
+    and the table is then filled in one pass over the masks."""
     links, touching = _hyperlink_masks(game)
     # members[S]: players on the hyperlinks of S; reach[S]: hyperlinks
     # sharing a player with S (S included).
-    members = [0] * (1 << m)
-    reach = [0] * (1 << m)
-    pieces = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        members[mask] = members[mask ^ low] | links[j]
-        reach[mask] = reach[mask ^ low] | touching[j]
-        piece = low
+    members, reach = [0], [0]
+    for e, t in zip(links, touching):
+        members += [x | e for x in members]
+        reach += [x | t for x in reach]
+    scale, worth = _piece_worths(game, {c: c for c in members if c})
+    table = [0] * len(members)
+    for mask in range(1, len(members)):
+        piece = mask & -mask
         while (grown := reach[piece] & mask) != piece:
             piece = grown
-        pieces[mask] = piece
-    covered = {piece: members[piece] for piece in pieces if piece}
-    # The route's memory peaks here: free the 2^m helper lists first.
-    del members, reach
-    scale, worth = _piece_worths(game, covered)
-    return _fill(pieces, worth), scale
+        table[mask] = worth[members[piece]] + table[mask ^ piece]
+    return table, scale
 
 
 def _player_payoffs(players: tuple[PlayerId, ...], sums: list[int], scale: int) -> Allocation:
@@ -267,3 +258,11 @@ def position_values_without(
     e, from one pass; the subset cap counts all m hyperlinks."""
     scale, solve = _conference_shapley(game, cap)
     return {e: _split(game, solve(j), scale) for j, e in enumerate(game.hyperlinks)}
+
+
+def _position_pass(game: HypergraphGame, cap: int) -> tuple[Allocation, dict[Hyperlink, Allocation]]:
+    """(position_value(game), position_values_without(game)) from one pass."""
+    scale, solve = _conference_shapley(game, cap)
+    return _split(game, solve(None), scale), {
+        e: _split(game, solve(j), scale) for j, e in enumerate(game.hyperlinks)
+    }

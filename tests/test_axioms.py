@@ -1,12 +1,14 @@
 from argparse import Namespace
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hypercoop.axioms
+from hypercoop import solutions
 from hypercoop.axioms import (
     Report,
     Side,
@@ -325,20 +327,56 @@ def assert_pair_reports_match_the_oracle(game):
 
 class TestPairReportsMatchTheRuleCalls:
     def test_the_cli_rule_carries_the_pass_for_position_only(self):
-        assert cli_rule("position").deletions.func is position_values_without
-        assert not hasattr(cli_rule("myerson"), "deletions")
-        assert not hasattr(cli_rule("shapley"), "deletions")
+        assert cli_rule("position").with_deletions.func is solutions._position_pass
+        assert not hasattr(cli_rule("myerson"), "with_deletions")
+        assert not hasattr(cli_rule("shapley"), "with_deletions")
 
-    def test_the_pass_replaces_the_calls_per_hyperlink(self, hub):
-        calls = []
+    def test_the_pass_replaces_every_rule_call(self, hub):
+        calls, passes = [], []
 
         def counted(game):
             calls.append(game)
             return position_value(game)
 
-        counted.deletions = position_values_without
+        def one_pass(game):
+            passes.append(game)
+            return solutions._position_pass(game, DEFAULT_SUBSET_CAP)
+
+        counted.with_deletions = one_pass
         assert check_partial_balanced_conference_contributions(counted, hub).passed
-        assert calls == [hub]
+        assert calls == [] and passes == [hub]
+
+    def test_the_pass_gives_the_rule_and_its_deletions(self, hub):
+        for game in (hub, ring(6), ring3(3)):
+            assert solutions._position_pass(game, DEFAULT_SUBSET_CAP) == (
+                position_value(game),
+                position_values_without(game),
+            )
+
+    @pytest.mark.parametrize("name", ["table", "pieces"])
+    def test_each_check_builds_the_structure_once(self, name):
+        """One listing of connected sets and at most one conference table
+        per pair check of the command line's position rule."""
+        built = []
+
+        def spy(attribute):
+            function = getattr(solutions, attribute)
+
+            def wrapped(*args):
+                built.append(attribute)
+                return function(*args)
+
+            return mock.patch.object(solutions, attribute, wrapped)
+
+        with route(name), spy("connected_sets"), spy("conference_table"):
+            for check in (
+                check_partial_balanced_conference_contributions,
+                check_balanced_conference_contributions,
+            ):
+                built.clear()
+                check(cli_rule("position"), ring3(3))
+                tables = ["conference_table"] if name == "table" else []
+                assert built == ["connected_sets", *tables]
 
     def test_the_corpus(self):
         for game in game_corpus(count=200):

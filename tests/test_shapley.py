@@ -182,10 +182,28 @@ def test_integer_table_kernel_with_other_coefficients(case):
     """Weights c(s) that need not add up to efficiency, on any table:
     the kernel gives the subset sum Σ_{S∌i} c(|S|)·(v(S+i) - v(S))."""
     table, c = case
+    assert shapley_of_table(table, c) == subset_sum(table, c)
+
+
+def subset_sum(table, c):
+    """Σ_{S∌i} c(|S|)·(v(S+i) - v(S)) for each player i, term by term."""
     n = len(c)
-    expected = [
+    return [
         sum(c[mask.bit_count()] * (table[mask | 1 << k] - table[mask])
             for mask in range(1 << n) if not mask >> k & 1)
         for k in range(n)
     ]
-    assert shapley_of_table(table, c) == expected
+
+
+@given(st.integers(0, 9), st.integers(0, 160), st.randoms(use_true_random=False))
+def test_the_halving_fold_is_the_subset_sum(n, bits, rng):
+    """The kernel against the explicit subset sum on up to 9 players and
+    signed entries and weights of up to 160 bits, with Shapley's weights
+    (table[0] = 0) and with other coefficients."""
+    bound = 1 << bits
+    table = [rng.randint(-bound, bound) for _ in range(1 << n)]
+    c = [rng.randint(-bound, bound) for _ in range(n)]
+    assert shapley_of_table(table, c) == subset_sum(table, c)
+    table[0] = 0
+    weights = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
+    assert shapley_of_table(table) == subset_sum(table, weights)

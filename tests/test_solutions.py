@@ -299,6 +299,88 @@ class TestBitmaskKernel:
             position_value(dense)
 
 
+def two_paths_game():
+    """Paths 1-2-3-4 and 5-6-7 and the lone player 8: most hyperlink
+    sets fall apart into pieces."""
+    players = range(1, 9)
+    h = make_hypergraph(players, [[1, 2], [2, 3], [3, 4], [5, 6], [6, 7]])
+    cf = table_function(
+        players,
+        {
+            frozenset({1, 2}): F(3, 4),
+            frozenset({2, 3, 4}): F(-2, 3),
+            frozenset({1, 2, 3, 4}): F(5),
+            frozenset({5, 6, 7}): F(7, 6),
+            frozenset({1, 2, 3, 4, 5, 6, 7}): F(100),
+        },
+    )
+    return HypergraphGame(h, cf)
+
+
+def dense_game():
+    """Overlapping 3- and 4-member hyperlinks on 7 players."""
+    players = range(1, 8)
+    links = [[1, 2, 3], [3, 4, 5], [5, 6, 7], [1, 4, 7], [2, 5, 6, 7], [1, 3, 5, 6], [2, 4, 6]]
+    cf = weighted_unanimity(
+        players, [(list(players), F(1)), ([1, 4], F(2, 3)), ([2, 3, 5], F(-5, 4)), ([6, 7], F(1, 2))]
+    )
+    return HypergraphGame(make_hypergraph(players, links), cf)
+
+
+def covered_player_sets(game):
+    """The player sets that nonempty hyperlink sets cover, and the
+    singletons."""
+    links = game.hyperlinks
+    return {
+        frozenset().union(*subset)
+        for r in range(1, len(links) + 1)
+        for subset in itertools.combinations(links, r)
+    } | {frozenset({p}) for p in game.players}
+
+
+def assert_table_matches_the_oracle(game):
+    """`conference_table` entry by entry against the frozenset conference game."""
+    table, scale = solutions.conference_table(game)
+    oracle = hyperlink_game(game)
+    links = game.hyperlinks
+    assert len(table) == 1 << len(links)
+    for mask, entry in enumerate(table):
+        assert F(entry, scale) == oracle.worth(e for j, e in enumerate(links) if mask >> j & 1)
+
+
+class TestConferenceTable:
+    def test_disconnected_masks(self):
+        assert_table_matches_the_oracle(two_paths_game())
+
+    def test_dense_three_and_four_member_hyperlinks(self):
+        assert_table_matches_the_oracle(dense_game())
+
+    def test_the_corpus(self):
+        for game in game_corpus(count=200):
+            assert_table_matches_the_oracle(game)
+
+    def test_each_player_set_is_read_at_most_once(self, monkeypatch):
+        requested = []
+        read = solutions.scaled_worths
+
+        def recording(cf, players, coalitions):
+            coalitions = list(coalitions)
+            requested.extend(coalitions)
+            return read(cf, players, coalitions)
+
+        monkeypatch.setattr(solutions, "scaled_worths", recording)
+        for game in (two_paths_game(), dense_game(), *game_corpus(count=50)):
+            requested.clear()
+            solutions.conference_table(game)
+            assert len(requested) == len(set(requested)) <= 1 << len(game.players)
+
+    def test_an_opaque_characteristic_is_asked_once_per_covered_set(self):
+        for game in (two_paths_game(), dense_game()):
+            cf = CountingWorth(frozenset(game.players))
+            solutions.conference_table(HypergraphGame(game.hypergraph, cf))
+            assert sorted(cf.calls, key=sorted) == sorted(covered_player_sets(game), key=sorted)
+
+
 GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json"))
 
 
