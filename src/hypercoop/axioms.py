@@ -30,7 +30,7 @@ from math import factorial, lcm
 from typing import Callable
 
 from .connectivity import components, connected_sets
-from .expansion import DEFAULT_STATE_CAP, copy_deletions, grouped_position
+from .expansion import DEFAULT_STATE_CAP, _require_caps, copy_deletions, grouped_position
 from .model import (
     Allocation,
     Hyperlink,
@@ -42,11 +42,13 @@ from .model import (
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
 from .solutions import (
+    _conference_shapley,
     _covered,
+    _deletions,
     _hyperlink_masks,
     _piece_worths,
+    conference_table,
     position_value,
-    position_values_without,
 )
 
 DEFAULT_RECURSION_CAP = 12
@@ -184,9 +186,12 @@ def check_copy_deletions(
 ) -> dict[Hyperlink, Report]:
     """`check_copy_deletion` for every hyperlink, Lemma 1 in full: the
     left sides come from one conference table (`copy_deletions`), the
-    right sides from one pass (`position_values_without`)."""
-    grouped = copy_deletions(game, state_cap, cap)
-    right = position_values_without(game, cap)
+    right sides from one pass (`position_values_without`), which reuses
+    that table when the route rule picks the table."""
+    _require_caps(game, 1, state_cap, cap)
+    built = conference_table(game)
+    grouped = copy_deletions(game, *built)
+    right = _deletions(game, *_conference_shapley(game, cap, built))
     return {e: compare("copy deletion", left, right[e]) for e, left in grouped.items()}
 
 

@@ -7,7 +7,9 @@ are bit positions and a hyperlink is the mask of its members.
 it.  `connected_sets` lists every connected vertex set of a graph given
 by neighbour masks, with its boundary, or refuses once there are more
 than a limit; the restricted-game values use it on the line graph of the
-hyperlinks and on the player graph.
+hyperlinks and on a player graph of pairs.  `hypergraph_pieces` does the
+same for the connected player sets of a hypergraph with hyperlinks of
+any size.
 """
 
 from __future__ import annotations
@@ -111,3 +113,68 @@ def _grow(adjacency: list[int], root: int, banned: int):
             candidates ^= low
             banned |= low
             stack.append((piece | low, reach | adjacency[low.bit_length() - 1], banned))
+
+
+def hypergraph_pieces(links: list[int], n: int, limit: int) -> list[tuple[int, int, int, int]] | None:
+    """[P is a component of S] as a signed sum of piece indicators, over
+    every connected player set P of the hypergraph on n players with
+    hyperlink masks `links`: (P, members, boundary, sign) terms, where
+    the sum of sign·[members ⊆ S and S misses boundary] over P's terms
+    is 1 exactly when P is a component of S; None when there would be
+    more than `limit` sets and terms together.
+
+    P is a component of S when P ⊆ S, P is connected by its own
+    hyperlinks, and no hyperlink e leaving P has e∖P ⊆ S.  The one-player
+    parts e∖P make the boundary; a larger part meeting it is redundant
+    and dropped, and the product of (1 - [U ⊆ S]) over the other larger
+    parts U expands into signed unions, with at least the term U = ∅.
+    Every player, every hyperlink and every union of two hyperlinks that
+    meet is a connected set, so when twice their number passes `limit`
+    no set is grown at all.  Otherwise growth stops, and what it built is
+    dropped, as soon as the sets found, the terms made, one term for
+    each set found but not yet expanded, and the signed unions of the
+    set being expanded add up to more than `limit`.
+    """
+    met = {e | f for k, e in enumerate(links) for f in links[k:] if e & f}
+    if 2 * (n + len(met)) > limit:
+        return None
+    start = [*links, *(1 << k for k in range(n)), *met.difference(links)]
+    terms: list[tuple[int, int, int, int]] = []
+    for popped, (piece, boundary, larger, found) in enumerate(_closure(links, start)):
+        # each of the found - popped - 1 sets still to come has a term
+        floor = 2 * found - popped - 1 + len(terms)
+        signed = {0: 1}
+        for u in larger:
+            if not u & boundary:
+                for union, sign in list(signed.items()):
+                    signed[union | u] = signed.get(union | u, 0) - sign
+                if floor + len(signed) > limit:
+                    return None
+        if floor + len(signed) > limit:
+            return None
+        terms += [(piece, piece | union, boundary, sign) for union, sign in signed.items() if sign]
+    return terms
+
+
+def _closure(links: list[int], start: list[int]):
+    """Yield each connected player set P grown from the distinct
+    connected sets `start` exactly once, as (P, boundary, larger parts,
+    sets found so far): of the parts e∖P of the hyperlinks e leaving P,
+    the one-player parts are joined in the boundary mask and the others
+    kept in a set.  A set grows by each hyperlink leaving it, so starting
+    from every player and every hyperlink reaches every connected set."""
+    queue = list(start)
+    seen = set(queue)
+    for piece in queue:
+        boundary, larger = 0, set()
+        for e in links:
+            rest = e & ~piece
+            if rest and rest != e:
+                if rest & (rest - 1):
+                    larger.add(rest)
+                else:
+                    boundary |= rest
+                if piece | e not in seen:
+                    seen.add(piece | e)
+                    queue.append(piece | e)
+        yield piece, boundary, larger, len(seen)

@@ -168,13 +168,11 @@ def grouped_position(
     return group_copies(game.players, copy_counts(game, k), per_copy)
 
 
-def copy_deletions(
-    game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP, cap: int = DEFAULT_SUBSET_CAP
-) -> dict[Hyperlink, Allocation]:
-    """`grouped_position(game, 1, e)` for every hyperlink e, from one
-    conference table."""
-    rho = _require_caps(game, 1, state_cap, cap)
-    table, scale = conference_table(game)
+def copy_deletions(game: HypergraphGame, table: list[int], scale: int) -> dict[Hyperlink, Allocation]:
+    """`grouped_position(game, 1, e)` for every hyperlink e, from the
+    game's `conference_table` and its scale, which the caller builds
+    once the caps are checked."""
+    rho = eta(game.hypergraph)
     counts = copy_counts(game)
     return {
         e: group_copies(game.players, counts, _uniform(game, rho, table, scale, e))

@@ -27,11 +27,14 @@ over the connected sets P, so two routes give the same payoffs:
 The position value runs the first route on the line graph of the
 hyperlinks (two hyperlinks adjacent when they share a player), and the
 Myerson value on the player graph when every hyperlink has two members.
-With a larger hyperlink a piece's boundary is not a set of neighbours, so
-Myerson keeps the table there.  The rule between the two, stated on the
-input alone: the enumeration runs unless it would list more than 2^m/4
-sets (2^n/4 for Myerson), judged first by the degree lower bound of
-`connected_sets` and then by the count itself; past that the table runs.
+With a larger hyperlink a piece's boundary is not a set of neighbours:
+`connectivity.hypergraph_pieces` writes each connected player set's
+indicator as signed (members, boundary) pieces, which the same kernel
+pays.  The rule between the routes, stated on the input alone: the
+enumeration runs unless it would list more than 2^m/4 sets (2^n/4 sets
+and pieces for Myerson), judged first by a lower bound (the degree bound
+of `connected_sets`, or the pair unions of `hypergraph_pieces`) and then
+by the count itself; past that the table runs.
 The subset cap is checked before either.  `position_values_without`
 gives the position value without each hyperlink from one pass on the
 route of the whole game.  The frozenset versions of the two restricted
@@ -44,7 +47,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm
 
-from .connectivity import connected_sets
+from .connectivity import connected_sets, hypergraph_pieces
 from .model import (
     Allocation,
     Hyperlink,
@@ -177,21 +180,28 @@ def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     """Shapley value of the point game."""
     n = len(game.players)
     require_subset_cap(n, cap, "players")
-    sets = None
+    cf, players = game.characteristic, game.players
+    bit = {p: 1 << k for k, p in enumerate(players)}
+    links = [sum(bit[p] for p in e) for e in game.hyperlinks]
     if all(len(e) == 2 for e in game.hyperlinks):
-        index = {p: k for k, p in enumerate(game.players)}
         partners = [0] * n
-        for e in game.hyperlinks:
-            a, b = (index[p] for p in e)
+        for e in links:
+            a, b = (e & -e).bit_length() - 1, e.bit_length() - 1
             partners[a] |= 1 << b
             partners[b] |= 1 << a
         sets = connected_sets(partners, (1 << n) >> 2)
-    if sets is None:
-        table, scale = _point_table(game)
-        return _player_payoffs(game.players, shapley_of_table(table), scale)
-    scale, worth = scaled_worths(game.characteristic, game.players, [s for s, _ in sets])
-    sums = shapley_of_pieces(n, ((s, b, worth[s]) for s, b in sets))
-    return _player_payoffs(game.players, sums, scale)
+        if sets is not None:
+            scale, worth = scaled_worths(cf, players, [s for s, _ in sets])
+            sums = shapley_of_pieces(n, ((s, b, worth[s]) for s, b in sets))
+            return _player_payoffs(players, sums, scale)
+    else:
+        terms = hypergraph_pieces(links, n, (1 << n) >> 2)
+        if terms is not None:
+            scale, worth = scaled_worths(cf, players, {t[0] for t in terms})
+            sums = shapley_of_pieces(n, ((u, b, sign * worth[s]) for s, u, b, sign in terms))
+            return _player_payoffs(players, sums, scale)
+    table, scale = _point_table(game)
+    return _player_payoffs(players, shapley_of_table(table), scale)
 
 
 def _without_bit(table: list[int], j: int) -> list[int]:
@@ -201,20 +211,21 @@ def _without_bit(table: list[int], j: int) -> list[int]:
     return list(itertools.compress(table, keep))
 
 
-def _conference_shapley(game: HypergraphGame, cap: int):
+def _conference_shapley(game: HypergraphGame, cap: int, built: tuple[list[int], int] | None = None):
     """(scale, solve) for the conference game on the route the rule in
-    the module docstring picks, worths read once.  solve(j) is m!·scale
-    times its Shapley value without hyperlink j (None: with all), 0 at j.
-    Without j the connected sets are those missing j, with j cleared from
-    their boundaries, and their piece weights do not depend on m; the
-    table is the one at the masks without j's bit, whose (m-1)!-scaled
-    payoffs times m are over m!."""
+    the module docstring picks, worths read once; the table route uses
+    `built`, the game's `conference_table`, when the caller has one.
+    solve(j) is m!·scale times its Shapley value without hyperlink j
+    (None: with all), 0 at j.  Without j the connected sets are those
+    missing j, with j cleared from their boundaries, and their piece
+    weights do not depend on m; the table is the one at the masks
+    without j's bit, whose (m-1)!-scaled payoffs times m are over m!."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap, "hyperlinks")
     links, touching = _hyperlink_masks(game)
     sets = connected_sets([t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2)
     if sets is None:
-        table, scale = conference_table(game)
+        table, scale = built or conference_table(game)
 
         def solve(j: int | None) -> list[int]:
             if j is None:
@@ -256,13 +267,15 @@ def position_values_without(
 ) -> dict[Hyperlink, Allocation]:
     """{e: position_value(game.without_hyperlink(e))} for every hyperlink
     e, from one pass; the subset cap counts all m hyperlinks."""
-    scale, solve = _conference_shapley(game, cap)
+    return _deletions(game, *_conference_shapley(game, cap))
+
+
+def _deletions(game: HypergraphGame, scale: int, solve) -> dict[Hyperlink, Allocation]:
+    """`position_values_without` from a `_conference_shapley` pass."""
     return {e: _split(game, solve(j), scale) for j, e in enumerate(game.hyperlinks)}
 
 
 def _position_pass(game: HypergraphGame, cap: int) -> tuple[Allocation, dict[Hyperlink, Allocation]]:
     """(position_value(game), position_values_without(game)) from one pass."""
     scale, solve = _conference_shapley(game, cap)
-    return _split(game, solve(None), scale), {
-        e: _split(game, solve(j), scale) for j, e in enumerate(game.hyperlinks)
-    }
+    return _split(game, solve(None), scale), _deletions(game, scale, solve)

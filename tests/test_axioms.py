@@ -1,3 +1,4 @@
+import itertools
 from argparse import Namespace
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypercoop.axioms import (
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletion,
+    check_copy_deletions,
     check_partial_balanced_conference_contributions,
     value_from_axioms,
 )
@@ -44,7 +46,7 @@ from oracles import (
     value_from_axioms_by_masks,
 )
 from strategies import hypergraph_games, unanimity_combination_games
-from test_solutions import GAMES, ring, route
+from test_solutions import GAMES, ring, ring3, route
 
 F = Fraction
 
@@ -181,6 +183,37 @@ class TestCopyDeletion:
         assert report.passed
         assert all(report.residual(i) == 0 for i in path3.players)
 
+    @pytest.mark.parametrize("name", ["table", "pieces"])
+    def test_every_hyperlink_at_once_matches_one_at_a_time(self, hub, name):
+        with route(name):
+            for game in (hub, ring(6), *game_corpus(count=40)):
+                reports = check_copy_deletions(game)
+                assert list(reports) == list(game.hyperlinks)
+                for e, report in reports.items():
+                    assert report.passed
+                    assert report == check_copy_deletion(game, e)
+
+    def test_every_hyperlink_at_once_builds_one_conference_table(self):
+        """18 three-member hyperlinks on 7 players: the route rule picks
+        the table for the right sides, which reuse the left sides' table."""
+        players = range(1, 8)
+        links = list(itertools.combinations(players, 3))[:18]
+        cf = weighted_unanimity(players, [(players, 1), ([1, 4], F(2, 3))])
+        game = HypergraphGame(make_hypergraph(players, links), cf)
+        built = []
+
+        def counted(game):
+            built.append(game)
+            return build(game)
+
+        build = solutions.conference_table
+        with mock.patch.object(solutions, "conference_table", counted), mock.patch.object(
+            hypercoop.axioms, "conference_table", counted
+        ):
+            reports = check_copy_deletions(game)
+        assert len(built) == 1
+        assert all(report.passed for report in reports.values())
+
 
 class TestValueFromAxioms:
     def test_hub(self, hub):
@@ -254,14 +287,6 @@ class TestValueFromAxioms:
         monkeypatch.setattr(hypercoop.axioms, "factorial", lambda n: 1)
         with pytest.raises(ArithmeticError, match="^axioms unsolvable over 1/6 at mask 0b"):
             value_from_axioms(hub)
-
-
-def ring3(c):
-    """2c players, hyperlinks {2i+1, 2i+2, 2i+3 mod 2c}, worth u{N} + 2·u{1,4}."""
-    players = list(range(1, 2 * c + 1))
-    links = [[2 * i + 1, 2 * i + 2, (2 * i + 2) % (2 * c) + 1] for i in range(c)]
-    cf = weighted_unanimity(players, [(players, 1), ([1, 4], 2)])
-    return HypergraphGame(make_hypergraph(players, links), cf)
 
 
 class TestConnectedSetRowsMatchTheMaskRows:

@@ -10,7 +10,7 @@ from hypothesis import given
 
 from hypercoop import connectivity, solutions
 from hypercoop.cli import parse_game
-from hypercoop.connectivity import components, connected_sets
+from hypercoop.connectivity import components, connected_sets, hypergraph_pieces
 from hypercoop.corpus import game_corpus
 from hypercoop.model import (
     CharacteristicFunction,
@@ -282,6 +282,7 @@ class TestBitmaskKernel:
         monkeypatch.setattr(solutions, "_point_table", refuse)
         monkeypatch.setattr(solutions, "scaled_worths", refuse)
         monkeypatch.setattr(solutions, "connected_sets", refuse)
+        monkeypatch.setattr(solutions, "hypergraph_pieces", refuse)
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
@@ -388,14 +389,22 @@ GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json")
 def route(name):
     """Force `position_value` and `myerson_value` onto one route: "table"
     refuses every enumeration, "pieces" admits any number of connected
-    sets.  Myerson on a hyperlink of 3 or more members keeps the table."""
+    sets and pieces, on pair structures and hypergraphs alike."""
     if name == "table":
         def sets(adjacency, limit):
+            return None
+
+        def pieces(links, n, limit):
             return None
     else:
         def sets(adjacency, limit):
             return connected_sets(adjacency, 1 << len(adjacency))
-    with mock.patch.object(solutions, "connected_sets", sets):
+
+        def pieces(links, n, limit):
+            return hypergraph_pieces(links, n, 1 << (n + len(links) + 1))
+    with mock.patch.object(solutions, "connected_sets", sets), mock.patch.object(
+        solutions, "hypergraph_pieces", pieces
+    ):
         yield
 
 
@@ -415,6 +424,15 @@ def ring(n):
         players, [([1, n // 2 + 1], F(3, 2)), ([2, 3, 4], F(-1, 3)), (players, 1)]
     )
     return HypergraphGame(make_hypergraph(players, [[i, i % n + 1] for i in players]), cf)
+
+
+def ring3(c):
+    """Players 1..2c, hyperlinks {2i+1, 2i+2, 2i+3 mod 2c}, worth
+    u{N} + 2·u{1,4}."""
+    players = list(range(1, 2 * c + 1))
+    links = [[2 * i + 1, 2 * i + 2, (2 * i + 2) % (2 * c) + 1] for i in range(c)]
+    cf = weighted_unanimity(players, [(players, 1), ([1, 4], 2)])
+    return HypergraphGame(make_hypergraph(players, links), cf)
 
 
 def path_game(links):
@@ -447,9 +465,40 @@ class TestConnectedSetRoute:
             assert myerson_value(game) == shapley_by_subsets(point_game(game))
             assert position_value(game) == position_oracle(game)
 
+    @given(hypergraph_games(max_players=6, max_links=6, max_link_size=4))
+    def test_myerson_on_hypergraphs_matches_the_subset_sum(self, game):
+        with route("pieces"):
+            assert myerson_value(game) == shapley_by_subsets(point_game(game))
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            [[1, 2], [1, 2, 3], [3, 4]],
+            [[1, 2, 3], [1, 2, 3, 4], [4, 5]],
+            [[1, 2, 3], [1, 4, 5], [2, 4], [3, 5]],
+        ],
+        ids=["part over a one-player part", "nested larger parts", "two larger parts"],
+    )
+    def test_leaving_parts_on_a_hand_built_hypergraph(self, links):
+        players = sorted({p for e in links for p in e})
+        cf = weighted_unanimity(players, [([1, 3], F(2, 3)), ([2, 3, 4], -1), (players, 1)])
+        game = HypergraphGame(make_hypergraph(players, links), cf)
+        with route("pieces"):
+            assert myerson_value(game) == shapley_by_subsets(point_game(game))
+        assert_the_routes_agree(game)
+
+    def test_a_part_over_a_one_player_part_is_dropped(self):
+        """{1} leaves {1, 2} with the part {2} and {1, 2, 3} with {2, 3};
+        a component {1} of S already has 2 outside S, so {2, 3} adds
+        nothing: {1}'s one term is {1} with boundary {2}."""
+        terms = hypergraph_pieces([0b11, 0b111], 3, 1 << 10)
+        assert [t for t in terms if t[0] == 0b1] == [(0b1, 0b1, 0b10, 1)]
+
     def test_rings_agree_with_the_table_route(self):
         for n in (5, 8, 12):
             assert_the_routes_agree(ring(n))
+        for c in (3, 5):
+            assert_the_routes_agree(ring3(c))
 
 
 class TestRouting:
@@ -464,13 +513,15 @@ class TestRouting:
     )
     def test_complete_and_star_are_refused_by_the_bound(self, monkeypatch, links):
         grown = []
-        original = connectivity._grow
 
-        def spy(*args):
-            grown.append(args)
-            return original(*args)
+        def spy(original):
+            def spied(*args):
+                grown.append(args)
+                return original(*args)
+            return spied
 
-        monkeypatch.setattr(connectivity, "_grow", spy)
+        monkeypatch.setattr(connectivity, "_grow", spy(connectivity._grow))
+        monkeypatch.setattr(connectivity, "_closure", spy(connectivity._closure))
         players = sorted({p for e in links for p in e})
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
         assert position_value(game) == position_oracle(game)
@@ -520,14 +571,29 @@ class TestRouting:
         assert myerson_value(path_game(5)) == shapley_by_subsets(point_game(path_game(5)))
         assert len(yielded) == 17 and tables == ["conference_table", "_point_table"]
 
-    def test_a_three_member_hyperlink_sends_myerson_to_the_point_table(self, monkeypatch):
+    def test_a_three_member_hyperlink_sends_myerson_to_the_hypergraph_pieces(self, monkeypatch):
         def refuse(*_args):
-            raise AssertionError("Myerson enumerated connected sets on a hypergraph")
+            raise AssertionError("Myerson listed a player graph or built the point table")
 
+        h = make_hypergraph(range(1, 11), [[i, i + 1] for i in range(1, 10)] + [[2, 3, 4]])
+        game = HypergraphGame(h, unanimity(range(1, 11), [1, 10]))
+        expected = shapley_by_subsets(point_game(game))
         monkeypatch.setattr(solutions, "connected_sets", refuse)
-        h = make_hypergraph(range(1, 9), [[i, i + 1] for i in range(1, 8)] + [[2, 3, 4]])
-        game = HypergraphGame(h, unanimity(range(1, 9), [1, 8]))
-        assert myerson_value(game) == shapley_by_subsets(point_game(game))
+        monkeypatch.setattr(solutions, "_point_table", refuse)
+        assert myerson_value(game) == expected
+
+    def test_a_ring_of_three_member_hyperlinks_builds_no_point_table(self, monkeypatch):
+        with route("table"):
+            expected = myerson_value(ring3(6))
+
+        def refuse(*_args):
+            raise AssertionError("the 2^n point table was built")
+
+        monkeypatch.setattr(solutions, "_point_table", refuse)
+        assert myerson_value(ring3(6)) == expected
+        # 24 players: the point table needs 2^24 masks
+        game = ring3(12)
+        assert sum(myerson_value(game).values()) == game.worth(game.players)
 
     def test_a_nonzero_singleton_raises_on_both_routes(self):
         @dataclass(frozen=True)
