@@ -24,13 +24,20 @@ allocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable
 
 from .connectivity import components, connected_sets
-from .expansion import DEFAULT_STATE_CAP, _require_caps, copy_deletions, grouped_position
+from .expansion import (
+    DEFAULT_STATE_CAP,
+    _grouped,
+    _require_caps,
+    _require_links,
+    completion_numerators,
+    grouped_position,
+)
 from .model import (
     Allocation,
     Hyperlink,
@@ -44,10 +51,9 @@ from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
 from .solutions import (
     _conference_shapley,
     _covered,
-    _deletions,
     _hyperlink_masks,
     _piece_worths,
-    conference_table,
+    _split,
     position_value,
 )
 
@@ -184,15 +190,55 @@ def check_copy_deletions(
     state_cap: int = DEFAULT_STATE_CAP,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[Hyperlink, Report]:
-    """`check_copy_deletion` for every hyperlink, Lemma 1 in full: the
-    left sides come from one conference table (`copy_deletions`), the
-    right sides from one pass (`position_values_without`), which reuses
-    that table when the route rule picks the table."""
+    """`check_copy_deletion` for every hyperlink, Lemma 1 in full, from
+    one pass: the sets or table masks without each hyperlink are summed
+    with the completion weights of the m - 1 other blocks for the left
+    side and with Shapley's for the right."""
     _require_caps(game, 1, state_cap, cap)
-    built = conference_table(game)
-    grouped = copy_deletions(game, *built)
-    right = _deletions(game, *_conference_shapley(game, cap, built))
-    return {e: compare("copy deletion", left, right[e]) for e, left in grouped.items()}
+    scale, solve = _conference_shapley(game, cap, (completion_numerators, None))
+    return {
+        e: compare("copy deletion", *_grouped_sides(game, scale, solve, j))
+        for j, e in enumerate(game.hyperlinks)
+    }
+
+
+def _grouped_sides(
+    game: HypergraphGame, scale: int, solve, j: int | None = None
+) -> tuple[Allocation, Allocation]:
+    """(grouped expansion payoffs, position value) without hyperlink j
+    (None: with all) from a pass with both weightings."""
+    m = len(game.hyperlinks)
+    uniform, shapley = solve(j)
+    blocks = m if j is None else m - 1
+    return _grouped(game, uniform, blocks, scale), _split(game, shapley, factorial(m) * scale)
+
+
+def check_uniform_expansion(
+    game: HypergraphGame,
+    k: int = 1,
+    state_cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> Report:
+    """Theorems 1 (k = 1) and 2: the Shapley payoffs of the k-fold uniform
+    expansion, summed per original player, against the position value,
+    both from one pass."""
+    _require_caps(game, k, state_cap, cap)
+    scale, solve = _conference_shapley(game, cap, (completion_numerators, None))
+    label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
+    return compare(label, *_grouped_sides(game, scale, solve))
+
+
+def check_agent_form(
+    game: HypergraphGame,
+    state_cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> Report:
+    """Corollary 1: the Myerson payoffs of the agent form, summed per
+    original player, against the position value.  They are the 1-fold
+    expansion's (see `expansion.agent_form_payoffs`)."""
+    _require_links(game)
+    report = check_uniform_expansion(game, 1, state_cap, cap)
+    return replace(report, axiom="grouped Myerson payoffs of the agent form")
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:

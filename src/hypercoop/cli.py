@@ -39,22 +39,16 @@ from typing import Callable
 from .axioms import (
     DEFAULT_RECURSION_CAP,
     Report,
+    check_agent_form,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
-    compare,
+    check_uniform_expansion,
     value_from_axioms,
 )
-from .expansion import (
-    DEFAULT_STATE_CAP,
-    copy_counts,
-    group_copies,
-    grouped_agent_form,
-    grouped_position,
-    uniform_payoffs,
-)
+from .expansion import DEFAULT_STATE_CAP, copy_counts, expansion_payoffs
 from .model import (
     Allocation,
     HypergraphGame,
@@ -310,7 +304,9 @@ def handle_value(args) -> Result:
 
 def handle_expand(args) -> Result:
     game = _load(args)
-    per_copy = uniform_payoffs(game, args.k, state_cap=args.cap_states, cap=args.cap_subsets)
+    per_copy, grouped = expansion_payoffs(
+        game, args.k, state_cap=args.cap_states, cap=args.cap_subsets
+    )
     counts = copy_counts(game, args.k)
     labels = {
         (i, e): [f"{i}[{','.join(map(str, sorted(e)))}]#{t}" for t in range(1, copies + 1)]
@@ -320,7 +316,7 @@ def handle_expand(args) -> Result:
         {
             "hyperlink": sorted(e),
             "copies": [label for i in sorted(e) for label in labels[i, e]],
-            "per_copy": per_copy[min(e), e],
+            "per_copy": per_copy[e],
         }
         for e in game.hyperlinks
     ]
@@ -336,7 +332,7 @@ def handle_expand(args) -> Result:
         "universe_size": sum(counts.values()),
         "blocks": blocks,
         "groups": groups,
-        "grouped": group_copies(game.players, counts, per_copy),
+        "grouped": grouped,
     }
 
     def text(decimals):
@@ -438,16 +434,18 @@ def handle_verify(args) -> Result:
     else:
         if args.theorem in ("1", "2"):
             k = args.k if args.theorem == "2" else 1
-            grouped = grouped_position(game, k, state_cap=args.cap_states, cap=args.cap_subsets)
-            label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
+            report = check_uniform_expansion(
+                game, k, state_cap=args.cap_states, cap=args.cap_subsets
+            )
         else:
-            grouped = grouped_agent_form(game, state_cap=args.cap_states, cap=args.cap_subsets)
-            label = "grouped Myerson payoffs of the agent form"
-        report = compare(label, grouped, position_value(game, cap=args.cap_subsets))
+            report = check_agent_form(game, state_cap=args.cap_states, cap=args.cap_subsets)
         ok = report.passed
 
         def body(decimals):
-            return [f"verification: {label} == position value", *_report_lines(report, decimals)]
+            return [
+                f"verification: {report.axiom} == position value",
+                *_report_lines(report, decimals),
+            ]
 
     def text(decimals):
         return [*body(decimals), f"result: {'PASS' if ok else 'FAIL'}"]
@@ -596,6 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cap_subsets(p)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -619,10 +618,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The command line parsed once, by the named command's parser; the
+    full parser (and its messages) when no command is named or arguments
+    are left over."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one command; may be called any number of times in a process."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,33 +1,38 @@
-"""Uniform hyperlink expansions and the agent form, solved on a 2^m table
-over the hyperlinks.
+"""Uniform hyperlink expansions and the agent form, solved on the
+conference game of the hyperlinks.
 
 Every hyperlink e is replaced by a block of rho = k*eta equal copies,
 rho/|e| of them held by each member, where eta is the lcm of the
 hyperlink sizes.  A coalition of copies is worth the conference worth of
 the hyperlinks whose blocks it holds completely.  No copy is built:
-`copy_counts` gives the copies each player holds of each hyperlink, the
-solvers pay one amount per (player, hyperlink) sub-block, and
-`group_copies` sums them per player.
+`copy_counts` gives the copies each player holds of each hyperlink, and
+the solvers make one payoff per block and one per player from integer
+per-block sums; `group_copies` sums per-copy payoffs per player.
 
 A copy changes the worth only when it completes its block j, so it earns
-Σ_{T∌j} π(|T|)·(W[T+j] - W[T]) over the table W of complete-block masks,
+Σ_{T∌j} π(|T|)·(W[T+j] - W[T]) over the worths W of complete-block sets,
 where π(t) is the chance that it completes j while exactly the blocks T
 are complete.  All blocks hold rho copies, so π depends on t alone;
-`completion_weights` counts it from the block sizes, never from the
-grouped-payoff identity it serves to verify, and `shapley_of_table` sums
-W with π in place of Shapley's weights.  A deleted copy leaves rho - 1
-copies of a block that never completes; they earn 0 and leave π as it
-is, so W becomes the table on the masks without that hyperlink's bit.
-The agent form is the same sum at k = 1 on the same table: a set of
-complete images is worth its conference worth.
+`completion_numerators` counts it from the block sizes, never from the
+grouped-payoff identity it serves to verify, as integers over
+rho·lcm(1..B) for B blocks.  `solutions._conference_shapley` sums W with
+them in place of Shapley's weights on the route the position value
+takes, the connected hyperlink sets or the 2^m table, and can carry
+Shapley's weights in the same pass: both sides of Theorems 1 and 2,
+Corollary 1 and Lemma 1 read one listing or one table.  A deleted copy
+leaves rho - 1 copies of a block that never completes; they earn 0 and
+leave π as it is over the B = m - 1 other blocks, so the sum runs
+without that hyperlink.  The agent form is the same sum at k = 1: a set
+of complete images is worth its conference worth.
 
 The state cap bounds the universe size m*k*eta (copies or agents), the
-subset cap the m hyperlinks of W; both are checked before W is built.
+subset cap the m hyperlinks; both are checked before any worth is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 from typing import Iterable, Mapping
 
@@ -36,13 +41,12 @@ from .model import (
     Hyperlink,
     HypergraphGame,
     PlayerId,
-    ZERO,
     eta,
     incident_hyperlinks,
     zero_allocation,
 )
-from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap, shapley_of_table
-from .solutions import _without_bit, conference_table
+from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
+from .solutions import _conference_shapley, _split
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -93,45 +97,67 @@ def group_copies(
     return out
 
 
-def completion_weights(blocks: int, rho: int) -> list[Fraction]:
-    """π(t), t = 0..blocks-1: in a random order of `blocks` blocks of rho
-    copies, the chance that a given copy arrives last in its block while
-    exactly t given other blocks are complete.
+def _unit(blocks: int) -> int:
+    """lcm(1..blocks), the denominator of rho·π over `blocks` blocks."""
+    return lcm(*range(1, blocks + 1))
+
+
+@cache
+def completion_numerators(blocks: int) -> tuple[int, ...]:
+    """c(t) = π(t)·rho·lcm(1..blocks), t = 0..blocks-1, where π(t) is the
+    chance that, in a random order of `blocks` blocks of rho copies, a
+    given copy arrives last in its block while exactly t given other
+    blocks are complete.
 
     Copies outside every block (those a copy deletion leaves) do not
     change the relative order of the others, so they do not change π.
     By inclusion-exclusion over the i of the r = blocks-1-t other blocks
     that are complete too, the copy arrives last among the rho(1+t+i)
     copies of its own block, the t blocks and those i, which has chance
-    1/(rho(1+t+i)): π(t) = Σ_i (-1)^i C(r, i) / (rho(1+t+i)).
+    1/(rho(1+t+i)): π(t) = Σ_i (-1)^i C(r, i) / (rho(1+t+i)).  As
+    1+t+i <= blocks, each term is an integer over rho·lcm(1..blocks),
+    whatever rho is.
     """
-    weights = []
-    for t in range(blocks):
-        r = blocks - 1 - t
-        terms = (Fraction((-1) ** i * comb(r, i), rho * (1 + t + i)) for i in range(r + 1))
-        weights.append(sum(terms, ZERO))
-    return weights
+    unit = _unit(blocks)
+    return tuple(
+        sum((-1) ** i * comb(blocks - 1 - t, i) * (unit // (1 + t + i)) for i in range(blocks - t))
+        for t in range(blocks)
+    )
 
 
-def _block_payoffs(table: list[int], scale: int, rho: int) -> list[Fraction]:
-    """Per-copy payoff in each of B blocks of rho copies, from the 2^B
-    entries table[mask] = scale·worth(blocks in mask complete)."""
-    weights = completion_weights(len(table).bit_length() - 1, rho)
-    denominator = lcm(*(w.denominator for w in weights))
-    sums = shapley_of_table(table, [w.numerator * (denominator // w.denominator) for w in weights])
-    return [Fraction(x, denominator * scale) for x in sums]
+def _grouped(game: HypergraphGame, sums: list[int], blocks: int, scale: int) -> Allocation:
+    """Payoffs per original player from the completion-weighted sums over
+    `blocks` blocks: block e's rho copies together earn
+    sums[e]/(lcm(1..blocks)·scale), rho/|e| of them held by each member."""
+    return _split(game, sums, _unit(blocks) * scale)
 
 
-def _uniform(
-    game: HypergraphGame, rho: int, table: list[int], scale: int, removed: Hyperlink | None
-) -> dict[SubBlock, Fraction]:
-    """`uniform_payoffs` from the conference table of all the hyperlinks."""
-    live = game.hyperlinks
+def expansion_payoffs(
+    game: HypergraphGame,
+    k: int = 1,
+    removed: Iterable[PlayerId] | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> tuple[dict[Hyperlink, Fraction], Allocation]:
+    """({e: Shapley payoff of one copy in hyperlink e's block}, the payoffs
+    grouped per original player) of the k-fold uniform expansion, from
+    one pass.  `removed` = e takes one copy out of hyperlink e's block; a
+    hyperlink counts only with all k*eta of its copies, so that block
+    never completes and its copies earn 0, whichever member held the
+    copy.  Players on no hyperlink keep payoff 0."""
+    j = None
     if removed is not None:
-        table = _without_bit(table, game.hyperlinks.index(removed))
-        live = [e for e in game.hyperlinks if e != removed]
-    payoff = dict(zip(live, _block_payoffs(table, scale, rho)))
-    return {(i, e): payoff.get(e, ZERO) for e in game.hyperlinks for i in sorted(e)}
+        removed = frozenset(removed)
+        if removed not in game.hyperlinks:
+            raise ValueError(f"no hyperlink {sorted(removed)} to delete a copy of")
+        j = game.hyperlinks.index(removed)
+    rho = _require_caps(game, k, state_cap, cap)
+    scale, solve = _conference_shapley(game, cap, (completion_numerators,))
+    blocks = len(game.hyperlinks) - (j is not None)
+    [sums] = solve(j)
+    unit = rho * _unit(blocks) * scale
+    per_copy = {e: Fraction(x, unit) for e, x in zip(game.hyperlinks, sums)}
+    return per_copy, _grouped(game, sums, blocks, scale)
 
 
 def uniform_payoffs(
@@ -142,16 +168,10 @@ def uniform_payoffs(
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[SubBlock, Fraction]:
     """Shapley payoff of one copy in each (player, hyperlink) sub-block
-    of the k-fold uniform expansion, keyed like `copy_counts(game, k)`.
-    `removed` = e takes one copy out of hyperlink e's block; a hyperlink
-    counts only with all k*eta of its copies, so that block never
-    completes and its copies earn 0, whichever member held the copy."""
-    if removed is not None:
-        removed = frozenset(removed)
-        if removed not in game.hyperlinks:
-            raise ValueError(f"no hyperlink {sorted(removed)} to delete a copy of")
-    rho = _require_caps(game, k, state_cap, cap)
-    return _uniform(game, rho, *conference_table(game), removed)
+    of the k-fold uniform expansion, keyed like `copy_counts(game, k)`;
+    `removed` as in `expansion_payoffs`."""
+    per_copy = expansion_payoffs(game, k, removed, state_cap, cap)[0]
+    return {(i, e): per_copy[e] for e in game.hyperlinks for i in sorted(e)}
 
 
 def grouped_position(
@@ -164,20 +184,23 @@ def grouped_position(
     """`uniform_payoffs` summed per original player over the copies it
     holds; players on no hyperlink keep payoff 0.  A removed copy's
     block pays 0 per copy, so its holder does not matter here."""
-    per_copy = uniform_payoffs(game, k, removed, state_cap, cap)
-    return group_copies(game.players, copy_counts(game, k), per_copy)
+    return expansion_payoffs(game, k, removed, state_cap, cap)[1]
 
 
-def copy_deletions(game: HypergraphGame, table: list[int], scale: int) -> dict[Hyperlink, Allocation]:
-    """`grouped_position(game, 1, e)` for every hyperlink e, from the
-    game's `conference_table` and its scale, which the caller builds
-    once the caps are checked."""
-    rho = eta(game.hypergraph)
-    counts = copy_counts(game)
-    return {
-        e: group_copies(game.players, counts, _uniform(game, rho, table, scale, e))
-        for e in game.hyperlinks
-    }
+def copy_deletions(
+    game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP, cap: int = DEFAULT_SUBSET_CAP
+) -> dict[Hyperlink, Allocation]:
+    """`grouped_position(game, 1, e)` for every hyperlink e, from one
+    pass."""
+    _require_caps(game, 1, state_cap, cap)
+    scale, solve = _conference_shapley(game, cap, (completion_numerators,))
+    blocks = len(game.hyperlinks) - 1
+    return {e: _grouped(game, solve(j)[0], blocks, scale) for j, e in enumerate(game.hyperlinks)}
+
+
+def _require_links(game: HypergraphGame) -> None:
+    if not game.hyperlinks:
+        raise ValueError("agent form requires at least one hyperlink")
 
 
 def grouped_agent_form(
@@ -185,7 +208,8 @@ def grouped_agent_form(
 ) -> Allocation:
     """`agent_form_payoffs` summed per original player, Corollary 1's
     side of its identity with the position value."""
-    return group_copies(game.players, copy_counts(game), agent_form_payoffs(game, state_cap, cap))
+    _require_links(game)
+    return grouped_position(game, 1, None, state_cap, cap)
 
 
 def agent_form_payoffs(
@@ -200,9 +224,7 @@ def agent_form_payoffs(
     (ValueError otherwise), so only the complete images matter: the |e|
     sub-blocks of e act as one block of eta agents, and the worth of a
     set of complete images is its conference worth.  The expansion's
-    kernel then runs at k = 1 on the conference table.
+    kernel then runs at k = 1.
     """
-    if not game.hyperlinks:
-        raise ValueError("agent form requires at least one hyperlink")
-    rho = _require_caps(game, 1, state_cap, cap)
-    return _uniform(game, rho, *conference_table(game), None)
+    _require_links(game)
+    return uniform_payoffs(game, 1, None, state_cap, cap)

@@ -3,10 +3,11 @@
 `shapley_of_table` takes a worth table indexed by bitmask, already
 scaled to integers, and returns the payoffs scaled by n!, or the same
 subset sum under other integer weights per coalition size.
-`shapley_of_pieces` does the same for a graph-restricted game given by
-its connected sets, their boundaries and their worths, without any
-2^n table.  The Myerson, position and plain Shapley values in
-`hypercoop.solutions` all end in one of them.  Callers check
+`shapley_of_pieces` does the same, under either weighting, for a
+graph-restricted game given by its connected sets, their boundaries and
+their worths, without any 2^n table.  The Myerson, position and plain
+Shapley values in `hypercoop.solutions` all end in one of them, and so
+do the expansions of `hypercoop.expansion`.  Callers check
 `require_subset_cap` before they build a table or list connected sets,
 so an over-cap request fails before anything is allocated; the cap is a
 keyword argument, not a constant baked into call sites.  The slower
@@ -16,8 +17,8 @@ the test suite as oracles for these kernels.
 
 from __future__ import annotations
 
-from math import factorial
-from operator import add
+from math import comb, factorial
+from operator import add, mul
 from typing import Iterable, Sequence
 
 DEFAULT_SUBSET_CAP = 24
@@ -80,7 +81,9 @@ def shapley_of_table(table: Sequence[int], coefficients: Sequence[int] | None = 
     return [a - offset for a in sums]
 
 
-def shapley_of_pieces(n: int, pieces: Iterable[tuple[int, int, int]]) -> list[int]:
+def shapley_of_pieces(
+    n: int, pieces: Iterable[tuple[int, int, int]], coefficients: Sequence[int] | None = None
+) -> list[int]:
     """n!·Shapley value of the graph-restricted game Σ_P w_P·[P is a piece
     of S] on n players, given one (P, ∂P, w_P) triple of bitmasks and an
     integer worth per connected set P with boundary ∂P; entry k belongs
@@ -92,24 +95,48 @@ def shapley_of_pieces(n: int, pieces: Iterable[tuple[int, int, int]]) -> list[in
     after all of P and before the rest of ∂P.  With p = |P| and
     b = |∂P| the indicator game therefore pays (p-1)!·b!/(p+b)! to each
     member of P and -p!·(b-1)!/(p+b)! to each member of ∂P.
+
+    `coefficients`, one integer c(t) per t = 0..B-1, replaces Shapley's
+    weights in the subset sum Σ_{S∌i} c(|S|)·(v(S+i) - v(S)) over B of
+    the players; the other n - B must lie in no piece and no boundary
+    (as a deleted hyperlink does), and are never counted in S.  With
+    r = B - p - b players outside P and ∂P, a member of P gains on the
+    C(r, t-p+1) sets of size t that hold the rest of P and miss ∂P, and
+    a member of ∂P loses on the C(r, t-p) that hold P and miss ∂P, so
+    the factors are Σ_t c(t)·C(r, t-p+1) and Σ_t c(t)·C(r, t-p).  Both
+    kinds of factor are worked out once per (p, b).
     """
-    fact = factorials(n)
-    over = [fact[n] // f for f in fact]
+    if coefficients is None:
+        fact = factorials(n)
+
+        def factors(p: int, b: int) -> tuple[int, int]:
+            share = fact[n] // fact[p + b]
+            return share * fact[p - 1] * fact[b], share * fact[p] * fact[b - 1] if b else 0
+    else:
+        blocks = len(coefficients)
+
+        def factors(p: int, b: int) -> tuple[int, int]:
+            r = blocks - p - b
+            binomials = [comb(r, s) for s in range(r + 1)]
+            gain = sum(map(mul, coefficients[p - 1:], binomials))
+            return gain, sum(map(mul, coefficients[p:], binomials)) if b else 0
+
+    known: dict[tuple[int, int], tuple[int, int]] = {}
     out = [0] * n
     for members, boundary, w in pieces:
         if not w:
             continue
-        p, b = members.bit_count(), boundary.bit_count()
-        share = w * over[p + b]
-        gain = share * fact[p - 1] * fact[b]
+        size = members.bit_count(), boundary.bit_count()
+        known_factors = known.get(size)
+        if known_factors is None:
+            known_factors = known[size] = factors(*size)
+        gain, loss = w * known_factors[0], w * known_factors[1]
         while members:
             low = members & -members
             members ^= low
             out[low.bit_length() - 1] += gain
-        if b:
-            loss = share * fact[p] * fact[b - 1]
-            while boundary:
-                low = boundary & -boundary
-                boundary ^= low
-                out[low.bit_length() - 1] -= loss
+        while boundary:
+            low = boundary & -boundary
+            boundary ^= low
+            out[low.bit_length() - 1] -= loss
     return out

@@ -37,8 +37,12 @@ of `connected_sets`, or the pair unions of `hypergraph_pieces`) and then
 by the count itself; past that the table runs.
 The subset cap is checked before either.  `position_values_without`
 gives the position value without each hyperlink from one pass on the
-route of the whole game.  The frozenset versions of the two restricted
-games are the test suite's reference.
+route of the whole game.  The same pass sums the conference game under
+other integer weights per set size as well (the completion weights of
+`hypercoop.expansion`), so the uniform expansions, the agent form and
+the copy deletions take the position value's route, and one listing or
+one table serves both sides of each identity.  The frozenset versions
+of the two restricted games are the test suite's reference.
 """
 
 from __future__ import annotations
@@ -211,55 +215,65 @@ def _without_bit(table: list[int], j: int) -> list[int]:
     return list(itertools.compress(table, keep))
 
 
-def _conference_shapley(game: HypergraphGame, cap: int, built: tuple[list[int], int] | None = None):
+def _conference_shapley(game: HypergraphGame, cap: int, coefficients=(None,)):
     """(scale, solve) for the conference game on the route the rule in
-    the module docstring picks, worths read once; the table route uses
-    `built`, the game's `conference_table`, when the caller has one.
-    solve(j) is m!·scale times its Shapley value without hyperlink j
-    (None: with all), 0 at j.  Without j the connected sets are those
-    missing j, with j cleared from their boundaries, and their piece
-    weights do not depend on m; the table is the one at the masks
-    without j's bit, whose (m-1)!-scaled payoffs times m are over m!."""
+    the module docstring picks, worths read once.  solve(j) lists, per
+    weighting in `coefficients`, the hyperlinks' subset sums without
+    hyperlink j (None: with all), 0 at j.  A weighting is None, Shapley's,
+    whose sums are m!·scale times the Shapley value, or a function from
+    a number of blocks B (m, or m-1 without j) to B integer weights.
+    Without j the connected sets are those missing j, with j cleared
+    from their boundaries (Shapley's piece weights do not depend on m);
+    the table is the one at the masks without j's bit, built once for
+    every weighting, whose (m-1)!-scaled Shapley sums times m are over
+    m!."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap, "hyperlinks")
     links, touching = _hyperlink_masks(game)
     sets = connected_sets([t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2)
     if sets is None:
-        table, scale = built or conference_table(game)
+        table, scale = conference_table(game)
 
-        def solve(j: int | None) -> list[int]:
+        def solve(j: int | None) -> list[list[int]]:
             if j is None:
-                return shapley_of_table(table)
-            rest = [m * x for x in shapley_of_table(_without_bit(table, j))]
-            return rest[:j] + [0] + rest[j:]
+                return [shapley_of_table(table, w and w(m)) for w in coefficients]
+            rest = _without_bit(table, j)
+            sums = [
+                shapley_of_table(rest, w(m - 1)) if w else [m * x for x in shapley_of_table(rest)]
+                for w in coefficients
+            ]
+            return [x[:j] + [0] + x[j:] for x in sums]
 
         return scale, solve
     scale, worth = _piece_worths(game, _covered(links, sets))
 
-    def solve(j: int | None) -> list[int]:
-        bit = 0 if j is None else 1 << j
-        return shapley_of_pieces(m, ((s, b & ~bit, worth[s]) for s, b in sets if not s & bit))
+    def solve(j: int | None) -> list[list[int]]:
+        if j is None:
+            pieces, blocks = [(s, b, worth[s]) for s, b in sets], m
+        else:
+            bit, blocks = 1 << j, m - 1
+            pieces = [(s, b & ~bit, worth[s]) for s, b in sets if not s & bit]
+        return [shapley_of_pieces(m, pieces, w and w(blocks)) for w in coefficients]
 
     return scale, solve
 
 
-def _split(game: HypergraphGame, per_link: list[int], scale: int) -> Allocation:
-    """Each hyperlink's payoff per_link[e]/(m!·scale), split equally
-    among its members over m!·scale·eta; players on no hyperlink get 0."""
+def _split(game: HypergraphGame, per_link: list[int], denominator: int) -> Allocation:
+    """Each hyperlink's payoff per_link[e]/denominator, split equally
+    among its members over denominator·eta; players on no hyperlink get 0."""
     eta = lcm(*(len(e) for e in game.hyperlinks))
     numerators = dict.fromkeys(game.players, 0)
     for e, x in zip(game.hyperlinks, per_link):
         for i in e:
             numerators[i] += x * (eta // len(e))
-    denominator = factorial(len(game.hyperlinks)) * scale * eta
-    return {p: Fraction(x, denominator) for p, x in numerators.items()}
+    return {p: Fraction(x, denominator * eta) for p, x in numerators.items()}
 
 
 def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Each hyperlink's conference-game Shapley payoff, split equally
     among its members; players on no hyperlink get zero."""
     scale, solve = _conference_shapley(game, cap)
-    return _split(game, solve(None), scale)
+    return _split(game, solve(None)[0], factorial(len(game.hyperlinks)) * scale)
 
 
 def position_values_without(
@@ -272,10 +286,12 @@ def position_values_without(
 
 def _deletions(game: HypergraphGame, scale: int, solve) -> dict[Hyperlink, Allocation]:
     """`position_values_without` from a `_conference_shapley` pass."""
-    return {e: _split(game, solve(j), scale) for j, e in enumerate(game.hyperlinks)}
+    unit = factorial(len(game.hyperlinks)) * scale
+    return {e: _split(game, solve(j)[0], unit) for j, e in enumerate(game.hyperlinks)}
 
 
 def _position_pass(game: HypergraphGame, cap: int) -> tuple[Allocation, dict[Hyperlink, Allocation]]:
     """(position_value(game), position_values_without(game)) from one pass."""
     scale, solve = _conference_shapley(game, cap)
-    return _split(game, solve(None), scale), _deletions(game, scale, solve)
+    unit = factorial(len(game.hyperlinks)) * scale
+    return _split(game, solve(None)[0], unit), _deletions(game, scale, solve)

@@ -28,7 +28,8 @@ coalition at a time, and shares no code with the bitmask integer kernel
   complete-block masks, checked against literal block games; and the
   fold's uniform expansion (`uniform_by_fold`) and full-signature agent
   form (`agent_form_by_fold`), the references for the completion-weight
-  kernel of `hypercoop.expansion`;
+  kernel of `hypercoop.expansion`, and the completion weights themselves
+  summed as `Fraction`s (`completion_weights_by_fractions`);
 * the axiomatic reconstruction with one row per hyperlink mask
   (`value_from_axioms_by_masks`), the reference for the connected-set
   rows of `hypercoop.axioms.value_from_axioms`;
@@ -569,6 +570,19 @@ def block_symmetric_shapley(
     return fold_shapley(
         block_sizes, signatures, lambda ms: (1, {m: worth_of_mask(m) for m in ms}), state_cap
     )
+
+
+def completion_weights_by_fractions(blocks: int, rho: int) -> list[Fraction]:
+    """π(t) = Σ_i (-1)^i C(r, i) / (rho(1+t+i)), r = blocks-1-t, for
+    t = 0..blocks-1, term by term in `Fraction`s: the reference for
+    `hypercoop.expansion.completion_numerators`."""
+    return [
+        sum(
+            (Fraction((-1) ** i * comb(blocks - 1 - t, i), rho * (1 + t + i)) for i in range(blocks - t)),
+            Fraction(0),
+        )
+        for t in range(blocks)
+    ]
 
 
 def uniform_by_fold(

@@ -13,16 +13,20 @@ from hypercoop import solutions
 from hypercoop.axioms import (
     Report,
     Side,
+    check_agent_form,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletion,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
+    check_uniform_expansion,
+    compare,
     value_from_axioms,
 )
 from hypercoop.cli import _rule_for, parse_game
 from hypercoop.corpus import game_corpus
+from hypercoop.expansion import grouped_agent_form, grouped_position
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
@@ -195,24 +199,76 @@ class TestCopyDeletion:
 
     def test_every_hyperlink_at_once_builds_one_conference_table(self):
         """18 three-member hyperlinks on 7 players: the route rule picks
-        the table for the right sides, which reuse the left sides' table."""
+        the table, built once, and each hyperlink's masks without it are
+        taken once for both sides of Lemma 1."""
         players = range(1, 8)
         links = list(itertools.combinations(players, 3))[:18]
         cf = weighted_unanimity(players, [(players, 1), ([1, 4], F(2, 3))])
         game = HypergraphGame(make_hypergraph(players, links), cf)
-        built = []
+        built, dropped = [], []
+        build, drop = solutions.conference_table, solutions._without_bit
 
         def counted(game):
             built.append(game)
             return build(game)
 
-        build = solutions.conference_table
+        def counted_drop(table, j):
+            dropped.append(j)
+            return drop(table, j)
+
         with mock.patch.object(solutions, "conference_table", counted), mock.patch.object(
-            hypercoop.axioms, "conference_table", counted
+            solutions, "_without_bit", counted_drop
         ):
             reports = check_copy_deletions(game)
         assert len(built) == 1
+        assert dropped == list(range(18))
         assert all(report.passed for report in reports.values())
+
+
+class TestGroupedIdentities:
+    """Theorems 1 and 2 and Corollary 1, both sides from one pass."""
+
+    @pytest.mark.parametrize("name", ["table", "pieces"])
+    def test_each_side_as_computed_alone(self, hub, name):
+        with route(name):
+            for game in (hub, ring(6), ring3(3), *game_corpus(count=40)):
+                if not game.hyperlinks:
+                    continue
+                position = position_value(game)
+                for k in (1, 2):
+                    label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
+                    expected = compare(label, grouped_position(game, k), position)
+                    assert check_uniform_expansion(game, k) == expected
+                    assert expected.passed
+                label = "grouped Myerson payoffs of the agent form"
+                assert check_agent_form(game) == compare(label, grouped_agent_form(game), position)
+
+    @pytest.mark.parametrize("name", ["table", "pieces"])
+    def test_one_listing_or_one_table(self, name):
+        built = []
+
+        def spy(attribute):
+            function = getattr(solutions, attribute)
+
+            def wrapped(*args):
+                built.append(attribute)
+                return function(*args)
+
+            return mock.patch.object(solutions, attribute, wrapped)
+
+        with route(name), spy("connected_sets"), spy("conference_table"):
+            for check in (check_uniform_expansion, check_agent_form, check_copy_deletions):
+                built.clear()
+                check(ring3(3))
+                tables = ["conference_table"] if name == "table" else []
+                assert built == ["connected_sets", *tables]
+
+    def test_the_agent_form_needs_a_hyperlink(self):
+        game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
+        with pytest.raises(ValueError, match="^agent form requires at least one hyperlink$"):
+            check_agent_form(game)
+        with pytest.raises(ValueError, match="^uniform expansion requires at least one hyperlink$"):
+            check_uniform_expansion(game)
 
 
 class TestValueFromAxioms:

@@ -42,6 +42,14 @@ def write_doc(tmp_path: Path, doc) -> str:
     return str(path)
 
 
+def refuse_every_route(monkeypatch, refuse) -> None:
+    """Make `refuse` the conference game's table, its connected-set
+    listing and both weighted folds, on which every value and identity
+    runs."""
+    for name in ("conference_table", "connected_sets", "shapley_of_table", "shapley_of_pieces"):
+        monkeypatch.setattr(hypercoop.solutions, name, refuse)
+
+
 class TestParseRational:
     def test_accepted_forms(self):
         assert parse_rational(3, "x") == F(3)
@@ -345,7 +353,6 @@ class TestExpandCommand:
         def refuse(*_args):
             raise AssertionError("a conference table or connected-set enumeration ran over the cap")
 
-        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         for links in (40, 20):
@@ -372,9 +379,7 @@ class TestExpandCommand:
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
-        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
+        refuse_every_route(monkeypatch, refuse)
         doc = {
             "players": list(range(31)),
             "hyperlinks": [[i, i + 1] for i in range(30)],
@@ -388,10 +393,7 @@ class TestExpandCommand:
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the state cap")
 
-        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
+        refuse_every_route(monkeypatch, refuse)
         message = "error: universe size 24000000 exceeds the state cap 1000000\n"
         assert main(["expand", hub_path, "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
@@ -474,10 +476,7 @@ class TestVerifyCommand:
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
-        monkeypatch.setattr(hypercoop.expansion, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
+        refuse_every_route(monkeypatch, refuse)
         pairs = [[i, j] for i in range(10) for j in range(i + 1, 10)][:30]
         doc = {
             "players": list(range(10)),
@@ -495,9 +494,7 @@ class TestVerifyCommand:
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
-        monkeypatch.setattr(hypercoop.expansion, "_block_payoffs", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
+        refuse_every_route(monkeypatch, refuse)
         for theorem in ("1", "lemma1"):
             assert main(["verify", hub_path, "--theorem", theorem, "--cap-subsets", "1"]) == 3
             captured = capsys.readouterr()
@@ -510,19 +507,13 @@ class TestVerifyCommand:
     def test_a_mismatch_is_marked_on_its_player(
         self, hub_path, monkeypatch, capsys, theorem, decimals
     ):
-        def perturbed(game, *args, **kwargs):
-            grouped = hypercoop.expansion.grouped_position(game, *args, **kwargs)
+        def perturbed(*args):
+            grouped = hypercoop.expansion._grouped(*args)
             grouped[4] += F(1, 100)
             return grouped
 
-        def perturbed_deletions(game, *args, **kwargs):
-            deletions = hypercoop.expansion.copy_deletions(game, *args, **kwargs)
-            for grouped in deletions.values():
-                grouped[4] += F(1, 100)
-            return deletions
-
-        monkeypatch.setattr(hypercoop.cli, "grouped_position", perturbed)
-        monkeypatch.setattr(hypercoop.axioms, "copy_deletions", perturbed_deletions)
+        # The grouped side of each identity, on every hyperlink for Lemma 1.
+        monkeypatch.setattr(hypercoop.axioms, "_grouped", perturbed)
         assert main(["verify", hub_path, "--theorem", theorem, *decimals]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "result: FAIL"

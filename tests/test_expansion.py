@@ -4,20 +4,22 @@ import random
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from hypercoop import expansion
+from hypercoop import solutions
 from hypercoop.axioms import value_from_axioms
 from hypercoop.corpus import game_corpus
 from hypercoop.expansion import (
     agent_form_payoffs,
-    completion_weights,
+    completion_numerators,
     copy_counts,
+    copy_deletions,
+    expansion_payoffs,
     group_copies,
     grouped_agent_form,
     grouped_position,
@@ -43,6 +45,7 @@ from oracles import (
     block_symmetric_shapley,
     build_agent_form,
     build_uniform,
+    completion_weights_by_fractions,
     expanded_worth,
     fold_shapley,
     fold_shapley_by_pivot,
@@ -51,6 +54,7 @@ from oracles import (
     uniform_by_fold,
 )
 from strategies import hypergraph_games, unanimity_combination_games
+from test_solutions import ring, route
 
 F = Fraction
 
@@ -335,7 +339,73 @@ def test_completion_weights_are_the_shapley_weights_over_rho(blocks, rho):
     shapley = [
         F(factorial(t) * factorial(blocks - 1 - t), factorial(blocks) * rho) for t in range(blocks)
     ]
-    assert completion_weights(blocks, rho) == shapley
+    unit = rho * lcm(*range(1, blocks + 1))
+    assert [F(c, unit) for c in completion_numerators(blocks)] == shapley
+
+
+def test_completion_numerators_are_the_fraction_weights():
+    """c(t) over rho·lcm(1..B) against π(t) summed term by term as
+    Fractions, for every B <= 14 blocks and rho <= 24 copies: 336 cases."""
+    for blocks in range(1, 15):
+        unit = lcm(*range(1, blocks + 1))
+        for rho in range(1, 25):
+            expected = completion_weights_by_fractions(blocks, rho)
+            assert [F(c, rho * unit) for c in completion_numerators(blocks)] == expected
+
+
+def expansion_sides(game: HypergraphGame) -> tuple:
+    """Every payoff the expansion module computes on one game: the k-fold
+    expansion for k = 1, 2, 3, whole and less one copy of each hyperlink,
+    the agent form and every grouped copy deletion."""
+    uniform = [
+        expansion_payoffs(game, k, removed) for k in (1, 2, 3) for removed in (None, *game.hyperlinks)
+    ]
+    return uniform, agent_form_payoffs(game), grouped_agent_form(game), copy_deletions(game)
+
+
+def assert_the_routes_agree(game: HypergraphGame) -> None:
+    with route("table"):
+        table = expansion_sides(game)
+    with route("pieces"):
+        pieces = expansion_sides(game)
+    assert table == pieces
+
+
+class TestTheTwoRoutes:
+    """The connected-set route of the completion-weighted sum equals the
+    table route exactly, the keys in the same order."""
+
+    def test_the_corpus(self):
+        for game in game_corpus(count=200):
+            if game.hyperlinks:
+                assert_the_routes_agree(game)
+
+    @given(hypergraph_games(max_players=6, max_links=5))
+    def test_table_games(self, game):
+        assume(game.hyperlinks)
+        assert_the_routes_agree(game)
+
+    @given(unanimity_combination_games(max_players=6, max_links=5))
+    def test_unanimity_combinations(self, game):
+        assume(game.hyperlinks)
+        assert_the_routes_agree(game)
+
+    def test_a_ring_past_the_table(self, monkeypatch):
+        """30 pair hyperlinks: the 2^30 table is never built, and the
+        grouped payoffs of every expansion are the position value."""
+        def refuse(*_args):
+            raise AssertionError("the 2^30 conference table was built")
+
+        monkeypatch.setattr(solutions, "conference_table", refuse)
+        game = ring(30)
+        links = len(game.hyperlinks)
+        position = position_value(game, cap=links)
+        for k in (1, 2):
+            assert grouped_position(game, k, cap=links) == position
+        deletions = copy_deletions(game, cap=links)
+        assert deletions[game.hyperlinks[0]] == position_value(
+            game.without_hyperlink(game.hyperlinks[0]), cap=links
+        )
 
 
 def ring3(c: int) -> HypergraphGame:
@@ -435,7 +505,8 @@ class TestAgentForm:
         def refuse(*_args):
             raise AssertionError("the agent form read worths over a cap")
 
-        monkeypatch.setattr(expansion, "conference_table", refuse)
+        monkeypatch.setattr(solutions, "conference_table", refuse)
+        monkeypatch.setattr(solutions, "_piece_worths", refuse)
         with pytest.raises(CapExceeded, match="^universe size 24 exceeds the state cap 23$"):
             grouped_agent_form(hub, state_cap=23, cap=1)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercoop.model import table_function, unanimity, weighted_unanimity
-from hypercoop.shapley import CapExceeded, shapley_of_table
+from hypercoop.shapley import CapExceeded, shapley_of_pieces, shapley_of_table
 
 from oracles import (
     TUGame,
@@ -207,3 +207,60 @@ def test_the_halving_fold_is_the_subset_sum(n, bits, rng):
     table[0] = 0
     weights = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
     assert shapley_of_table(table) == subset_sum(table, weights)
+
+
+@st.composite
+def weighted_pieces(draw):
+    """(n, live, pieces): n players, of which the `live` mask counts, and
+    up to five (P, ∂P, w) triples of disjoint masks inside it, P nonempty."""
+    n = draw(st.integers(1, 7))
+    live = draw(st.integers(1, (1 << n) - 1))
+    inside = st.integers(0, (1 << n) - 1).map(lambda x: x & live)
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        members = draw(inside.filter(bool))
+        boundary = draw(inside) & ~members
+        pieces.append((members, boundary, draw(st.integers(-9, 9))))
+    return n, live, pieces
+
+
+def pieces_by_subsets(n, live, pieces, c):
+    """Σ_{S∌i} c(|S|)·(v(S+i) - v(S)) over the sets S of live players, for
+    v(S) = Σ w·[P ⊆ S and S misses ∂P], term by term."""
+
+    def v(s):
+        return sum(w for p, b, w in pieces if p & s == p and not b & s)
+
+    sets = [s for s in range(1 << n) if s & live == s]
+    return [
+        sum(c[s.bit_count()] * (v(s | 1 << k) - v(s)) for s in sets if not s >> k & 1)
+        if live >> k & 1 else 0
+        for k in range(n)
+    ]
+
+
+@given(weighted_pieces(), st.randoms(use_true_random=False))
+def test_the_pieces_kernel_with_coefficients_is_the_subset_sum(case, rng):
+    """Any integer weights over the live players, the others in no piece
+    and no boundary, as after a hyperlink deletion."""
+    n, live, pieces = case
+    c = [rng.randint(-50, 50) for _ in range(live.bit_count())]
+    assert shapley_of_pieces(n, pieces, c) == pieces_by_subsets(n, live, pieces, c)
+
+
+@given(weighted_pieces())
+def test_the_pieces_kernel_without_coefficients_keeps_the_shapley_factors(case):
+    """No coefficients: each member of P gets (p-1)!·b!/(p+b)! and each
+    member of ∂P -p!·(b-1)!/(p+b)!, times n!·w, dead players included;
+    which are Shapley's weights t!(n-1-t)! over all n players."""
+    n, _live, pieces = case
+    expected = [0] * n
+    for p_mask, b_mask, w in pieces:
+        p, b = p_mask.bit_count(), b_mask.bit_count()
+        for k in range(n):
+            if p_mask >> k & 1:
+                expected[k] += w * factorial(n) * factorial(p - 1) * factorial(b) // factorial(p + b)
+            elif b_mask >> k & 1:
+                expected[k] -= w * factorial(n) * factorial(p) * factorial(b - 1) // factorial(p + b)
+    shapley = [factorial(t) * factorial(n - 1 - t) for t in range(n)]
+    assert shapley_of_pieces(n, pieces) == expected == shapley_of_pieces(n, pieces, shapley)
