@@ -24,7 +24,7 @@ allocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable
@@ -34,7 +34,6 @@ from .expansion import (
     DEFAULT_STATE_CAP,
     _grouped,
     _require_caps,
-    _require_links,
     completion_numerators,
     grouped_position,
 )
@@ -194,23 +193,24 @@ def check_copy_deletions(
     one pass: the sets or table masks without each hyperlink are summed
     with the completion weights of the m - 1 other blocks for the left
     side and with Shapley's for the right."""
-    _require_caps(game, 1, state_cap, cap)
+    sides = _identity_sides(game, 1, state_cap, cap)
+    return {e: compare("copy deletion", *sides(j)) for j, e in enumerate(game.hyperlinks)}
+
+
+def _identity_sides(game: HypergraphGame, k: int, state_cap: int, cap: int):
+    """sides(j): (the k-fold expansion's payoffs grouped per player, the
+    position value) without hyperlink j (None: with all), both weightings
+    summed in one pass once the caps are checked."""
+    _require_caps(game, k, state_cap, cap)
     scale, solve = _conference_shapley(game, cap, (completion_numerators, None))
-    return {
-        e: compare("copy deletion", *_grouped_sides(game, scale, solve, j))
-        for j, e in enumerate(game.hyperlinks)
-    }
-
-
-def _grouped_sides(
-    game: HypergraphGame, scale: int, solve, j: int | None = None
-) -> tuple[Allocation, Allocation]:
-    """(grouped expansion payoffs, position value) without hyperlink j
-    (None: with all) from a pass with both weightings."""
     m = len(game.hyperlinks)
-    uniform, shapley = solve(j)
-    blocks = m if j is None else m - 1
-    return _grouped(game, uniform, blocks, scale), _split(game, shapley, factorial(m) * scale)
+
+    def sides(j: int | None = None) -> tuple[Allocation, Allocation]:
+        uniform, shapley = solve(j)
+        blocks = m if j is None else m - 1
+        return _grouped(game, uniform, blocks, scale), _split(game, shapley, factorial(m) * scale)
+
+    return sides
 
 
 def check_uniform_expansion(
@@ -222,23 +222,8 @@ def check_uniform_expansion(
     """Theorems 1 (k = 1) and 2: the Shapley payoffs of the k-fold uniform
     expansion, summed per original player, against the position value,
     both from one pass."""
-    _require_caps(game, k, state_cap, cap)
-    scale, solve = _conference_shapley(game, cap, (completion_numerators, None))
     label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
-    return compare(label, *_grouped_sides(game, scale, solve))
-
-
-def check_agent_form(
-    game: HypergraphGame,
-    state_cap: int = DEFAULT_STATE_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> Report:
-    """Corollary 1: the Myerson payoffs of the agent form, summed per
-    original player, against the position value.  They are the 1-fold
-    expansion's (see `expansion.agent_form_payoffs`)."""
-    _require_links(game)
-    report = check_uniform_expansion(game, 1, state_cap, cap)
-    return replace(report, axiom="grouped Myerson payoffs of the agent form")
+    return compare(label, *_identity_sides(game, k, state_cap, cap)())
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:

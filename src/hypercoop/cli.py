@@ -39,16 +39,16 @@ from typing import Callable
 from .axioms import (
     DEFAULT_RECURSION_CAP,
     Report,
-    check_agent_form,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
     check_uniform_expansion,
+    compare,
     value_from_axioms,
 )
-from .expansion import DEFAULT_STATE_CAP, copy_counts, expansion_payoffs
+from .expansion import DEFAULT_STATE_CAP, copy_counts, expansion_payoffs, grouped_agent_form
 from .model import (
     Allocation,
     HypergraphGame,
@@ -438,7 +438,10 @@ def handle_verify(args) -> Result:
                 game, k, state_cap=args.cap_states, cap=args.cap_subsets
             )
         else:
-            report = check_agent_form(game, state_cap=args.cap_states, cap=args.cap_subsets)
+            # Corollary 1 solves the agent form itself, on a pass of its own.
+            grouped = grouped_agent_form(game, state_cap=args.cap_states, cap=args.cap_subsets)
+            label = "grouped Myerson payoffs of the agent form"
+            report = compare(label, grouped, position_value(game, cap=args.cap_subsets))
         ok = report.passed
 
         def body(decimals):

@@ -18,12 +18,12 @@ grouped-payoff identity it serves to verify, as integers over
 rho·lcm(1..B) for B blocks.  `solutions._conference_shapley` sums W with
 them in place of Shapley's weights on the route the position value
 takes, the connected hyperlink sets or the 2^m table, and can carry
-Shapley's weights in the same pass: both sides of Theorems 1 and 2,
-Corollary 1 and Lemma 1 read one listing or one table.  A deleted copy
-leaves rho - 1 copies of a block that never completes; they earn 0 and
-leave π as it is over the B = m - 1 other blocks, so the sum runs
-without that hyperlink.  The agent form is the same sum at k = 1: a set
-of complete images is worth its conference worth.
+Shapley's weights in the same pass: both sides of Theorems 1 and 2 and
+of Lemma 1 read one listing or one table.  A deleted copy leaves rho - 1
+copies of a block that never completes; they earn 0 and leave π as it
+is over the B = m - 1 other blocks, so the sum runs without that
+hyperlink.  The agent form is the same sum at k = 1: a set of complete
+images is worth its conference worth.
 
 The state cap bounds the universe size m*k*eta (copies or agents), the
 subset cap the m hyperlinks; both are checked before any worth is read.
@@ -187,29 +187,12 @@ def grouped_position(
     return expansion_payoffs(game, k, removed, state_cap, cap)[1]
 
 
-def copy_deletions(
-    game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP, cap: int = DEFAULT_SUBSET_CAP
-) -> dict[Hyperlink, Allocation]:
-    """`grouped_position(game, 1, e)` for every hyperlink e, from one
-    pass."""
-    _require_caps(game, 1, state_cap, cap)
-    scale, solve = _conference_shapley(game, cap, (completion_numerators,))
-    blocks = len(game.hyperlinks) - 1
-    return {e: _grouped(game, solve(j)[0], blocks, scale) for j, e in enumerate(game.hyperlinks)}
-
-
-def _require_links(game: HypergraphGame) -> None:
-    if not game.hyperlinks:
-        raise ValueError("agent form requires at least one hyperlink")
-
-
 def grouped_agent_form(
     game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP, cap: int = DEFAULT_SUBSET_CAP
 ) -> Allocation:
     """`agent_form_payoffs` summed per original player, Corollary 1's
     side of its identity with the position value."""
-    _require_links(game)
-    return grouped_position(game, 1, None, state_cap, cap)
+    return group_copies(game.players, copy_counts(game), agent_form_payoffs(game, state_cap, cap))
 
 
 def agent_form_payoffs(
@@ -226,5 +209,6 @@ def agent_form_payoffs(
     set of complete images is its conference worth.  The expansion's
     kernel then runs at k = 1.
     """
-    _require_links(game)
+    if not game.hyperlinks:
+        raise ValueError("agent form requires at least one hyperlink")
     return uniform_payoffs(game, 1, None, state_cap, cap)

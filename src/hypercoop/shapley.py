@@ -17,6 +17,7 @@ the test suite as oracles for these kernels.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, factorial
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -43,6 +44,14 @@ def factorials(n: int) -> list[int]:
     return fact
 
 
+@cache
+def shapley_weights(n: int) -> tuple[int, ...]:
+    """Shapley's weights on n players scaled by n!: s!(n-1-s)! for a
+    coalition of s = 0..n-1 others."""
+    fact = factorials(n)
+    return tuple(fact[s] * fact[n - 1 - s] for s in range(n))
+
+
 def shapley_of_table(table: Sequence[int], coefficients: Sequence[int] | None = None) -> list[int]:
     """n!·Shapley value of the game with worth table[mask] on the coalition
     whose members are the set bits of mask; len(table) must be 2^n and
@@ -63,10 +72,7 @@ def shapley_of_table(table: Sequence[int], coefficients: Sequence[int] | None = 
     n = len(table).bit_length() - 1
     if n == 0:
         return []
-    if coefficients is None:
-        c = [factorial(s) * factorial(n - 1 - s) for s in range(n)] + [0]
-    else:
-        c = [*coefficients, 0]
+    c = [*(shapley_weights(n) if coefficients is None else coefficients), 0]
     d = [c[0]] + [c[s - 1] + c[s] for s in range(1, n + 1)]
     weighted = [d[mask.bit_count()] * w for mask, w in enumerate(table)]
     sums = [0] * n
@@ -79,6 +85,16 @@ def shapley_of_table(table: Sequence[int], coefficients: Sequence[int] | None = 
     else:
         offset = sum(c[mask.bit_count()] * w for mask, w in enumerate(table))
     return [a - offset for a in sums]
+
+
+@cache
+def _piece_factors(weights: tuple[int, ...], p: int, b: int) -> tuple[int, int]:
+    """(gain of a member, loss of a boundary player) of a piece of p
+    members and b boundary players under per-size `weights`."""
+    r = len(weights) - p - b
+    binomials = [comb(r, s) for s in range(r + 1)]
+    gain = sum(map(mul, weights[p - 1:], binomials))
+    return gain, sum(map(mul, weights[p:], binomials)) if b else 0
 
 
 def shapley_of_pieces(
@@ -103,24 +119,12 @@ def shapley_of_pieces(
     r = B - p - b players outside P and ∂P, a member of P gains on the
     C(r, t-p+1) sets of size t that hold the rest of P and miss ∂P, and
     a member of ∂P loses on the C(r, t-p) that hold P and miss ∂P, so
-    the factors are Σ_t c(t)·C(r, t-p+1) and Σ_t c(t)·C(r, t-p).  Both
-    kinds of factor are worked out once per (p, b).
+    the factors are Σ_t c(t)·C(r, t-p+1) and Σ_t c(t)·C(r, t-p).  With
+    Shapley's weights over all n players (`shapley_weights`) these sums
+    are the closed forms above times n!.  Both factors are worked out
+    once per (weights, p, b) and kept across calls.
     """
-    if coefficients is None:
-        fact = factorials(n)
-
-        def factors(p: int, b: int) -> tuple[int, int]:
-            share = fact[n] // fact[p + b]
-            return share * fact[p - 1] * fact[b], share * fact[p] * fact[b - 1] if b else 0
-    else:
-        blocks = len(coefficients)
-
-        def factors(p: int, b: int) -> tuple[int, int]:
-            r = blocks - p - b
-            binomials = [comb(r, s) for s in range(r + 1)]
-            gain = sum(map(mul, coefficients[p - 1:], binomials))
-            return gain, sum(map(mul, coefficients[p:], binomials)) if b else 0
-
+    weights = shapley_weights(n) if coefficients is None else tuple(coefficients)
     known: dict[tuple[int, int], tuple[int, int]] = {}
     out = [0] * n
     for members, boundary, w in pieces:
@@ -129,7 +133,7 @@ def shapley_of_pieces(
         size = members.bit_count(), boundary.bit_count()
         known_factors = known.get(size)
         if known_factors is None:
-            known_factors = known[size] = factors(*size)
+            known_factors = known[size] = _piece_factors(weights, *size)
         gain, loss = w * known_factors[0], w * known_factors[1]
         while members:
             low = members & -members

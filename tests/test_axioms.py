@@ -13,7 +13,6 @@ from hypercoop import solutions
 from hypercoop.axioms import (
     Report,
     Side,
-    check_agent_form,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
@@ -26,7 +25,7 @@ from hypercoop.axioms import (
 )
 from hypercoop.cli import _rule_for, parse_game
 from hypercoop.corpus import game_corpus
-from hypercoop.expansion import grouped_agent_form, grouped_position
+from hypercoop.expansion import agent_form_payoffs, grouped_position
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
@@ -226,7 +225,7 @@ class TestCopyDeletion:
 
 
 class TestGroupedIdentities:
-    """Theorems 1 and 2 and Corollary 1, both sides from one pass."""
+    """Theorems 1 and 2, both sides from one pass."""
 
     @pytest.mark.parametrize("name", ["table", "pieces"])
     def test_each_side_as_computed_alone(self, hub, name):
@@ -240,8 +239,6 @@ class TestGroupedIdentities:
                     expected = compare(label, grouped_position(game, k), position)
                     assert check_uniform_expansion(game, k) == expected
                     assert expected.passed
-                label = "grouped Myerson payoffs of the agent form"
-                assert check_agent_form(game) == compare(label, grouped_agent_form(game), position)
 
     @pytest.mark.parametrize("name", ["table", "pieces"])
     def test_one_listing_or_one_table(self, name):
@@ -257,7 +254,7 @@ class TestGroupedIdentities:
             return mock.patch.object(solutions, attribute, wrapped)
 
         with route(name), spy("connected_sets"), spy("conference_table"):
-            for check in (check_uniform_expansion, check_agent_form, check_copy_deletions):
+            for check in (check_uniform_expansion, check_copy_deletions):
                 built.clear()
                 check(ring3(3))
                 tables = ["conference_table"] if name == "table" else []
@@ -266,7 +263,7 @@ class TestGroupedIdentities:
     def test_the_agent_form_needs_a_hyperlink(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
         with pytest.raises(ValueError, match="^agent form requires at least one hyperlink$"):
-            check_agent_form(game)
+            agent_form_payoffs(game)
         with pytest.raises(ValueError, match="^uniform expansion requires at least one hyperlink$"):
             check_uniform_expansion(game)
 

@@ -503,7 +503,7 @@ class TestVerifyCommand:
             )
 
     @pytest.mark.parametrize("decimals", [[], ["--decimals", "2"]])
-    @pytest.mark.parametrize("theorem", ["1", "lemma1"])
+    @pytest.mark.parametrize("theorem", ["1", "corollary1", "lemma1"])
     def test_a_mismatch_is_marked_on_its_player(
         self, hub_path, monkeypatch, capsys, theorem, decimals
     ):
@@ -512,8 +512,15 @@ class TestVerifyCommand:
             grouped[4] += F(1, 100)
             return grouped
 
-        # The grouped side of each identity, on every hyperlink for Lemma 1.
+        def perturbed_agents(game, *args):
+            per_agent = hypercoop.expansion.uniform_payoffs(game, 1, None, *args)
+            per_agent[4, frozenset({1, 4})] += F(1, 300)  # player 4 holds 3 of these agents
+            return per_agent
+
+        # The grouped side of each identity, on every hyperlink for Lemma 1;
+        # Corollary 1 reads it from the agent form.
         monkeypatch.setattr(hypercoop.axioms, "_grouped", perturbed)
+        monkeypatch.setattr(hypercoop.expansion, "agent_form_payoffs", perturbed_agents)
         assert main(["verify", hub_path, "--theorem", theorem, *decimals]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "result: FAIL"
@@ -522,7 +529,7 @@ class TestVerifyCommand:
         assert len(marked) == (4 if theorem == "lemma1" else 1)
         assert len(failed) == (4 if theorem == "lemma1" else 0)
         assert all(line.startswith("  player 4: ") for line in marked)
-        if theorem == "1":
+        if theorem != "lemma1":
             got = "131/600 ≈ 0.22" if decimals else "131/600"
             assert marked == [f"  player 4: expected 5/24, got {got}   <-- mismatch"]
 

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercoop import solutions
-from hypercoop.axioms import value_from_axioms
+from hypercoop.axioms import check_copy_deletions, value_from_axioms
 from hypercoop.corpus import game_corpus
 from hypercoop.expansion import (
     agent_form_payoffs,
     completion_numerators,
     copy_counts,
-    copy_deletions,
     expansion_payoffs,
     group_copies,
     grouped_agent_form,
@@ -356,11 +355,12 @@ def test_completion_numerators_are_the_fraction_weights():
 def expansion_sides(game: HypergraphGame) -> tuple:
     """Every payoff the expansion module computes on one game: the k-fold
     expansion for k = 1, 2, 3, whole and less one copy of each hyperlink,
-    the agent form and every grouped copy deletion."""
+    the agent form, and both sides of every copy deletion from their
+    shared pass."""
     uniform = [
         expansion_payoffs(game, k, removed) for k in (1, 2, 3) for removed in (None, *game.hyperlinks)
     ]
-    return uniform, agent_form_payoffs(game), grouped_agent_form(game), copy_deletions(game)
+    return uniform, agent_form_payoffs(game), grouped_agent_form(game), check_copy_deletions(game)
 
 
 def assert_the_routes_agree(game: HypergraphGame) -> None:
@@ -402,10 +402,11 @@ class TestTheTwoRoutes:
         position = position_value(game, cap=links)
         for k in (1, 2):
             assert grouped_position(game, k, cap=links) == position
-        deletions = copy_deletions(game, cap=links)
-        assert deletions[game.hyperlinks[0]] == position_value(
-            game.without_hyperlink(game.hyperlinks[0]), cap=links
+        first = game.hyperlinks[0]
+        assert grouped_position(game, 1, first, cap=links) == position_value(
+            game.without_hyperlink(first), cap=links
         )
+        assert all(report.passed for report in check_copy_deletions(game, cap=links).values())
 
 
 def ring3(c: int) -> HypergraphGame:
