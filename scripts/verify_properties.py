@@ -6,8 +6,8 @@ Replays the core identities with fresh random games and exact rationals:
   1. the position value equals the grouped Shapley value of every
      uniform expansion (per requested k),
   2. the axiomatic system reconstructs the position value,
-  3. agent-form payoffs match the block-symmetric Shapley computation
-     on the one-fold expansion,
+  3. the agent form's Myerson payoffs, grouped per player, equal the
+     position value (Corollary 1),
   4. deleting one copy of a hyperlink matches deleting the hyperlink,
   5. component efficiency holds for both the position and Myerson values.
 
@@ -23,16 +23,15 @@ import sys
 import time
 
 from hypercoop import (
-    agent_form_payoffs,
     check_component_efficiency,
     check_copy_deletion,
     grouped_position,
     myerson_value,
     position_value,
-    uniform_payoffs,
     value_from_axioms,
 )
 from hypercoop.corpus import DEFAULT_SEED, game_corpus
+from hypercoop.expansion import grouped_agent_form
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -87,9 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     failures, checked = [], 0
     for idx, game in enumerate(games):
         checked += 1
-        if agent_form_payoffs(game) != uniform_payoffs(game):
+        if grouped_agent_form(game) != position_value(game):
             failures.append(f"game {idx}")
-    ok &= run_pass("agent-form payoffs == block-symmetric payoffs", checked, failures)
+    ok &= run_pass("grouped agent-form payoffs == position value", checked, failures)
 
     failures, checked = [], 0
     for idx, game in enumerate(games):

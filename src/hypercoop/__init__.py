@@ -18,7 +18,6 @@ from .axioms import (
 )
 from .connectivity import components
 from .expansion import (
-    DEFAULT_STATE_CAP,
     agent_form_payoffs,
     copy_counts,
     group_copies,
@@ -49,7 +48,6 @@ __all__ = [
     "CapExceeded",
     "CharacteristicFunction",
     "DEFAULT_RECURSION_CAP",
-    "DEFAULT_STATE_CAP",
     "DEFAULT_SUBSET_CAP",
     "HypergraphGame",
     "agent_form_payoffs",

@@ -30,13 +30,7 @@ from math import factorial, lcm
 from typing import Callable
 
 from .connectivity import components, connected_sets
-from .expansion import (
-    DEFAULT_STATE_CAP,
-    _grouped,
-    _require_caps,
-    completion_numerators,
-    grouped_position,
-)
+from .expansion import _block_size, _grouped, completion_numerators, grouped_position
 from .model import (
     Allocation,
     Hyperlink,
@@ -164,44 +158,36 @@ def check_component_efficiency(rule: Rule, game: HypergraphGame) -> Report:
     return Report("component efficiency", sides)
 
 
-def check_copy_deletion(
-    game: HypergraphGame,
-    link,
-    state_cap: int = DEFAULT_STATE_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> Report:
+def check_copy_deletion(game: HypergraphGame, link, cap: int = DEFAULT_SUBSET_CAP) -> Report:
     """Deleting one copy of a hyperlink from the one-fold expansion versus
     deleting the hyperlink outright.
 
     Left sums the expanded game's Shapley payoffs per original player
     after one copy is taken out of the hyperlink's block (its copies
     then earn 0, so which member held it does not matter); right is the
-    position value of the game without the hyperlink, under the subset
-    cap `cap`.  The two must agree exactly.
+    position value of the game without the hyperlink.  Both sides run
+    under the subset cap `cap` on the hyperlinks, whatever the number of
+    copies.  The two must agree exactly.
     """
     e = frozenset(link)
-    grouped = grouped_position(game, 1, e, state_cap, cap)
+    grouped = grouped_position(game, 1, e, cap)
     return compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
 
 
-def check_copy_deletions(
-    game: HypergraphGame,
-    state_cap: int = DEFAULT_STATE_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> dict[Hyperlink, Report]:
+def check_copy_deletions(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> dict[Hyperlink, Report]:
     """`check_copy_deletion` for every hyperlink, Lemma 1 in full, from
     one pass: the sets or table masks without each hyperlink are summed
     with the completion weights of the m - 1 other blocks for the left
     side and with Shapley's for the right."""
-    sides = _identity_sides(game, 1, state_cap, cap)
+    sides = _identity_sides(game, 1, cap)
     return {e: compare("copy deletion", *sides(j)) for j, e in enumerate(game.hyperlinks)}
 
 
-def _identity_sides(game: HypergraphGame, k: int, state_cap: int, cap: int):
+def _identity_sides(game: HypergraphGame, k: int, cap: int):
     """sides(j): (the k-fold expansion's payoffs grouped per player, the
     position value) without hyperlink j (None: with all), both weightings
-    summed in one pass once the caps are checked."""
-    _require_caps(game, k, state_cap, cap)
+    summed in one pass once k and the subset cap are checked."""
+    _block_size(game, k)
     scale, solve = _conference_shapley(game, cap, (completion_numerators, None))
     m = len(game.hyperlinks)
 
@@ -213,17 +199,12 @@ def _identity_sides(game: HypergraphGame, k: int, state_cap: int, cap: int):
     return sides
 
 
-def check_uniform_expansion(
-    game: HypergraphGame,
-    k: int = 1,
-    state_cap: int = DEFAULT_STATE_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> Report:
+def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT_SUBSET_CAP) -> Report:
     """Theorems 1 (k = 1) and 2: the Shapley payoffs of the k-fold uniform
     expansion, summed per original player, against the position value,
     both from one pass."""
     label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
-    return compare(label, *_identity_sides(game, k, state_cap, cap)())
+    return compare(label, *_identity_sides(game, k, cap)())
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:

@@ -48,7 +48,7 @@ from .axioms import (
     compare,
     value_from_axioms,
 )
-from .expansion import DEFAULT_STATE_CAP, copy_counts, expansion_payoffs, grouped_agent_form
+from .expansion import copy_counts, expansion_payoffs, grouped_agent_form
 from .model import (
     Allocation,
     HypergraphGame,
@@ -64,6 +64,9 @@ from .model import (
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, require_subset_cap
 from .solutions import _position_pass, myerson_value, position_value, shapley_value
+
+# `expand` lists every copy it solves, so it alone bounds their number.
+DEFAULT_STATE_CAP = 1_000_000
 
 
 class DocumentError(ValueError):
@@ -304,10 +307,11 @@ def handle_value(args) -> Result:
 
 def handle_expand(args) -> Result:
     game = _load(args)
-    per_copy, grouped = expansion_payoffs(
-        game, args.k, state_cap=args.cap_states, cap=args.cap_subsets
-    )
     counts = copy_counts(game, args.k)
+    size = sum(counts.values())
+    if size > args.cap_states:
+        raise CapExceeded(f"universe size {size} exceeds the state cap {args.cap_states}")
+    per_copy, grouped = expansion_payoffs(game, args.k, cap=args.cap_subsets)
     labels = {
         (i, e): [f"{i}[{','.join(map(str, sorted(e)))}]#{t}" for t in range(1, copies + 1)]
         for (i, e), copies in counts.items()
@@ -329,7 +333,7 @@ def handle_expand(args) -> Result:
         "k": args.k,
         "eta": base,
         "rho": args.k * base,
-        "universe_size": sum(counts.values()),
+        "universe_size": size,
         "blocks": blocks,
         "groups": groups,
         "grouped": grouped,
@@ -420,7 +424,7 @@ def handle_verify(args) -> Result:
         return None, lambda decimals: lines, 0
 
     if args.theorem == "lemma1":
-        deletions = check_copy_deletions(game, state_cap=args.cap_states, cap=args.cap_subsets)
+        deletions = check_copy_deletions(game, cap=args.cap_subsets)
         ok = all(report.passed for report in deletions.values())
 
         def body(decimals):
@@ -434,12 +438,10 @@ def handle_verify(args) -> Result:
     else:
         if args.theorem in ("1", "2"):
             k = args.k if args.theorem == "2" else 1
-            report = check_uniform_expansion(
-                game, k, state_cap=args.cap_states, cap=args.cap_subsets
-            )
+            report = check_uniform_expansion(game, k, cap=args.cap_subsets)
         else:
             # Corollary 1 solves the agent form itself, on a pass of its own.
-            grouped = grouped_agent_form(game, state_cap=args.cap_states, cap=args.cap_subsets)
+            grouped = grouped_agent_form(game, cap=args.cap_subsets)
             label = "grouped Myerson payoffs of the agent form"
             report = compare(label, grouped, position_value(game, cap=args.cap_subsets))
         ok = report.passed
@@ -530,16 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="refuse subset enumerations over more than N elements",
         )
 
-    def cap_states(p):
-        p.add_argument(
-            "--cap-states",
-            type=_positive,
-            default=DEFAULT_STATE_CAP,
-            metavar="N",
-            help="refuse expansions (and agent forms) of more than N copies, "
-            "the universe size N = m*k*eta",
-        )
-
     p = sub.add_parser("value", help="compute an allocation rule")
     common(p)
     p.add_argument("--rule", choices=tuple(_RULES), default="position")
@@ -554,7 +546,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="expansion multiplier: every hyperlink becomes k*eta equal copies",
     )
     cap_subsets(p)
-    cap_states(p)
+    p.add_argument(
+        "--cap-states",
+        type=_positive,
+        default=DEFAULT_STATE_CAP,
+        metavar="N",
+        help="refuse to list more than N copies, the universe size m*k*eta",
+    )
 
     p = sub.add_parser("check", help="test an allocation rule against an axiom")
     common(p)
@@ -580,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="expansion multiplier used by --theorem 2",
     )
     cap_subsets(p)
-    cap_states(p)
 
     p = sub.add_parser(
         "solve-axioms",

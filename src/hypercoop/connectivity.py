@@ -3,20 +3,19 @@ and the connected vertex sets of a graph.
 
 One bitmask closure, `mask_components`, does the component work: players
 are bit positions and a hyperlink is the mask of its members.
-`components` and `components_of_coalition` are frozenset wrappers over
-it.  `connected_sets` lists every connected vertex set of a graph given
-by neighbour masks, with its boundary, or refuses once there are more
-than a limit; the restricted-game values use it on the line graph of the
-hyperlinks and on a player graph of pairs.  `hypergraph_pieces` does the
-same for the connected player sets of a hypergraph with hyperlinks of
-any size.
+`components` is a frozenset wrapper over it.  `connected_sets` lists
+every connected vertex set of a graph given by neighbour masks, with its
+boundary, or refuses once there are more than a limit; the
+restricted-game values use it on the line graph of the hyperlinks and on
+a player graph of pairs.  `hypergraph_pieces` does the same for the
+connected player sets of a hypergraph with hyperlinks of any size.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .model import Coalition, Hyperlink, Hypergraph, PlayerId
+from .model import Coalition, Hyperlink, PlayerId
 
 
 def mask_components(universe: int, links: Iterable[int]) -> list[int]:
@@ -56,12 +55,6 @@ def components(players: Iterable[PlayerId], hyperlinks: Iterable[Hyperlink]) -> 
         frozenset(p for k, p in enumerate(order) if piece >> k & 1)
         for piece in mask_components((1 << len(order)) - 1, links)
     ]
-
-
-def components_of_coalition(coalition: Iterable[PlayerId], hypergraph: Hypergraph) -> list[Coalition]:
-    """Components of the subhypergraph induced by a coalition."""
-    s = frozenset(coalition)
-    return components(s, (e for e in hypergraph.hyperlinks if e <= s))
 
 
 def connected_sets(adjacency: list[int], limit: int) -> list[tuple[int, int]] | None:

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .connectivity import components_of_coalition
+from .connectivity import mask_components
 from .model import (
     Hypergraph,
     HypergraphGame,
@@ -38,12 +38,16 @@ def path_three() -> HypergraphGame:
 
 def connected_coalitions(hypergraph: Hypergraph) -> list[frozenset[int]]:
     """Coalitions of two or more players that are connected in the
-    induced subhypergraph."""
+    induced subhypergraph, by size and then in `itertools.combinations`
+    order."""
     players = hypergraph.players
+    bit = {p: 1 << k for k, p in enumerate(players)}
+    links = [sum(bit[p] for p in e) for e in hypergraph.hyperlinks]
     out = []
     for size in range(2, len(players) + 1):
         for combo in itertools.combinations(players, size):
-            if len(components_of_coalition(combo, hypergraph)) == 1:
+            mask = sum(bit[p] for p in combo)
+            if len(mask_components(mask, [e for e in links if e & mask == e])) == 1:
                 out.append(frozenset(combo))
     return out
 

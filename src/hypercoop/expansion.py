@@ -25,8 +25,8 @@ is over the B = m - 1 other blocks, so the sum runs without that
 hyperlink.  The agent form is the same sum at k = 1: a set of complete
 images is worth its conference worth.
 
-The state cap bounds the universe size m*k*eta (copies or agents), the
-subset cap the m hyperlinks; both are checked before any worth is read.
+No cost here grows with rho = k*eta, so nothing bounds k; the subset
+cap bounds the m hyperlinks and is checked before any worth is read.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ from .model import (
     incident_hyperlinks,
     zero_allocation,
 )
-from .shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
+from .shapley import DEFAULT_SUBSET_CAP
 from .solutions import _conference_shapley, _split
-
-DEFAULT_STATE_CAP = 1_000_000
 
 SubBlock = tuple[PlayerId, Hyperlink]
 
@@ -61,17 +59,6 @@ def _block_size(game: HypergraphGame, k: int) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return k * eta(game.hypergraph)
-
-
-def _require_caps(game: HypergraphGame, k: int, state_cap: int, cap: int) -> int:
-    """rho, once the m*rho copies are within the state cap and the m
-    hyperlinks within the subset cap."""
-    rho = _block_size(game, k)
-    size = len(game.hyperlinks) * rho
-    if size > state_cap:
-        raise CapExceeded(f"universe size {size} exceeds the state cap {state_cap}")
-    require_subset_cap(len(game.hyperlinks), cap, "hyperlinks")
-    return rho
 
 
 def copy_counts(game: HypergraphGame, k: int = 1) -> dict[SubBlock, int]:
@@ -136,7 +123,6 @@ def expansion_payoffs(
     game: HypergraphGame,
     k: int = 1,
     removed: Iterable[PlayerId] | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> tuple[dict[Hyperlink, Fraction], Allocation]:
     """({e: Shapley payoff of one copy in hyperlink e's block}, the payoffs
@@ -151,7 +137,7 @@ def expansion_payoffs(
         if removed not in game.hyperlinks:
             raise ValueError(f"no hyperlink {sorted(removed)} to delete a copy of")
         j = game.hyperlinks.index(removed)
-    rho = _require_caps(game, k, state_cap, cap)
+    rho = _block_size(game, k)
     scale, solve = _conference_shapley(game, cap, (completion_numerators,))
     blocks = len(game.hyperlinks) - (j is not None)
     [sums] = solve(j)
@@ -164,13 +150,12 @@ def uniform_payoffs(
     game: HypergraphGame,
     k: int = 1,
     removed: Iterable[PlayerId] | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> dict[SubBlock, Fraction]:
     """Shapley payoff of one copy in each (player, hyperlink) sub-block
     of the k-fold uniform expansion, keyed like `copy_counts(game, k)`;
     `removed` as in `expansion_payoffs`."""
-    per_copy = expansion_payoffs(game, k, removed, state_cap, cap)[0]
+    per_copy = expansion_payoffs(game, k, removed, cap)[0]
     return {(i, e): per_copy[e] for e in game.hyperlinks for i in sorted(e)}
 
 
@@ -178,26 +163,21 @@ def grouped_position(
     game: HypergraphGame,
     k: int = 1,
     removed: Iterable[PlayerId] | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> Allocation:
     """`uniform_payoffs` summed per original player over the copies it
     holds; players on no hyperlink keep payoff 0.  A removed copy's
     block pays 0 per copy, so its holder does not matter here."""
-    return expansion_payoffs(game, k, removed, state_cap, cap)[1]
+    return expansion_payoffs(game, k, removed, cap)[1]
 
 
-def grouped_agent_form(
-    game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP, cap: int = DEFAULT_SUBSET_CAP
-) -> Allocation:
+def grouped_agent_form(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """`agent_form_payoffs` summed per original player, Corollary 1's
     side of its identity with the position value."""
-    return group_copies(game.players, copy_counts(game), agent_form_payoffs(game, state_cap, cap))
+    return group_copies(game.players, copy_counts(game), agent_form_payoffs(game, cap))
 
 
-def agent_form_payoffs(
-    game: HypergraphGame, state_cap: int = DEFAULT_STATE_CAP, cap: int = DEFAULT_SUBSET_CAP
-) -> dict[SubBlock, Fraction]:
+def agent_form_payoffs(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> dict[SubBlock, Fraction]:
     """Myerson value of the agent form, one payoff per agent of each
     (player, hyperlink) sub-block of `copy_counts(game)`.
 
@@ -207,8 +187,9 @@ def agent_form_payoffs(
     (ValueError otherwise), so only the complete images matter: the |e|
     sub-blocks of e act as one block of eta agents, and the worth of a
     set of complete images is its conference worth.  The expansion's
-    kernel then runs at k = 1.
+    kernel then runs at k = 1, over the m hyperlinks under the subset cap
+    `cap`, whatever the number m*eta of agents.
     """
     if not game.hyperlinks:
         raise ValueError("agent form requires at least one hyperlink")
-    return uniform_payoffs(game, 1, None, state_cap, cap)
+    return uniform_payoffs(game, 1, None, cap)

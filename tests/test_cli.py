@@ -347,9 +347,10 @@ class TestExpandCommand:
         assert "cap" in capsys.readouterr().err
 
     def test_cap_is_checked_before_the_conference_table(self, tmp_path, monkeypatch, capsys):
-        """40 links trip both caps; 20 are under the subset cap, so only
-        the state cap, on 2 copies per link (4 at Theorem 2's default
-        k = 2), keeps the 2^20 position-value table from being built."""
+        """The state cap, on 2 copies per link, comes first: 40 links trip
+        both caps, and 20 are under the subset cap, so only the state cap
+        keeps `expand` from listing the connected hyperlink sets of the
+        20-pair path, the route it takes in place of a 2^20 table."""
         def refuse(*_args):
             raise AssertionError("a conference table or connected-set enumeration ran over the cap")
 
@@ -365,10 +366,6 @@ class TestExpandCommand:
             assert main(["expand", path, "--cap-states", "30"]) == 3
             message = "error: universe size {} exceeds the state cap 30\n"
             assert capsys.readouterr().err == message.format(2 * links)
-            for theorem in ("1", "2", "corollary1", "lemma1"):
-                size = 2 * links * (2 if theorem == "2" else 1)
-                assert main(["verify", path, "--theorem", theorem, "--cap-states", "30"]) == 3
-                assert capsys.readouterr().err == message.format(size)
 
     def test_subset_cap_is_checked_before_the_conference_table(
         self, tmp_path, monkeypatch, capsys
@@ -390,6 +387,8 @@ class TestExpandCommand:
         assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
 
     def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
+        """`expand` refuses to list 24 million copies before any work, while
+        Theorem 2 at the same k lists none and passes."""
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the state cap")
 
@@ -397,8 +396,9 @@ class TestExpandCommand:
         message = "error: universe size 24000000 exceeds the state cap 1000000\n"
         assert main(["expand", hub_path, "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
-        assert main(["verify", hub_path, "--theorem", "2", "--k", "1000000"]) == 3
-        assert capsys.readouterr().err == message
+        monkeypatch.undo()
+        assert main(["verify", hub_path, "--theorem", "2", "--k", "1000000"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
 
 
     def test_no_hyperlinks_reports_the_library_error(self, tmp_path, capsys):
@@ -465,14 +465,16 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "result: PASS"
 
     def test_cap_exit_code(self, hub_path, capsys):
-        assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "47"]) == 3
-        assert capsys.readouterr().err == "error: universe size 48 exceeds the state cap 47\n"
+        """The subset cap is `verify`'s only cap; a state cap is not an option."""
+        assert main(["verify", hub_path, "--theorem", "2", "--cap-subsets", "3"]) == 3
+        assert capsys.readouterr().err == "error: 4 hyperlinks exceeds the subset cap 3\n"
+        assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "47"]) == 2
+        assert "unrecognized arguments: --cap-states 47" in capsys.readouterr().err
 
     def test_subset_cap_refuses_before_the_identity_side_runs(
         self, tmp_path, monkeypatch, capsys
     ):
-        """A state cap high enough to admit the identity side must not let
-        it build anything over the subset cap."""
+        """No identity side builds anything over the subset cap."""
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
@@ -485,7 +487,7 @@ class TestVerifyCommand:
         }
         path = write_doc(tmp_path, doc)
         for theorem in ("1", "corollary1", "lemma1"):
-            assert main(["verify", path, "--theorem", theorem, "--cap-states", str(10**19)]) == 3
+            assert main(["verify", path, "--theorem", theorem]) == 3
             assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
 
     def test_lemma1_refuses_over_the_subset_cap_like_theorem_one(

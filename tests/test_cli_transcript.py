@@ -40,6 +40,7 @@ COMMANDS = [
     ["expand", "--k", "2"],
     *(["verify", "--theorem", t] for t in ("1", "corollary1", "lemma1")),
     ["verify", "--theorem", "2", "--k", "3", "--decimals", "3"],
+    # `verify` has no state cap: there `--cap-states` is refused as unknown.
     *(
         [*command, *cap]
         for command in (["expand"], *(["verify", "--theorem", t] for t in ("1", "2", "corollary1", "lemma1")))

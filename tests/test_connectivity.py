@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercoop import connectivity
-from hypercoop.connectivity import components, components_of_coalition, connected_sets
+from hypercoop.connectivity import components, connected_sets
+from hypercoop.corpus import connected_coalitions
 from hypercoop.model import make_hypergraph
 
 from oracles import merge_groups
@@ -37,9 +38,13 @@ def test_components_two_pieces():
 
 def test_components_of_coalition():
     h = make_hypergraph(range(1, 7), [[1, 4], [2, 5], [3, 6], [4, 5, 6]])
-    assert components_of_coalition({1, 4}, h) == [frozenset({1, 4})]
-    assert components_of_coalition({1, 2}, h) == [frozenset({1}), frozenset({2})]
-    assert components_of_coalition({1, 2, 3}, h) == [
+
+    def inside(coalition):
+        return [e for e in h.hyperlinks if e <= coalition]
+
+    assert components({1, 4}, inside({1, 4})) == [frozenset({1, 4})]
+    assert components({1, 2}, inside({1, 2})) == [frozenset({1}), frozenset({2})]
+    assert components({1, 2, 3}, inside({1, 2, 3})) == [
         frozenset({1}),
         frozenset({2}),
         frozenset({3}),
@@ -81,7 +86,19 @@ def test_components_match_the_union_find(h, data):
     coalition = frozenset(data.draw(_subsets(list(h.players))))
     inside = [e for e in h.hyperlinks if e <= coalition]
     assert components(coalition, inside) == merge_groups(coalition, inside)
-    assert components_of_coalition(coalition, h) == merge_groups(coalition, inside)
+
+
+@given(hypergraphs(max_players=7, max_links=6))
+def test_connected_coalitions_match_the_union_find(h):
+    """The corpus draws one worth per listed coalition, so the list must
+    keep its order: by size, then in `itertools.combinations` order."""
+    expected = [
+        frozenset(combo)
+        for size in range(2, len(h.players) + 1)
+        for combo in itertools.combinations(h.players, size)
+        if len(merge_groups(combo, [e for e in h.hyperlinks if e <= set(combo)])) == 1
+    ]
+    assert connected_coalitions(h) == expected
 
 
 @st.composite

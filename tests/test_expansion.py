@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercoop import solutions
-from hypercoop.axioms import check_copy_deletions, value_from_axioms
+from hypercoop.axioms import check_copy_deletions, check_uniform_expansion, value_from_axioms
 from hypercoop.corpus import game_corpus
 from hypercoop.expansion import (
     agent_form_payoffs,
@@ -310,6 +310,14 @@ def test_one_hyperlink_at_k_2500_pays_each_copy_its_share():
     assert grouped_position(single_link_game(), 2500) == {1: F(1, 2), 2: F(1, 2)}
 
 
+def test_theorem_two_needs_no_bound_on_k(hub):
+    """The pass depends on the number of blocks only, so a trillion copies
+    of each hyperlink cost what one does: Theorem 2 holds on the hub."""
+    report = check_uniform_expansion(hub, 10**12)
+    assert report.sides and not report.failures()
+    assert grouped_position(hub, 10**6) == position_value(hub)
+
+
 def test_a_large_block_leaves_nothing_behind():
     """With the cyclic collector off, nothing `uniform_payoffs` allocated
     for a 2,000-copy block is held once the call returns."""
@@ -492,24 +500,18 @@ class TestAgentForm:
         assert copy_counts(game) == {(1, e): 1, (2, e): 1}
 
     def test_hub_pointwise_equals_blockwise(self, hub):
-        assert agent_form_payoffs(hub) == uniform_payoffs(hub)
-
-    def test_state_cap(self, hub):
-        """The cap counts agents: m*eta = 4*6 on the hub."""
-        assert agent_form_payoffs(hub, state_cap=24) == uniform_payoffs(hub)
-        with pytest.raises(CapExceeded, match="^universe size 24 exceeds the state cap 23$"):
-            agent_form_payoffs(hub, state_cap=23)
+        """24 agents in 4 image blocks, against the fold that tracks which
+        players are present."""
+        assert agent_form_payoffs(hub) == agent_form_by_fold(hub, state_cap=10**30)
 
     def test_grouped_caps_come_before_the_table(self, hub, monkeypatch):
-        """The state cap first, then the subset cap over the hyperlinks,
-        both before any worth is read."""
+        """The subset cap over the hyperlinks is checked before any worth
+        is read."""
         def refuse(*_args):
             raise AssertionError("the agent form read worths over a cap")
 
         monkeypatch.setattr(solutions, "conference_table", refuse)
         monkeypatch.setattr(solutions, "_piece_worths", refuse)
-        with pytest.raises(CapExceeded, match="^universe size 24 exceeds the state cap 23$"):
-            grouped_agent_form(hub, state_cap=23, cap=1)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
             grouped_agent_form(hub, cap=3)
 
