@@ -12,7 +12,7 @@ The characteristic is exactly one of ``unanimity`` (a support coalition),
 ``weighted_unanimity`` (a list of ``{"coalition": [...], "coeff": "p/q"}``
 terms), or ``table`` (a list of ``{"coalition": [...], "worth": "p/q"}``
 entries, unlisted coalitions worth zero).  Rationals are integers or
-"p/q" strings; floats are rejected.
+"p/q" strings in ASCII digits; floats and unknown keys are rejected.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 bad input or
 an output write error, 3 an enumeration cap was exceeded.
@@ -36,6 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+from . import jsonout
 from .axioms import (
     DEFAULT_RECURSION_CAP,
     Report,
@@ -73,7 +74,7 @@ class DocumentError(ValueError):
     """A game document failed validation."""
 
 
-_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -105,15 +106,22 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _known_keys(mapping: dict, keys: tuple[str, ...], where: str) -> None:
+    for key in mapping:
+        if key not in keys:
+            expected = ", ".join(map(repr, keys))
+            raise DocumentError(f"{where}: unknown key {key!r}; expected one of {expected}")
+
+
 def _int_list(raw, where: str) -> list[int]:
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of player ids")
-    out = []
+    if set(map(type, raw)) <= {int}:
+        return raw
     for n, item in enumerate(raw):
         if isinstance(item, bool) or not isinstance(item, int):
             raise DocumentError(f"{where}[{n}]: expected an integer player id, got {item!r}")
-        out.append(item)
-    return out
+    return raw
 
 
 def parse_game(text: str) -> HypergraphGame:
@@ -121,16 +129,18 @@ def parse_game(text: str) -> HypergraphGame:
 
     Validation is field-by-field in document order, so the first error
     reported is deterministic: players, then each hyperlink (size, then
-    membership, then duplicates), then the characteristic entries.
+    membership, then duplicates), then the characteristic entries.  An
+    object's unknown keys are reported before its fields.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer past int's digit limit
         raise DocumentError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
+    _known_keys(doc, ("players", "hyperlinks", "characteristic"), "document")
 
     players = _int_list(_require(doc, "players", "document"), "players")
     player_set = set(players)
@@ -143,8 +153,8 @@ def parse_game(text: str) -> HypergraphGame:
         members = _int_list(raw, f"hyperlinks[{n}]")
         if len(members) < 2:
             raise DocumentError(f"hyperlinks[{n}]: a hyperlink needs at least two members")
-        unknown = sorted(p for p in members if p not in player_set)
-        if unknown:
+        if not player_set.issuperset(members):
+            unknown = sorted(p for p in members if p not in player_set)
             raise DocumentError(f"hyperlinks[{n}]: unknown players {unknown}")
         if len(set(members)) != len(members):
             raise DocumentError(f"hyperlinks[{n}]: duplicate members")
@@ -153,8 +163,8 @@ def parse_game(text: str) -> HypergraphGame:
     raw_cf = _require(doc, "characteristic", "document")
     if not isinstance(raw_cf, dict):
         raise DocumentError("characteristic: expected an object")
-    kinds = [k for k in ("table", "unanimity", "weighted_unanimity") if k in raw_cf]
-    if len(kinds) != 1:
+    _known_keys(raw_cf, ("table", "unanimity", "weighted_unanimity"), "characteristic")
+    if len(raw_cf) != 1:
         raise DocumentError(
             "characteristic: provide exactly one of 'table', "
             "'unanimity' or 'weighted_unanimity'"
@@ -165,33 +175,33 @@ def parse_game(text: str) -> HypergraphGame:
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
-    kind = kinds[0]
+    [(kind, raw_kind)] = raw_cf.items()
     try:
         if kind == "unanimity":
-            support = _int_list(raw_cf["unanimity"], "characteristic.unanimity")
+            support = _int_list(raw_kind, "characteristic.unanimity")
             cf = unanimity(players, support)
         elif kind == "weighted_unanimity":
-            raw_terms = raw_cf["weighted_unanimity"]
-            if not isinstance(raw_terms, list):
+            if not isinstance(raw_kind, list):
                 raise DocumentError("characteristic.weighted_unanimity: expected a list")
             terms = []
-            for n, item in enumerate(raw_terms):
+            for n, item in enumerate(raw_kind):
                 where = f"characteristic.weighted_unanimity[{n}]"
                 if not isinstance(item, dict):
                     raise DocumentError(f"{where}: expected an object")
+                _known_keys(item, ("coalition", "coeff"), where)
                 coalition = _int_list(_require(item, "coalition", where), f"{where}.coalition")
                 coeff = parse_rational(_require(item, "coeff", where), f"{where}.coeff")
                 terms.append((coalition, coeff))
             cf = weighted_unanimity(players, terms)
         else:
-            raw_entries = raw_cf["table"]
-            if not isinstance(raw_entries, list):
+            if not isinstance(raw_kind, list):
                 raise DocumentError("characteristic.table: expected a list of entries")
             entries: dict[frozenset[int], Fraction] = {}
-            for n, item in enumerate(raw_entries):
+            for n, item in enumerate(raw_kind):
                 where = f"characteristic.table[{n}]"
                 if not isinstance(item, dict):
                     raise DocumentError(f"{where}: expected an object")
+                _known_keys(item, ("coalition", "worth"), where)
                 coalition = frozenset(
                     _int_list(_require(item, "coalition", where), f"{where}.coalition")
                 )
@@ -646,7 +656,7 @@ def main(argv=None) -> int:
         # `_verify`) reads its `player N: expected a, got b` and `result:`
         # lines, so it keeps them until that check reads JSON.
         if args.format == "json" and payload is not None:
-            print(json.dumps(payload, indent=2, default=format_rational))
+            print(jsonout.dumps(payload))
         else:
             print("\n".join(text(args.decimals)))
         sys.stdout.flush()

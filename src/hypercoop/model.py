@@ -25,6 +25,8 @@ ONE = Fraction(1)
 
 def as_fraction(value) -> Fraction:
     """Coerce a worth to an exact Fraction, refusing floats outright."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"floats are not exact, got {value!r}; use Fraction or an int")
     return Fraction(value)

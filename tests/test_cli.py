@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import hypercoop.axioms
 import hypercoop.cli
 import hypercoop.expansion
+import hypercoop.jsonout
 import hypercoop.solutions
 from hypercoop.cli import (
     DocumentError,
@@ -66,6 +68,8 @@ class TestParseRational:
             ("1/0", "malformed"),
             ("1.5", "malformed"),
             ("one half", "malformed"),
+            ("\u0663/\u0664", "malformed"),  # Arabic-Indic digits three and four
+            ("\uff11", "malformed"),  # fullwidth digit one
             (None, "expected an integer"),
         ],
     )
@@ -95,6 +99,9 @@ class TestParseGame:
         }
         assert parse_game(json.dumps(table)).worth({1, 2}) == F(1, 2)
         assert parse_game(json.dumps(weighted)).worth({1, 2, 3}) == 2
+        table["characteristic"]["table"][0]["worth"] = 2
+        worth = parse_game(json.dumps(table)).worth({1, 2})
+        assert (type(worth), worth) == (Fraction, 2)
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -138,6 +145,98 @@ class TestParseGame:
                 ),
                 "malformed rational",
             ),
+            (
+                lambda d: d.update(
+                    characteristic={"table": [{"coalition": [1], "worth": 2}]}
+                ),
+                r"^characteristic: zero-normalization requires worth 0 for \[1\], got 2$",
+            ),
+            (
+                lambda d: d.update(
+                    characteristic={"weighted_unanimity": [{"coalition": [1, 2], "coeff": "\u0663/\u0664"}]}
+                ),
+                r"^characteristic\.weighted_unanimity\[0\]\.coeff: malformed rational",
+            ),
+            # A list with a non-integer member reports the first such member,
+            # before any unknown or duplicate player in the same list.
+            (
+                lambda d: d.update(hyperlinks=[[1, 4], [True, 5]]),
+                r"^hyperlinks\[1\]\[0\]: expected an integer player id, got True$",
+            ),
+            (
+                lambda d: d.update(hyperlinks=[[1, 4], [2, 5.0]]),
+                r"^hyperlinks\[1\]\[1\]: expected an integer player id, got 5\.0$",
+            ),
+            (
+                lambda d: d.update(hyperlinks=[[7, 7, "4"]]),
+                r"^hyperlinks\[0\]\[2\]: expected an integer player id, got '4'$",
+            ),
+            (
+                lambda d: d.update(hyperlinks=[[1, [4]]]),
+                r"^hyperlinks\[0\]\[1\]: expected an integer player id, got \[4\]$",
+            ),
+            (
+                lambda d: d.update(hyperlinks=[[1, 4], [2, 7, 9]]),
+                r"^hyperlinks\[1\]: unknown players \[7, 9\]$",
+            ),
+            (
+                lambda d: d.update(characteristic={"unanimity": [1, "2"]}),
+                r"^characteristic\.unanimity\[1\]: expected an integer player id, got '2'$",
+            ),
+            (
+                lambda d: d.update(
+                    characteristic={
+                        "table": [
+                            {"coalition": [1, 2], "worth": 1},
+                            {"coalition": [1, False], "worth": "x"},
+                        ]
+                    }
+                ),
+                r"^characteristic\.table\[1\]\.coalition\[1\]: expected an integer player id, got False$",
+            ),
+            (
+                lambda d: d.update(
+                    characteristic={"table": [{"coalition": [[1], 2], "worth": 1}]}
+                ),
+                r"^characteristic\.table\[0\]\.coalition\[0\]: expected an integer player id, got \[1\]$",
+            ),
+            (
+                lambda d: d.update(
+                    characteristic={"weighted_unanimity": [{"coalition": [1.5, 2], "coeff": 1}]}
+                ),
+                r"^characteristic\.weighted_unanimity\[0\]\.coalition\[0\]: expected an integer player id, got 1\.5$",
+            ),
+            (
+                lambda d: d.update(
+                    characteristic={"weighted_unanimity": [{"coalition": [1, "x"], "coeff": "1/0"}]}
+                ),
+                r"^characteristic\.weighted_unanimity\[0\]\.coalition\[1\]: expected an integer player id, got 'x'$",
+            ),
+            # Unknown keys, at the root, in the characteristic and in its entries.
+            (
+                lambda d: d.update(hyperlink=d.pop("hyperlinks")),
+                r"^document: unknown key 'hyperlink'; expected one of 'players', 'hyperlinks', 'characteristic'$",
+            ),
+            (
+                lambda d: d["characteristic"].update(tabel=[]),
+                r"^characteristic: unknown key 'tabel'; expected one of 'table', 'unanimity', 'weighted_unanimity'$",
+            ),
+            (
+                lambda d: d.update(characteristic={"tabel": []}),
+                r"^characteristic: unknown key 'tabel'",
+            ),
+            (
+                lambda d: d.update(
+                    characteristic={"table": [{"coalition": [1, 2], "worth": 1, "note": "x"}]}
+                ),
+                r"^characteristic\.table\[0\]: unknown key 'note'; expected one of 'coalition', 'worth'$",
+            ),
+            (
+                lambda d: d.update(
+                    characteristic={"weighted_unanimity": [{"coalition": [1, 2], "coef": 1}]}
+                ),
+                r"^characteristic\.weighted_unanimity\[0\]: unknown key 'coef'; expected one of 'coalition', 'coeff'$",
+            ),
         ],
     )
     def test_validation_errors(self, mutate, message):
@@ -157,12 +256,52 @@ class TestParseGame:
         with pytest.raises(DocumentError, match="root must be"):
             parse_game("[1, 2]")
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="needs an interpreter with a limit on integer digits",
+    )
+    def test_integer_past_the_digit_limit(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(DocumentError, match=r"^invalid JSON: Exceeds the limit"):
+            parse_game('{"players": [' + "1" * digits + "]}")
+
     def test_readme_documents_parse(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
         blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
         assert blocks
         for block in blocks:
             parse_game(block)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u20ac\U0001f600')),
+    st.fractions(),
+    st.integers().map(Fraction),
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @given(json_payloads)
+    def test_bytes_match_json_dumps(self, value):
+        assert hypercoop.jsonout.dumps(value) == json.dumps(value, indent=2, default=format_rational)
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [0.5]}, [object()], {(1, 2): 1}, {None: 1}])
+    def test_unsupported_types_raise(self, value):
+        with pytest.raises(TypeError):
+            hypercoop.jsonout.dumps(value)
 
 
 class TestSerialization:
@@ -290,6 +429,20 @@ class TestValueCommand:
         path = write_doc(tmp_path, dict(HUB_DOC, hyperlinks=[[1]]))
         assert main(["value", path]) == 2
         assert "hyperlinks[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["value"], ["check", "--axiom", "partial-balanced"], ["solve-axioms"]]
+    )
+    def test_misspelt_key_is_refused(self, tmp_path, capsys, argv):
+        """A misspelt `hyperlinks` once read as no hyperlinks at all: every
+        payoff 0 and every axiom PASS."""
+        doc = {"players": [1, 2, 3], "hyperlink": [[1, 2], [2, 3]], "characteristic": {"unanimity": [1, 3]}}
+        assert main([argv[0], write_doc(tmp_path, doc), *argv[1:]]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: document: unknown key 'hyperlink'; "
+            "expected one of 'players', 'hyperlinks', 'characteristic'\n",
+        )
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
