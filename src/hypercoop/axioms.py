@@ -45,7 +45,7 @@ from .solutions import (
     _conference_shapley,
     _covered,
     _hyperlink_masks,
-    _piece_worths,
+    _read_worths,
     _split,
     position_value,
 )
@@ -234,7 +234,7 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     member of C, a included, lies on one of them, so d_a > 0.  Each
     solution is a position value, so rows hold integer numerators over
     D = m!·scale·eta (worths read as the position value reads them, by
-    `solutions._piece_worths`, eta the lcm of the hyperlink sizes, d_q
+    `solutions._read_worths`, eta the lcm of the hyperlink sizes, d_q
     scaled by eta).  Like the position value, it raises ValueError on a singleton of nonzero
     worth.  A division that leaves a remainder raises ArithmeticError
     naming the set's mask; nothing is rounded.
@@ -254,9 +254,9 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
             f"{m} hyperlinks form more than {limit} connected hyperlink sets: "
             f"the recursion cap {cap} admits at most 2^{cap} - 1"
         )
-    covered = _covered(links, sets)
+    covered = _covered(links, (s for s, _ in sets))
     members = {s: [k for k in range(n) if c >> k & 1] for s, c in covered.items()}
-    scale, worth = _piece_worths(game, covered)
+    scale, worth = _read_worths(game, covered.values())
     eta = lcm(*(len(e) for e in game.hyperlinks))
     weight = [eta // len(e) for e in game.hyperlinks]
     unit = factorial(m) * eta
@@ -298,7 +298,7 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
                 for q in members[s]:
                     r[q] -= w * before[q]
         row = rows[0][:]
-        total = worth[s] * unit
+        total = worth[covered[s]] * unit
         x_a, inexact = divmod(d[anchor] * total + sum(r), eta * s.bit_count())
         row[anchor] = x_a
         for q in others:

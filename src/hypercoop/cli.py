@@ -88,9 +88,15 @@ def parse_rational(value, where: str) -> Fraction:
         )
     if isinstance(value, str):
         match = _RATIONAL.match(value.strip())
-        if not match or int(match.group(2) or 1) == 0:
+        try:
+            p, q = (int(match.group(1)), int(match.group(2) or 1)) if match else (0, 0)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            message = f"rational with more than {limit} digits in its numerator or denominator"
+            raise DocumentError(f"{where}: {message}") from None
+        if not q:
             raise DocumentError(f"{where}: malformed rational {value!r}")
-        return Fraction(int(match.group(1)), int(match.group(2) or 1))
+        return Fraction(p, q)
     raise DocumentError(
         f'{where}: expected an integer or "p/q" string, got {type(value).__name__}'
     )

@@ -7,8 +7,9 @@ are bit positions and a hyperlink is the mask of its members.
 every connected vertex set of a graph given by neighbour masks, with its
 boundary, or refuses once there are more than a limit; the
 restricted-game values use it on the line graph of the hyperlinks and on
-a player graph of pairs.  `hypergraph_pieces` does the same for the
-connected player sets of a hypergraph with hyperlinks of any size.
+a player graph of pairs, and `disconnected_sets` the other vertex sets.
+`hypergraph_pieces` lists the connected player sets of a hypergraph with
+hyperlinks of any size.
 """
 
 from __future__ import annotations
@@ -106,6 +107,39 @@ def _grow(adjacency: list[int], root: int, banned: int):
             candidates ^= low
             banned |= low
             stack.append((piece | low, reach | adjacency[low.bit_length() - 1], banned))
+
+
+def disconnected_sets(adjacency: list[int], limit: int) -> list[int] | None:
+    """Every disconnected vertex set of a graph given as in
+    `connected_sets`, as bitmasks; None when there are more than `limit`.
+
+    Each is listed once, as C ∪ R: C is its component holding its lowest
+    vertex i, grown like `_grow` over the vertices above i, and R any
+    nonempty set of the vertices above i that C does not reach.  Growth
+    stops at a C that reaches them all.  The sets with C = {i} are a
+    lower bound on the count, checked before anything is listed."""
+    every = (1 << len(adjacency)) - 1
+    if sum((1 << (every & -(2 << i) & ~a).bit_count()) - 1 for i, a in enumerate(adjacency)) > limit:
+        return None
+    found: list[int] = []
+    for i in range(len(adjacency)):
+        above = every & -(2 << i)
+        stack = [(1 << i, adjacency[i] | 1 << i, (2 << i) - 1)]
+        while stack:
+            piece, reach, banned = stack.pop()
+            rest = free = above & ~reach
+            while rest:
+                if len(found) == limit:
+                    return None
+                found.append(piece | rest)
+                rest = (rest - 1) & free
+            candidates = reach & ~banned if free else 0
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                banned |= low
+                stack.append((piece | low, reach | adjacency[low.bit_length() - 1], banned))
+    return found
 
 
 def hypergraph_pieces(links: list[int], n: int, limit: int) -> list[tuple[int, int, int, int]] | None:

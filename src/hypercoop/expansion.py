@@ -17,9 +17,9 @@ are complete.  All blocks hold rho copies, so π depends on t alone;
 grouped-payoff identity it serves to verify, as integers over
 rho·lcm(1..B) for B blocks.  `solutions._conference_shapley` sums W with
 them in place of Shapley's weights on the route the position value
-takes, the connected hyperlink sets or the 2^m table, and can carry
-Shapley's weights in the same pass: both sides of Theorems 1 and 2 and
-of Lemma 1 read one listing or one table.  A deleted copy leaves rho - 1
+takes (the complement pieces, the connected hyperlink sets or the 2^m
+table), and can carry Shapley's weights in the same pass: both sides of
+Theorems 1 and 2 and of Lemma 1 read one listing or one table.  A deleted copy leaves rho - 1
 copies of a block that never completes; they earn 0 and leave π as it
 is over the B = m - 1 other blocks, so the sum runs without that
 hyperlink.  The agent form is the same sum at k = 1: a set of complete

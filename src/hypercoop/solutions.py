@@ -13,12 +13,15 @@ Players (or hyperlinks) are bit positions, a coalition is an int, and
 worths are integers scaled by `model.scaled_worths`, the one worth reader
 shared with the expansion and axiom modules; each payoff is one exact
 division at the end.  A restricted game is Σ_P v(P)·[P is a piece of S]
-over the connected sets P, so two routes give the same payoffs:
+over the connected sets P, so three routes give the same payoffs:
 
 - connected sets: `connectivity.connected_sets` lists each connected P
   with its boundary ∂P, and `shapley_of_pieces` pays each member of P
   (p-1)!·b!/(p+b)! and each member of ∂P -p!·(b-1)!/(p+b)! times v(P),
   with p = |P| and b = |∂P|;
+- complement (conference game only): v of the players on A's hyperlinks
+  as pieces (∅, hyperlinks leaving Y) over the player sets Y, plus one
+  piece [S = A] per disconnected A (`connectivity.disconnected_sets`);
 - tables: W[mask] = v(piece holding the lowest bit) + W[mask without
   that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`;
   the conference table reads its worths first, once per covered player
@@ -31,18 +34,22 @@ With a larger hyperlink a piece's boundary is not a set of neighbours:
 `connectivity.hypergraph_pieces` writes each connected player set's
 indicator as signed (members, boundary) pieces, which the same kernel
 pays.  The rule between the routes, stated on the input alone: the
-enumeration runs unless it would list more than 2^m/4 sets (2^n/4 sets
-and pieces for Myerson), judged first by a lower bound (the degree bound
-of `connected_sets`, or the pair unions of `hypergraph_pieces`) and then
-by the count itself; past that the table runs.
-The subset cap is checked before either.  `position_values_without`
-gives the position value without each hyperlink from one pass on the
-route of the whole game.  The same pass sums the conference game under
-other integer weights per set size as well (the completion weights of
-`hypercoop.expansion`), so the uniform expansions, the agent form and
-the copy deletions take the position value's route, and one listing or
-one table serves both sides of each identity.  The frozenset versions
-of the two restricted games are the test suite's reference.
+position value takes the complement route first when 2^n <= 2^m/4 and
+there are at most 2^m/4 disconnected hyperlink sets (judged first by the
+sets each hyperlink alone leaves free, then by the count itself); else
+the connected sets are listed unless there would be more than 2^m/4 of
+them (2^n/4 sets and pieces for Myerson), judged first by a lower bound
+(the degree bound of `connected_sets`, or the pair unions of
+`hypergraph_pieces`) and then by the count itself; past that the table
+runs.  The subset cap is checked before any of them.
+`position_values_without` gives the position value without each
+hyperlink from one pass on the route of the whole game.  The same pass
+sums the conference game under other integer weights per set size as
+well (the completion weights of `hypercoop.expansion`), so the uniform
+expansions, the agent form and the copy deletions take the position
+value's route, and one listing or one table serves both sides of each
+identity.  The frozenset versions of the two restricted games are the
+test suite's reference.
 """
 
 from __future__ import annotations
@@ -50,8 +57,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, lcm
+from operator import sub
 
-from .connectivity import connected_sets, hypergraph_pieces
+from .connectivity import connected_sets, disconnected_sets, hypergraph_pieces, mask_components
 from .model import (
     Allocation,
     Hyperlink,
@@ -110,11 +118,11 @@ def _hyperlink_masks(game: HypergraphGame) -> tuple[list[int], list[int]]:
     return links, [sum(1 << t for t, f in enumerate(links) if f & e) for e in links]
 
 
-def _covered(links: list[int], sets: list[tuple[int, int]]) -> dict[int, int]:
+def _covered(links: list[int], sets) -> dict[int, int]:
     """{hyperlink set: mask of the players on its hyperlinks} for each
-    (set, boundary) pair of `connected_sets`."""
+    hyperlink set in `sets`."""
     covered = {}
-    for s, _ in sets:
+    for s in sets:
         players, rest = 0, s
         while rest:
             low = rest & -rest
@@ -124,18 +132,45 @@ def _covered(links: list[int], sets: list[tuple[int, int]]) -> dict[int, int]:
     return covered
 
 
-def _piece_worths(game: HypergraphGame, covered: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """(scale, {piece: scale·v(players it covers)}) for pieces given with
-    their covered player masks.  Players on no active hyperlink are
-    singletons, which must be worth zero."""
+def _read_worths(game: HypergraphGame, coalitions) -> tuple[int, dict[int, int]]:
+    """`scaled_worths` of the player masks `coalitions` and of the
+    singletons.  Players on no active hyperlink are singletons, which
+    must be worth zero."""
     singletons = [1 << k for k in range(len(game.players))]
-    scale, worth = scaled_worths(
-        game.characteristic, game.players, {*covered.values(), *singletons}
-    )
+    scale, worth = scaled_worths(game.characteristic, game.players, {*coalitions, *singletons})
     for p, s in zip(game.players, singletons):
         if worth[s]:
             raise ValueError(f"worth of the singleton [{p}] must be 0, got {Fraction(worth[s], scale)}")
-    return scale, {piece: worth[c] for piece, c in covered.items()}
+    return scale, worth
+
+
+def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int]) -> tuple[int, list]:
+    """(scale, pieces) of the conference game v^L(A) = v(M(A)) + δ(A),
+    M(A) being the players on the hyperlinks of A and `apart` the sets A
+    that are disconnected, the only ones where δ(A) is nonzero.  With
+    φ(Y) = Σ_{Z⊇Y} (-1)^|Z∖Y|·v(Z) over the player sets Y,
+    v(M(A)) = Σ_Y φ(Y)·[A misses out(Y)], out(Y) being the hyperlinks with
+    a member outside Y: one piece (∅, out(Y)) per distinct out(Y).  Each
+    A in `apart` is the piece (A, every other hyperlink), [S = A]."""
+    n, every = len(game.players), (1 << len(links)) - 1
+    scale, worth = _read_worths(game, range(1, 1 << n))
+    # one pass per player bit, after which that bit is rotated to the top
+    phi = [0, *(worth[z] for z in range(1, 1 << n))]
+    out = [0]
+    for k in range(n):
+        lower, upper = phi[0::2], phi[1::2]
+        phi = [*map(sub, lower, upper), *upper]
+        leaving = sum(1 << j for j, e in enumerate(links) if e >> k & 1)
+        out = [x | leaving for x in out] + out
+    by_out: dict[int, int] = {}
+    for o, f in zip(out, phi):
+        if o and f:
+            by_out[o] = by_out.get(o, 0) + f
+    pieces = [(0, o, f) for o, f in by_out.items()]
+    for a, players in _covered(links, apart).items():
+        parts = mask_components(players, [e for j, e in enumerate(links) if a >> j & 1])
+        pieces.append((a, every ^ a, sum(worth[c] for c in parts) - worth[players]))
+    return scale, pieces
 
 
 def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
@@ -152,7 +187,7 @@ def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
     for e, t in zip(links, touching):
         members += [x | e for x in members]
         reach += [x | t for x in reach]
-    scale, worth = _piece_worths(game, {c: c for c in members if c})
+    scale, worth = _read_worths(game, members[1:])
     table = [0] * len(members)
     for mask in range(1, len(members)):
         piece = mask & -mask
@@ -217,21 +252,30 @@ def _without_bit(table: list[int], j: int) -> list[int]:
 
 def _conference_shapley(game: HypergraphGame, cap: int, coefficients=(None,)):
     """(scale, solve) for the conference game on the route the rule in
-    the module docstring picks, worths read once.  solve(j) lists, per
+    the module docstring picks: the complement route, the connected sets
+    or the table, in that order, worths read once.  solve(j) lists, per
     weighting in `coefficients`, the hyperlinks' subset sums without
     hyperlink j (None: with all), 0 at j.  A weighting is None, Shapley's,
     whose sums are m!·scale times the Shapley value, or a function from
     a number of blocks B (m, or m-1 without j) to B integer weights.
-    Without j the connected sets are those missing j, with j cleared
-    from their boundaries (Shapley's piece weights do not depend on m);
-    the table is the one at the masks without j's bit, built once for
-    every weighting, whose (m-1)!-scaled Shapley sums times m are over
-    m!."""
+    Without j the pieces of either listing are those missing j, with j
+    cleared from their boundaries (Shapley's piece weights do not depend
+    on m); the table is the one at the masks without j's bit, built once
+    for every weighting, whose (m-1)!-scaled Shapley sums times m are
+    over m!."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap, "hyperlinks")
     links, touching = _hyperlink_masks(game)
-    sets = connected_sets([t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2)
-    if sets is None:
+    adjacency, limit = [t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2
+    # the complement route reads all 2^n player worths: none past the limit
+    apart = disconnected_sets(adjacency, limit if 1 << len(game.players) <= limit else -1)
+    if apart is not None:
+        scale, pieces = _complement_pieces(game, links, apart)
+    elif (sets := connected_sets(adjacency, limit)) is not None:
+        covered = _covered(links, (s for s, _ in sets))
+        scale, worth = _read_worths(game, covered.values())
+        pieces = [(s, b, worth[covered[s]]) for s, b in sets]
+    else:
         table, scale = conference_table(game)
 
         def solve(j: int | None) -> list[list[int]]:
@@ -245,15 +289,13 @@ def _conference_shapley(game: HypergraphGame, cap: int, coefficients=(None,)):
             return [x[:j] + [0] + x[j:] for x in sums]
 
         return scale, solve
-    scale, worth = _piece_worths(game, _covered(links, sets))
 
     def solve(j: int | None) -> list[list[int]]:
-        if j is None:
-            pieces, blocks = [(s, b, worth[s]) for s, b in sets], m
-        else:
+        kept, blocks = pieces, m
+        if j is not None:
             bit, blocks = 1 << j, m - 1
-            pieces = [(s, b & ~bit, worth[s]) for s, b in sets if not s & bit]
-        return [shapley_of_pieces(m, pieces, w and w(blocks)) for w in coefficients]
+            kept = [(s, b & ~bit, v) for s, b, v in pieces if not s & bit]
+        return [shapley_of_pieces(m, kept, w and w(blocks)) for w in coefficients]
 
     return scale, solve
 

@@ -49,9 +49,15 @@ from oracles import (
     value_from_axioms_by_masks,
 )
 from strategies import hypergraph_games, unanimity_combination_games
-from test_solutions import GAMES, ring, ring3, route
+from test_solutions import GAMES, ROUTES, ring, ring3, route
 
 F = Fraction
+# what the conference pass builds after listing the disconnected sets, per route
+STRUCTURES = {
+    "table": ["connected_sets", "conference_table"],
+    "pieces": ["connected_sets"],
+    "complement": [],
+}
 
 
 def equal_split(game):
@@ -186,7 +192,7 @@ class TestCopyDeletion:
         assert report.passed
         assert all(report.residual(i) == 0 for i in path3.players)
 
-    @pytest.mark.parametrize("name", ["table", "pieces"])
+    @pytest.mark.parametrize("name", ROUTES)
     def test_every_hyperlink_at_once_matches_one_at_a_time(self, hub, name):
         with route(name):
             for game in (hub, ring(6), *game_corpus(count=40)):
@@ -196,14 +202,19 @@ class TestCopyDeletion:
                     assert report.passed
                     assert report == check_copy_deletion(game, e)
 
-    def test_every_hyperlink_at_once_builds_one_conference_table(self):
-        """18 three-member hyperlinks on 7 players: the route rule picks
-        the table, built once, and each hyperlink's masks without it are
-        taken once for both sides of Lemma 1."""
+    @staticmethod
+    def eighteen_triples():
+        """18 three-member hyperlinks on 7 players."""
         players = range(1, 8)
         links = list(itertools.combinations(players, 3))[:18]
         cf = weighted_unanimity(players, [(players, 1), ([1, 4], F(2, 3))])
-        game = HypergraphGame(make_hypergraph(players, links), cf)
+        return HypergraphGame(make_hypergraph(players, links), cf)
+
+    def test_every_hyperlink_at_once_builds_one_conference_table(self):
+        """On the table route the table is built once, and each
+        hyperlink's masks without it are taken once for both sides of
+        Lemma 1."""
+        game = self.eighteen_triples()
         built, dropped = [], []
         build, drop = solutions.conference_table, solutions._without_bit
 
@@ -215,19 +226,49 @@ class TestCopyDeletion:
             dropped.append(j)
             return drop(table, j)
 
-        with mock.patch.object(solutions, "conference_table", counted), mock.patch.object(
-            solutions, "_without_bit", counted_drop
-        ):
+        with route("table"), mock.patch.object(
+            solutions, "conference_table", counted
+        ), mock.patch.object(solutions, "_without_bit", counted_drop):
             reports = check_copy_deletions(game)
         assert len(built) == 1
         assert dropped == list(range(18))
+        assert all(report.passed for report in reports.values())
+
+    def test_every_hyperlink_at_once_lists_the_disconnected_sets_once(self):
+        """2^7 player sets against 2^18/4: the route rule picks the
+        complement route, whose disconnected hyperlink sets are listed
+        once and whose 2^7 - 1 player worths are read once for all 19
+        solves (the whole game and each deletion) of both sides."""
+        game = self.eighteen_triples()
+        listed, read = [], []
+        apart, worths = solutions.disconnected_sets, solutions.scaled_worths
+
+        def counted(adjacency, limit):
+            listed.append(limit)
+            return apart(adjacency, limit)
+
+        def counted_read(cf, players, coalitions):
+            read.append(len(coalitions))
+            return worths(cf, players, coalitions)
+
+        def refuse(*_args):
+            raise AssertionError("connected sets were grown or the conference table was built")
+
+        with mock.patch.object(solutions, "disconnected_sets", counted), mock.patch.object(
+            solutions, "scaled_worths", counted_read
+        ), mock.patch.object(solutions, "connected_sets", refuse), mock.patch.object(
+            solutions, "conference_table", refuse
+        ):
+            reports = check_copy_deletions(game)
+        assert listed == [1 << 16]
+        assert read == [(1 << 7) - 1]
         assert all(report.passed for report in reports.values())
 
 
 class TestGroupedIdentities:
     """Theorems 1 and 2, both sides from one pass."""
 
-    @pytest.mark.parametrize("name", ["table", "pieces"])
+    @pytest.mark.parametrize("name", ROUTES)
     def test_each_side_as_computed_alone(self, hub, name):
         with route(name):
             for game in (hub, ring(6), ring3(3), *game_corpus(count=40)):
@@ -240,7 +281,7 @@ class TestGroupedIdentities:
                     assert check_uniform_expansion(game, k) == expected
                     assert expected.passed
 
-    @pytest.mark.parametrize("name", ["table", "pieces"])
+    @pytest.mark.parametrize("name", ROUTES)
     def test_one_listing_or_one_table(self, name):
         built = []
 
@@ -253,12 +294,11 @@ class TestGroupedIdentities:
 
             return mock.patch.object(solutions, attribute, wrapped)
 
-        with route(name), spy("connected_sets"), spy("conference_table"):
+        with route(name), spy("disconnected_sets"), spy("connected_sets"), spy("conference_table"):
             for check in (check_uniform_expansion, check_copy_deletions):
                 built.clear()
                 check(ring3(3))
-                tables = ["conference_table"] if name == "table" else []
-                assert built == ["connected_sets", *tables]
+                assert built == ["disconnected_sets", *STRUCTURES[name]]
 
     def test_the_agent_form_needs_a_hyperlink(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
@@ -431,7 +471,7 @@ class TestPairReportsMatchTheRuleCalls:
                 position_values_without(game),
             )
 
-    @pytest.mark.parametrize("name", ["table", "pieces"])
+    @pytest.mark.parametrize("name", ROUTES)
     def test_each_check_builds_the_structure_once(self, name):
         """One listing of connected sets and at most one conference table
         per pair check of the command line's position rule."""
@@ -446,15 +486,14 @@ class TestPairReportsMatchTheRuleCalls:
 
             return mock.patch.object(solutions, attribute, wrapped)
 
-        with route(name), spy("connected_sets"), spy("conference_table"):
+        with route(name), spy("disconnected_sets"), spy("connected_sets"), spy("conference_table"):
             for check in (
                 check_partial_balanced_conference_contributions,
                 check_balanced_conference_contributions,
             ):
                 built.clear()
                 check(cli_rule("position"), ring3(3))
-                tables = ["conference_table"] if name == "table" else []
-                assert built == ["connected_sets", *tables]
+                assert built == ["disconnected_sets", *STRUCTURES[name]]
 
     def test_the_corpus(self):
         for game in game_corpus(count=200):
@@ -470,7 +509,7 @@ class TestPairReportsMatchTheRuleCalls:
 
     @given(hypergraph_games(max_players=4, max_links=4, max_link_size=3))
     def test_table_games_on_both_routes(self, game):
-        for name in ("table", "pieces"):
+        for name in ROUTES:
             with route(name):
                 assert_pair_reports_match_the_oracle(game)
 

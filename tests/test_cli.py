@@ -30,6 +30,11 @@ from hypercoop.corpus import hub_and_spokes, path_three
 from strategies import hypergraph_games
 
 F = Fraction
+# the interpreter's limit on the digits of an integer read from a string, 0 for none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_a_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="needs an interpreter with a limit on integer digits"
+)
 
 HUB_DOC = {
     "players": [1, 2, 3, 4, 5, 6],
@@ -45,10 +50,16 @@ def write_doc(tmp_path: Path, doc) -> str:
 
 
 def refuse_every_route(monkeypatch, refuse) -> None:
-    """Make `refuse` the conference game's table, its connected-set
-    listing and both weighted folds, on which every value and identity
-    runs."""
-    for name in ("conference_table", "connected_sets", "shapley_of_table", "shapley_of_pieces"):
+    """Make `refuse` the conference game's table, its connected-set and
+    disconnected-set listings and both weighted folds, on which every
+    value and identity runs."""
+    for name in (
+        "conference_table",
+        "connected_sets",
+        "disconnected_sets",
+        "shapley_of_table",
+        "shapley_of_pieces",
+    ):
         monkeypatch.setattr(hypercoop.solutions, name, refuse)
 
 
@@ -237,6 +248,17 @@ class TestParseGame:
                 ),
                 r"^characteristic\.weighted_unanimity\[0\]: unknown key 'coef'; expected one of 'coalition', 'coeff'$",
             ),
+            pytest.param(
+                lambda d: d.update(
+                    characteristic={
+                        "weighted_unanimity": [{"coalition": [1, 2], "coeff": "1/" + "3" * (DIGIT_LIMIT + 1)}]
+                    }
+                ),
+                rf"^characteristic\.weighted_unanimity\[0\]\.coeff: rational with more than {DIGIT_LIMIT} digits"
+                r" in its numerator or denominator$",
+                marks=needs_a_digit_limit,
+                id="rational-past-the-digit-limit",
+            ),
         ],
     )
     def test_validation_errors(self, mutate, message):
@@ -256,10 +278,7 @@ class TestParseGame:
         with pytest.raises(DocumentError, match="root must be"):
             parse_game("[1, 2]")
 
-    @pytest.mark.skipif(
-        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-        reason="needs an interpreter with a limit on integer digits",
-    )
+    @needs_a_digit_limit
     def test_integer_past_the_digit_limit(self):
         digits = sys.get_int_max_str_digits() + 1
         with pytest.raises(DocumentError, match=r"^invalid JSON: Exceeds the limit"):
@@ -408,6 +427,7 @@ class TestValueCommand:
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "_point_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "disconnected_sets", refuse)
         doc = {
             "players": list(range(30)),
             "hyperlinks": [[i, (i + 1) % 30] for i in range(30)],
@@ -429,6 +449,18 @@ class TestValueCommand:
         path = write_doc(tmp_path, dict(HUB_DOC, hyperlinks=[[1]]))
         assert main(["value", path]) == 2
         assert "hyperlinks[0]" in capsys.readouterr().err
+
+    @needs_a_digit_limit
+    def test_rational_past_the_digit_limit(self, tmp_path, capsys):
+        """The entry is named, and the interpreter's own remedy is not."""
+        numerator = "7" * (DIGIT_LIMIT + 1)
+        doc = dict(HUB_DOC, characteristic={"table": [{"coalition": [1, 2], "worth": numerator + "/2"}]})
+        assert main(["value", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: characteristic.table[0].worth: rational with more than {DIGIT_LIMIT}"
+            " digits in its numerator or denominator\n",
+        )
 
     @pytest.mark.parametrize(
         "argv", [["value"], ["check", "--axiom", "partial-balanced"], ["solve-axioms"]]
@@ -509,6 +541,7 @@ class TestExpandCommand:
 
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
+        monkeypatch.setattr(hypercoop.solutions, "disconnected_sets", refuse)
         for links in (40, 20):
             doc = {
                 "players": list(range(links + 1)),

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercoop import connectivity
-from hypercoop.connectivity import components, connected_sets
+from hypercoop.connectivity import components, connected_sets, disconnected_sets
 from hypercoop.corpus import connected_coalitions
 from hypercoop.model import make_hypergraph
 
@@ -148,6 +148,30 @@ def test_connected_sets_match_the_brute_force(adjacency):
     assert sorted(connected_sets(adjacency, len(expected))) == expected
     if expected:
         assert connected_sets(adjacency, len(expected) - 1) is None
+
+
+@given(graphs())
+def test_disconnected_sets_are_the_other_sets(adjacency):
+    """Each nonempty vertex mask the brute force finds not connected,
+    exactly once; a limit equal to their number admits them all (so the
+    bound from the one-vertex components never exceeds it), and one less
+    refuses."""
+    connected = {mask for mask, _ in connected_sets_by_brute_force(adjacency)}
+    expected = [mask for mask in range(1, 1 << len(adjacency)) if mask not in connected]
+    assert sorted(disconnected_sets(adjacency, 1 << len(adjacency))) == expected
+    assert sorted(disconnected_sets(adjacency, len(expected))) == expected
+    assert disconnected_sets(adjacency, len(expected) - 1) is None
+
+
+def test_disconnected_sets_of_a_complete_graph_and_a_ring():
+    """K6 has none; a ring on n vertices has 2^n - 1 sets, of which
+    n·(n-1) + 1 are connected."""
+    complete = [((1 << 6) - 1) ^ (1 << v) for v in range(6)]
+    assert disconnected_sets(complete, 0) == []
+    for n in (3, 5, 10):
+        assert len(disconnected_sets(ring(n), 1 << n)) == (1 << n) - 1 - (n * n - n + 1)
+    # vertex 0 alone does not reach 2..8, so the sets {0} ∪ R already number 2^7 - 1
+    assert disconnected_sets(ring(10), 126) is None
 
 
 def ring(n):

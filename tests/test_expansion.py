@@ -53,7 +53,7 @@ from oracles import (
     uniform_by_fold,
 )
 from strategies import hypergraph_games, unanimity_combination_games
-from test_solutions import ring, route
+from test_solutions import DENSE_SHAPES, ROUTES, ring, route
 
 F = Fraction
 
@@ -360,28 +360,29 @@ def test_completion_numerators_are_the_fraction_weights():
             assert [F(c, rho * unit) for c in completion_numerators(blocks)] == expected
 
 
-def expansion_sides(game: HypergraphGame) -> tuple:
+def expansion_sides(game: HypergraphGame, ks=(1, 2, 3)) -> tuple:
     """Every payoff the expansion module computes on one game: the k-fold
-    expansion for k = 1, 2, 3, whole and less one copy of each hyperlink,
-    the agent form, and both sides of every copy deletion from their
-    shared pass."""
+    expansion for each k in `ks`, whole and less one copy of each
+    hyperlink, the agent form, and both sides of every copy deletion
+    from their shared pass."""
     uniform = [
-        expansion_payoffs(game, k, removed) for k in (1, 2, 3) for removed in (None, *game.hyperlinks)
+        expansion_payoffs(game, k, removed) for k in ks for removed in (None, *game.hyperlinks)
     ]
     return uniform, agent_form_payoffs(game), grouped_agent_form(game), check_copy_deletions(game)
 
 
-def assert_the_routes_agree(game: HypergraphGame) -> None:
-    with route("table"):
-        table = expansion_sides(game)
-    with route("pieces"):
-        pieces = expansion_sides(game)
-    assert table == pieces
+def assert_the_routes_agree(game: HypergraphGame, ks=(1, 2, 3)) -> None:
+    sides = []
+    for name in ROUTES:
+        with route(name):
+            sides.append(expansion_sides(game, ks))
+    assert sides[1] == sides[0]
+    assert sides[2] == sides[0]
 
 
-class TestTheTwoRoutes:
-    """The connected-set route of the completion-weighted sum equals the
-    table route exactly, the keys in the same order."""
+class TestTheThreeRoutes:
+    """The connected-set and complement routes of the completion-weighted
+    sum equal the table route exactly, the keys in the same order."""
 
     def test_the_corpus(self):
         for game in game_corpus(count=200):
@@ -397,6 +398,12 @@ class TestTheTwoRoutes:
     def test_unanimity_combinations(self, game):
         assume(game.hyperlinks)
         assert_the_routes_agree(game)
+
+    @pytest.mark.parametrize("game", DENSE_SHAPES, ids=lambda g: f"{len(g.players)}x{len(g.hyperlinks)}")
+    def test_dense_shapes(self, game):
+        """The integer sums do not depend on k, which only sets the divisor
+        rho = k·eta, so k = 1 with every deletion covers each weighting."""
+        assert_the_routes_agree(game, ks=(1,))
 
     def test_a_ring_past_the_table(self, monkeypatch):
         """30 pair hyperlinks: the 2^30 table is never built, and the
@@ -511,7 +518,7 @@ class TestAgentForm:
             raise AssertionError("the agent form read worths over a cap")
 
         monkeypatch.setattr(solutions, "conference_table", refuse)
-        monkeypatch.setattr(solutions, "_piece_worths", refuse)
+        monkeypatch.setattr(solutions, "_read_worths", refuse)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
             grouped_agent_form(hub, cap=3)
 

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,12 @@ from hypothesis import given
 
 from hypercoop import connectivity, solutions
 from hypercoop.cli import parse_game
-from hypercoop.connectivity import components, connected_sets, hypergraph_pieces
+from hypercoop.connectivity import (
+    components,
+    connected_sets,
+    disconnected_sets,
+    hypergraph_pieces,
+)
 from hypercoop.corpus import game_corpus
 from hypercoop.model import (
     CharacteristicFunction,
@@ -282,6 +288,7 @@ class TestBitmaskKernel:
         monkeypatch.setattr(solutions, "_point_table", refuse)
         monkeypatch.setattr(solutions, "scaled_worths", refuse)
         monkeypatch.setattr(solutions, "connected_sets", refuse)
+        monkeypatch.setattr(solutions, "disconnected_sets", refuse)
         monkeypatch.setattr(solutions, "hypergraph_pieces", refuse)
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
@@ -385,35 +392,43 @@ class TestConferenceTable:
 GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json"))
 
 
+ROUTES = ("table", "pieces", "complement")
+
+
 @contextlib.contextmanager
 def route(name):
     """Force `position_value` and `myerson_value` onto one route: "table"
-    refuses every enumeration, "pieces" admits any number of connected
-    sets and pieces, on pair structures and hypergraphs alike."""
-    if name == "table":
-        def sets(adjacency, limit):
-            return None
+    refuses every enumeration; "pieces" refuses the disconnected sets and
+    admits any number of connected sets and pieces, on pair structures
+    and hypergraphs alike; "complement" admits any number of
+    disconnected hyperlink sets, whatever the number of players, and
+    sends the Myerson value to its table."""
+    def refuse(*_args):
+        return None
 
-        def pieces(links, n, limit):
-            return None
-    else:
+    sets = pieces = apart = refuse
+    if name == "pieces":
         def sets(adjacency, limit):
             return connected_sets(adjacency, 1 << len(adjacency))
 
         def pieces(links, n, limit):
             return hypergraph_pieces(links, n, 1 << (n + len(links) + 1))
+    elif name == "complement":
+        def apart(adjacency, limit):
+            return disconnected_sets(adjacency, 1 << len(adjacency))
     with mock.patch.object(solutions, "connected_sets", sets), mock.patch.object(
         solutions, "hypergraph_pieces", pieces
-    ):
+    ), mock.patch.object(solutions, "disconnected_sets", apart):
         yield
 
 
 def assert_the_routes_agree(game):
-    with route("table"):
-        table = position_value(game), myerson_value(game)
-    with route("pieces"):
-        pieces = position_value(game), myerson_value(game)
-    assert pieces == table
+    values = []
+    for name in ROUTES:
+        with route(name):
+            values.append((position_value(game), position_values_without(game), myerson_value(game)))
+    assert values[1] == values[0]
+    assert values[2] == values[0]
 
 
 def ring(n):
@@ -433,6 +448,31 @@ def ring3(c):
     links = [[2 * i + 1, 2 * i + 2, (2 * i + 2) % (2 * c) + 1] for i in range(c)]
     cf = weighted_unanimity(players, [(players, 1), ([1, 4], 2)])
     return HypergraphGame(make_hypergraph(players, links), cf)
+
+
+def dense_shape(n, m, seed):
+    """m distinct 3- and 4-member hyperlinks on players 0..n-1 covering
+    them all, like those of the dense benchmark workload; worth
+    u{N} + 2/3·u{0,3} - 5/4·u{1,2,5}, or a table on three coalitions for
+    odd seeds."""
+    rng = random.Random(seed)
+    links: set = set()
+    while len(links) < m or len(set().union(*links)) < n:
+        if len(links) == m:
+            links.clear()
+        links.add(tuple(sorted(rng.sample(range(n), rng.choice((3, 4))))))
+    players = list(range(n))
+    if seed % 2:
+        cf = table_function(
+            players, {frozenset(players): 1, frozenset({0, 3, 4}): F(2, 3), frozenset(min(links)): F(-5, 4)}
+        )
+    else:
+        cf = weighted_unanimity(players, [(players, 1), ([0, 3], F(2, 3)), ([1, 2, 5], F(-5, 4))])
+    return HypergraphGame(make_hypergraph(players, sorted(links)), cf)
+
+
+# the players and hyperlinks of the dense benchmark workload's games
+DENSE_SHAPES = [dense_shape(n, m, seed) for seed, (n, m) in enumerate([(8, 11), (8, 12), (9, 13), (9, 14)])]
 
 
 def path_game(links):
@@ -499,6 +539,10 @@ class TestConnectedSetRoute:
             assert_the_routes_agree(ring(n))
         for c in (3, 5):
             assert_the_routes_agree(ring3(c))
+
+    @pytest.mark.parametrize("game", DENSE_SHAPES, ids=lambda g: f"{len(g.players)}x{len(g.hyperlinks)}")
+    def test_dense_shapes_agree_with_the_table_route(self, game):
+        assert_the_routes_agree(game)
 
 
 class TestRouting:
@@ -571,6 +615,32 @@ class TestRouting:
         assert myerson_value(path_game(5)) == shapley_by_subsets(point_game(path_game(5)))
         assert len(yielded) == 17 and tables == ["conference_table", "_point_table"]
 
+    def test_the_complete_graph_on_seven_grows_no_connected_set(self, monkeypatch):
+        """K7's 21 pair hyperlinks pass the degree bound of
+        `connected_sets`, whose growth would then pass 2^21/4 sets and be
+        dropped; its 27,188 disconnected sets are listed instead."""
+        def refuse(*_args):
+            raise AssertionError("connected sets were grown or the conference table was built")
+
+        listed = []
+
+        def spied(adjacency, limit):
+            listed.append(disconnected_sets(adjacency, limit))
+            return listed[-1]
+
+        players = list(range(7))
+        links = list(itertools.combinations(players, 2))
+        cf = weighted_unanimity(players, [(players, 1), ([0, 1], F(3, 2))])
+        game = HypergraphGame(make_hypergraph(players, links), cf)
+        monkeypatch.setattr(solutions, "connected_sets", refuse)
+        monkeypatch.setattr(solutions, "conference_table", refuse)
+        monkeypatch.setattr(solutions, "disconnected_sets", spied)
+        value = position_value(game)
+        assert [len(apart) for apart in listed] == [27188]
+        # 0 and 1 are alike, and so are 2..6; the payoffs sum to v(N)
+        assert value[0] == value[1] and len({value[p] for p in players[2:]}) == 1
+        assert sum(value.values()) == F(5, 2)
+
     def test_a_three_member_hyperlink_sends_myerson_to_the_hypergraph_pieces(self, monkeypatch):
         def refuse(*_args):
             raise AssertionError("Myerson listed a player graph or built the point table")
@@ -604,7 +674,7 @@ class TestRouting:
         players = range(6)
         h = make_hypergraph(players, [[i, (i + 1) % 6] for i in players])
         game = HypergraphGame(h, Flat(frozenset(players)))
-        for name in ("table", "pieces"):
+        for name in ROUTES:
             with route(name):
                 for value in (position_value, position_values_without):
                     with pytest.raises(ValueError, match=r"^worth of the singleton \[0\] must be 0, got 1$"):
@@ -615,20 +685,27 @@ class TestRouting:
 def assert_deletions_match(game) -> str:
     """`position_values_without` equals the position value of each game
     without one hyperlink, keys in order; returns the route it took."""
-    build, tables = solutions.conference_table, []
+    built = []
 
-    def spied(game):
-        tables.append(game)
-        return build(game)
+    def spy(name):
+        build = getattr(solutions, name)
 
-    with mock.patch.object(solutions, "conference_table", spied):
+        def spied(*args):
+            built.append(name)
+            return build(*args)
+
+        return mock.patch.object(solutions, name, spied)
+
+    with spy("conference_table"), spy("_complement_pieces"):
         deleted = position_values_without(game)
     assert list(deleted) == list(game.hyperlinks)
     for e, payoffs in deleted.items():
         expected = position_value(game.without_hyperlink(e))
         assert payoffs == expected
         assert list(payoffs) == list(expected)
-    return "table" if tables else "pieces"
+    return {"conference_table": "table", "_complement_pieces": "complement"}.get(
+        "".join(built), "pieces"
+    )
 
 
 class TestDeletionsInOnePass:
@@ -643,15 +720,19 @@ class TestDeletionsInOnePass:
 
     @given(hypergraph_games(max_players=6, max_links=6))
     def test_table_games_on_both_routes(self, game):
-        for name in ("table", "pieces"):
+        for name in ROUTES:
             with route(name):
                 assert assert_deletions_match(game) == name
 
     @given(unanimity_combination_games(max_players=6, max_links=6))
     def test_unanimity_combinations_on_both_routes(self, game):
-        for name in ("table", "pieces"):
+        for name in ROUTES:
             with route(name):
                 assert assert_deletions_match(game) == name
+
+    def test_dense_shapes_take_the_complement_route(self):
+        """2^n <= 2^m/4 and a few dozen disconnected hyperlink sets."""
+        assert {assert_deletions_match(game) for game in DENSE_SHAPES} == {"complement"}
 
     def test_one_hyperlink_and_none(self):
         assert position_values_without(single_link_game()) == {
