@@ -30,7 +30,7 @@ from math import factorial, lcm
 from typing import Callable
 
 from .connectivity import components, connected_sets
-from .expansion import _block_size, _grouped, completion_numerators, grouped_position
+from .expansion import _block_size, _completion, grouped_position
 from .model import (
     Allocation,
     Hyperlink,
@@ -46,6 +46,7 @@ from .solutions import (
     _covered,
     _hyperlink_masks,
     _read_worths,
+    _shapley,
     _split,
     position_value,
 )
@@ -186,17 +187,11 @@ def check_copy_deletions(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) ->
 def _identity_sides(game: HypergraphGame, k: int, cap: int):
     """sides(j): (the k-fold expansion's payoffs grouped per player, the
     position value) without hyperlink j (None: with all), both weightings
-    summed in one pass once k and the subset cap are checked."""
+    summed in one pass, over the denominators it returns, once k and the
+    subset cap are checked."""
     _block_size(game, k)
-    scale, solve = _conference_shapley(game, cap, (completion_numerators, None))
-    m = len(game.hyperlinks)
-
-    def sides(j: int | None = None) -> tuple[Allocation, Allocation]:
-        uniform, shapley = solve(j)
-        blocks = m if j is None else m - 1
-        return _grouped(game, uniform, blocks, scale), _split(game, shapley, factorial(m) * scale)
-
-    return sides
+    solve = _conference_shapley(game, cap, (_completion, _shapley))
+    return lambda j=None: tuple(_split(game, *side) for side in solve(j))
 
 
 def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT_SUBSET_CAP) -> Report:

@@ -154,7 +154,7 @@ def parse_game(text: str) -> HypergraphGame:
     raw_links = doc.get("hyperlinks", [])
     if not isinstance(raw_links, list):
         raise DocumentError("hyperlinks: expected a list of player lists")
-    links: list[list[int]] = []
+    links: dict[frozenset[int], int] = {}
     for n, raw in enumerate(raw_links):
         members = _int_list(raw, f"hyperlinks[{n}]")
         if len(members) < 2:
@@ -164,7 +164,10 @@ def parse_game(text: str) -> HypergraphGame:
             raise DocumentError(f"hyperlinks[{n}]: unknown players {unknown}")
         if len(set(members)) != len(members):
             raise DocumentError(f"hyperlinks[{n}]: duplicate members")
-        links.append(members)
+        if (first := links.setdefault(frozenset(members), n)) != n:
+            raise DocumentError(
+                f"hyperlinks[{n}]: duplicate hyperlink {sorted(members)}, already hyperlinks[{first}]"
+            )
 
     raw_cf = _require(doc, "characteristic", "document")
     if not isinstance(raw_cf, dict):

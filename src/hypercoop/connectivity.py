@@ -116,10 +116,14 @@ def disconnected_sets(adjacency: list[int], limit: int) -> list[int] | None:
     Each is listed once, as C ∪ R: C is its component holding its lowest
     vertex i, grown like `_grow` over the vertices above i, and R any
     nonempty set of the vertices above i that C does not reach.  Growth
-    stops at a C that reaches them all.  The sets with C = {i} are a
-    lower bound on the count, checked before anything is listed."""
+    stops at a C that reaches them all.  The sets with C = {i}, and the
+    2^n - 1 - Σ_k (2^(n_k) - 1) sets that meet two or more components of
+    n_k vertices, are lower bounds on the count, checked before listing."""
     every = (1 << len(adjacency)) - 1
     if sum((1 << (every & -(2 << i) & ~a).bit_count()) - 1 for i, a in enumerate(adjacency)) > limit:
+        return None
+    parts = mask_components(every, [a | 1 << v for v, a in enumerate(adjacency)])
+    if every - sum((1 << part.bit_count()) - 1 for part in parts) > limit:
         return None
     found: list[int] = []
     for i in range(len(adjacency)):

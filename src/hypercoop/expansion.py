@@ -16,14 +16,14 @@ are complete.  All blocks hold rho copies, so π depends on t alone;
 `completion_numerators` counts it from the block sizes, never from the
 grouped-payoff identity it serves to verify, as integers over
 rho·lcm(1..B) for B blocks.  `solutions._conference_shapley` sums W with
-them in place of Shapley's weights on the route the position value
-takes (the complement pieces, the connected hyperlink sets or the 2^m
-table), and can carry Shapley's weights in the same pass: both sides of
-Theorems 1 and 2 and of Lemma 1 read one listing or one table.  A deleted copy leaves rho - 1
-copies of a block that never completes; they earn 0 and leave π as it
-is over the B = m - 1 other blocks, so the sum runs without that
-hyperlink.  The agent form is the same sum at k = 1: a set of complete
-images is worth its conference worth.
+them, over lcm(1..B) per block, on the route the position value takes
+(the complement pieces, the connected hyperlink sets or the 2^m table),
+and can carry Shapley's weighting in the same pass: both sides of
+Theorems 1 and 2 and of Lemma 1 read one listing or one table.  A
+deleted copy leaves rho - 1 copies of a block that never completes;
+they earn 0 and leave π as it is over the B = m - 1 other blocks, so the
+sum runs without that hyperlink.  The agent form is the same sum at
+k = 1: a set of complete images is worth its conference worth.
 
 No cost here grows with rho = k*eta, so nothing bounds k; the subset
 cap bounds the m hyperlinks and is checked before any worth is read.
@@ -84,11 +84,6 @@ def group_copies(
     return out
 
 
-def _unit(blocks: int) -> int:
-    """lcm(1..blocks), the denominator of rho·π over `blocks` blocks."""
-    return lcm(*range(1, blocks + 1))
-
-
 @cache
 def completion_numerators(blocks: int) -> tuple[int, ...]:
     """c(t) = π(t)·rho·lcm(1..blocks), t = 0..blocks-1, where π(t) is the
@@ -105,18 +100,18 @@ def completion_numerators(blocks: int) -> tuple[int, ...]:
     1+t+i <= blocks, each term is an integer over rho·lcm(1..blocks),
     whatever rho is.
     """
-    unit = _unit(blocks)
+    unit = lcm(*range(1, blocks + 1))
     return tuple(
         sum((-1) ** i * comb(blocks - 1 - t, i) * (unit // (1 + t + i)) for i in range(blocks - t))
         for t in range(blocks)
     )
 
 
-def _grouped(game: HypergraphGame, sums: list[int], blocks: int, scale: int) -> Allocation:
-    """Payoffs per original player from the completion-weighted sums over
-    `blocks` blocks: block e's rho copies together earn
-    sums[e]/(lcm(1..blocks)·scale), rho/|e| of them held by each member."""
-    return _split(game, sums, _unit(blocks) * scale)
+def _completion(blocks: int) -> tuple[tuple[int, ...], int]:
+    """The completion weighting over `blocks` blocks for
+    `solutions._conference_shapley`: `completion_numerators`, whose sums
+    are what a block's rho copies earn together over lcm(1..blocks)."""
+    return completion_numerators(blocks), lcm(*range(1, blocks + 1))
 
 
 def expansion_payoffs(
@@ -138,12 +133,9 @@ def expansion_payoffs(
             raise ValueError(f"no hyperlink {sorted(removed)} to delete a copy of")
         j = game.hyperlinks.index(removed)
     rho = _block_size(game, k)
-    scale, solve = _conference_shapley(game, cap, (completion_numerators,))
-    blocks = len(game.hyperlinks) - (j is not None)
-    [sums] = solve(j)
-    unit = rho * _unit(blocks) * scale
-    per_copy = {e: Fraction(x, unit) for e, x in zip(game.hyperlinks, sums)}
-    return per_copy, _grouped(game, sums, blocks, scale)
+    [(sums, unit)] = _conference_shapley(game, cap, (_completion,))(j)
+    per_copy = {e: Fraction(x, rho * unit) for e, x in zip(game.hyperlinks, sums)}
+    return per_copy, _split(game, sums, unit)
 
 
 def uniform_payoffs(

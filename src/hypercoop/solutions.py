@@ -36,7 +36,8 @@ indicator as signed (members, boundary) pieces, which the same kernel
 pays.  The rule between the routes, stated on the input alone: the
 position value takes the complement route first when 2^n <= 2^m/4 and
 there are at most 2^m/4 disconnected hyperlink sets (judged first by the
-sets each hyperlink alone leaves free, then by the count itself); else
+sets each hyperlink alone leaves free or that meet two line graph
+components, then by the count itself); else
 the connected sets are listed unless there would be more than 2^m/4 of
 them (2^n/4 sets and pieces for Myerson), judged first by a lower bound
 (the degree bound of `connected_sets`, or the pair unions of
@@ -44,12 +45,12 @@ them (2^n/4 sets and pieces for Myerson), judged first by a lower bound
 runs.  The subset cap is checked before any of them.
 `position_values_without` gives the position value without each
 hyperlink from one pass on the route of the whole game.  The same pass
-sums the conference game under other integer weights per set size as
-well (the completion weights of `hypercoop.expansion`), so the uniform
-expansions, the agent form and the copy deletions take the position
-value's route, and one listing or one table serves both sides of each
-identity.  The frozenset versions of the two restricted games are the
-test suite's reference.
+sums the conference game under the completion weighting of
+`hypercoop.expansion` too, so the expansions, the agent form and the
+copy deletions take the position value's route, and one listing or one
+table serves both sides of each identity.  Each sum leaves the pass
+with the denominator its weighting names.  The frozenset versions of
+the two restricted games are the test suite's reference.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .shapley import (
     require_subset_cap,
     shapley_of_pieces,
     shapley_of_table,
+    shapley_weights,
 )
 
 
@@ -250,25 +252,31 @@ def _without_bit(table: list[int], j: int) -> list[int]:
     return list(itertools.compress(table, keep))
 
 
-def _conference_shapley(game: HypergraphGame, cap: int, coefficients=(None,)):
-    """(scale, solve) for the conference game on the route the rule in
-    the module docstring picks: the complement route, the connected sets
-    or the table, in that order, worths read once.  solve(j) lists, per
-    weighting in `coefficients`, the hyperlinks' subset sums without
-    hyperlink j (None: with all), 0 at j.  A weighting is None, Shapley's,
-    whose sums are m!·scale times the Shapley value, or a function from
-    a number of blocks B (m, or m-1 without j) to B integer weights.
+def _shapley(blocks: int) -> tuple[None, int]:
+    """Shapley's weighting over `blocks` hyperlinks: the kernels' own
+    weights (None), whose sums are over blocks!."""
+    return None, factorial(blocks)
+
+
+def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
+    """solve(j) for the conference game on the route the rule in the
+    module docstring picks: the complement route, the connected sets or
+    the table, in that order, worths read once.  solve(j) lists, per
+    weighting in `weightings`, (the hyperlinks' subset sums without
+    hyperlink j (None: with all), 0 at j; their denominator).  A
+    weighting maps the number of blocks B (m, or m-1 without j) to its
+    integer weights per coalition size, None for Shapley's, and the
+    denominator of their sums, which solve multiplies by the worth scale.
     Without j the pieces of either listing are those missing j, with j
-    cleared from their boundaries (Shapley's piece weights do not depend
-    on m); the table is the one at the masks without j's bit, built once
-    for every weighting, whose (m-1)!-scaled Shapley sums times m are
-    over m!."""
+    cleared from their boundaries, and the table is the one at the masks
+    without j's bit; either is built once for every weighting."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap, "hyperlinks")
     links, touching = _hyperlink_masks(game)
     adjacency, limit = [t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2
     # the complement route reads all 2^n player worths: none past the limit
     apart = disconnected_sets(adjacency, limit if 1 << len(game.players) <= limit else -1)
+    table = None
     if apart is not None:
         scale, pieces = _complement_pieces(game, links, apart)
     elif (sets := connected_sets(adjacency, limit)) is not None:
@@ -278,26 +286,25 @@ def _conference_shapley(game: HypergraphGame, cap: int, coefficients=(None,)):
     else:
         table, scale = conference_table(game)
 
-        def solve(j: int | None) -> list[list[int]]:
-            if j is None:
-                return [shapley_of_table(table, w and w(m)) for w in coefficients]
-            rest = _without_bit(table, j)
-            sums = [
-                shapley_of_table(rest, w(m - 1)) if w else [m * x for x in shapley_of_table(rest)]
-                for w in coefficients
-            ]
-            return [x[:j] + [0] + x[j:] for x in sums]
+    def solve(j: int | None) -> list[tuple[list[int], int]]:
+        blocks = m if j is None else m - 1
+        if table is None:
+            kept = pieces if j is None else [(s, b & ~(1 << j), v) for s, b, v in pieces if not s >> j & 1]
+        else:
+            rest = table if j is None else _without_bit(table, j)
+        out = []
+        for weighting in weightings:
+            weights, denominator = weighting(blocks)
+            if table is None:
+                sums = shapley_of_pieces(m, kept, shapley_weights(blocks) if weights is None else weights)
+            else:
+                sums = shapley_of_table(rest, weights)
+                if j is not None:
+                    sums.insert(j, 0)
+            out.append((sums, denominator * scale))
+        return out
 
-        return scale, solve
-
-    def solve(j: int | None) -> list[list[int]]:
-        kept, blocks = pieces, m
-        if j is not None:
-            bit, blocks = 1 << j, m - 1
-            kept = [(s, b & ~bit, v) for s, b, v in pieces if not s & bit]
-        return [shapley_of_pieces(m, kept, w and w(blocks)) for w in coefficients]
-
-    return scale, solve
+    return solve
 
 
 def _split(game: HypergraphGame, per_link: list[int], denominator: int) -> Allocation:
@@ -314,8 +321,8 @@ def _split(game: HypergraphGame, per_link: list[int], denominator: int) -> Alloc
 def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Each hyperlink's conference-game Shapley payoff, split equally
     among its members; players on no hyperlink get zero."""
-    scale, solve = _conference_shapley(game, cap)
-    return _split(game, solve(None)[0], factorial(len(game.hyperlinks)) * scale)
+    [shapley] = _conference_shapley(game, cap)(None)
+    return _split(game, *shapley)
 
 
 def position_values_without(
@@ -323,17 +330,12 @@ def position_values_without(
 ) -> dict[Hyperlink, Allocation]:
     """{e: position_value(game.without_hyperlink(e))} for every hyperlink
     e, from one pass; the subset cap counts all m hyperlinks."""
-    return _deletions(game, *_conference_shapley(game, cap))
-
-
-def _deletions(game: HypergraphGame, scale: int, solve) -> dict[Hyperlink, Allocation]:
-    """`position_values_without` from a `_conference_shapley` pass."""
-    unit = factorial(len(game.hyperlinks)) * scale
-    return {e: _split(game, solve(j)[0], unit) for j, e in enumerate(game.hyperlinks)}
+    solve = _conference_shapley(game, cap)
+    return {e: _split(game, *solve(j)[0]) for j, e in enumerate(game.hyperlinks)}
 
 
 def _position_pass(game: HypergraphGame, cap: int) -> tuple[Allocation, dict[Hyperlink, Allocation]]:
     """(position_value(game), position_values_without(game)) from one pass."""
-    scale, solve = _conference_shapley(game, cap)
-    unit = factorial(len(game.hyperlinks)) * scale
-    return _split(game, solve(None)[0], unit), _deletions(game, scale, solve)
+    solve = _conference_shapley(game, cap)
+    without = {e: _split(game, *solve(j)[0]) for j, e in enumerate(game.hyperlinks)}
+    return _split(game, *solve(None)[0]), without

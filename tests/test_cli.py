@@ -124,7 +124,10 @@ class TestParseGame:
             (lambda d: d.update(hyperlinks=[[7]]), r"hyperlinks\[0\]: a hyperlink needs at least two"),
             (lambda d: d.update(hyperlinks=[[1, 7]]), r"hyperlinks\[0\]: unknown players \[7\]"),
             (lambda d: d.update(hyperlinks=[[1, 4, 1]]), r"hyperlinks\[0\]: duplicate members"),
-            (lambda d: d.update(hyperlinks=[[1, 4], [4, 1]]), "duplicate hyperlink"),
+            (
+                lambda d: d.update(hyperlinks=[[1, 4], [4, 1]]),
+                r"^hyperlinks\[1\]: duplicate hyperlink \[1, 4\], already hyperlinks\[0\]$",
+            ),
             (lambda d: d.update(characteristic={}), "exactly one of"),
             (
                 lambda d: d.update(
@@ -258,6 +261,11 @@ class TestParseGame:
                 r" in its numerator or denominator$",
                 marks=needs_a_digit_limit,
                 id="rational-past-the-digit-limit",
+            ),
+            pytest.param(
+                lambda d: d.update(hyperlinks=[[1, 2], [2, 1], [1, 9]]),
+                r"^hyperlinks\[1\]: duplicate hyperlink \[1, 2\], already hyperlinks\[0\]$",
+                id="a-repeat-before-a-later-unknown-player",
             ),
         ],
     )
@@ -695,10 +703,17 @@ class TestVerifyCommand:
     def test_a_mismatch_is_marked_on_its_player(
         self, hub_path, monkeypatch, capsys, theorem, decimals
     ):
+        identity_sides = hypercoop.axioms._identity_sides
+
         def perturbed(*args):
-            grouped = hypercoop.expansion._grouped(*args)
-            grouped[4] += F(1, 100)
-            return grouped
+            sides = identity_sides(*args)
+
+            def moved(j=None):
+                grouped, position = sides(j)
+                grouped[4] += F(1, 100)
+                return grouped, position
+
+            return moved
 
         def perturbed_agents(game, *args):
             per_agent = hypercoop.expansion.uniform_payoffs(game, 1, None, *args)
@@ -707,7 +722,7 @@ class TestVerifyCommand:
 
         # The grouped side of each identity, on every hyperlink for Lemma 1;
         # Corollary 1 reads it from the agent form.
-        monkeypatch.setattr(hypercoop.axioms, "_grouped", perturbed)
+        monkeypatch.setattr(hypercoop.axioms, "_identity_sides", perturbed)
         monkeypatch.setattr(hypercoop.expansion, "agent_form_payoffs", perturbed_agents)
         assert main(["verify", hub_path, "--theorem", theorem, *decimals]) == 1
         lines = capsys.readouterr().out.splitlines()

@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -172,6 +173,26 @@ def test_disconnected_sets_of_a_complete_graph_and_a_ring():
         assert len(disconnected_sets(ring(n), 1 << n)) == (1 << n) - 1 - (n * n - n + 1)
     # vertex 0 alone does not reach 2..8, so the sets {0} ∪ R already number 2^7 - 1
     assert disconnected_sets(ring(10), 126) is None
+
+
+def test_disconnected_sets_across_components_refuse_before_listing():
+    """The line graph of two disjoint K11 pair cliques: the sets meeting
+    both cliques number (2^55 - 1)^2 > 2^108, while the sets {i} ∪ R
+    number fewer than 2^97, so only the component count refuses this
+    limit before the listing starts."""
+    pairs = [set(p) for block in (range(11), range(11, 22)) for p in itertools.combinations(block, 2)]
+    adjacency = [sum(1 << f for f, b in enumerate(pairs) if f != e and a & b) for e, a in enumerate(pairs)]
+
+    def timeout(*_args):
+        raise TimeoutError("disconnected_sets listed sets past the bound")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        assert disconnected_sets(adjacency, 1 << 108) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def ring(n):
