@@ -45,6 +45,7 @@ from .solutions import (
     _conference_shapley,
     _covered,
     _hyperlink_masks,
+    _line_graph,
     _read_worths,
     _shapley,
     _split,
@@ -241,9 +242,9 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     players = game.players
     n = len(players)
     m = len(game.hyperlinks)
-    links, touching = _hyperlink_masks(game)
-    limit = (1 << cap) - 1
-    sets = connected_sets([t ^ (1 << j) for j, t in enumerate(touching)], limit)
+    links = _hyperlink_masks(game)
+    adjacency, limit = _line_graph(links), (1 << cap) - 1
+    sets = connected_sets(adjacency, limit)
     if sets is None:
         raise CapExceeded(
             f"{m} hyperlinks form more than {limit} connected hyperlink sets: "
@@ -271,7 +272,7 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
-                grown = touching[low.bit_length() - 1] & sub & ~piece
+                grown = adjacency[low.bit_length() - 1] & sub & ~piece
                 piece |= grown
                 frontier |= grown
             sub ^= piece

@@ -13,44 +13,27 @@ Players (or hyperlinks) are bit positions, a coalition is an int, and
 worths are integers scaled by `model.scaled_worths`, the one worth reader
 shared with the expansion and axiom modules; each payoff is one exact
 division at the end.  A restricted game is Σ_P v(P)·[P is a piece of S]
-over the connected sets P, so three routes give the same payoffs:
+over the connected sets P, so every route `_plan` picks pays the same:
 
-- connected sets: `connectivity.connected_sets` lists each connected P
-  with its boundary ∂P, and `shapley_of_pieces` pays each member of P
-  (p-1)!·b!/(p+b)! and each member of ∂P -p!·(b-1)!/(p+b)! times v(P),
-  with p = |P| and b = |∂P|;
+- connected sets P with their boundaries ∂P, on the line graph of the
+  hyperlinks or on a player graph of pairs: `shapley_of_pieces` pays
+  each member of P (p-1)!·b!/(p+b)! and each member of ∂P
+  -p!·(b-1)!/(p+b)! times v(P), p = |P| and b = |∂P|; with a larger
+  hyperlink, `connectivity.hypergraph_pieces` gives signed pieces;
 - complement (conference game only): v of the players on A's hyperlinks
   as pieces (∅, hyperlinks leaving Y) over the player sets Y, plus one
-  piece [S = A] per disconnected A (`connectivity.disconnected_sets`);
+  piece [S = A] per disconnected A;
 - tables: W[mask] = v(piece holding the lowest bit) + W[mask without
   that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`;
   the conference table reads its worths first, once per covered player
   set, and then fills W in one pass.
 
-The position value runs the first route on the line graph of the
-hyperlinks (two hyperlinks adjacent when they share a player), and the
-Myerson value on the player graph when every hyperlink has two members.
-With a larger hyperlink a piece's boundary is not a set of neighbours:
-`connectivity.hypergraph_pieces` writes each connected player set's
-indicator as signed (members, boundary) pieces, which the same kernel
-pays.  The rule between the routes, stated on the input alone: the
-position value takes the complement route first when 2^n <= 2^m/4 and
-there are at most 2^m/4 disconnected hyperlink sets (judged first by the
-sets each hyperlink alone leaves free or that meet two line graph
-components, then by the count itself); else
-the connected sets are listed unless there would be more than 2^m/4 of
-them (2^n/4 sets and pieces for Myerson), judged first by a lower bound
-(the degree bound of `connected_sets`, or the pair unions of
-`hypergraph_pieces`) and then by the count itself; past that the table
-runs.  The subset cap is checked before any of them.
 `position_values_without` gives the position value without each
-hyperlink from one pass on the route of the whole game.  The same pass
-sums the conference game under the completion weighting of
-`hypercoop.expansion` too, so the expansions, the agent form and the
-copy deletions take the position value's route, and one listing or one
-table serves both sides of each identity.  Each sum leaves the pass
-with the denominator its weighting names.  The frozenset versions of
-the two restricted games are the test suite's reference.
+hyperlink from one pass on the whole game's route.  The same pass sums
+the completion weighting of `hypercoop.expansion` too, so one listing or
+one table serves both sides of each identity, each sum over the
+denominator its weighting names.  The frozenset versions of the two
+restricted games are the test suite's reference.
 """
 
 from __future__ import annotations
@@ -79,8 +62,7 @@ from .shapley import (
 
 def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
     """The point game over player masks, scaled to integers."""
-    n = len(game.players)
-    links = _hyperlink_masks(game)[0]
+    n, links = len(game.players), _hyperlink_masks(game)
     incident = {1 << k: [e for e in links if e >> k & 1] for k in range(n)}
     topped = {1 << k: [e for e in links if e.bit_length() == k + 1] for k in range(n)}
     pieces = [0] * (1 << n)
@@ -112,12 +94,15 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
     return table, scale
 
 
-def _hyperlink_masks(game: HypergraphGame) -> tuple[list[int], list[int]]:
-    """Each hyperlink's player mask, and the mask of the hyperlinks
-    sharing a player with it (itself included)."""
+def _hyperlink_masks(game: HypergraphGame) -> list[int]:
+    """Each hyperlink's player mask."""
     bit = {p: 1 << k for k, p in enumerate(game.players)}
-    links = [sum(bit[p] for p in e) for e in game.hyperlinks]
-    return links, [sum(1 << t for t, f in enumerate(links) if f & e) for e in links]
+    return [sum(bit[p] for p in e) for e in game.hyperlinks]
+
+
+def _line_graph(links: list[int]) -> list[int]:
+    """Each hyperlink's neighbours: the mask of the others sharing a player with it."""
+    return [sum(1 << t for t, f in enumerate(links) if f & e) ^ 1 << j for j, e in enumerate(links)]
 
 
 def _covered(links: list[int], sets) -> dict[int, int]:
@@ -182,13 +167,14 @@ def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
     worth is that of the players it covers.  The worths are read first,
     once per distinct player set some hyperlink set covers (at most 2^n),
     and the table is then filled in one pass over the masks."""
-    links, touching = _hyperlink_masks(game)
+    links = _hyperlink_masks(game)
     # members[S]: players on the hyperlinks of S; reach[S]: hyperlinks
     # sharing a player with S (S included).
     members, reach = [0], [0]
-    for e, t in zip(links, touching):
+    for j, (e, near) in enumerate(zip(links, _line_graph(links))):
+        touching = near | 1 << j
         members += [x | e for x in members]
-        reach += [x | t for x in reach]
+        reach += [x | touching for x in reach]
     scale, worth = _read_worths(game, members[1:])
     table = [0] * len(members)
     for mask in range(1, len(members)):
@@ -218,31 +204,51 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
 
 
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
-    """Shapley value of the point game."""
+    """Shapley value of the point game, on the route `_plan` picks."""
     n = len(game.players)
     require_subset_cap(n, cap, "players")
-    cf, players = game.characteristic, game.players
-    bit = {p: 1 << k for k, p in enumerate(players)}
-    links = [sum(bit[p] for p in e) for e in game.hyperlinks]
-    if all(len(e) == 2 for e in game.hyperlinks):
+    route, listing, _ = _plan(game, point=True)
+    if listing is None:
+        table, scale = _point_table(game)
+        return _player_payoffs(game.players, shapley_of_table(table), scale)
+    # a connected set has one pair but may have several signed terms
+    read = [t[0] for t in listing]
+    scale, worth = scaled_worths(game.characteristic, game.players, read if route == "sets" else set(read))
+    pieces = (((s, b, worth[s]) for s, b in listing) if route == "sets"
+              else ((u, b, sign * worth[s]) for s, u, b, sign in listing))
+    return _player_payoffs(game.players, shapley_of_pieces(n, pieces), scale)
+
+
+def _plan(game: HypergraphGame, point: bool = False) -> tuple[str, list | None, list[int]]:
+    """(route, listing, hyperlink masks) of the conference game, or with
+    `point` of the point game, picked before any worth is read.  With n
+    players and m hyperlinks, the first route whose enumerator, after
+    its own lower bounds, lists no more than the limit:
+
+    - "complement" (conference game, if its 2^n player worths are at
+      most 2^m/4): the disconnected hyperlink sets, at most 2^m/4;
+    - "sets": the (set, boundary) pairs of the connected sets of the line
+      graph, or of the player graph when every hyperlink has two members,
+      at most 2^m/4 (2^n/4);
+    - "pieces" (point game, a larger hyperlink): the signed terms of
+      `connectivity.hypergraph_pieces`, at most 2^n/4 with the sets;
+    - "table": None, for the 2^m (or 2^n) table."""
+    links, n = _hyperlink_masks(game), len(game.players)
+    if not point:
+        adjacency, limit = _line_graph(links), (1 << len(links)) >> 2
+        if 1 << n <= limit and (apart := disconnected_sets(adjacency, limit)) is not None:
+            return "complement", apart, links
+        route, listing = "sets", connected_sets(adjacency, limit)
+    elif all(len(e) == 2 for e in game.hyperlinks):
         partners = [0] * n
         for e in links:
-            a, b = (e & -e).bit_length() - 1, e.bit_length() - 1
-            partners[a] |= 1 << b
-            partners[b] |= 1 << a
-        sets = connected_sets(partners, (1 << n) >> 2)
-        if sets is not None:
-            scale, worth = scaled_worths(cf, players, [s for s, _ in sets])
-            sums = shapley_of_pieces(n, ((s, b, worth[s]) for s, b in sets))
-            return _player_payoffs(players, sums, scale)
+            low = e & -e
+            partners[low.bit_length() - 1] |= e ^ low
+            partners[e.bit_length() - 1] |= low
+        route, listing = "sets", connected_sets(partners, (1 << n) >> 2)
     else:
-        terms = hypergraph_pieces(links, n, (1 << n) >> 2)
-        if terms is not None:
-            scale, worth = scaled_worths(cf, players, {t[0] for t in terms})
-            sums = shapley_of_pieces(n, ((u, b, sign * worth[s]) for s, u, b, sign in terms))
-            return _player_payoffs(players, sums, scale)
-    table, scale = _point_table(game)
-    return _player_payoffs(players, shapley_of_table(table), scale)
+        route, listing = "pieces", hypergraph_pieces(links, n, (1 << n) >> 2)
+    return ("table" if listing is None else route), listing, links
 
 
 def _without_bit(table: list[int], j: int) -> list[int]:
@@ -259,30 +265,24 @@ def _shapley(blocks: int) -> tuple[None, int]:
 
 
 def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
-    """solve(j) for the conference game on the route the rule in the
-    module docstring picks: the complement route, the connected sets or
-    the table, in that order, worths read once.  solve(j) lists, per
-    weighting in `weightings`, (the hyperlinks' subset sums without
-    hyperlink j (None: with all), 0 at j; their denominator).  A
-    weighting maps the number of blocks B (m, or m-1 without j) to its
-    integer weights per coalition size, None for Shapley's, and the
-    denominator of their sums, which solve multiplies by the worth scale.
-    Without j the pieces of either listing are those missing j, with j
-    cleared from their boundaries, and the table is the one at the masks
-    without j's bit; either is built once for every weighting."""
+    """solve(j) for the conference game on the route `_plan` picks,
+    worths read once: per weighting in `weightings`, (the hyperlinks'
+    subset sums without hyperlink j (None: with all), 0 at j; their
+    denominator).  A weighting maps the number of blocks B (m, or m-1
+    without j) to its integer weights per coalition size (None for
+    Shapley's) and the denominator of their sums, times the worth scale
+    here.  Without j a listing keeps the pieces missing j, j cleared from
+    their boundaries, and the table its masks without j's bit."""
     m = len(game.hyperlinks)
     require_subset_cap(m, cap, "hyperlinks")
-    links, touching = _hyperlink_masks(game)
-    adjacency, limit = [t ^ (1 << j) for j, t in enumerate(touching)], (1 << m) >> 2
-    # the complement route reads all 2^n player worths: none past the limit
-    apart = disconnected_sets(adjacency, limit if 1 << len(game.players) <= limit else -1)
+    route, listing, links = _plan(game)
     table = None
-    if apart is not None:
-        scale, pieces = _complement_pieces(game, links, apart)
-    elif (sets := connected_sets(adjacency, limit)) is not None:
-        covered = _covered(links, (s for s, _ in sets))
+    if route == "complement":
+        scale, pieces = _complement_pieces(game, links, listing)
+    elif route == "sets":
+        covered = _covered(links, (s for s, _ in listing))
         scale, worth = _read_worths(game, covered.values())
-        pieces = [(s, b, worth[covered[s]]) for s, b in sets]
+        pieces = [(s, b, worth[covered[s]]) for s, b in listing]
     else:
         table, scale = conference_table(game)
 
@@ -321,8 +321,7 @@ def _split(game: HypergraphGame, per_link: list[int], denominator: int) -> Alloc
 def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Each hyperlink's conference-game Shapley payoff, split equally
     among its members; players on no hyperlink get zero."""
-    [shapley] = _conference_shapley(game, cap)(None)
-    return _split(game, *shapley)
+    return _split(game, *_conference_shapley(game, cap)(None)[0])
 
 
 def position_values_without(

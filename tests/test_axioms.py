@@ -52,11 +52,12 @@ from strategies import hypergraph_games, unanimity_combination_games
 from test_solutions import GAMES, ROUTES, ring, ring3, route
 
 F = Fraction
-# what the conference pass builds after listing the disconnected sets, per route
+# what one conference pass runs, per route: one plan, whose listing
+# serves every sum, or one plan and one table
 STRUCTURES = {
-    "table": ["connected_sets", "conference_table"],
-    "pieces": ["connected_sets"],
-    "complement": [],
+    "table": ["_plan", "conference_table"],
+    "pieces": ["_plan"],
+    "complement": ["_plan"],
 }
 
 
@@ -294,11 +295,11 @@ class TestGroupedIdentities:
 
             return mock.patch.object(solutions, attribute, wrapped)
 
-        with route(name), spy("disconnected_sets"), spy("connected_sets"), spy("conference_table"):
+        with route(name), spy("_plan"), spy("conference_table"):
             for check in (check_uniform_expansion, check_copy_deletions):
                 built.clear()
                 check(ring3(3))
-                assert built == ["disconnected_sets", *STRUCTURES[name]]
+                assert built == STRUCTURES[name]
 
     def test_the_agent_form_needs_a_hyperlink(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
@@ -473,8 +474,8 @@ class TestPairReportsMatchTheRuleCalls:
 
     @pytest.mark.parametrize("name", ROUTES)
     def test_each_check_builds_the_structure_once(self, name):
-        """One listing of connected sets and at most one conference table
-        per pair check of the command line's position rule."""
+        """One plan, and one conference table on the table route, per pair
+        check of the command line's position rule."""
         built = []
 
         def spy(attribute):
@@ -486,14 +487,14 @@ class TestPairReportsMatchTheRuleCalls:
 
             return mock.patch.object(solutions, attribute, wrapped)
 
-        with route(name), spy("disconnected_sets"), spy("connected_sets"), spy("conference_table"):
+        with route(name), spy("_plan"), spy("conference_table"):
             for check in (
                 check_partial_balanced_conference_contributions,
                 check_balanced_conference_contributions,
             ):
                 built.clear()
                 check(cli_rule("position"), ring3(3))
-                assert built == ["disconnected_sets", *STRUCTURES[name]]
+                assert built == STRUCTURES[name]
 
     def test_the_corpus(self):
         for game in game_corpus(count=200):

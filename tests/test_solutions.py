@@ -1,6 +1,8 @@
 import contextlib
 import itertools
 import random
+import runpy
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -397,36 +399,53 @@ ROUTES = ("table", "pieces", "complement")
 
 @contextlib.contextmanager
 def route(name):
-    """Force `position_value` and `myerson_value` onto one route: "table"
-    refuses every enumeration; "pieces" refuses the disconnected sets and
-    admits any number of connected sets and pieces, on pair structures
-    and hypergraphs alike; "complement" admits any number of
-    disconnected hyperlink sets, whatever the number of players, and
-    sends the Myerson value to its table."""
-    def refuse(*_args):
-        return None
+    """Force `position_value` and `myerson_value` onto one route by
+    replacing the planner: "table" plans both tables; "pieces" lists
+    every connected set, or every signed piece of a hypergraph's point
+    game, whatever their number; "complement" lists every disconnected
+    hyperlink set, whatever the number of players, and sends the Myerson
+    value to its table."""
+    def plan(game, point=False):
+        links = solutions._hyperlink_masks(game)
+        n, m = len(game.players), len(links)
+        if name == "table" or point and name == "complement":
+            return "table", None, links
+        if not point:
+            lister = disconnected_sets if name == "complement" else connected_sets
+            listing = lister(solutions._line_graph(links), 1 << m)
+            return ("complement" if name == "complement" else "sets"), listing, links
+        if all(e.bit_count() == 2 for e in links):
+            partners = [sum(e ^ 1 << k for e in links if e >> k & 1) for k in range(n)]
+            return "sets", connected_sets(partners, 1 << n), links
+        return "pieces", hypergraph_pieces(links, n, 1 << (n + m + 1)), links
 
-    sets = pieces = apart = refuse
-    if name == "pieces":
-        def sets(adjacency, limit):
-            return connected_sets(adjacency, 1 << len(adjacency))
-
-        def pieces(links, n, limit):
-            return hypergraph_pieces(links, n, 1 << (n + len(links) + 1))
-    elif name == "complement":
-        def apart(adjacency, limit):
-            return disconnected_sets(adjacency, 1 << len(adjacency))
-    with mock.patch.object(solutions, "connected_sets", sets), mock.patch.object(
-        solutions, "hypergraph_pieces", pieces
-    ), mock.patch.object(solutions, "disconnected_sets", apart):
+    with mock.patch.object(solutions, "_plan", plan):
         yield
+
+
+def myerson_on_route(game, name):
+    """`myerson_value(game)` under `route(name)`, asserting that the point
+    game took that route: its table on "table" and "complement", and a
+    listing, never the table, on "pieces"."""
+    tables = []
+    build = solutions._point_table
+
+    def spied(game):
+        tables.append(game)
+        return build(game)
+
+    with route(name), mock.patch.object(solutions, "_point_table", spied):
+        value = myerson_value(game)
+    assert len(tables) == (name != "pieces")
+    return value
 
 
 def assert_the_routes_agree(game):
     values = []
     for name in ROUTES:
         with route(name):
-            values.append((position_value(game), position_values_without(game), myerson_value(game)))
+            values.append((position_value(game), position_values_without(game)))
+        values[-1] += (myerson_on_route(game, name),)
     assert values[1] == values[0]
     assert values[2] == values[0]
 
@@ -587,6 +606,42 @@ class TestRouting:
             game = ring(n)
             assert sum(value(game).values()) == game.worth(game.players)
 
+    def test_no_disconnected_sets_are_listed_past_the_player_gate(self, monkeypatch):
+        """The complement route reads all 2^n player worths, so with
+        2^n > 2^m/4 the plan lists no disconnected hyperlink set: a ring
+        of 12 pairs (2^12 player sets against 2^12/4) lists its connected
+        sets."""
+        with route("table"):
+            expected = position_value(ring(12))
+
+        def refuse(*_args):
+            raise AssertionError("disconnected hyperlink sets were listed")
+
+        monkeypatch.setattr(solutions, "disconnected_sets", refuse)
+        assert position_value(ring(12)) == expected
+        assert solutions._plan(ring(12))[0] == "sets"
+
+    @pytest.mark.parametrize("m, expected", [(7, "complement"), (6, "table")])
+    def test_the_player_gate_at_its_boundary(self, m, expected):
+        """Any two 3-member hyperlinks on 5 players meet, so no hyperlink
+        set is disconnected.  With m = n + 2 = 7, 2^5 <= 2^7/4 admits the
+        complement route; with m = n + 1 = 6, 2^5 > 2^6/4 refuses it, and
+        the 63 connected sets pass 16, so the table runs."""
+        players = range(5)
+        links = list(itertools.combinations(players, 3))[:m]
+        cf = weighted_unanimity(players, [(players, 1), ([0, 4], F(2, 3))])
+        game = HypergraphGame(make_hypergraph(players, links), cf)
+        assert solutions._plan(game)[0] == expected
+        assert position_value(game) == position_oracle(game)
+
+    def test_the_route_census_matches_its_transcript(self, monkeypatch, capsys):
+        """Every benchmark game at seed 5 and every corpus game keeps the
+        route recorded in the transcript."""
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        runpy.run_path(str(root / "scripts" / "route_census.py"))["main"]()
+        assert capsys.readouterr().out == (root / "tests" / "transcripts" / "route_census.txt").read_text()
+
     def test_past_the_bound_but_over_the_limit_falls_back(self, monkeypatch):
         """A path of 6 pair hyperlinks has a line graph P6, and a path of 6
         players is P6 itself: degree bound 12 against the limit 2^6/4 = 16,
@@ -679,7 +734,7 @@ class TestRouting:
                 for value in (position_value, position_values_without):
                     with pytest.raises(ValueError, match=r"^worth of the singleton \[0\] must be 0, got 1$"):
                         value(game)
-                assert myerson_value(game) == shapley_by_subsets(point_game(game))
+            assert myerson_on_route(game, name) == shapley_by_subsets(point_game(game))
 
 
 def assert_deletions_match(game) -> str:
