@@ -12,21 +12,26 @@ connected hyperlink sets.
 The axiom checkers take an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
 position value, the Myerson value, and deliberately broken rules alike.
-A rule may also carry `with_deletions`, giving its payoffs on the game
-and without each hyperlink from one pass, as the command line's position
-rule does with `solutions._position_pass`.  Every check, axiom or
-identity, returns one `Report`: a `Side` (left, right) per key — an
-ordered player pair, a component or a player — with an exact residual,
-never just a boolean, so failures show *where* and *by how much* an
-invariant breaks.  `compare` builds the player-by-player report of two
-allocations.
+A rule may also carry `rows`, giving its payoffs on the game and without
+each hyperlink from one pass as integer numerators over one denominator,
+as the command line's position rule does with `solutions._position_rows`.
+Every check, axiom or identity, returns one `Report`: a (left, right)
+pair of integer numerators per key — an ordered player pair, a
+component or a player — over one denominator, never just a boolean, so
+failures show *where* and *by how much* an invariant breaks.  Passing
+and counting compare integers; the exact `Side`s (left, right, residual)
+are built for the failures, or for every key when `sides` is first read.
+`compare` builds the player-by-player report of two allocations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm
+from operator import add
 from typing import Callable
 
 from .connectivity import components, connected_sets
@@ -37,7 +42,6 @@ from .model import (
     HypergraphGame,
     ONE,
     ZERO,
-    incident_hyperlinks,
     is_r_uniform,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
@@ -48,7 +52,7 @@ from .solutions import (
     _line_graph,
     _read_worths,
     _shapley,
-    _split,
+    _shares,
     position_value,
 )
 
@@ -69,28 +73,65 @@ class Side:
         return self.left - self.right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Report:
-    """One `Side` per key: an ordered player pair, a component or a player."""
+    """One (left, right) pair of integer numerators per key — an ordered
+    player pair, a component or a player — over one denominator.  Two
+    reports are equal when their axioms and `sides` are."""
 
     axiom: str
-    sides: dict
+    pairs: dict
+    denominator: int = 1
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return self.axiom == other.axiom and self.sides == other.sides
+
+    def _side(self, left: int, right: int) -> Side:
+        return Side(Fraction(left, self.denominator), Fraction(right, self.denominator))
+
+    @cached_property
+    def sides(self) -> dict:
+        """{key: `Side`} in key order, built on first read."""
+        return {key: self._side(*pair) for key, pair in self.pairs.items()}
 
     def residual(self, *key) -> Fraction:
         """The residual at `report.residual(i, j)`, `(component)` or `(player)`."""
-        return self.sides[key if len(key) > 1 else key[0]].residual
+        left, right = self.pairs[key if len(key) > 1 else key[0]]
+        return Fraction(left - right, self.denominator)
 
     def failures(self) -> dict:
-        return {key: side for key, side in self.sides.items() if side.left != side.right}
+        return {key: self._side(left, right) for key, (left, right) in self.pairs.items() if left != right}
 
     @property
     def passed(self) -> bool:
-        return all(side.left == side.right for side in self.sides.values())
+        return all(left == right for left, right in self.pairs.values())
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    values = list(values)
+    unit = lcm(*(x.denominator for x in values))
+    return [x.numerator * (unit // x.denominator) for x in values], unit
+
+
+def _report(axiom: str, keys, left: tuple[list[int], int], right: tuple[list[int], int]) -> Report:
+    """The report of two rows of (numerators, denominator), key by key,
+    over the lcm of the two denominators."""
+    (lefts, p), (rights, q) = left, right
+    unit = lcm(p, q)
+    pairs = zip([x * (unit // p) for x in lefts], [x * (unit // q) for x in rights])
+    return Report(axiom, dict(zip(keys, pairs)), unit)
 
 
 def compare(axiom: str, left: Allocation, right: Allocation) -> Report:
     """Player-by-player report of two allocations over the same players."""
-    return Report(axiom, {p: Side(left[p], right[p]) for p in sorted(right)})
+    keys = sorted(right)
+    return _report(axiom, keys, _numerators(left[p] for p in keys), _numerators(right[p] for p in keys))
 
 
 def _pair_report(
@@ -103,28 +144,34 @@ def _pair_report(
     sum over e containing j of weight(e) * (f_i(H) - f_i(H minus e)).
     The pair (i, j) compares gain[i, j] with gain[j, i].
 
-    A rule may carry `with_deletions`, giving (rule(H), {e: rule(H minus
-    e)}) for every e in one pass; otherwise each is its own call.  With
-    the payoffs over one common denominator and the weights over another,
-    the gains are integer sums."""
+    A rule may carry `rows`, giving the payoff numerators on H and on
+    every H minus e, over one denominator, from one pass; otherwise each
+    is its own call, and the payoffs are put over the lcm of their
+    denominators.  With the weights over another, the gains are integer
+    sums."""
     players, links = game.players, game.hyperlinks
-    one_pass = getattr(rule, "with_deletions", None) or (
-        lambda g: (rule(g), {e: rule(g.without_hyperlink(e)) for e in links}))
-    base, removed = one_pass(game)
-    rows = [[f[i] for i in players] for f in (base, *(removed[e] for e in links))]
+    n = len(players)
+    integer_pass = getattr(rule, "rows", None)
+    if integer_pass is not None:
+        (before, *after), unit = integer_pass(game)
+    else:
+        payoffs = (rule(g) for g in (game, *map(game.without_hyperlink, links)))
+        flat, unit = _numerators(f[i] for f in payoffs for i in players)
+        before, *after = (flat[k:k + n] for k in range(0, len(flat), n))
     weights = [weight_of(e) for e in links]
-    unit = lcm(*(x.denominator for row in rows for x in row))
     per = lcm(*(w.denominator for w in weights))
-    before, *after = [[x.numerator * (unit // x.denominator) for x in row] for row in rows]
-    delta = {
-        e: [w.numerator * (per // w.denominator) * (b - r) for b, r in zip(before, row)]
-        for e, w, row in zip(links, weights, after)
-    }
-    zero, gain = [0] * len(players), {}
-    for j in players:
-        column = zip(zero, *(delta[e] for e in incident_hyperlinks(game.hypergraph, j)))
-        gain.update(((i, j), Fraction(sum(g), unit * per)) for i, g in zip(players, column))
-    return Report(axiom, {(i, j): Side(gain[i, j], gain[j, i]) for i in players for j in players})
+    index = {p: k for k, p in enumerate(players)}
+    # columns[j][i] = gain[i, j]; pair (i, j), i major, is (columns[j][i], columns[i][j])
+    columns = [[0] * n for _ in players]
+    for e, w, row in zip(links, weights, after):
+        w = w.numerator * (per // w.denominator)
+        delta = [w * (b - r) for b, r in zip(before, row)]
+        for j in e:
+            columns[index[j]] = list(map(add, columns[index[j]], delta))
+    left = itertools.chain.from_iterable(zip(*columns))
+    right = itertools.chain.from_iterable(columns)
+    pairs = dict(zip(itertools.product(players, repeat=2), zip(left, right)))
+    return Report(axiom, pairs, unit * per)
 
 
 def check_balanced_link_contributions(rule: Rule, game: HypergraphGame) -> Report:
@@ -153,11 +200,9 @@ def check_component_efficiency(rule: Rule, game: HypergraphGame) -> Report:
     """Each communication component must split exactly its own worth:
     left is what the rule allocates to it, right its worth."""
     payoffs = rule(game)
-    sides = {
-        comp: Side(sum((payoffs[i] for i in comp), ZERO), game.worth(comp))
-        for comp in components(game.players, game.hyperlinks)
-    }
-    return Report("component efficiency", sides)
+    comps = components(game.players, game.hyperlinks)
+    allocated = _numerators(sum((payoffs[i] for i in comp), ZERO) for comp in comps)
+    return _report("component efficiency", comps, allocated, _numerators(map(game.worth, comps)))
 
 
 def check_copy_deletion(game: HypergraphGame, link, cap: int = DEFAULT_SUBSET_CAP) -> Report:
@@ -182,17 +227,23 @@ def check_copy_deletions(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) ->
     with the completion weights of the m - 1 other blocks for the left
     side and with Shapley's for the right."""
     sides = _identity_sides(game, 1, cap)
-    return {e: compare("copy deletion", *sides(j)) for j, e in enumerate(game.hyperlinks)}
+    return {e: _report("copy deletion", game.players, *sides(j)) for j, e in enumerate(game.hyperlinks)}
 
 
 def _identity_sides(game: HypergraphGame, k: int, cap: int):
     """sides(j): (the k-fold expansion's payoffs grouped per player, the
-    position value) without hyperlink j (None: with all), both weightings
-    summed in one pass, over the denominators it returns, once k and the
-    subset cap are checked."""
+    position value) without hyperlink j (None: with all), each as player
+    numerators with their denominator, both weightings summed in one
+    pass, once k and the subset cap are checked."""
     _block_size(game, k)
     solve = _conference_shapley(game, cap, (_completion, _shapley))
-    return lambda j=None: tuple(_split(game, *side) for side in solve(j))
+
+    def sides(j: int | None = None) -> list[tuple[list[int], int]]:
+        weighted = solve(j)
+        rows, eta = _shares(game, [sums for sums, _ in weighted])
+        return [(row, denominator * eta) for row, (_, denominator) in zip(rows, weighted)]
+
+    return sides
 
 
 def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT_SUBSET_CAP) -> Report:
@@ -200,7 +251,7 @@ def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT
     expansion, summed per original player, against the position value,
     both from one pass."""
     label = f"grouped Shapley payoffs of the {k}-fold uniform expansion"
-    return compare(label, *_identity_sides(game, k, cap)())
+    return _report(label, game.players, *_identity_sides(game, k, cap)())
 
 
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:
@@ -217,7 +268,8 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     between q and a, made of the payoffs of the situations A minus one
     hyperlink.  Such a situation is read from its row when it is
     connected, or else from the rows of its pieces (a bitmask closure on
-    the line graph); a player on none of its hyperlinks earns 0.
+    the line graph), kept as a row of its own once read; a player on none
+    of its hyperlinks earns 0.
     The conditions read d_q*x_a - d_a*x_q = r_q for every q != a, and
     efficiency reads sum(x) = v(C), so
 
@@ -261,24 +313,26 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     rows: dict[int, list[int]] = {0: [0] * n}
 
     def known(sub: int) -> list[int]:
-        """The payoffs with hyperlinks `sub`, from the rows of its pieces:
-        each piece grows from its lowest hyperlink through shared players."""
+        """The payoffs with hyperlinks `sub`, from the rows of its pieces,
+        kept in `rows`: each piece grows from its lowest hyperlink through
+        shared players."""
         row = rows.get(sub)
         if row is not None:
             return row
-        row = rows[0][:]
-        while sub:
-            piece = frontier = sub & -sub
+        row, rest = rows[0][:], sub
+        while rest:
+            piece = frontier = rest & -rest
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
-                grown = adjacency[low.bit_length() - 1] & sub & ~piece
+                grown = adjacency[low.bit_length() - 1] & rest & ~piece
                 piece |= grown
                 frontier |= grown
-            sub ^= piece
+            rest ^= piece
             solved = rows[piece]
             for k in members[piece]:
                 row[k] = solved[k]
+        rows[sub] = row
         return row
 
     for s in sorted(covered, key=int.bit_count):

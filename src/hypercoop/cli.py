@@ -64,7 +64,7 @@ from .model import (
     weighted_unanimity,
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, require_subset_cap
-from .solutions import _position_pass, myerson_value, position_value, shapley_value
+from .solutions import _position_rows, myerson_value, position_value, shapley_value
 
 # `expand` lists every copy it solves, so it alone bounds their number.
 DEFAULT_STATE_CAP = 1_000_000
@@ -308,10 +308,10 @@ _RULES = {"position": position_value, "myerson": myerson_value, "shapley": shapl
 
 def _rule_for(args):
     """The chosen rule under the subset cap; the position rule also
-    carries the one pass (value and deletions) that the pair checks read."""
+    carries the one integer pass (value and deletions) that the pair checks read."""
     rule = functools.partial(_RULES[args.rule], cap=args.cap_subsets)
     if args.rule == "position":
-        rule.with_deletions = functools.partial(_position_pass, cap=args.cap_subsets)
+        rule.rows = functools.partial(_position_rows, cap=args.cap_subsets)
     return rule
 
 
@@ -387,7 +387,7 @@ _MAX_FAILURE_LINES = 10
 
 def handle_check(args) -> Result:
     report = _CHECKS[args.axiom](_rule_for(args), _load(args))
-    failures, total = report.failures(), len(report.sides)
+    failures, total = report.failures(), len(report)
     efficiency = args.axiom == "component-efficiency"
     if efficiency:
         count_key = "components"

@@ -29,7 +29,9 @@ over the connected sets P, so every route `_plan` picks pays the same:
   set, and then fills W in one pass.
 
 `position_values_without` gives the position value without each
-hyperlink from one pass on the whole game's route.  The same pass sums
+hyperlink from one pass on the whole game's route; `_position_rows` gives
+the same payoffs, and the game's own, as integer numerators over one
+denominator, which the pair checks read without Fractions.  The pass sums
 the completion weighting of `hypercoop.expansion` too, so one listing or
 one table serves both sides of each identity, each sum over the
 denominator its weighting names.  The frozenset versions of the two
@@ -307,15 +309,28 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
     return solve
 
 
+def _shares(game: HypergraphGame, per_links) -> tuple[list[list[int]], int]:
+    """(rows, eta): each row of hyperlink payoffs in `per_links` split
+    equally among each hyperlink's members, as player numerators in
+    `game.players` order over eta (the lcm of the hyperlink sizes) times
+    the row's own denominator; players on no hyperlink get 0."""
+    eta = lcm(*(len(e) for e in game.hyperlinks))
+    weights = [eta // len(e) for e in game.hyperlinks]
+    rows = []
+    for per_link in per_links:
+        row = dict.fromkeys(game.players, 0)
+        for e, weight, x in zip(game.hyperlinks, weights, per_link):
+            for i in e:
+                row[i] += x * weight
+        rows.append(list(row.values()))
+    return rows, eta
+
+
 def _split(game: HypergraphGame, per_link: list[int], denominator: int) -> Allocation:
     """Each hyperlink's payoff per_link[e]/denominator, split equally
-    among its members over denominator·eta; players on no hyperlink get 0."""
-    eta = lcm(*(len(e) for e in game.hyperlinks))
-    numerators = dict.fromkeys(game.players, 0)
-    for e, x in zip(game.hyperlinks, per_link):
-        for i in e:
-            numerators[i] += x * (eta // len(e))
-    return {p: Fraction(x, denominator * eta) for p, x in numerators.items()}
+    among its members by `_shares`."""
+    [row], eta = _shares(game, [per_link])
+    return {p: Fraction(x, denominator * eta) for p, x in zip(game.players, row)}
 
 
 def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
@@ -333,8 +348,14 @@ def position_values_without(
     return {e: _split(game, *solve(j)[0]) for j, e in enumerate(game.hyperlinks)}
 
 
-def _position_pass(game: HypergraphGame, cap: int) -> tuple[Allocation, dict[Hyperlink, Allocation]]:
-    """(position_value(game), position_values_without(game)) from one pass."""
+def _position_rows(game: HypergraphGame, cap: int) -> tuple[list[list[int]], int]:
+    """(rows, D): the position value's player numerators on the game,
+    then without each hyperlink in turn, from one pass, all over
+    D = m!·scale·eta.  A game without a hyperlink is solved over
+    (m-1)!·scale, so its sums are scaled by m."""
+    m = len(game.hyperlinks)
     solve = _conference_shapley(game, cap)
-    without = {e: _split(game, *solve(j)[0]) for j, e in enumerate(game.hyperlinks)}
-    return _split(game, *solve(None)[0]), without
+    [(sums, denominator)] = solve(None)
+    without = ([m * x for x in solve(j)[0][0]] for j in range(m))
+    rows, eta = _shares(game, [sums, *without])
+    return rows, denominator * eta

@@ -48,7 +48,7 @@ from math import comb, factorial, lcm, prod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from hypercoop.axioms import Report, Side
+from hypercoop.axioms import Report
 from hypercoop.connectivity import components, mask_components
 from hypercoop.model import (
     Allocation,
@@ -704,8 +704,9 @@ def pair_report_by_rule_calls(
 ) -> Report:
     """The contribution axioms' pair report from the definition: one
     rule call per game without a hyperlink, and gain[i, j] = sum over e
-    containing j of weight(e) * (f_i(H) - f_i(H minus e)) in Fractions.
-    The pair (i, j) compares gain[i, j] with gain[j, i]."""
+    containing j of weight(e) * (f_i(H) - f_i(H minus e)) in Fractions,
+    put over the lcm of their denominators for the report.  The pair
+    (i, j) compares gain[i, j] with gain[j, i]."""
     base = rule(game)
     removed = {e: rule(game.without_hyperlink(e)) for e in game.hyperlinks}
     incident = {j: incident_hyperlinks(game.hypergraph, j) for j in game.players}
@@ -714,4 +715,6 @@ def pair_report_by_rule_calls(
         for i in game.players
         for j in game.players
     }
-    return Report(axiom, {(i, j): Side(g, gain[j, i]) for (i, j), g in gain.items()})
+    unit = lcm(*(g.denominator for g in gain.values()))
+    numerator = {key: g.numerator * (unit // g.denominator) for key, g in gain.items()}
+    return Report(axiom, {(i, j): (g, numerator[j, i]) for (i, j), g in numerator.items()}, unit)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from argparse import Namespace
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from hypercoop.axioms import (
     compare,
     value_from_axioms,
 )
-from hypercoop.cli import _rule_for, parse_game
+from hypercoop.cli import _rule_for, game_to_document, main, parse_game
 from hypercoop.corpus import game_corpus
 from hypercoop.expansion import agent_form_payoffs, grouped_position
 from hypercoop.model import (
@@ -446,9 +447,9 @@ def assert_pair_reports_match_the_oracle(game):
 
 class TestPairReportsMatchTheRuleCalls:
     def test_the_cli_rule_carries_the_pass_for_position_only(self):
-        assert cli_rule("position").with_deletions.func is solutions._position_pass
-        assert not hasattr(cli_rule("myerson"), "with_deletions")
-        assert not hasattr(cli_rule("shapley"), "with_deletions")
+        assert cli_rule("position").rows.func is solutions._position_rows
+        assert not hasattr(cli_rule("myerson"), "rows")
+        assert not hasattr(cli_rule("shapley"), "rows")
 
     def test_the_pass_replaces_every_rule_call(self, hub):
         calls, passes = [], []
@@ -459,18 +460,35 @@ class TestPairReportsMatchTheRuleCalls:
 
         def one_pass(game):
             passes.append(game)
-            return solutions._position_pass(game, DEFAULT_SUBSET_CAP)
+            return solutions._position_rows(game, DEFAULT_SUBSET_CAP)
 
-        counted.with_deletions = one_pass
+        counted.rows = one_pass
         assert check_partial_balanced_conference_contributions(counted, hub).passed
         assert calls == [] and passes == [hub]
 
     def test_the_pass_gives_the_rule_and_its_deletions(self, hub):
         for game in (hub, ring(6), ring3(3)):
-            assert solutions._position_pass(game, DEFAULT_SUBSET_CAP) == (
-                position_value(game),
-                position_values_without(game),
-            )
+            for name in ROUTES:
+                with route(name):
+                    (row, *without), unit = solutions._position_rows(game, DEFAULT_SUBSET_CAP)
+                    expected = position_values_without(game)
+                    assert {p: F(x, unit) for p, x in zip(game.players, row)} == position_value(game)
+                    assert len(without) == len(game.hyperlinks)
+                    for e, numerators in zip(game.hyperlinks, without):
+                        assert {p: F(x, unit) for p, x in zip(game.players, numerators)} == expected[e]
+
+    def test_a_passing_check_builds_no_side_and_no_pair_fraction(self, tmp_path, capsys):
+        """ring(10) has 100 ordered pairs; only the hyperlinks' weights 1/|e|
+        are Fractions in the axiom layer."""
+        path = tmp_path / "ring10.json"
+        path.write_text(json.dumps(game_to_document(ring(10))), encoding="utf-8")
+        with mock.patch.object(hypercoop.axioms, "Side", wraps=Side) as sides, mock.patch.object(
+            hypercoop.axioms, "Fraction", wraps=Fraction
+        ) as fractions:
+            assert main(["check", str(path), "--axiom", "partial-balanced"]) == 0
+        assert "all 100 ordered pairs balance" in capsys.readouterr().out
+        assert sides.call_count == 0
+        assert fractions.call_count <= 10
 
     @pytest.mark.parametrize("name", ROUTES)
     def test_each_check_builds_the_structure_once(self, name):
@@ -517,8 +535,33 @@ class TestPairReportsMatchTheRuleCalls:
 
 class TestReport:
     def test_failures_and_passed(self):
-        report = Report("x", {1: Side(F(1), F(1)), 2: Side(F(1, 2), F(1, 3)), 3: Side(F(0), F(0))})
+        report = Report("x", {1: (1, 1), 2: (3, 2), 3: (0, 0)}, 6)
         assert report.failures() == {2: Side(F(1, 2), F(1, 3))}
         assert not report.passed
         assert report.residual(2) == F(1, 6)
-        assert Report("x", {1: Side(F(2), F(2))}).passed
+        assert Report("x", {1: (2, 2)}).passed
+
+    def test_sides_are_built_over_the_denominator(self):
+        report = Report("x", {(1, 2): (3, 3), (2, 1): (4, 2)}, 6)
+        assert len(report) == 2
+        assert report.sides == {(1, 2): Side(F(1, 2), F(1, 2)), (2, 1): Side(F(2, 3), F(1, 3))}
+        assert list(report.sides) == [(1, 2), (2, 1)]
+        assert report.residual(2, 1) == F(1, 3)
+        assert report.residual(1, 2) == 0
+
+    def test_failures_are_in_lowest_terms(self):
+        side = Report("x", {1: (4, 2)}, 12).failures()[1]
+        assert (side.left.numerator, side.left.denominator) == (1, 3)
+        assert (side.right.numerator, side.right.denominator) == (1, 6)
+        assert side.residual == F(1, 6)
+
+    def test_equal_sides_over_different_denominators_are_equal(self):
+        assert Report("x", {1: (1, 2), 2: (0, 0)}, 4) == Report("x", {1: (2, 4), 2: (0, 0)}, 8)
+        assert Report("x", {1: (1, 2)}, 4) != Report("y", {1: (1, 2)}, 4)
+        assert Report("x", {1: (1, 2)}, 4) != Report("x", {1: (1, 3)}, 4)
+
+    def test_compare_puts_both_allocations_over_one_denominator(self):
+        report = compare("x", {1: F(1, 2), 2: F(2, 3)}, {1: F(1, 4), 2: F(2, 3)})
+        assert report.denominator == 12
+        assert report.pairs == {1: (6, 3), 2: (8, 8)}
+        assert report.failures() == {1: Side(F(1, 2), F(1, 4))}

@@ -705,13 +705,14 @@ class TestVerifyCommand:
     ):
         identity_sides = hypercoop.axioms._identity_sides
 
-        def perturbed(*args):
-            sides = identity_sides(*args)
+        def perturbed(game, *args):
+            sides = identity_sides(game, *args)
 
             def moved(j=None):
-                grouped, position = sides(j)
-                grouped[4] += F(1, 100)
-                return grouped, position
+                (grouped, unit), position = sides(j)
+                grouped = [100 * x for x in grouped]
+                grouped[game.players.index(4)] += unit  # 1/100 more for player 4
+                return (grouped, 100 * unit), position
 
             return moved
 
