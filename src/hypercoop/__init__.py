@@ -11,7 +11,6 @@ from .axioms import (
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
-    check_copy_deletion,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
     value_from_axioms,
@@ -54,7 +53,6 @@ __all__ = [
     "check_balanced_conference_contributions",
     "check_balanced_link_contributions",
     "check_component_efficiency",
-    "check_copy_deletion",
     "check_copy_deletions",
     "check_partial_balanced_conference_contributions",
     "components",

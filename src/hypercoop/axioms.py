@@ -12,9 +12,10 @@ connected hyperlink sets.
 The axiom checkers take an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
 position value, the Myerson value, and deliberately broken rules alike.
-A rule may also carry `rows`, giving its payoffs on the game and without
-each hyperlink from one pass as integer numerators over one denominator,
-as the command line's position rule does with `solutions._position_rows`.
+A rule may also carry `rows`, mapping a game to the `rows(j)` of
+`solutions._rows`: its payoffs on the game and without each hyperlink,
+from one pass, as integer numerators with their denominators, as the
+command line's position rule does.
 Every check, axiom or identity, returns one `Report`: a (left, right)
 pair of integer numerators per key — an ordered player pair, a
 component or a player — over one denominator, never just a boolean, so
@@ -35,7 +36,7 @@ from operator import add
 from typing import Callable
 
 from .connectivity import components, connected_sets
-from .expansion import _block_size, _completion, grouped_position
+from .expansion import _block_size, _completion
 from .model import (
     Allocation,
     Hyperlink,
@@ -46,14 +47,12 @@ from .model import (
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
 from .solutions import (
-    _conference_shapley,
     _covered,
     _hyperlink_masks,
     _line_graph,
     _read_worths,
+    _rows,
     _shapley,
-    _shares,
-    position_value,
 )
 
 DEFAULT_RECURSION_CAP = 12
@@ -144,28 +143,30 @@ def _pair_report(
     sum over e containing j of weight(e) * (f_i(H) - f_i(H minus e)).
     The pair (i, j) compares gain[i, j] with gain[j, i].
 
-    A rule may carry `rows`, giving the payoff numerators on H and on
-    every H minus e, over one denominator, from one pass; otherwise each
-    is its own call, and the payoffs are put over the lcm of their
-    denominators.  With the weights over another, the gains are integer
-    sums."""
+    The payoffs on H and on every H minus e are read from the rule's
+    `rows` when it carries them, from one pass, or else from one call
+    each, and put over the lcm of their denominators.  With the weights
+    over another, the gains are integer sums."""
     players, links = game.players, game.hyperlinks
     n = len(players)
-    integer_pass = getattr(rule, "rows", None)
-    if integer_pass is not None:
-        (before, *after), unit = integer_pass(game)
+    one_pass = getattr(rule, "rows", None)
+    if one_pass is not None:
+        rows = one_pass(game)
+        payoffs = [rows(j)[0] for j in (None, *range(len(links)))]
     else:
-        payoffs = (rule(g) for g in (game, *map(game.without_hyperlink, links)))
-        flat, unit = _numerators(f[i] for f in payoffs for i in players)
-        before, *after = (flat[k:k + n] for k in range(0, len(flat), n))
+        calls = map(rule, (game, *map(game.without_hyperlink, links)))
+        payoffs = [_numerators(f[i] for i in players) for f in calls]
+    unit = lcm(*(denominator for _, denominator in payoffs))
+    (first, denominator), *after = payoffs
+    before = [x * (unit // denominator) for x in first]
     weights = [weight_of(e) for e in links]
     per = lcm(*(w.denominator for w in weights))
     index = {p: k for k, p in enumerate(players)}
     # columns[j][i] = gain[i, j]; pair (i, j), i major, is (columns[j][i], columns[i][j])
     columns = [[0] * n for _ in players]
-    for e, w, row in zip(links, weights, after):
-        w = w.numerator * (per // w.denominator)
-        delta = [w * (b - r) for b, r in zip(before, row)]
+    for e, w, (row, denominator) in zip(links, weights, after):
+        w, scale = w.numerator * (per // w.denominator), unit // denominator
+        delta = [w * (b - scale * r) for b, r in zip(before, row)]
         for j in e:
             columns[index[j]] = list(map(add, columns[index[j]], delta))
     left = itertools.chain.from_iterable(zip(*columns))
@@ -205,27 +206,12 @@ def check_component_efficiency(rule: Rule, game: HypergraphGame) -> Report:
     return _report("component efficiency", comps, allocated, _numerators(map(game.worth, comps)))
 
 
-def check_copy_deletion(game: HypergraphGame, link, cap: int = DEFAULT_SUBSET_CAP) -> Report:
-    """Deleting one copy of a hyperlink from the one-fold expansion versus
-    deleting the hyperlink outright.
-
-    Left sums the expanded game's Shapley payoffs per original player
-    after one copy is taken out of the hyperlink's block (its copies
-    then earn 0, so which member held it does not matter); right is the
-    position value of the game without the hyperlink.  Both sides run
-    under the subset cap `cap` on the hyperlinks, whatever the number of
-    copies.  The two must agree exactly.
-    """
-    e = frozenset(link)
-    grouped = grouped_position(game, 1, e, cap)
-    return compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
-
-
 def check_copy_deletions(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> dict[Hyperlink, Report]:
-    """`check_copy_deletion` for every hyperlink, Lemma 1 in full, from
-    one pass: the sets or table masks without each hyperlink are summed
-    with the completion weights of the m - 1 other blocks for the left
-    side and with Shapley's for the right."""
+    """Lemma 1 for every hyperlink e, from one pass: the one-fold
+    expansion's payoffs grouped per player once a copy leaves e's block
+    (its copies then earn 0, whoever held it) against the position value
+    without e, the sets or table masks without e summed with the
+    completion weights of the m - 1 other blocks and with Shapley's."""
     sides = _identity_sides(game, 1, cap)
     return {e: _report("copy deletion", game.players, *sides(j)) for j, e in enumerate(game.hyperlinks)}
 
@@ -236,14 +222,7 @@ def _identity_sides(game: HypergraphGame, k: int, cap: int):
     numerators with their denominator, both weightings summed in one
     pass, once k and the subset cap are checked."""
     _block_size(game, k)
-    solve = _conference_shapley(game, cap, (_completion, _shapley))
-
-    def sides(j: int | None = None) -> list[tuple[list[int], int]]:
-        weighted = solve(j)
-        rows, eta = _shares(game, [sums for sums, _ in weighted])
-        return [(row, denominator * eta) for row, (_, denominator) in zip(rows, weighted)]
-
-    return sides
+    return _rows(game, cap, (_completion, _shapley))
 
 
 def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT_SUBSET_CAP) -> Report:

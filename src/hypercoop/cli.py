@@ -63,8 +63,8 @@ from .model import (
     unanimity,
     weighted_unanimity,
 )
-from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, require_subset_cap
-from .solutions import _position_rows, myerson_value, position_value, shapley_value
+from .shapley import CapExceeded, DEFAULT_SUBSET_CAP
+from .solutions import _rows, myerson_value, position_value, shapley_value
 
 # `expand` lists every copy it solves, so it alone bounds their number.
 DEFAULT_STATE_CAP = 1_000_000
@@ -134,9 +134,10 @@ def parse_game(text: str) -> HypergraphGame:
     """Parse and validate a JSON game document.
 
     Validation is field-by-field in document order, so the first error
-    reported is deterministic: players, then each hyperlink (size, then
-    membership, then duplicates), then the characteristic entries.  An
-    object's unknown keys are reported before its fields.
+    reported is deterministic: players (nonempty, then each id in turn:
+    non-negative, then new), then each hyperlink (size, then membership,
+    then duplicates), then the characteristic entries.  An object's
+    unknown keys are reported before its fields.
     """
     try:
         doc = json.loads(text)
@@ -149,7 +150,16 @@ def parse_game(text: str) -> HypergraphGame:
     _known_keys(doc, ("players", "hyperlinks", "characteristic"), "document")
 
     players = _int_list(_require(doc, "players", "document"), "players")
+    if not players:
+        raise DocumentError("players: player set must be nonempty")
     player_set = set(players)
+    if len(player_set) < len(players) or min(players) < 0:
+        first_at: dict[int, int] = {}
+        for n, p in enumerate(players):
+            if p < 0:
+                raise DocumentError(f"players[{n}]: player ids must be non-negative integers, got {p}")
+            if (first := first_at.setdefault(p, n)) != n:
+                raise DocumentError(f"players[{n}]: duplicate player id {p}, already players[{first}]")
 
     raw_links = doc.get("hyperlinks", [])
     if not isinstance(raw_links, list):
@@ -311,7 +321,7 @@ def _rule_for(args):
     carries the one integer pass (value and deletions) that the pair checks read."""
     rule = functools.partial(_RULES[args.rule], cap=args.cap_subsets)
     if args.rule == "position":
-        rule.rows = functools.partial(_position_rows, cap=args.cap_subsets)
+        rule.rows = functools.partial(_rows, cap=args.cap_subsets)
     return rule
 
 
@@ -479,11 +489,9 @@ def handle_verify(args) -> Result:
 
 def handle_solve_axioms(args) -> Result:
     game = _load(args)
-    # The reconstruction has no use for the subset cap, but the position
-    # value it is checked against does: refuse before reconstructing.
-    require_subset_cap(len(game.hyperlinks), args.cap_subsets, "hyperlinks")
+    direct = position_value(game, cap=args.cap_subsets)
     solved = value_from_axioms(game, cap=args.cap_recursion)
-    match = solved == position_value(game, cap=args.cap_subsets)
+    match = solved == direct
 
     def text(decimals):
         return [

@@ -46,7 +46,7 @@ from .model import (
     zero_allocation,
 )
 from .shapley import DEFAULT_SUBSET_CAP
-from .solutions import _conference_shapley, _split
+from .solutions import _allocation, _conference_shapley, _shares
 
 SubBlock = tuple[PlayerId, Hyperlink]
 
@@ -135,7 +135,8 @@ def expansion_payoffs(
     rho = _block_size(game, k)
     [(sums, unit)] = _conference_shapley(game, cap, (_completion,))(j)
     per_copy = {e: Fraction(x, rho * unit) for e, x in zip(game.hyperlinks, sums)}
-    return per_copy, _split(game, sums, unit)
+    split, link_lcm = _shares(game)
+    return per_copy, _allocation(game.players, split(sums), unit * link_lcm)
 
 
 def uniform_payoffs(

@@ -28,13 +28,14 @@ over the connected sets P, so every route `_plan` picks pays the same:
   the conference table reads its worths first, once per covered player
   set, and then fills W in one pass.
 
-`position_values_without` gives the position value without each
-hyperlink from one pass on the whole game's route; `_position_rows` gives
-the same payoffs, and the game's own, as integer numerators over one
-denominator, which the pair checks read without Fractions.  The pass sums
-the completion weighting of `hypercoop.expansion` too, so one listing or
-one table serves both sides of each identity, each sum over the
-denominator its weighting names.  The frozenset versions of the two
+`_rows` is the one reader of the conference pass: per weighting, the
+player numerators of the game, or of the game without any one
+hyperlink, over the denominator the weighting names.  `position_value`
+and `position_values_without` read it; the command line's position
+rule carries it as `rows`, which the pair checks read without
+Fractions; and the identity checks read it with the completion
+weighting of `hypercoop.expansion` too, so one listing or one table
+serves both sides of each identity.  The frozenset versions of the two
 restricted games are the test suite's reference.
 """
 
@@ -187,10 +188,9 @@ def conference_table(game: HypergraphGame) -> tuple[list[int], int]:
     return table, scale
 
 
-def _player_payoffs(players: tuple[PlayerId, ...], sums: list[int], scale: int) -> Allocation:
-    """Shapley payoffs from n!·scale·Sh, one integer per player."""
-    denominator = factorial(len(players)) * scale
-    return {p: Fraction(x, denominator) for p, x in zip(players, sums)}
+def _allocation(players: tuple[PlayerId, ...], row: list[int], denominator: int) -> Allocation:
+    """Player numerators in `players` order over one denominator, as payoffs."""
+    return {p: Fraction(x, denominator) for p, x in zip(players, row)}
 
 
 def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
@@ -202,7 +202,7 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     table = [worth[mask] for mask in range(1 << n)]
     if table[0] != 0:
         raise ValueError("worth of the empty coalition must be 0")
-    return _player_payoffs(game.players, shapley_of_table(table), scale)
+    return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
 
 
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
@@ -212,13 +212,13 @@ def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     route, listing, _ = _plan(game, point=True)
     if listing is None:
         table, scale = _point_table(game)
-        return _player_payoffs(game.players, shapley_of_table(table), scale)
+        return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
     # a connected set has one pair but may have several signed terms
     read = [t[0] for t in listing]
     scale, worth = scaled_worths(game.characteristic, game.players, read if route == "sets" else set(read))
     pieces = (((s, b, worth[s]) for s, b in listing) if route == "sets"
               else ((u, b, sign * worth[s]) for s, u, b, sign in listing))
-    return _player_payoffs(game.players, shapley_of_pieces(n, pieces), scale)
+    return _allocation(game.players, shapley_of_pieces(n, pieces), factorial(n) * scale)
 
 
 def _plan(game: HypergraphGame, point: bool = False) -> tuple[str, list | None, list[int]]:
@@ -309,34 +309,45 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
     return solve
 
 
-def _shares(game: HypergraphGame, per_links) -> tuple[list[list[int]], int]:
-    """(rows, eta): each row of hyperlink payoffs in `per_links` split
-    equally among each hyperlink's members, as player numerators in
+def _shares(game: HypergraphGame):
+    """(split, eta): split(per_link) gives each hyperlink's payoff in
+    `per_link` split equally among its members, as player numerators in
     `game.players` order over eta (the lcm of the hyperlink sizes) times
-    the row's own denominator; players on no hyperlink get 0."""
-    eta = lcm(*(len(e) for e in game.hyperlinks))
-    weights = [eta // len(e) for e in game.hyperlinks]
-    rows = []
-    for per_link in per_links:
-        row = dict.fromkeys(game.players, 0)
-        for e, weight, x in zip(game.hyperlinks, weights, per_link):
+    per_link's own denominator; players on no hyperlink get 0."""
+    players, links = game.players, game.hyperlinks
+    eta = lcm(*(len(e) for e in links))
+    weighted = [(eta // len(e), e) for e in links]
+
+    def split(per_link: list[int]) -> list[int]:
+        row = dict.fromkeys(players, 0)
+        for (weight, e), x in zip(weighted, per_link):
+            x *= weight
             for i in e:
-                row[i] += x * weight
-        rows.append(list(row.values()))
-    return rows, eta
+                row[i] += x
+        return list(row.values())
+
+    return split, eta
 
 
-def _split(game: HypergraphGame, per_link: list[int], denominator: int) -> Allocation:
-    """Each hyperlink's payoff per_link[e]/denominator, split equally
-    among its members by `_shares`."""
-    [row], eta = _shares(game, [per_link])
-    return {p: Fraction(x, denominator * eta) for p, x in zip(game.players, row)}
+def _rows(game: HypergraphGame, cap: int, weightings=(_shapley,)):
+    """rows(j): per weighting in `weightings`, (the player numerators in
+    `game.players` order, their denominator) for the game without
+    hyperlink j (None: with all), from one `_conference_shapley` pass,
+    each hyperlink's sum split among its members by `_shares`."""
+    solve = _conference_shapley(game, cap, weightings)
+    split, eta = _shares(game)
+
+    def rows(j: int | None = None) -> list[tuple[list[int], int]]:
+        return [(split(sums), denominator * eta) for sums, denominator in solve(j)]
+
+    return rows
 
 
 def position_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Each hyperlink's conference-game Shapley payoff, split equally
     among its members; players on no hyperlink get zero."""
-    return _split(game, *_conference_shapley(game, cap)(None)[0])
+    [(row, denominator)] = _rows(game, cap)()
+    return _allocation(game.players, row, denominator)
 
 
 def position_values_without(
@@ -344,18 +355,5 @@ def position_values_without(
 ) -> dict[Hyperlink, Allocation]:
     """{e: position_value(game.without_hyperlink(e))} for every hyperlink
     e, from one pass; the subset cap counts all m hyperlinks."""
-    solve = _conference_shapley(game, cap)
-    return {e: _split(game, *solve(j)[0]) for j, e in enumerate(game.hyperlinks)}
-
-
-def _position_rows(game: HypergraphGame, cap: int) -> tuple[list[list[int]], int]:
-    """(rows, D): the position value's player numerators on the game,
-    then without each hyperlink in turn, from one pass, all over
-    D = m!·scale·eta.  A game without a hyperlink is solved over
-    (m-1)!·scale, so its sums are scaled by m."""
-    m = len(game.hyperlinks)
-    solve = _conference_shapley(game, cap)
-    [(sums, denominator)] = solve(None)
-    without = ([m * x for x in solve(j)[0][0]] for j in range(m))
-    rows, eta = _shares(game, [sums, *without])
-    return rows, denominator * eta
+    rows = _rows(game, cap)
+    return {e: _allocation(game.players, *rows(j)[0]) for j, e in enumerate(game.hyperlinks)}

@@ -35,7 +35,9 @@ coalition at a time, and shares no code with the bitmask integer kernel
   rows of `hypercoop.axioms.value_from_axioms`;
 * the pair report of the contribution axioms with one rule call per
   hyperlink deletion and `Fraction` gains (`pair_report_by_rule_calls`),
-  the reference for the integer gains of `hypercoop.axioms`.
+  the reference for the integer gains of `hypercoop.axioms`;
+* Lemma 1 for one hyperlink on two passes (`check_copy_deletion`), the
+  reference for the one-pass `hypercoop.axioms.check_copy_deletions`.
 
 Each route refuses games larger than its cap.
 """
@@ -48,8 +50,9 @@ from math import comb, factorial, lcm, prod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from hypercoop.axioms import Report
+from hypercoop.axioms import Report, compare
 from hypercoop.connectivity import components, mask_components
+from hypercoop.expansion import grouped_position
 from hypercoop.model import (
     Allocation,
     CharacteristicFunction,
@@ -65,7 +68,7 @@ from hypercoop.model import (
     zero_allocation,
 )
 from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, factorials, require_subset_cap
-from hypercoop.solutions import conference_table
+from hypercoop.solutions import conference_table, position_value
 
 DEFAULT_PERMUTATION_CAP = 8
 DEFAULT_DIVIDEND_CAP = 20
@@ -718,3 +721,19 @@ def pair_report_by_rule_calls(
     unit = lcm(*(g.denominator for g in gain.values()))
     numerator = {key: g.numerator * (unit // g.denominator) for key, g in gain.items()}
     return Report(axiom, {(i, j): (g, numerator[j, i]) for (i, j), g in numerator.items()}, unit)
+
+
+def check_copy_deletion(game: HypergraphGame, link, cap: int = DEFAULT_SUBSET_CAP) -> Report:
+    """Deleting one copy of a hyperlink from the one-fold expansion versus
+    deleting the hyperlink outright.
+
+    Left sums the expanded game's Shapley payoffs per original player
+    after one copy is taken out of the hyperlink's block (its copies
+    then earn 0, so which member held it does not matter); right is the
+    position value of the game without the hyperlink.  Both sides run
+    under the subset cap `cap` on the hyperlinks, whatever the number of
+    copies.  The two must agree exactly.
+    """
+    e = frozenset(link)
+    grouped = grouped_position(game, 1, e, cap)
+    return compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))

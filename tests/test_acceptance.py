@@ -14,7 +14,7 @@ import pytest
 from hypercoop.axioms import (
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
-    check_copy_deletion,
+    check_copy_deletions,
     check_partial_balanced_conference_contributions,
     value_from_axioms,
 )
@@ -223,9 +223,9 @@ def test_criterion_8_copy_deletion_on_the_corpus(corpus):
     for n, game in enumerate(corpus):
         # the short block's copies earn 0 whichever member held the
         # removed copy: one check per hyperlink covers every copy
-        for e in game.hyperlinks:
+        for e, deletion in check_copy_deletions(game).items():
             checks += 1
-            if not check_copy_deletion(game, e).passed:
+            if not deletion.passed:
                 bad.append((n, sorted(e)))
     report(
         "criterion 8",

@@ -17,7 +17,6 @@ from hypercoop.axioms import (
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
-    check_copy_deletion,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
     check_uniform_expansion,
@@ -26,7 +25,7 @@ from hypercoop.axioms import (
 )
 from hypercoop.cli import _rule_for, game_to_document, main, parse_game
 from hypercoop.corpus import game_corpus
-from hypercoop.expansion import agent_form_payoffs, grouped_position
+from hypercoop.expansion import agent_form_payoffs, expansion_payoffs, grouped_position
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
@@ -45,6 +44,7 @@ from hypercoop.solutions import (
 
 from oracles import (
     build_uniform,
+    check_copy_deletion,
     pair_report_by_rule_calls,
     position_by_dividends,
     value_from_axioms_by_masks,
@@ -178,19 +178,20 @@ def test_dividend_route_matches_the_position_value(game):
 class TestCopyDeletion:
     def test_validates_the_link(self, hub):
         with pytest.raises(ValueError, match="no hyperlink"):
-            check_copy_deletion(hub, [1, 2])
+            expansion_payoffs(hub, 1, removed=[1, 2])
 
     def test_every_copy_of_every_hub_link(self, hub):
         # the short block's copies earn 0 whichever member held the
         # removed copy, so one check per hyperlink covers every copy
+        reports = check_copy_deletions(hub)
         for e in hub.hyperlinks:
-            report = check_copy_deletion(hub, e)
+            report = reports[e]
             assert report.passed
             grouped = {i: side.left for i, side in report.sides.items()}
             assert grouped == position_value(hub.without_hyperlink(e))
 
     def test_report_residual(self, path3):
-        report = check_copy_deletion(path3, [1, 2])
+        report = check_copy_deletions(path3)[frozenset({1, 2})]
         assert report.passed
         assert all(report.residual(i) == 0 for i in path3.players)
 
@@ -447,7 +448,7 @@ def assert_pair_reports_match_the_oracle(game):
 
 class TestPairReportsMatchTheRuleCalls:
     def test_the_cli_rule_carries_the_pass_for_position_only(self):
-        assert cli_rule("position").rows.func is solutions._position_rows
+        assert cli_rule("position").rows.func is solutions._rows
         assert not hasattr(cli_rule("myerson"), "rows")
         assert not hasattr(cli_rule("shapley"), "rows")
 
@@ -460,7 +461,7 @@ class TestPairReportsMatchTheRuleCalls:
 
         def one_pass(game):
             passes.append(game)
-            return solutions._position_rows(game, DEFAULT_SUBSET_CAP)
+            return solutions._rows(game, DEFAULT_SUBSET_CAP)
 
         counted.rows = one_pass
         assert check_partial_balanced_conference_contributions(counted, hub).passed
@@ -470,11 +471,12 @@ class TestPairReportsMatchTheRuleCalls:
         for game in (hub, ring(6), ring3(3)):
             for name in ROUTES:
                 with route(name):
-                    (row, *without), unit = solutions._position_rows(game, DEFAULT_SUBSET_CAP)
+                    rows = solutions._rows(game, DEFAULT_SUBSET_CAP)
                     expected = position_values_without(game)
+                    [(row, unit)] = rows()
                     assert {p: F(x, unit) for p, x in zip(game.players, row)} == position_value(game)
-                    assert len(without) == len(game.hyperlinks)
-                    for e, numerators in zip(game.hyperlinks, without):
+                    for j, e in enumerate(game.hyperlinks):
+                        [(numerators, unit)] = rows(j)
                         assert {p: F(x, unit) for p, x in zip(game.players, numerators)} == expected[e]
 
     def test_a_passing_check_builds_no_side_and_no_pair_fraction(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from hypercoop.cli import (
     parse_game,
     parse_rational,
 )
-from hypercoop.corpus import hub_and_spokes, path_three
+from hypercoop.corpus import path_three
 
 from strategies import hypergraph_games
 
@@ -121,6 +121,19 @@ class TestParseGame:
             (lambda d: d.pop("characteristic"), "missing required key 'characteristic'"),
             (lambda d: d.update(players="x"), "players: expected a list"),
             (lambda d: d.update(players=[1, True]), r"players\[1\]"),
+            # Players are checked in full before any hyperlink names them.
+            (
+                lambda d: d.update(players=[1, 1, 2], hyperlinks=[[1, 5]]),
+                r"^players\[1\]: duplicate player id 1, already players\[0\]$",
+            ),
+            (
+                lambda d: d.update(players=[-1, 2]),
+                r"^players\[0\]: player ids must be non-negative integers, got -1$",
+            ),
+            (
+                lambda d: d.update(players=[], hyperlinks=[[1, 2]]),
+                r"^players: player set must be nonempty$",
+            ),
             (lambda d: d.update(hyperlinks=[[7]]), r"hyperlinks\[0\]: a hyperlink needs at least two"),
             (lambda d: d.update(hyperlinks=[[1, 7]]), r"hyperlinks\[0\]: unknown players \[7\]"),
             (lambda d: d.update(hyperlinks=[[1, 4, 1]]), r"hyperlinks\[0\]: duplicate members"),
@@ -298,6 +311,18 @@ class TestParseGame:
         assert blocks
         for block in blocks:
             parse_game(block)
+
+
+def test_readme_library_block_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    namespace = {}
+    exec(block, namespace)
+    game = namespace["game"]
+    position = hypercoop.position_value(game)
+    assert position == {**dict.fromkeys([1, 2, 3], F(1, 8)), **dict.fromkeys([4, 5, 6], F(5, 24))}
+    assert hypercoop.myerson_value(game) == dict.fromkeys(range(1, 7), F(1, 6))
+    assert hypercoop.grouped_position(game, k=2) == hypercoop.value_from_axioms(game) == position
 
 
 json_scalars = st.one_of(
