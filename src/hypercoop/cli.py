@@ -63,7 +63,7 @@ from .model import (
     unanimity,
     weighted_unanimity,
 )
-from .shapley import CapExceeded, DEFAULT_SUBSET_CAP
+from .shapley import CapExceeded, DEFAULT_SUBSET_CAP, require_subset_cap
 from .solutions import _rows, myerson_value, position_value, shapley_value
 
 # `expand` lists every copy it solves, so it alone bounds their number.
@@ -489,8 +489,10 @@ def handle_verify(args) -> Result:
 
 def handle_solve_axioms(args) -> Result:
     game = _load(args)
-    direct = position_value(game, cap=args.cap_subsets)
+    # both caps refuse before either value is solved
+    require_subset_cap(len(game.hyperlinks), args.cap_subsets, "hyperlinks")
     solved = value_from_axioms(game, cap=args.cap_recursion)
+    direct = position_value(game, cap=args.cap_subsets)
     match = solved == direct
 
     def text(decimals):

@@ -15,6 +15,11 @@ shared with the expansion and axiom modules; each payoff is one exact
 division at the end.  A restricted game is Σ_P v(P)·[P is a piece of S]
 over the connected sets P, so every route `_plan` picks pays the same:
 
+- forest (unanimity coefficients c_T on a cycle-free hypergraph): u_T's
+  restricted game is u_B, B the hyperlinks of T's Steiner tree (or the
+  players on them), so each term is one piece (B, ∅, c_T), the c_T over
+  the lcm of their denominators, and pays c_T/|B| to each member of B;
+  `shapley_value` pays c_T/|T| the same way;
 - connected sets P with their boundaries ∂P, on the line graph of the
   hyperlinks or on a player graph of pairs: `shapley_of_pieces` pays
   each member of P (p-1)!·b!/(p+b)! and each member of ∂P
@@ -193,11 +198,28 @@ def _allocation(players: tuple[PlayerId, ...], row: list[int], denominator: int)
     return {p: Fraction(x, denominator) for p, x in zip(players, row)}
 
 
+def _dividend_pieces(listing) -> tuple[int, list[tuple[int, int, int]]]:
+    """(scale, pieces) of Σ c·u_B over the (B, c) terms of `listing`: one
+    piece (B, ∅, scale·c) per distinct mask B, scale being the lcm of the
+    c's denominators."""
+    scale = lcm(*(c.denominator for _, c in listing))
+    merged: dict[int, int] = {}
+    for b, c in listing:
+        merged[b] = merged.get(b, 0) + c.numerator * (scale // c.denominator)
+    return scale, [(b, 0, w) for b, w in merged.items()]
+
+
 def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Shapley value of the characteristic function; the hypergraph plays
-    no part."""
+    no part.  Unanimity coefficients c_T pay c_T/|T| to each member of T
+    without a table."""
     n = len(game.players)
     require_subset_cap(n, cap, "players")
+    coefficients = game.characteristic.unanimity_coefficients()
+    if coefficients is not None:
+        bit = {p: 1 << k for k, p in enumerate(game.players)}
+        scale, pieces = _dividend_pieces([(sum(bit[p] for p in t), c) for t, c in coefficients.items()])
+        return _allocation(game.players, shapley_of_pieces(n, pieces), factorial(n) * scale)
     scale, worth = scaled_worths(game.characteristic, game.players, range(1 << n))
     table = [worth[mask] for mask in range(1 << n)]
     if table[0] != 0:
@@ -213,20 +235,84 @@ def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     if listing is None:
         table, scale = _point_table(game)
         return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
-    # a connected set has one pair but may have several signed terms
-    read = [t[0] for t in listing]
-    scale, worth = scaled_worths(game.characteristic, game.players, read if route == "sets" else set(read))
-    pieces = (((s, b, worth[s]) for s, b in listing) if route == "sets"
-              else ((u, b, sign * worth[s]) for s, u, b, sign in listing))
+    if route == "forest":
+        scale, pieces = _dividend_pieces(listing)
+    else:
+        # a connected set has one pair but may have several signed terms
+        read = [t[0] for t in listing]
+        scale, worth = scaled_worths(game.characteristic, game.players, read if route == "sets" else set(read))
+        pieces = (((s, b, worth[s]) for s, b in listing) if route == "sets"
+                  else ((u, b, sign * worth[s]) for s, u, b, sign in listing))
     return _allocation(game.players, shapley_of_pieces(n, pieces), factorial(n) * scale)
+
+
+def _steiner(adjacent: list[list[int]], n: int, t: int) -> int:
+    """The hyperlink mask of the Steiner tree of the player mask `t` (at
+    least two players, all in one tree) in a forest whose nodes are the
+    players 0..n-1 and then the hyperlinks, adjacent[v] listing v's
+    neighbours.  Leaves outside t are pruned from a queue, so each node
+    and each incidence is visited once; trees without t go whole."""
+    degree = [len(a) for a in adjacent]
+    queue = [k for k in range(n) if degree[k] == 1 and not t >> k & 1]
+    for v in queue:
+        degree[v] = 0
+        for u in adjacent[v]:
+            if degree[u]:
+                degree[u] -= 1
+                if degree[u] == 1 and not (u < n and t >> u & 1):
+                    queue.append(u)
+    return sum(1 << j for j, d in enumerate(degree[n:]) if d)
+
+
+def _forest(game: HypergraphGame, links: list[int], point: bool) -> list | None:
+    """The listing of `_plan`'s forest route, or None where it does not
+    apply; a term whose support spans two components, or holds a player
+    on no hyperlink, has restricted game 0 and is left out."""
+    coefficients = game.characteristic.unanimity_coefficients()
+    if coefficients is None:
+        return None
+    covered = excess = 0
+    for e in links:
+        covered |= e
+        excess += e.bit_count() - 1
+    if excess >= covered.bit_count():
+        return None
+    parts = mask_components(covered, links)
+    if excess != covered.bit_count() - len(parts):
+        return None
+    n = len(game.players)
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(links):
+        members = [k for k in range(e.bit_length()) if e >> k & 1]
+        for k in members:
+            adjacent[k].append(n + j)
+        adjacent.append(members)
+    bit = {p: 1 << k for k, p in enumerate(game.players)}
+    listing = []
+    for support, c in coefficients.items():
+        t = sum(bit[p] for p in support)
+        if any(t & part == t for part in parts):
+            listing.append((_steiner(adjacent, n, t), c))
+    if point:
+        covers = _covered(links, (b for b, _ in listing))
+        listing = [(covers[b], c) for b, c in listing]
+    return listing
 
 
 def _plan(game: HypergraphGame, point: bool = False) -> tuple[str, list | None, list[int]]:
     """(route, listing, hyperlink masks) of the conference game, or with
     `point` of the point game, picked before any worth is read.  With n
-    players and m hyperlinks, the first route whose enumerator, after
-    its own lower bounds, lists no more than the limit:
+    players and m hyperlinks, the first route that applies and whose
+    enumerator, after its own lower bounds, lists no more than the limit:
 
+    - "forest" (a characteristic with unanimity coefficients c_T, and an
+      acyclic player–hyperlink incidence graph, Σ_e(|e|-1) = covered
+      players - components; no limit): one (B(T), c_T) per support T in
+      one component of covered players, u_T's restricted game being
+      u_B(T) on the hyperlinks of T's Steiner tree (or on the players on
+      them).  Table worths leave at the None check, and most cyclic
+      structures at the sum Σ_e(|e|-1) >= covered players, before any
+      component is found;
     - "complement" (conference game, if its 2^n player worths are at
       most 2^m/4): the disconnected hyperlink sets, at most 2^m/4;
     - "sets": the (set, boundary) pairs of the connected sets of the line
@@ -236,6 +322,8 @@ def _plan(game: HypergraphGame, point: bool = False) -> tuple[str, list | None, 
       `connectivity.hypergraph_pieces`, at most 2^n/4 with the sets;
     - "table": None, for the 2^m (or 2^n) table."""
     links, n = _hyperlink_masks(game), len(game.players)
+    if (trees := _forest(game, links, point)) is not None:
+        return "forest", trees, links
     if not point:
         adjacency, limit = _line_graph(links), (1 << len(links)) >> 2
         if 1 << n <= limit and (apart := disconnected_sets(adjacency, limit)) is not None:
@@ -279,7 +367,9 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
     require_subset_cap(m, cap, "hyperlinks")
     route, listing, links = _plan(game)
     table = None
-    if route == "complement":
+    if route == "forest":
+        scale, pieces = _dividend_pieces(listing)
+    elif route == "complement":
         scale, pieces = _complement_pieces(game, links, listing)
     elif route == "sets":
         covered = _covered(links, (s for s, _ in listing))

@@ -807,6 +807,29 @@ class TestSolveAxiomsCommand:
             "", "error: 30 hyperlinks exceeds the subset cap 24\n"
         )
 
+    def test_the_recursion_cap_refuses_before_the_position_value(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Every hyperlink set of a 20-spoke pair star is connected, so it
+        is within the subset cap but over the recursion cap; with table
+        worth the position value would fill a 2^20 table."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the position value was solved")
+
+        monkeypatch.setattr(hypercoop.cli, "position_value", refuse)
+        doc = {
+            "players": list(range(21)),
+            "hyperlinks": [[0, i] for i in range(1, 21)],
+            "characteristic": {"table": [{"coalition": list(range(21)), "worth": 1}]},
+        }
+        assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: 20 hyperlinks form more than 4095 connected hyperlink sets: "
+            "the recursion cap 12 admits at most 2^12 - 1\n",
+        )
+
     def test_the_cap_error_names_the_limit(self, hub_path, capsys):
         assert main(["solve-axioms", hub_path, "--cap-recursion", "2"]) == 3
         assert capsys.readouterr().err == (

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 
 from hypercoop import connectivity, solutions
+from hypercoop.axioms import check_copy_deletions, check_uniform_expansion, value_from_axioms
 from hypercoop.cli import parse_game
 from hypercoop.connectivity import (
     components,
@@ -501,6 +502,16 @@ def path_game(links):
     return HypergraphGame(h, unanimity(players, [1, links + 1]))
 
 
+def as_table(game):
+    """The same game with its worths given as a table on every coalition,
+    which keeps it off the forest route."""
+    players = game.players
+    entries = {
+        frozenset(s): game.worth(s) for r in range(2, len(players) + 1) for s in itertools.combinations(players, r)
+    }
+    return HypergraphGame(game.hypergraph, table_function(players, entries))
+
+
 class TestConnectedSetRoute:
     def test_the_corpus_agrees_with_the_table_route(self):
         for game in game_corpus(count=200):
@@ -645,7 +656,8 @@ class TestRouting:
     def test_past_the_bound_but_over_the_limit_falls_back(self, monkeypatch):
         """A path of 6 pair hyperlinks has a line graph P6, and a path of 6
         players is P6 itself: degree bound 12 against the limit 2^6/4 = 16,
-        yet 21 connected sets, so growth starts and then gives way."""
+        yet 21 connected sets, so growth starts and then gives way.  The
+        worths are a table, since a path with unanimity worth is a forest."""
         yielded, tables = [], []
         grow = connectivity._grow
         conference, point = solutions.conference_table, solutions._point_table
@@ -664,10 +676,12 @@ class TestRouting:
         monkeypatch.setattr(connectivity, "_grow", spy_grow)
         monkeypatch.setattr(solutions, "conference_table", spy(conference))
         monkeypatch.setattr(solutions, "_point_table", spy(point))
-        assert position_value(path_game(6)) == position_oracle(path_game(6))
+        game = as_table(path_game(6))
+        assert position_value(game) == position_oracle(game)
         assert len(yielded) == 17 and tables == ["conference_table"]
         yielded.clear()
-        assert myerson_value(path_game(5)) == shapley_by_subsets(point_game(path_game(5)))
+        game = as_table(path_game(5))
+        assert myerson_value(game) == shapley_by_subsets(point_game(game))
         assert len(yielded) == 17 and tables == ["conference_table", "_point_table"]
 
     def test_the_complete_graph_on_seven_grows_no_connected_set(self, monkeypatch):
@@ -765,8 +779,10 @@ def assert_deletions_match(game) -> str:
 
 class TestDeletionsInOnePass:
     def test_the_corpus_the_hub_and_rings_take_both_routes(self, hub):
+        """The hub's worths are a table here, since with its unanimity
+        worth it takes the forest route."""
         corpus = {assert_deletions_match(game) for game in game_corpus(count=200)}
-        assert corpus | {assert_deletions_match(hub)} == {"table"}
+        assert corpus | {assert_deletions_match(as_table(hub))} == {"table"}
         assert {assert_deletions_match(ring(n)) for n in (12, 20)} == {"pieces"}
 
     @pytest.mark.parametrize("path", GAMES, ids=lambda p: p.name)
@@ -799,3 +815,119 @@ class TestDeletionsInOnePass:
     def test_respects_the_cap(self, hub):
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
             position_values_without(hub, cap=3)
+
+
+def random_forest(seed):
+    """A seeded unanimity game on a cycle-free hypergraph: 3-9 players,
+    1-3 trees grown one hyperlink of 2-4 members at a time (each meets
+    its tree in one player), maybe an isolated player, and 1-4 terms on
+    any 2-4 players, so some supports span two trees or hold the
+    isolated player."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    players = list(range(n))
+    pool = rng.sample(players, n)
+    if n > 3 and rng.random() < 0.5:
+        pool.pop()
+    trees = [[pool.pop()] for _ in range(rng.randint(1, 3)) if len(pool) > 1]
+    links = []
+    while pool:
+        tree = rng.choice(trees)
+        fresh = [pool.pop() for _ in range(min(rng.randint(1, 3), len(pool)))]
+        links.append([rng.choice(tree), *fresh])
+        tree += fresh
+    terms = [
+        (rng.sample(players, rng.randint(2, min(4, n))), F(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return HypergraphGame(make_hypergraph(players, links), weighted_unanimity(players, terms))
+
+
+def star(m):
+    """Players 0..m, pair hyperlinks {0, i}, worth 2·u{1,2} - 1/3·u{3,4,5} + u{N}."""
+    players = list(range(m + 1))
+    cf = weighted_unanimity(players, [([1, 2], 2), ([3, 4, 5], F(-1, 3)), (players, 1)])
+    return HypergraphGame(make_hypergraph(players, [[0, i] for i in range(1, m + 1)]), cf)
+
+
+def values_and_identities(game):
+    """Position value, its deletions, Theorems 1 (k = 1, 2) and Lemma 1."""
+    return (
+        position_value(game),
+        position_values_without(game),
+        check_uniform_expansion(game, 1),
+        check_uniform_expansion(game, 2),
+        check_copy_deletions(game),
+    )
+
+
+class TestForestRoute:
+    def test_seeded_forests_agree_with_every_route(self):
+        for seed in range(150):
+            game = random_forest(seed)
+            assert solutions._plan(game)[0] == solutions._plan(game, point=True)[0] == "forest"
+            forest = values_and_identities(game)
+            myerson = myerson_value(game)
+            assert value_from_axioms(game) == forest[0]
+            for name in ROUTES:
+                with route(name):
+                    assert values_and_identities(game) == forest
+                assert myerson_on_route(game, name) == myerson
+
+    def test_the_listing_holds_each_steiner_tree(self):
+        """Hyperlinks in order {1,2}, {2,3,5}, {3,4}, {6,7}; player 8 is
+        on none.  u{1,3} needs the first two hyperlinks, and so the
+        players 1, 2, 3 and 5; u{1,4} needs the first three; u{1,6}
+        spans two trees and u{4,8} holds player 8, so both are left out."""
+        players = range(1, 9)
+        h = make_hypergraph(players, [[1, 2], [2, 3, 5], [3, 4], [6, 7]])
+        terms = [([1, 3], F(2, 3)), ([1, 4], -1), ([1, 6], 5), ([4, 8], 7)]
+        game = HypergraphGame(h, weighted_unanimity(players, terms))
+        assert solutions._plan(game)[:2] == ("forest", [(0b11, F(2, 3)), (0b111, -1)])
+        assert solutions._plan(game, point=True)[:2] == ("forest", [(0b10111, F(2, 3)), (0b11111, -1)])
+        assert position_value(game) == position_oracle(game)
+        assert myerson_value(game) == shapley_by_subsets(point_game(game))
+
+    def test_cyclic_dense_and_table_games_never_take_the_route(self, monkeypatch, hub):
+        # a triangle beside a pair passes the sum (4 against 5 covered
+        # players) but not the component count
+        players = range(5)
+        triangle = HypergraphGame(
+            make_hypergraph(players, [[0, 1], [1, 2], [0, 2], [3, 4]]), unanimity(players, [0, 1])
+        )
+        assert solutions._plan(triangle)[0] != "forest"
+
+        def refuse(*_args):
+            raise AssertionError("the components were computed")
+
+        monkeypatch.setattr(solutions, "mask_components", refuse)
+        cyclic = [ring(12), ring3(5), *DENSE_SHAPES[::2]]
+        tabled = [as_table(hub), as_table(random_forest(0)), *game_corpus(count=50)]
+        for game in cyclic + tabled:
+            for point in (False, True):
+                assert solutions._plan(game, point)[0] != "forest"
+
+    def test_shapley_from_dividends_matches_the_table(self, monkeypatch):
+        games = [random_forest(seed) for seed in range(40)] + [ring(8), DENSE_SHAPES[0]]
+        expected = [shapley_value(as_table(game)) for game in games]
+
+        def refuse(*_args):
+            raise AssertionError("the 2^n table was summed")
+
+        monkeypatch.setattr(solutions, "shapley_of_table", refuse)
+        assert [shapley_value(game) for game in games] == expected
+
+    def test_a_star_past_the_2m_wall_builds_no_table(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a 2^m or 2^n table was built, or a listing made")
+
+        for name in ("conference_table", "_point_table", "shapley_of_table", "connected_sets", "hypergraph_pieces"):
+            monkeypatch.setattr(solutions, name, refuse)
+        game = star(60)
+        everyone = game.worth(game.players)
+        for value in (position_value, myerson_value, shapley_value):
+            payoffs = value(game, cap=61)
+            assert sum(payoffs.values()) == everyone
+        # the spokes outside every support are alike, and 1 and 2 are too
+        payoffs = position_value(game, cap=61)
+        assert len({payoffs[p] for p in range(6, 61)}) == 1 and payoffs[1] == payoffs[2]
