@@ -220,7 +220,7 @@ def _identity_sides(game: HypergraphGame, k: int, cap: int):
     """sides(j): (the k-fold expansion's payoffs grouped per player, the
     position value) without hyperlink j (None: with all), each as player
     numerators with their denominator, both weightings summed in one
-    pass, once k and the subset cap are checked."""
+    pass, once k is checked, under the subset cap."""
     _block_size(game, k)
     return _rows(game, cap, (_completion, _shapley))
 

@@ -26,7 +26,7 @@ sum runs without that hyperlink.  The agent form is the same sum at
 k = 1: a set of complete images is worth its conference worth.
 
 No cost here grows with rho = k*eta, so nothing bounds k; the subset
-cap bounds the m hyperlinks and is checked before any worth is read.
+cap bounds the route `solutions._plan` picks over the m hyperlinks.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def agent_form_payoffs(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> d
     (ValueError otherwise), so only the complete images matter: the |e|
     sub-blocks of e act as one block of eta agents, and the worth of a
     set of complete images is its conference worth.  The expansion's
-    kernel then runs at k = 1, over the m hyperlinks under the subset cap
-    `cap`, whatever the number m*eta of agents.
+    kernel then runs at k = 1, on the route the subset cap `cap` admits
+    over the m hyperlinks, whatever the number m*eta of agents.
     """
     if not game.hyperlinks:
         raise ValueError("agent form requires at least one hyperlink")

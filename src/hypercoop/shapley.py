@@ -7,9 +7,9 @@ subset sum under other integer weights per coalition size.
 graph-restricted game given by its connected sets, their boundaries and
 their worths, without any 2^n table.  The Myerson, position and plain
 Shapley values in `hypercoop.solutions` all end in one of them, and so
-do the expansions of `hypercoop.expansion`.  Callers check
-`require_subset_cap` before they build a table or list connected sets,
-so an over-cap request fails before anything is allocated; the cap is a
+do the expansions of `hypercoop.expansion`.  `solutions._plan` sizes
+every listing by the subset cap and calls `require_subset_cap` before a
+table past it is allocated, as `shapley_value` does; the cap is a
 keyword argument, not a constant baked into call sites.  The slower
 frozenset routes (permutations, subset sums, Harsanyi dividends) live in
 the test suite as oracles for these kernels.

@@ -214,12 +214,12 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     no part.  Unanimity coefficients c_T pay c_T/|T| to each member of T
     without a table."""
     n = len(game.players)
-    require_subset_cap(n, cap, "players")
     coefficients = game.characteristic.unanimity_coefficients()
     if coefficients is not None:
         bit = {p: 1 << k for k, p in enumerate(game.players)}
         scale, pieces = _dividend_pieces([(sum(bit[p] for p in t), c) for t, c in coefficients.items()])
         return _allocation(game.players, shapley_of_pieces(n, pieces), factorial(n) * scale)
+    require_subset_cap(n, cap, "players")
     scale, worth = scaled_worths(game.characteristic, game.players, range(1 << n))
     table = [worth[mask] for mask in range(1 << n)]
     if table[0] != 0:
@@ -230,8 +230,7 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Shapley value of the point game, on the route `_plan` picks."""
     n = len(game.players)
-    require_subset_cap(n, cap, "players")
-    route, listing, _ = _plan(game, point=True)
+    route, listing, _ = _plan(game, True, cap)
     if listing is None:
         table, scale = _point_table(game)
         return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
@@ -299,11 +298,13 @@ def _forest(game: HypergraphGame, links: list[int], point: bool) -> list | None:
     return listing
 
 
-def _plan(game: HypergraphGame, point: bool = False) -> tuple[str, list | None, list[int]]:
+def _plan(game: HypergraphGame, point=False, cap=DEFAULT_SUBSET_CAP) -> tuple[str, list | None, list[int]]:
     """(route, listing, hyperlink masks) of the conference game, or with
-    `point` of the point game, picked before any worth is read.  With n
-    players and m hyperlinks, the first route that applies and whose
-    enumerator, after its own lower bounds, lists no more than the limit:
+    `point` of the point game, picked before any worth is read; the one
+    use of the subset cap.  With n players and size m hyperlinks (n
+    players with `point`), the first route that applies and whose
+    enumerator, after its own lower bounds, lists no more than the limit
+    2^min(size, cap)/4:
 
     - "forest" (a characteristic with unanimity coefficients c_T, and an
       acyclic player–hyperlink incidence graph, Σ_e(|e|-1) = covered
@@ -314,18 +315,20 @@ def _plan(game: HypergraphGame, point: bool = False) -> tuple[str, list | None, 
       structures at the sum Σ_e(|e|-1) >= covered players, before any
       component is found;
     - "complement" (conference game, if its 2^n player worths are at
-      most 2^m/4): the disconnected hyperlink sets, at most 2^m/4;
+      most the limit): the disconnected hyperlink sets;
     - "sets": the (set, boundary) pairs of the connected sets of the line
-      graph, or of the player graph when every hyperlink has two members,
-      at most 2^m/4 (2^n/4);
+      graph, or of the player graph when every hyperlink has two members;
     - "pieces" (point game, a larger hyperlink): the signed terms of
-      `connectivity.hypergraph_pieces`, at most 2^n/4 with the sets;
-    - "table": None, for the 2^m (or 2^n) table."""
+      `connectivity.hypergraph_pieces`, sets and terms together;
+    - "table": None, for the 2^size table; CapExceeded when size > cap,
+      after the listings have overflowed the limit."""
     links, n = _hyperlink_masks(game), len(game.players)
     if (trees := _forest(game, links, point)) is not None:
         return "forest", trees, links
+    size = n if point else len(links)
+    limit = (1 << min(size, cap)) >> 2
     if not point:
-        adjacency, limit = _line_graph(links), (1 << len(links)) >> 2
+        adjacency = _line_graph(links)
         if 1 << n <= limit and (apart := disconnected_sets(adjacency, limit)) is not None:
             return "complement", apart, links
         route, listing = "sets", connected_sets(adjacency, limit)
@@ -335,9 +338,11 @@ def _plan(game: HypergraphGame, point: bool = False) -> tuple[str, list | None, 
             low = e & -e
             partners[low.bit_length() - 1] |= e ^ low
             partners[e.bit_length() - 1] |= low
-        route, listing = "sets", connected_sets(partners, (1 << n) >> 2)
+        route, listing = "sets", connected_sets(partners, limit)
     else:
-        route, listing = "pieces", hypergraph_pieces(links, n, (1 << n) >> 2)
+        route, listing = "pieces", hypergraph_pieces(links, n, limit)
+    if listing is None:
+        require_subset_cap(size, cap, "players" if point else "hyperlinks")
     return ("table" if listing is None else route), listing, links
 
 
@@ -364,8 +369,7 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
     here.  Without j a listing keeps the pieces missing j, j cleared from
     their boundaries, and the table its masks without j's bit."""
     m = len(game.hyperlinks)
-    require_subset_cap(m, cap, "hyperlinks")
-    route, listing, links = _plan(game)
+    route, listing, links = _plan(game, False, cap)
     table = None
     if route == "forest":
         scale, pieces = _dividend_pieces(listing)
@@ -444,6 +448,6 @@ def position_values_without(
     game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP
 ) -> dict[Hyperlink, Allocation]:
     """{e: position_value(game.without_hyperlink(e))} for every hyperlink
-    e, from one pass; the subset cap counts all m hyperlinks."""
+    e, from one pass under the subset cap."""
     rows = _rows(game, cap)
     return {e: _allocation(game.players, *rows(j)[0]) for j, e in enumerate(game.hyperlinks)}

@@ -731,8 +731,9 @@ def check_copy_deletion(game: HypergraphGame, link, cap: int = DEFAULT_SUBSET_CA
     after one copy is taken out of the hyperlink's block (its copies
     then earn 0, so which member held it does not matter); right is the
     position value of the game without the hyperlink.  Both sides run
-    under the subset cap `cap` on the hyperlinks, whatever the number of
-    copies.  The two must agree exactly.
+    on the route the subset cap `cap` admits over the hyperlinks (a
+    table only within it), whatever the number of copies.  The two must
+    agree exactly.
     """
     e = frozenset(link)
     grouped = grouped_position(game, 1, e, cap)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hypercoop.axioms
 import hypercoop.cli
+import hypercoop.connectivity
 import hypercoop.expansion
 import hypercoop.jsonout
 import hypercoop.solutions
@@ -36,6 +37,7 @@ needs_a_digit_limit = pytest.mark.skipif(
     not DIGIT_LIMIT, reason="needs an interpreter with a limit on integer digits"
 )
 
+GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 HUB_DOC = {
     "players": [1, 2, 3, 4, 5, 6],
     "hyperlinks": [[1, 4], [2, 5], [3, 6], [4, 5, 6]],
@@ -49,18 +51,29 @@ def write_doc(tmp_path: Path, doc) -> str:
     return str(path)
 
 
+# 30 pair hyperlinks inside K10 with table worth: no forest, and under
+# --cap-subsets 8 the planner refuses both games from the enumerators'
+# own lower bounds, before any set is grown
+DENSE_DOC = {
+    "players": list(range(10)),
+    "hyperlinks": [[i, j] for i in range(10) for j in range(i + 1, 10)][:30],
+    "characteristic": {"table": [{"coalition": list(range(10)), "worth": 1}]},
+}
+
+
 def refuse_every_route(monkeypatch, refuse) -> None:
-    """Make `refuse` the conference game's table, its connected-set and
-    disconnected-set listings and both weighted folds, on which every
-    value and identity runs."""
+    """Make `refuse` both games' tables, the growth of connected sets,
+    the disconnected-set listing and both weighted folds, on which every
+    value and identity runs; the enumerators' lower bounds still run."""
     for name in (
         "conference_table",
-        "connected_sets",
+        "_point_table",
         "disconnected_sets",
         "shapley_of_table",
         "shapley_of_pieces",
     ):
         monkeypatch.setattr(hypercoop.solutions, name, refuse)
+    monkeypatch.setattr(hypercoop.connectivity, "_grow", refuse)
 
 
 class TestParseRational:
@@ -451,28 +464,44 @@ class TestValueCommand:
         }
 
     def test_subset_cap_refuses_before_any_work(self, tmp_path, monkeypatch, capsys):
-        """A ring of 30 pair hyperlinks has only 871 connected hyperlink
-        sets, yet m = 30 over --cap-subsets still exits 3 before the
-        enumeration or any table runs."""
+        """A dense structure with table worth past --cap-subsets exits 3
+        under every rule with no table built and no connected set grown:
+        the enumerators' lower bounds pass the 2^cap/4 budget at once."""
         def refuse(*_args):
             raise AssertionError("a table or connected-set enumeration ran over the cap")
 
+        refuse_every_route(monkeypatch, refuse)
+        path = write_doc(tmp_path, DENSE_DOC)
+        for rule, count in (
+            ("position", "30 hyperlinks"), ("myerson", "10 players"), ("shapley", "10 players")
+        ):
+            assert main(["value", path, "--rule", rule, "--cap-subsets", "8"]) == 3
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {count} exceeds the subset cap 8\n")
+
+    def test_check_and_solve_axioms_refuse_a_dense_table_game_past_a_small_cap(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """`check` exits 3 with the subset cap's message from the planner,
+        and `solve-axioms` with the recursion cap's from the
+        reconstruction, which runs first; neither builds a table."""
+        def refuse(*_args):
+            raise AssertionError("a 2^m or 2^n table was built")
+
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "_point_table", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
-        monkeypatch.setattr(hypercoop.solutions, "disconnected_sets", refuse)
-        doc = {
-            "players": list(range(30)),
-            "hyperlinks": [[i, (i + 1) % 30] for i in range(30)],
-            "characteristic": {"unanimity": [0, 15]},
-        }
-        path = write_doc(tmp_path, doc)
-        for rule, elements in (("position", "hyperlinks"), ("myerson", "players")):
-            assert main(["value", path, "--rule", rule, "--cap-subsets", "29"]) == 3
+        path = write_doc(tmp_path, DENSE_DOC)
+        recursion = (
+            "30 hyperlinks form more than 4095 connected hyperlink sets: the recursion cap 12 admits at most 2^12 - 1"
+        )
+        for argv, message in (
+            (["check", "--axiom", "partial-balanced"], "30 hyperlinks exceeds the subset cap 8"),
+            (["check", "--axiom", "component-efficiency", "--rule", "myerson"], "10 players exceeds the subset cap 8"),
+            (["solve-axioms"], recursion),
+        ):
+            assert main([argv[0], path, *argv[1:], "--cap-subsets", "8"]) == 3
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == (
-                "", f"error: 30 {elements} exceeds the subset cap 29\n"
-            )
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_missing_file(self, capsys):
         assert main(["value", "no-such-file.json"]) == 2
@@ -589,21 +618,23 @@ class TestExpandCommand:
     def test_subset_cap_is_checked_before_the_conference_table(
         self, tmp_path, monkeypatch, capsys
     ):
-        """A path of 30 pair hyperlinks fits the state cap (60 copies) but
-        not the subset cap, which must refuse it before the 2^30
-        conference table is built."""
+        """30 pairs inside K10 fit the state cap (60 copies) but not the
+        subset cap, which must refuse them before the 2^30 conference
+        table is built.  A path of 30 pairs is a forest and answers."""
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
-        refuse_every_route(monkeypatch, refuse)
-        doc = {
+        path = write_doc(tmp_path, {
             "players": list(range(31)),
             "hyperlinks": [[i, i + 1] for i in range(30)],
             "characteristic": {"unanimity": [0, 30]},
-        }
-        path = write_doc(tmp_path, doc)
-        assert main(["expand", path]) == 3
-        assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
+        })
+        assert main(["expand", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("universe size 60") and out[-1] == "  player 30: 1/60"
+        refuse_every_route(monkeypatch, refuse)
+        assert main(["expand", write_doc(tmp_path, DENSE_DOC), "--cap-subsets", "8"]) == 3
+        assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 8\n"
 
     def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
         """`expand` refuses to list 24 million copies before any work, while
@@ -683,10 +714,11 @@ class TestVerifyCommand:
         assert "trivially PASS" in out
         assert out.splitlines()[-1] == "result: PASS"
 
-    def test_cap_exit_code(self, hub_path, capsys):
+    def test_cap_exit_code(self, tmp_path, hub_path, capsys):
         """The subset cap is `verify`'s only cap; a state cap is not an option."""
-        assert main(["verify", hub_path, "--theorem", "2", "--cap-subsets", "3"]) == 3
-        assert capsys.readouterr().err == "error: 4 hyperlinks exceeds the subset cap 3\n"
+        dense = write_doc(tmp_path, DENSE_DOC)
+        assert main(["verify", dense, "--theorem", "2", "--cap-subsets", "8"]) == 3
+        assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 8\n"
         assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "47"]) == 2
         assert "unrecognized arguments: --cap-states 47" in capsys.readouterr().err
 
@@ -698,29 +730,28 @@ class TestVerifyCommand:
             raise AssertionError("a table or fold ran over the subset cap")
 
         refuse_every_route(monkeypatch, refuse)
-        pairs = [[i, j] for i in range(10) for j in range(i + 1, 10)][:30]
-        doc = {
-            "players": list(range(10)),
-            "hyperlinks": pairs,
-            "characteristic": {"unanimity": [0, 1]},
-        }
-        path = write_doc(tmp_path, doc)
-        for theorem in ("1", "corollary1", "lemma1"):
-            assert main(["verify", path, "--theorem", theorem]) == 3
-            assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 24\n"
+        path = write_doc(tmp_path, DENSE_DOC)
+        for theorem in ("1", "2", "corollary1", "lemma1"):
+            assert main(["verify", path, "--theorem", theorem, "--cap-subsets", "8"]) == 3
+            assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 8\n"
 
     def test_lemma1_refuses_over_the_subset_cap_like_theorem_one(
         self, hub_path, monkeypatch, capsys
     ):
+        """The table game refuses at cap 1; the hub, a forest, answers."""
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
-        refuse_every_route(monkeypatch, refuse)
         for theorem in ("1", "lemma1"):
-            assert main(["verify", hub_path, "--theorem", theorem, "--cap-subsets", "1"]) == 3
+            assert main(["verify", hub_path, "--theorem", theorem, "--cap-subsets", "1"]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
+        refuse_every_route(monkeypatch, refuse)
+        table_game = str(GAMES_DIR / "table_mixed.json")
+        for theorem in ("1", "lemma1"):
+            assert main(["verify", table_game, "--theorem", theorem, "--cap-subsets", "1"]) == 3
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (
-                "", "error: 4 hyperlinks exceeds the subset cap 1\n"
+                "", "error: 2 hyperlinks exceeds the subset cap 1\n"
             )
 
     @pytest.mark.parametrize("decimals", [[], ["--decimals", "2"]])
@@ -790,21 +821,25 @@ class TestSolveAxiomsCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         """A 30-pair ring's 871 connected hyperlink sets are within the
-        recursion cap, but its 30 hyperlinks are over the subset cap of the
-        position value the reconstruction is checked against."""
+        recursion cap and its position value lists them at the default
+        subset cap.  The subset cap belongs to the position value's plan
+        alone: the reconstruction it is checked against runs first, and
+        a table game past the cap then exits 3 with nothing printed."""
         def refuse(*_args, **_kwargs):
-            raise AssertionError("the reconstruction ran over the subset cap")
+            raise AssertionError("a table was built over the subset cap")
 
-        monkeypatch.setattr(hypercoop.cli, "value_from_axioms", refuse)
         doc = {
             "players": list(range(30)),
             "hyperlinks": [[i, (i + 1) % 30] for i in range(30)],
             "characteristic": {"unanimity": [0, 15]},
         }
-        assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 3
+        assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 0
+        assert "matches the directly computed position value: yes" in capsys.readouterr().out
+        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        assert main(["solve-axioms", str(GAMES_DIR / "table_mixed.json"), "--cap-subsets", "1"]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
-            "", "error: 30 hyperlinks exceeds the subset cap 24\n"
+            "", "error: 2 hyperlinks exceeds the subset cap 1\n"
         )
 
     def test_the_recursion_cap_refuses_before_the_position_value(

@@ -53,7 +53,7 @@ from oracles import (
     uniform_by_fold,
 )
 from strategies import hypergraph_games, unanimity_combination_games
-from test_solutions import DENSE_SHAPES, ROUTES, ring, route
+from test_solutions import DENSE_SHAPES, ROUTES, as_table, ring, route
 
 F = Fraction
 
@@ -512,15 +512,16 @@ class TestAgentForm:
         assert agent_form_payoffs(hub) == agent_form_by_fold(hub, state_cap=10**30)
 
     def test_grouped_caps_come_before_the_table(self, hub, monkeypatch):
-        """The subset cap over the hyperlinks is checked before any worth
-        is read."""
+        """The subset cap over the hyperlinks refuses the table before any
+        worth is read; the hub, a forest, reads none and answers."""
         def refuse(*_args):
             raise AssertionError("the agent form read worths over a cap")
 
         monkeypatch.setattr(solutions, "conference_table", refuse)
         monkeypatch.setattr(solutions, "_read_worths", refuse)
+        assert grouped_agent_form(hub, cap=3) == position_value(hub)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
-            grouped_agent_form(hub, cap=3)
+            grouped_agent_form(as_table(hub), cap=3)
 
     def test_needs_a_hyperlink(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))

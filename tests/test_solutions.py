@@ -29,7 +29,7 @@ from hypercoop.model import (
     unanimity,
     weighted_unanimity,
 )
-from hypercoop.shapley import CapExceeded
+from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
 from hypercoop.solutions import (
     myerson_value,
     position_value,
@@ -148,10 +148,14 @@ class TestPosition:
         assert myerson_value(game) == {1: 0}
 
     def test_respects_the_cap(self, hub):
-        with pytest.raises(CapExceeded):
-            position_value(hub, cap=3)
-        with pytest.raises(CapExceeded):
-            myerson_value(hub, cap=5)
+        """Past the cap only a table is refused: the hub, a forest, answers,
+        and its table-worth copy overflows every listing's budget."""
+        assert position_value(hub, cap=3) == position_value(hub)
+        assert myerson_value(hub, cap=5) == myerson_value(hub)
+        with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
+            position_value(as_table(hub), cap=3)
+        with pytest.raises(CapExceeded, match="^6 players exceeds the subset cap 5$"):
+            myerson_value(as_table(hub), cap=5)
 
 
 def test_hyperlink_game_lives_on_hyperlinks(path3):
@@ -284,30 +288,35 @@ class TestBitmaskKernel:
         assert all(value[p] == 0 for p in game.players if p not in linked)
 
     def test_cap_is_checked_before_any_table(self, monkeypatch):
+        """30 pairs inside K10 with table worth, past a cap of 8: the
+        planner refuses each game from the enumerators' lower bounds, before
+        any worth is read or any set grown; position_value lists hyperlink
+        sets, so its cap counts hyperlinks.  A ring of 30 pairs lists its
+        871 connected hyperlink sets (and 871 player sets) and builds no
+        table at the default cap."""
         def refuse(*_args):
             raise AssertionError("a table was built over the cap")
 
         monkeypatch.setattr(solutions, "conference_table", refuse)
         monkeypatch.setattr(solutions, "_point_table", refuse)
-        monkeypatch.setattr(solutions, "scaled_worths", refuse)
-        monkeypatch.setattr(solutions, "connected_sets", refuse)
-        monkeypatch.setattr(solutions, "disconnected_sets", refuse)
-        monkeypatch.setattr(solutions, "hypergraph_pieces", refuse)
         players = range(30)
         links = [[i, (i + 1) % 30] for i in players]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
-        with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 24$"):
-            position_value(game)
-        with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 29$"):
-            myerson_value(game, cap=29)
-        with pytest.raises(CapExceeded, match="^30 players exceeds the subset cap 24$"):
-            shapley_value(game)
-        # position_value enumerates hyperlink sets, so its cap counts hyperlinks
+        # both ends of {0, 1} always meet, so the Myerson value is Shapley's
+        assert sum(position_value(game).values()) == 1
+        assert myerson_value(game) == shapley_value(game) == {p: F(p < 2, 2) for p in players}
+        for name in ("scaled_worths", "_read_worths", "disconnected_sets", "hypergraph_pieces"):
+            monkeypatch.setattr(solutions, name, refuse)
+        monkeypatch.setattr(connectivity, "_grow", refuse)
         few = range(10)
         pairs = list(itertools.combinations(few, 2))[:30]
-        dense = HypergraphGame(make_hypergraph(few, pairs), unanimity(few, [0, 1]))
-        with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 24$"):
-            position_value(dense)
+        dense = HypergraphGame(make_hypergraph(few, pairs), table_function(few, {frozenset(few): 1}))
+        with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 8$"):
+            position_value(dense, cap=8)
+        with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
+            myerson_value(dense, cap=8)
+        with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
+            shapley_value(dense, cap=8)
 
 
 def two_paths_game():
@@ -405,11 +414,13 @@ def route(name):
     every connected set, or every signed piece of a hypergraph's point
     game, whatever their number; "complement" lists every disconnected
     hyperlink set, whatever the number of players, and sends the Myerson
-    value to its table."""
-    def plan(game, point=False):
+    value to its table.  Only a table is refused past the subset cap, as
+    the planner refuses it."""
+    def plan(game, point=False, cap=DEFAULT_SUBSET_CAP):
         links = solutions._hyperlink_masks(game)
         n, m = len(game.players), len(links)
         if name == "table" or point and name == "complement":
+            require_subset_cap(n if point else m, cap, "players" if point else "hyperlinks")
             return "table", None, links
         if not point:
             lister = disconnected_sets if name == "complement" else connected_sets
@@ -813,8 +824,9 @@ class TestDeletionsInOnePass:
         assert position_values_without(game) == {}
 
     def test_respects_the_cap(self, hub):
+        assert position_values_without(hub, cap=3) == position_values_without(hub)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
-            position_values_without(hub, cap=3)
+            position_values_without(as_table(hub), cap=3)
 
 
 def random_forest(seed):
@@ -859,6 +871,72 @@ def values_and_identities(game):
         check_uniform_expansion(game, 2),
         check_copy_deletions(game),
     )
+
+
+class TestTheCapBoundsTheChosenRoute:
+    """The subset cap bounds what the planned route builds: listings get
+    2^min(size, cap)/4 entries, and only a table is refused past the cap."""
+
+    def test_a_thirty_pair_ring_at_the_default_caps(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a 2^m table was built")
+
+        monkeypatch.setattr(solutions, "conference_table", refuse)
+        game = ring(30)
+        route_name, listing, _ = solutions._plan(game)
+        assert (route_name, len(listing)) == ("sets", 871)
+        assert position_value(game) == value_from_axioms(game)
+
+    @pytest.mark.parametrize("cap, refused", [(11, True), (12, False)])
+    def test_the_listing_budget_at_its_boundary(self, cap, refused):
+        """871 connected hyperlink sets pass 2^11/4 = 512 but not
+        2^12/4 = 1024."""
+        if refused:
+            with pytest.raises(CapExceeded, match=f"^30 hyperlinks exceeds the subset cap {cap}$"):
+                position_value(ring(30), cap=cap)
+        else:
+            assert position_value(ring(30), cap=cap) == position_value(ring(30))
+
+    def test_ring3_myerson_at_the_default_cap(self, monkeypatch):
+        """u{N} pays 1/30 each.  1 and 4 are joined by the players 1..5 of
+        the first two hyperlinks, or by every player but 2 the other way
+        round, so 2·u{1,4} restricts to 2·(u{1..5} + u{N-2} - u{N})."""
+        def refuse(*_args):
+            raise AssertionError("a 2^n table was built")
+
+        monkeypatch.setattr(solutions, "_point_table", refuse)
+        game = ring3(15)
+        assert solutions._plan(game, point=True)[0] == "pieces"
+        expected = {p: F(2, 5) * (p <= 5) + F(2, 29) * (p != 2) - F(1, 30) for p in game.players}
+        assert myerson_value(game) == expected
+
+    def test_star_200_at_the_default_caps(self, monkeypatch):
+        """Each term pays c/|T| per member of T (Shapley), c/|B| per
+        player on T's Steiner tree B (Myerson), or c/|B| per hyperlink
+        of B split between its two members (position)."""
+        def refuse(*_args):
+            raise AssertionError("a 2^m or 2^n table was built, or a listing made")
+
+        for name in ("conference_table", "_point_table", "shapley_of_table", "connected_sets", "hypergraph_pieces"):
+            monkeypatch.setattr(solutions, name, refuse)
+        game = star(200)
+        leaf = {p: F(1, 201) for p in game.players}
+        shapley = {**leaf, **{p: 1 + F(1, 201) for p in (1, 2)}, **{p: F(-1, 9) + F(1, 201) for p in (3, 4, 5)}}
+        myerson = {
+            **leaf,
+            0: F(2, 3) - F(1, 12) + F(1, 201),
+            **{p: F(2, 3) + F(1, 201) for p in (1, 2)},
+            **{p: F(-1, 12) + F(1, 201) for p in (3, 4, 5)},
+        }
+        position = {
+            **{p: F(1, 400) for p in game.players},
+            0: 1 - F(1, 6) + F(1, 2),
+            **{p: F(1, 2) + F(1, 400) for p in (1, 2)},
+            **{p: F(-1, 18) + F(1, 400) for p in (3, 4, 5)},
+        }
+        assert shapley_value(game) == shapley
+        assert myerson_value(game) == myerson
+        assert position_value(game) == position
 
 
 class TestForestRoute:
