@@ -38,7 +38,7 @@ SEED = 5
 def census(label: str, games: list) -> list[str]:
     lines = [f"{label}: {len(games)} games"]
     for rule, point in (("position", False), ("myerson", True)):
-        counts = Counter(_plan(game, point)[0] for game in games)
+        counts = Counter(_plan(game, point=point)[0] for game in games)
         lines.append(f"  {rule}: " + ", ".join(f"{r} {counts[r]}" for r in ROUTES if counts[r]))
     return lines
 

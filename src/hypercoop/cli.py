@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive,
             default=DEFAULT_SUBSET_CAP,
             metavar="N",
-            help="list at most 2^N/4 sets; refuse tables over N elements",
+            help="list at most 2^c/4 · c/size sets, c = min(N, size); refuse tables over N elements",
         )
 
     p = sub.add_parser("value", help="compute an allocation rule")

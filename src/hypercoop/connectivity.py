@@ -67,16 +67,22 @@ def connected_sets(adjacency: list[int], limit: int) -> list[tuple[int, int]] | 
     Vertices are ranked by decreasing degree, ties by index, and each set
     is grown from its first-ranked vertex.  Each vertex v with its
     neighbours ranked after it spans 2^(their number) distinct sets, so
-    the sum L of those powers is a lower bound on the count: when
-    L > limit no set is grown at all; otherwise growth stops, and what it
-    built is dropped, as soon as the count passes `limit`.
+    the sum L of those powers is a lower bound on the count, and so is
+    2^|N(D) - D| for a connected set D, since every set between D and
+    D + N(D) is connected.  D starts at the first-ranked vertex and
+    takes, in rank order, each vertex of N(D) that brings two or more
+    new neighbours.  When a bound passes `limit` no set is grown at all;
+    otherwise growth stops, and what it built is dropped, as soon as the
+    count passes `limit`.
     """
     order = sorted(range(len(adjacency)), key=lambda v: -adjacency[v].bit_count())
-    bound, ranked = 0, 0
+    bound = ranked = piece = reach = 0
     for v in order:
         ranked |= 1 << v
         bound += 1 << (adjacency[v] & ~ranked).bit_count()
-    if bound > limit:
+        if not piece or reach >> v & 1 and (adjacency[v] & ~reach).bit_count() > 1:
+            piece, reach = piece | 1 << v, reach | adjacency[v] | 1 << v
+    if bound > limit or piece and 1 << (reach & ~piece).bit_count() > limit:
         return None
     found: list[tuple[int, int]] = []
     ranked = 0
@@ -116,13 +122,21 @@ def disconnected_sets(adjacency: list[int], limit: int) -> list[int] | None:
     Each is listed once, as C ∪ R: C is its component holding its lowest
     vertex i, grown like `_grow` over the vertices above i, and R any
     nonempty set of the vertices above i that C does not reach.  Growth
-    stops at a C that reaches them all.  The sets with C = {i}, and the
-    2^n - 1 - Σ_k (2^(n_k) - 1) sets that meet two or more components of
-    n_k vertices, are lower bounds on the count, checked before listing."""
+    stops at a C that reaches them all.  Three lower bounds on the count
+    are checked before listing: the sets with C = {i}; the sets with an
+    isolated vertex v, at least Σ_v (2^(n - |N[v]|) - 1) less the
+    2^(n - |N[u] + N[v]|) sets that isolate both of each pair u, v apart
+    (Bonferroni's inequality, summed over the pairs only when it could
+    pass the limit); and the 2^n - 1 - Σ_k (2^(n_k) - 1) sets that meet
+    two or more components of n_k vertices."""
     every = (1 << len(adjacency)) - 1
-    if sum((1 << (every & -(2 << i) & ~a).bit_count()) - 1 for i, a in enumerate(adjacency)) > limit:
+    lowest_alone = sum((1 << (every & -(2 << i) & ~a).bit_count()) - 1 for i, a in enumerate(adjacency))
+    closed = [a | 1 << v for v, a in enumerate(adjacency)]
+    alone = sum(every >> c.bit_count() for c in closed)
+    both = (every >> (c | d).bit_count() for v, c in enumerate(closed) for u, d in enumerate(closed[:v]) if not c >> u & 1)
+    if lowest_alone > limit or alone > limit and alone - sum(x + 1 for x in both) > limit:
         return None
-    parts = mask_components(every, [a | 1 << v for v, a in enumerate(adjacency)])
+    parts = mask_components(every, closed)
     if every - sum((1 << part.bit_count()) - 1 for part in parts) > limit:
         return None
     found: list[int] = []

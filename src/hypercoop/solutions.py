@@ -230,7 +230,7 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Shapley value of the point game, on the route `_plan` picks."""
     n = len(game.players)
-    route, listing, _ = _plan(game, True, cap)
+    route, listing, _ = _plan(game, point=True, cap=cap)
     if listing is None:
         table, scale = _point_table(game)
         return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
@@ -298,13 +298,15 @@ def _forest(game: HypergraphGame, links: list[int], point: bool) -> list | None:
     return listing
 
 
-def _plan(game: HypergraphGame, point=False, cap=DEFAULT_SUBSET_CAP) -> tuple[str, list | None, list[int]]:
+def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_CAP) -> tuple[str, list | None, list[int]]:
     """(route, listing, hyperlink masks) of the conference game, or with
     `point` of the point game, picked before any worth is read; the one
     use of the subset cap.  With n players and size m hyperlinks (n
     players with `point`), the first route that applies and whose
     enumerator, after its own lower bounds, lists no more than the limit
-    2^min(size, cap)/4:
+    2^c/4 · c/size, c = min(size, cap): 2^size/4 within the cap, and past
+    it 2^cap/4 entries' worth of cap-bit masks spread over size-bit ones,
+    so the cap bounds the bits a listing holds, not only its length:
 
     - "forest" (a characteristic with unanimity coefficients c_T, and an
       acyclic player–hyperlink incidence graph, Σ_e(|e|-1) = covered
@@ -326,7 +328,7 @@ def _plan(game: HypergraphGame, point=False, cap=DEFAULT_SUBSET_CAP) -> tuple[st
     if (trees := _forest(game, links, point)) is not None:
         return "forest", trees, links
     size = n if point else len(links)
-    limit = (1 << min(size, cap)) >> 2
+    limit = ((1 << min(size, cap)) >> 2) * min(size, cap) // max(size, 1)
     if not point:
         adjacency = _line_graph(links)
         if 1 << n <= limit and (apart := disconnected_sets(adjacency, limit)) is not None:
@@ -369,7 +371,7 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
     here.  Without j a listing keeps the pieces missing j, j cleared from
     their boundaries, and the table its masks without j's bit."""
     m = len(game.hyperlinks)
-    route, listing, links = _plan(game, False, cap)
+    route, listing, links = _plan(game, cap=cap)
     table = None
     if route == "forest":
         scale, pieces = _dividend_pieces(listing)

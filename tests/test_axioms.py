@@ -291,9 +291,9 @@ class TestGroupedIdentities:
         def spy(attribute):
             function = getattr(solutions, attribute)
 
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 built.append(attribute)
-                return function(*args)
+                return function(*args, **kwargs)
 
             return mock.patch.object(solutions, attribute, wrapped)
 
@@ -501,9 +501,9 @@ class TestPairReportsMatchTheRuleCalls:
         def spy(attribute):
             function = getattr(solutions, attribute)
 
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 built.append(attribute)
-                return function(*args)
+                return function(*args, **kwargs)
 
             return mock.patch.object(solutions, attribute, wrapped)
 

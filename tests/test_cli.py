@@ -817,7 +817,7 @@ class TestSolveAxiomsCommand:
         assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 0
         assert "matches the directly computed position value: yes" in capsys.readouterr().out
 
-    def test_the_subset_cap_refuses_before_the_reconstruction(
+    def test_a_table_game_past_the_subset_cap_exits_3_after_the_reconstruction(
         self, tmp_path, monkeypatch, capsys
     ):
         """A 30-pair ring's 871 connected hyperlink sets are within the
@@ -828,6 +828,12 @@ class TestSolveAxiomsCommand:
         def refuse(*_args, **_kwargs):
             raise AssertionError("a table was built over the subset cap")
 
+        solved = []
+
+        def reconstruction(*args, **kwargs):
+            solved.append(args[0])
+            return hypercoop.axioms.value_from_axioms(*args, **kwargs)
+
         doc = {
             "players": list(range(30)),
             "hyperlinks": [[i, (i + 1) % 30] for i in range(30)],
@@ -836,7 +842,9 @@ class TestSolveAxiomsCommand:
         assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 0
         assert "matches the directly computed position value: yes" in capsys.readouterr().out
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
+        monkeypatch.setattr(hypercoop.cli, "value_from_axioms", reconstruction)
         assert main(["solve-axioms", str(GAMES_DIR / "table_mixed.json"), "--cap-subsets", "1"]) == 3
+        assert len(solved) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: 2 hyperlinks exceeds the subset cap 1\n"

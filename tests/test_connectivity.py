@@ -195,6 +195,26 @@ def test_disconnected_sets_across_components_refuse_before_listing():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_sets_with_an_isolated_vertex_refuse_before_listing(monkeypatch):
+    """The line graph of 30 pairs inside K10 (K4 on 0..3 joined to 6
+    more players): the sets {i} ∪ R number 1,610,025, but the sets with
+    an isolated vertex, 6,340,578 less 94,467 that isolate two, already
+    pass 2^22, so the listing never starts."""
+    adjacency = k10_pairs(30)
+
+    def refuse(*_args):
+        raise AssertionError("the component bound or the listing was reached")
+
+    monkeypatch.setattr(connectivity, "mask_components", refuse)
+    assert disconnected_sets(adjacency, 1 << 22) is None
+
+
+def k10_pairs(m):
+    """The line graph of the first m pairs of K10 in lexicographic order."""
+    pairs = [1 << a | 1 << b for a, b in itertools.combinations(range(10), 2)][:m]
+    return [sum(1 << f for f, b in enumerate(pairs) if f != e and a & b) for e, a in enumerate(pairs)]
+
+
 def ring(n):
     return [1 << (v + 1) % n | 1 << (v - 1) % n for v in range(n)]
 
@@ -223,6 +243,17 @@ def test_the_degree_bound_refuses_without_growing(monkeypatch):
     assert len(connected_sets(complete, 63)) == 63
     assert len(connected_sets(star, 70)) == 70
     assert len(grown) == 13
+
+
+def test_a_dominating_set_refuses_without_growing(monkeypatch):
+    """In the line graph of 30 pairs inside K10 the degree bound is
+    144,305, but the pairs {0,1}, {0,2}, {0,3} touch all 30, so each of
+    the 2^27 sets holding them is connected."""
+    grown = []
+    monkeypatch.setattr(connectivity, "_grow", lambda *args: grown.append(args) or iter(()))
+    adjacency = k10_pairs(30)
+    assert connected_sets(adjacency, (1 << 27) - 1) is None
+    assert grown == []
 
 
 def test_growth_stops_once_the_limit_is_passed(monkeypatch):

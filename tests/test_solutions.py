@@ -875,7 +875,8 @@ def values_and_identities(game):
 
 class TestTheCapBoundsTheChosenRoute:
     """The subset cap bounds what the planned route builds: listings get
-    2^min(size, cap)/4 entries, and only a table is refused past the cap."""
+    2^c/4 · c/size entries, c = min(size, cap), and only a table is
+    refused past the cap."""
 
     def test_a_thirty_pair_ring_at_the_default_caps(self, monkeypatch):
         def refuse(*_args):
@@ -887,15 +888,32 @@ class TestTheCapBoundsTheChosenRoute:
         assert (route_name, len(listing)) == ("sets", 871)
         assert position_value(game) == value_from_axioms(game)
 
-    @pytest.mark.parametrize("cap, refused", [(11, True), (12, False)])
+    @pytest.mark.parametrize("cap, refused", [(12, True), (13, False)])
     def test_the_listing_budget_at_its_boundary(self, cap, refused):
-        """871 connected hyperlink sets pass 2^11/4 = 512 but not
-        2^12/4 = 1024."""
+        """871 connected hyperlink sets pass 2^12/4 · 12/30 = 409 but not
+        2^13/4 · 13/30 = 887."""
         if refused:
             with pytest.raises(CapExceeded, match=f"^30 hyperlinks exceeds the subset cap {cap}$"):
                 position_value(ring(30), cap=cap)
         else:
             assert position_value(ring(30), cap=cap) == position_value(ring(30))
+
+    def test_a_long_ring_is_refused_within_the_bits_budget(self, monkeypatch):
+        """ring(2000) has 3,998,001 connected hyperlink sets, under 2^22,
+        but each is a 2000-bit mask: the budget 2^22 · 24/2000 = 50,331
+        stops the growth long before."""
+        grown = []
+
+        def counted(*args):
+            for pair in original(*args):
+                grown.append(pair)
+                yield pair
+
+        original = connectivity._grow
+        monkeypatch.setattr(connectivity, "_grow", counted)
+        with pytest.raises(CapExceeded, match="^2000 hyperlinks exceeds the subset cap 24$"):
+            position_value(ring(2000))
+        assert len(grown) == (1 << 22) * 24 // 2000 + 1
 
     def test_ring3_myerson_at_the_default_cap(self, monkeypatch):
         """u{N} pays 1/30 each.  1 and 4 are joined by the players 1..5 of
@@ -983,7 +1001,7 @@ class TestForestRoute:
         tabled = [as_table(hub), as_table(random_forest(0)), *game_corpus(count=50)]
         for game in cyclic + tabled:
             for point in (False, True):
-                assert solutions._plan(game, point)[0] != "forest"
+                assert solutions._plan(game, point=point)[0] != "forest"
 
     def test_shapley_from_dividends_matches_the_table(self, monkeypatch):
         games = [random_forest(seed) for seed in range(40)] + [ring(8), DENSE_SHAPES[0]]
