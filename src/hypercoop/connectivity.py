@@ -174,14 +174,28 @@ def hypergraph_pieces(links: list[int], n: int, limit: int) -> list[tuple[int, i
     and dropped, and the product of (1 - [U ⊆ S]) over the other larger
     parts U expands into signed unions, with at least the term U = ∅.
     Every player, every hyperlink and every union of two hyperlinks that
-    meet is a connected set, so when twice their number passes `limit`
-    no set is grown at all.  Otherwise growth stops, and what it built is
-    dropped, as soon as the sets found, the terms made, one term for
-    each set found but not yet expanded, and the signed unions of the
-    set being expanded add up to more than `limit`.
+    meet is a connected set with at least the term U = ∅.  A member k of
+    a hyperlink e of three or more players, on no smaller hyperlink
+    inside e, gives the set {k} one more term, U = e∖{k} with sign -1:
+    that part misses {k}'s boundary, and no other part of {k} lies
+    inside it.  So when twice the number of those sets plus these terms
+    passes `limit`, the sets and terms pass it too and no set is grown
+    at all.  Otherwise growth stops, and what it built is dropped, as
+    soon as the sets found, the terms made, one term for each set found
+    but not yet expanded, and the signed unions of the set being
+    expanded add up to more than `limit`.
     """
     met = {e | f for k, e in enumerate(links) for f in links[k:] if e & f}
-    if 2 * (n + len(met)) > limit:
+    bound = 2 * (n + len(met))
+    if bound <= limit:
+        for e in links:
+            if e.bit_count() > 2:
+                inside = 0
+                for f in links:
+                    if f & e == f != e:
+                        inside |= f
+                bound += (e & ~inside).bit_count()
+    if bound > limit:
         return None
     start = [*links, *(1 << k for k in range(n)), *met.difference(links)]
     terms: list[tuple[int, int, int, int]] = []

@@ -27,7 +27,8 @@ over the connected sets P, so every route `_plan` picks pays the same:
   hyperlink, `connectivity.hypergraph_pieces` gives signed pieces;
 - complement (conference game only): v of the players on A's hyperlinks
   as pieces (∅, hyperlinks leaving Y) over the player sets Y, plus one
-  piece [S = A] per disconnected A;
+  piece [S = A] per disconnected A; their worths come straight from
+  unanimity coefficients, and from all 2^n player worths otherwise;
 - tables: W[mask] = v(piece holding the lowest bit) + W[mask without
   that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`;
   the conference table reads its worths first, once per covered player
@@ -78,7 +79,7 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
         # Adding the top bit to the rest of the mask brings in only the
         # hyperlinks whose highest member it is; the lowest bit's piece
         # grows only if one of them touches it, and then by a closure
-        # from the top bit.
+        # from the top bit, which stops once the piece fills the mask.
         top = 1 << (mask.bit_length() - 1)
         piece = pieces[mask ^ top] or top
         frontier = 0
@@ -87,7 +88,7 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
                 piece |= top
                 frontier = top
                 break
-        while frontier:
+        while frontier and piece != mask:
             low = frontier & -frontier
             frontier ^= low
             for e in incident[low]:
@@ -146,25 +147,45 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int])
     φ(Y) = Σ_{Z⊇Y} (-1)^|Z∖Y|·v(Z) over the player sets Y,
     v(M(A)) = Σ_Y φ(Y)·[A misses out(Y)], out(Y) being the hyperlinks with
     a member outside Y: one piece (∅, out(Y)) per distinct out(Y).  Each
-    A in `apart` is the piece (A, every other hyperlink), [S = A]."""
+    A in `apart` is the piece (A, every other hyperlink), [S = A].
+
+    Unanimity coefficients c_T give φ(N∖Y) = (-1)^|Y|·Σ_{T⊇Y} c_T, and
+    out(N∖Y) is the hyperlinks meeting Y, so each term adds its 2^|T|
+    signed (out, c_T) entries and only the disconnected sets' covers and
+    parts are read.  Other worths read all 2^n player sets and take φ
+    by n Möbius passes."""
     n, every = len(game.players), (1 << len(links)) - 1
-    scale, worth = _read_worths(game, range(1, 1 << n))
-    # one pass per player bit, after which that bit is rotated to the top
-    phi = [0, *(worth[z] for z in range(1, 1 << n))]
-    out = [0]
-    for k in range(n):
-        lower, upper = phi[0::2], phi[1::2]
-        phi = [*map(sub, lower, upper), *upper]
-        leaving = sum(1 << j for j, e in enumerate(links) if e >> k & 1)
-        out = [x | leaving for x in out] + out
+    leaving = [sum(1 << j for j, e in enumerate(links) if e >> k & 1) for k in range(n)]
+    parts = [(a, players, mask_components(players, [e for j, e in enumerate(links) if a >> j & 1]))
+             for a, players in _covered(links, apart).items()]
+    coefficients = game.characteristic.unanimity_coefficients()
+    if coefficients is None:
+        scale, worth = _read_worths(game, range(1, 1 << n))
+        # one pass per player bit, after which that bit is rotated to the top
+        phi = [0, *(worth[z] for z in range(1, 1 << n))]
+        out = [0]
+        for k in range(n):
+            lower, upper = phi[0::2], phi[1::2]
+            phi = [*map(sub, lower, upper), *upper]
+            out = [x | leaving[k] for x in out] + out
+        entries = zip(out, phi)
+    else:
+        scale, worth = _read_worths(game, {c for _, players, cs in parts for c in (players, *cs)})
+        index = {p: k for k, p in enumerate(game.players)}
+        entries = []
+        for support, c in coefficients.items():
+            out, signed = [0], [c.numerator * (scale // c.denominator)]
+            for p in support:
+                out += [x | leaving[index[p]] for x in out]
+                signed += [-f for f in signed]
+            entries += zip(out, signed)
     by_out: dict[int, int] = {}
-    for o, f in zip(out, phi):
+    for o, f in entries:
         if o and f:
             by_out[o] = by_out.get(o, 0) + f
     pieces = [(0, o, f) for o, f in by_out.items()]
-    for a, players in _covered(links, apart).items():
-        parts = mask_components(players, [e for j, e in enumerate(links) if a >> j & 1])
-        pieces.append((a, every ^ a, sum(worth[c] for c in parts) - worth[players]))
+    for a, players, cs in parts:
+        pieces.append((a, every ^ a, sum(worth[c] for c in cs) - worth[players]))
     return scale, pieces
 
 
@@ -316,7 +337,7 @@ def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_C
       them).  Table worths leave at the None check, and most cyclic
       structures at the sum Σ_e(|e|-1) >= covered players, before any
       component is found;
-    - "complement" (conference game, if its 2^n player worths are at
+    - "complement" (conference game, if its 2^n player sets are at
       most the limit): the disconnected hyperlink sets;
     - "sets": the (set, boundary) pairs of the connected sets of the line
       graph, or of the player graph when every hyperlink has two members;

@@ -240,8 +240,11 @@ class TestCopyDeletion:
     def test_every_hyperlink_at_once_lists_the_disconnected_sets_once(self):
         """2^7 player sets against 2^18/4: the route rule picks the
         complement route, whose disconnected hyperlink sets are listed
-        once and whose 2^7 - 1 player worths are read once for all 19
-        solves (the whole game and each deletion) of both sides."""
+        once and whose worths are read once for all 19 solves (the whole
+        game and each deletion) of both sides.  The worths are unanimity
+        coefficients, so the one read asks for the singletons and the
+        covers of the disconnected sets and of their parts: 27 player
+        sets, not the 2^7 - 1 a table would need."""
         game = self.eighteen_triples()
         listed, read = [], []
         apart, worths = solutions.disconnected_sets, solutions.scaled_worths
@@ -264,7 +267,7 @@ class TestCopyDeletion:
         ):
             reports = check_copy_deletions(game)
         assert listed == [1 << 16]
-        assert read == [(1 << 7) - 1]
+        assert read == [27]
         assert all(report.passed for report in reports.values())
 
 

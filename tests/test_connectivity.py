@@ -1,11 +1,12 @@
 import itertools
 import signal
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercoop import connectivity
-from hypercoop.connectivity import components, connected_sets, disconnected_sets
+from hypercoop.connectivity import components, connected_sets, disconnected_sets, hypergraph_pieces
 from hypercoop.corpus import connected_coalitions
 from hypercoop.model import make_hypergraph
 
@@ -273,3 +274,48 @@ def test_growth_stops_once_the_limit_is_passed(monkeypatch):
     assert connected_sets(path, 16) is None
     assert len(yielded) == 17
     assert len(connected_sets(path, 21)) == 21
+
+
+def closure_spy(yielded):
+    """`connectivity._closure`, patched to record each set it yields."""
+    original = connectivity._closure
+
+    def spied(*args):
+        for found in original(*args):
+            yielded.append(found[0])
+            yield found
+
+    return mock.patch.object(connectivity, "_closure", spied)
+
+
+def test_the_singletons_terms_refuse_without_growing():
+    """Eleven 3- and 4-member hyperlinks on 9 players, a game of the
+    dense benchmark workload: its 9 players and 44 unions of hyperlinks
+    that meet give 106 sets and terms, within 2^9/4 = 128, and the 34
+    members of hyperlinks on no smaller hyperlink inside them add a
+    singleton's term each, so nothing is grown.  The full listing has
+    350 sets and terms."""
+    members = [[0, 1, 6, 7], [0, 2, 8], [0, 4, 5], [0, 4, 8], [0, 5, 8], [0, 7, 8],
+               [1, 3, 7], [1, 3, 8], [2, 5, 8], [2, 6, 7], [3, 4, 8]]
+    links = [sum(1 << k for k in e) for e in members]
+    yielded = []
+    with closure_spy(yielded):
+        assert hypergraph_pieces(links, 9, 128) is None
+        assert hypergraph_pieces(links, 9, 139) is None
+    assert yielded == []
+    terms = hypergraph_pieces(links, 9, 350)
+    assert len({t[0] for t in terms}) + len(terms) == 350
+
+
+@given(hypergraphs(max_players=7, max_links=7, max_link_size=4))
+def test_at_a_limit_of_the_sets_and_terms_there_are_growth_starts(h):
+    """The bounds checked before growth never pass the number of sets
+    and terms, so they refuse only inputs that growth would refuse."""
+    bit = {p: 1 << k for k, p in enumerate(h.players)}
+    links = [sum(bit[p] for p in e) for e in h.hyperlinks]
+    n = len(h.players)
+    terms = hypergraph_pieces(links, n, 1 << (n + len(links) + 1))
+    yielded = []
+    with closure_spy(yielded):
+        hypergraph_pieces(links, n, len({t[0] for t in terms}) + len(terms))
+    assert yielded

@@ -629,10 +629,10 @@ class TestRouting:
             assert sum(value(game).values()) == game.worth(game.players)
 
     def test_no_disconnected_sets_are_listed_past_the_player_gate(self, monkeypatch):
-        """The complement route reads all 2^n player worths, so with
-        2^n > 2^m/4 the plan lists no disconnected hyperlink set: a ring
-        of 12 pairs (2^12 player sets against 2^12/4) lists its connected
-        sets."""
+        """The complement route is gated on the 2^n player sets (table
+        worths are read on all of them), so with 2^n > 2^m/4 the plan
+        lists no disconnected hyperlink set: a ring of 12 pairs (2^12
+        player sets against 2^12/4) lists its connected sets."""
         with route("table"):
             expected = position_value(ring(12))
 
@@ -827,6 +827,60 @@ class TestDeletionsInOnePass:
         assert position_values_without(hub, cap=3) == position_values_without(hub)
         with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
             position_values_without(as_table(hub), cap=3)
+
+
+def dividend_game(seed):
+    """A seeded unanimity game on the complement route: 6-8 players, the
+    last on no hyperlink, and n + 2 to n + 4 distinct 3-member hyperlinks
+    on the others.  Its terms hold N, a support with the last player,
+    the covered players, two random supports, and two more supports
+    whose coefficients c and -c cancel in v(N)."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 8)
+    players = list(range(n))
+    links = rng.sample(list(itertools.combinations(players[:-1], 3)), n + rng.randint(2, 4))
+
+    def coefficient():
+        return F(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 6))
+
+    c = coefficient()
+    supports = [players, [0, n - 1], players[:-1], *(rng.sample(players, rng.randint(2, n)) for _ in range(4))]
+    terms = [(t, coefficient()) for t in supports[:-2]] + [(supports[-2], c), (supports[-1], -c)]
+    return HypergraphGame(make_hypergraph(players, links), weighted_unanimity(players, terms))
+
+
+class TestComplementFromDividends:
+    """Unanimity coefficients give the complement route its φ directly,
+    and its table twin takes φ from the 2^n worths: both give the same
+    position value, deletions and identities."""
+
+    @pytest.mark.parametrize(
+        "game",
+        [*DENSE_SHAPES, *map(dividend_game, range(12))],
+        ids=[f"dense{k}" for k in range(len(DENSE_SHAPES))] + [f"seed{k}" for k in range(12)],
+    )
+    def test_the_dividends_equal_the_table_twin(self, game):
+        twin = as_table(game)
+        assert solutions._plan(game)[0] == solutions._plan(twin)[0] == "complement"
+        assert values_and_identities(game) == values_and_identities(twin)
+
+    def test_a_dividend_game_never_reads_every_player_set(self):
+        read = []
+        worths = solutions.scaled_worths
+
+        def counted_read(cf, players, coalitions):
+            read.append(len(coalitions))
+            return worths(cf, players, coalitions)
+
+        for game in (DENSE_SHAPES[0], DENSE_SHAPES[2], dividend_game(0)):
+            every = (1 << len(game.players)) - 1
+            with mock.patch.object(solutions, "scaled_worths", counted_read):
+                position_value(game)
+                assert read and max(read) < every
+                read.clear()
+                position_value(as_table(game))
+                assert read == [every]
+                read.clear()
 
 
 def random_forest(seed):
