@@ -7,7 +7,6 @@ All arithmetic is `fractions.Fraction`; nothing returns a float.
 """
 
 from .axioms import (
-    DEFAULT_RECURSION_CAP,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "CharacteristicFunction",
-    "DEFAULT_RECURSION_CAP",
     "DEFAULT_SUBSET_CAP",
     "HypergraphGame",
     "agent_form_payoffs",

@@ -6,8 +6,9 @@ partial-balanced-contributions equations in closed form, one
 hyperlink-smaller situation at a time, with one row per connected
 hyperlink set (component efficiency splits every other set into
 connected pieces), on integer numerators over one common denominator;
-see `value_from_axioms`.  Its recursion cap N admits up to 2^N - 1
-connected hyperlink sets.
+see `value_from_axioms`.  The subset cap N bounds it as it bounds a
+table: at most 2^N row entries, L·m·n for L connected sets of m
+hyperlinks on n players.
 
 The axiom checkers take an allocation *rule* — a callable mapping a
 hypergraph game to an Allocation — so the same checkers exercise the
@@ -54,8 +55,6 @@ from .solutions import (
     _rows,
     _shapley,
 )
-
-DEFAULT_RECURSION_CAP = 12
 
 Rule = Callable[[HypergraphGame], Allocation]
 
@@ -233,7 +232,7 @@ def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT
     return _report(label, game.players, *_identity_sides(game, k, cap)())
 
 
-def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) -> Allocation:
+def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Reconstruct the unique allocation rule satisfying component
     efficiency plus partial balanced conference contributions.
 
@@ -266,20 +265,25 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_RECURSION_CAP) ->
     worth.  A division that leaves a remainder raises ArithmeticError
     naming the set's mask; nothing is rounded.
 
-    The cap N refuses a structure with more than 2^N - 1 connected
-    hyperlink sets, the most that N hyperlinks can form, before any row
-    is solved.
+    The subset cap N prices the reconstruction as it prices a table, in
+    entries: L connected sets of m hyperlinks on n players give rows of
+    n numerators for up to L·(m+1) situations, about L·m·n entries, so
+    more than 2^N // (m·n) sets are refused before any row is solved.
+    Past N = m + bit_length(m·n) that limit exceeds the 2^m - 1 sets m
+    hyperlinks can form, so N is clamped there first.
     """
     players = game.players
     n = len(players)
     m = len(game.hyperlinks)
     links = _hyperlink_masks(game)
-    adjacency, limit = _line_graph(links), (1 << cap) - 1
+    entries = max(m * n, 1)
+    limit = (1 << min(cap, m + entries.bit_length())) // entries
+    adjacency = _line_graph(links)
     sets = connected_sets(adjacency, limit)
     if sets is None:
         raise CapExceeded(
-            f"{m} hyperlinks form more than {limit} connected hyperlink sets: "
-            f"the recursion cap {cap} admits at most 2^{cap} - 1"
+            f"{m} hyperlinks on {n} players form more than {limit} connected hyperlink sets: "
+            f"the subset cap {cap} admits 2^{cap} row entries (sets·hyperlinks·players)"
         )
     covered = _covered(links, (s for s, _ in sets))
     members = {s: [k for k in range(n) if c >> k & 1] for s, c in covered.items()}

@@ -38,7 +38,6 @@ from typing import Callable
 
 from . import jsonout
 from .axioms import (
-    DEFAULT_RECURSION_CAP,
     Report,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
@@ -489,7 +488,7 @@ def handle_verify(args) -> Result:
 
 def handle_solve_axioms(args) -> Result:
     game = _load(args)
-    solved = value_from_axioms(game, cap=args.cap_recursion)
+    solved = value_from_axioms(game, cap=args.cap_subsets)
     direct = position_value(game, cap=args.cap_subsets)
     match = solved == direct
 
@@ -517,10 +516,15 @@ _HANDLERS = {
 }
 
 
-def _nonnegative(text: str) -> int:
+# `--decimals` prints up to this many fraction digits: the most that
+# str() gives an int under the interpreter's default limit on digits.
+MAX_DECIMALS = 4300
+
+
+def _decimals(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not 0 <= value <= MAX_DECIMALS:
+        raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_DECIMALS}")
     return value
 
 
@@ -544,19 +548,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument(
             "--decimals",
-            type=_nonnegative,
+            type=_decimals,
             default=None,
             metavar="N",
-            help="also show decimal approximations to N places (table format only)",
+            help=f"also show decimal approximations to N <= {MAX_DECIMALS} places (table format only)",
         )
 
-    def cap_subsets(p):
+    def cap_subsets(p, also=""):
         p.add_argument(
             "--cap-subsets",
             type=_positive,
             default=DEFAULT_SUBSET_CAP,
             metavar="N",
-            help="list at most 2^c/4 · c/size sets, c = min(N, size); refuse tables over N elements",
+            help="list at most 2^c/4 · c/size sets, c = min(N, size); refuse tables over N elements" + also,
         )
 
     p = sub.add_parser("value", help="compute an allocation rule")
@@ -611,15 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconstruct the allocation from its axioms and cross-check it",
     )
     common(p)
-    p.add_argument(
-        "--cap-recursion",
-        type=_positive,
-        default=DEFAULT_RECURSION_CAP,
-        metavar="N",
-        help="refuse axiom reconstructions over more than 2^N - 1 connected "
-        "hyperlink sets, the most that N hyperlinks can form",
-    )
-    cap_subsets(p)
+    cap_subsets(p, " and axiom reconstructions over 2^N row entries (connected sets·hyperlinks·players)")
 
     parser.commands = sub.choices
     return parser

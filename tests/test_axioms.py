@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hypercoop.axioms
+import hypercoop.connectivity
 from hypercoop import solutions
 from hypercoop.axioms import (
     Report,
@@ -24,6 +25,7 @@ from hypercoop.axioms import (
     value_from_axioms,
 )
 from hypercoop.cli import _rule_for, game_to_document, main, parse_game
+from hypercoop.connectivity import components
 from hypercoop.corpus import game_corpus
 from hypercoop.expansion import agent_form_payoffs, expansion_payoffs, grouped_position
 from hypercoop.model import (
@@ -60,6 +62,16 @@ STRUCTURES = {
     "pieces": ["_plan"],
     "complement": ["_plan"],
 }
+
+
+def ladder(k):
+    """The 2×k grid: players 0..2k-1 in rows 0..k-1 and k..2k-1, pair
+    hyperlinks along each row and across, worth 3/2·u{0, 2k-1} + u{N}."""
+    players = list(range(2 * k))
+    links = [[i, i + 1] for row in (0, k) for i in range(row, row + k - 1)]
+    links += [[i, k + i] for i in range(k)]
+    cf = weighted_unanimity(players, [([0, 2 * k - 1], F(3, 2)), (players, 1)])
+    return HypergraphGame(make_hypergraph(players, links), cf)
 
 
 def equal_split(game):
@@ -318,7 +330,7 @@ class TestValueFromAxioms:
     def test_hub(self, hub):
         assert value_from_axioms(hub) == position_value(hub)
 
-    def test_recursion_cap(self):
+    def test_the_subset_cap_bounds_the_reconstruction(self):
         players = list(range(1, 7))
         links = [[1, p] for p in range(2, 7)] + [[2, p] for p in range(3, 7)] + [
             [3, p] for p in range(4, 7)
@@ -327,30 +339,85 @@ class TestValueFromAxioms:
         game = HypergraphGame(
             make_hypergraph(players, links), table_function(players, {})
         )
-        with pytest.raises(CapExceeded, match="recursion cap"):
-            value_from_axioms(game, cap=11)
+        with pytest.raises(CapExceeded, match="the subset cap 18 admits"):
+            value_from_axioms(game, cap=18)
 
     def test_the_cap_error_names_the_limit(self):
-        """The 12 pair hyperlinks above form 3,798 connected sets: refused
-        at cap 11 (at most 2,047), admitted at cap 12 (at most 4,095)."""
+        """The 12 pair hyperlinks above form 3,798 connected sets, so
+        3,798·12·6 = 273,456 row entries: refused at cap 18 (2^18 admits
+        at most 3,640 sets), admitted at cap 19."""
         players = list(range(1, 7))
         links = [[i, p] for i in (1, 2, 3) for p in range(i + 1, 7)]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [1, 4, 6]))
         message = (
-            "^12 hyperlinks form more than 2047 connected hyperlink sets: "
-            r"the recursion cap 11 admits at most 2\^11 - 1$"
+            "^12 hyperlinks on 6 players form more than 3640 connected hyperlink sets: "
+            r"the subset cap 18 admits 2\^18 row entries \(sets·hyperlinks·players\)$"
         )
         with pytest.raises(CapExceeded, match=message):
-            value_from_axioms(game, cap=11)
+            value_from_axioms(game, cap=18)
+        assert value_from_axioms(game, cap=19) == value_from_axioms(game) == position_value(game)
+
+    def test_the_cap_counts_row_entries(self):
+        # a 4-ring has 4·3 + 1 = 13 connected hyperlink sets of 4 hyperlinks
+        # on 4 players, 208 row entries; a 13-ring has 157·13·13 = 26,533,
+        # far below the 2^24 of the default cap
+        with pytest.raises(CapExceeded, match="^4 hyperlinks on 4 players form more than 8 "):
+            value_from_axioms(ring(4), cap=7)
+        assert value_from_axioms(ring(4), cap=8) == position_value(ring(4))
+        assert value_from_axioms(ring(13)) == position_value(ring(13))
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            [[1, 2, 3, 4]],  # 1 set · 1 · 4 = 2^2 entries
+            [[1, 2], [3, 4]],  # 2 sets · 2 · 4 = 2^4
+            [[1, 2], [2, 3]],  # 3 sets · 2 · 3 = 18
+            [[1, 4], [2, 5], [3, 6], [4, 5, 6]],  # the hub: 11 sets · 4 · 6 = 264
+            [[1, 2], [2, 3], [3, 4], [4, 1]],  # the 4-ring: 208
+        ],
+    )
+    def test_refused_exactly_past_2_to_the_cap_entries(self, links):
+        """value_from_axioms refuses exactly when L·m·n > 2^cap, L the
+        connected hyperlink sets, counted here by brute force."""
+        players = sorted({p for e in links for p in e})
+        game = HypergraphGame(make_hypergraph(players, links), unanimity(players, players))
+        connected = sum(
+            len(components(set().union(*chosen), chosen)) == 1
+            for r in range(1, len(links) + 1)
+            for chosen in itertools.combinations(map(frozenset, links), r)
+        )
+        entries = connected * len(links) * len(players)
+        for cap in range(1, entries.bit_length() + 2):
+            if entries > 1 << cap:
+                with pytest.raises(CapExceeded):
+                    value_from_axioms(game, cap=cap)
+            else:
+                assert value_from_axioms(game, cap=cap) == position_value(game)
+
+    def test_the_2x6_ladder_answers_at_the_default_cap(self):
+        """16 pair hyperlinks on 12 players form 11,293 connected sets,
+        more than 2^12 - 1, in 2,168,256 row entries, fewer than 2^24."""
+        game = ladder(6)
         assert value_from_axioms(game) == position_value(game)
 
-    def test_the_cap_counts_connected_sets_not_hyperlinks(self):
-        # a 4-ring has 4·3 + 1 = 13 connected hyperlink sets; a 13-ring
-        # has 157, far below the 4,095 that cap 12 admits
-        with pytest.raises(CapExceeded, match="^4 hyperlinks form more than 7 "):
-            value_from_axioms(ring(4), cap=3)
-        assert value_from_axioms(ring(4), cap=4) == position_value(ring(4))
-        assert value_from_axioms(ring(13)) == position_value(ring(13))
+    def test_wide_hyperlinks_are_refused_before_any_row_is_solved(self, monkeypatch):
+        """12 hyperlinks of player 0 and 100 private players each: 4,095
+        connected sets on 1,201 players pass 2^24 entries by the listing's
+        own lower bound, before any set is grown or worth read."""
+        def refuse(*_args):
+            raise AssertionError("a connected set was grown or a worth read")
+
+        monkeypatch.setattr(hypercoop.connectivity, "_grow", refuse)
+        monkeypatch.setattr(hypercoop.axioms, "_read_worths", refuse)
+        players = list(range(1201))
+        links = [[0, *range(1 + 100 * j, 101 + 100 * j)] for j in range(12)]
+        game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
+        message = (
+            "^12 hyperlinks on 1201 players form more than 1164 connected hyperlink sets: "
+            r"the subset cap 24 admits 2\^24 row entries"
+        )
+        with pytest.raises(CapExceeded, match=message):
+            value_from_axioms(game)
 
     @pytest.mark.parametrize("n", [20, 24])
     def test_rings_past_the_mask_rows(self, n):

@@ -483,21 +483,22 @@ class TestValueCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         """`check` exits 3 with the subset cap's message from the planner,
-        and `solve-axioms` with the recursion cap's from the
-        reconstruction, which runs first; neither builds a table."""
+        and `solve-axioms` with its message from the reconstruction,
+        which runs first; neither builds a table."""
         def refuse(*_args):
             raise AssertionError("a 2^m or 2^n table was built")
 
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "_point_table", refuse)
         path = write_doc(tmp_path, DENSE_DOC)
-        recursion = (
-            "30 hyperlinks form more than 4095 connected hyperlink sets: the recursion cap 12 admits at most 2^12 - 1"
+        reconstruction = (
+            "30 hyperlinks on 10 players form more than 0 connected hyperlink sets: "
+            "the subset cap 8 admits 2^8 row entries (sets·hyperlinks·players)"
         )
         for argv, message in (
             (["check", "--axiom", "partial-balanced"], "30 hyperlinks exceeds the subset cap 8"),
             (["check", "--axiom", "component-efficiency", "--rule", "myerson"], "10 players exceeds the subset cap 8"),
-            (["solve-axioms"], recursion),
+            (["solve-axioms"], reconstruction),
         ):
             assert main([argv[0], path, *argv[1:], "--cap-subsets", "8"]) == 3
             captured = capsys.readouterr()
@@ -808,7 +809,8 @@ class TestSolveAxiomsCommand:
         assert payload["payoffs"]["1"] == "1/8"
 
     def test_a_24_pair_ring_passes_at_the_default_caps(self, tmp_path, capsys):
-        """553 connected hyperlink sets, within the 4,095 of cap 12."""
+        """553 connected hyperlink sets, 553·24·24 = 318,528 row entries,
+        within the 2^24 of the default cap."""
         doc = {
             "players": list(range(24)),
             "hyperlinks": [[i, (i + 1) % 24] for i in range(24)],
@@ -817,45 +819,45 @@ class TestSolveAxiomsCommand:
         assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 0
         assert "matches the directly computed position value: yes" in capsys.readouterr().out
 
-    def test_a_table_game_past_the_subset_cap_exits_3_after_the_reconstruction(
+    def test_the_subset_cap_refuses_the_reconstruction_before_the_position_value(
         self, tmp_path, monkeypatch, capsys
     ):
-        """A 30-pair ring's 871 connected hyperlink sets are within the
-        recursion cap and its position value lists them at the default
-        subset cap.  The subset cap belongs to the position value's plan
-        alone: the reconstruction it is checked against runs first, and
-        a table game past the cap then exits 3 with nothing printed."""
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("a table was built over the subset cap")
-
+        """A 30-pair ring's 871 connected hyperlink sets hold 871·30·30 =
+        783,900 row entries: past 2^19, within 2^20.  The reconstruction
+        runs first, so under --cap-subsets 19 it exits 3 with nothing
+        printed and the position value unsolved."""
         solved = []
 
-        def reconstruction(*args, **kwargs):
+        def position(*args, **kwargs):
             solved.append(args[0])
-            return hypercoop.axioms.value_from_axioms(*args, **kwargs)
+            return hypercoop.solutions.position_value(*args, **kwargs)
 
+        monkeypatch.setattr(hypercoop.cli, "position_value", position)
         doc = {
             "players": list(range(30)),
             "hyperlinks": [[i, (i + 1) % 30] for i in range(30)],
             "characteristic": {"unanimity": [0, 15]},
         }
-        assert main(["solve-axioms", write_doc(tmp_path, doc)]) == 0
+        path = write_doc(tmp_path, doc)
+        assert main(["solve-axioms", path, "--cap-subsets", "20"]) == 0
         assert "matches the directly computed position value: yes" in capsys.readouterr().out
-        monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
-        monkeypatch.setattr(hypercoop.cli, "value_from_axioms", reconstruction)
-        assert main(["solve-axioms", str(GAMES_DIR / "table_mixed.json"), "--cap-subsets", "1"]) == 3
+        assert len(solved) == 1
+        assert main(["solve-axioms", path, "--cap-subsets", "19"]) == 3
         assert len(solved) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
-            "", "error: 2 hyperlinks exceeds the subset cap 1\n"
+            "",
+            "error: 30 hyperlinks on 30 players form more than 582 connected hyperlink sets: "
+            "the subset cap 19 admits 2^19 row entries (sets·hyperlinks·players)\n",
         )
 
-    def test_the_recursion_cap_refuses_before_the_position_value(
+    def test_a_pair_star_past_the_default_cap_is_refused_before_the_position_value(
         self, tmp_path, monkeypatch, capsys
     ):
-        """Every hyperlink set of a 20-spoke pair star is connected, so it
-        is within the subset cap but over the recursion cap; with table
-        worth the position value would fill a 2^20 table."""
+        """Every hyperlink set of a 20-spoke pair star is connected:
+        2^20 - 1 sets, past the 39,945 that 2^24 row entries admit on 20
+        hyperlinks and 21 players; with table worth the position value
+        would fill a 2^20 table."""
         def refuse(*_args, **_kwargs):
             raise AssertionError("the position value was solved")
 
@@ -869,16 +871,25 @@ class TestSolveAxiomsCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "",
-            "error: 20 hyperlinks form more than 4095 connected hyperlink sets: "
-            "the recursion cap 12 admits at most 2^12 - 1\n",
+            "error: 20 hyperlinks on 21 players form more than 39945 connected hyperlink sets: "
+            "the subset cap 24 admits 2^24 row entries (sets·hyperlinks·players)\n",
         )
 
     def test_the_cap_error_names_the_limit(self, hub_path, capsys):
-        assert main(["solve-axioms", hub_path, "--cap-recursion", "2"]) == 3
+        """The hub's 11 connected sets of 4 hyperlinks on 6 players hold
+        264 row entries: past 2^8, within 2^9."""
+        assert main(["solve-axioms", hub_path, "--cap-subsets", "8"]) == 3
         assert capsys.readouterr().err == (
-            "error: 4 hyperlinks form more than 3 connected hyperlink sets: "
-            "the recursion cap 2 admits at most 2^2 - 1\n"
+            "error: 4 hyperlinks on 6 players form more than 10 connected hyperlink sets: "
+            "the subset cap 8 admits 2^8 row entries (sets·hyperlinks·players)\n"
         )
+        assert main(["solve-axioms", hub_path, "--cap-subsets", "9"]) == 0
+
+    def test_a_huge_cap_answers(self, hub_path, capsys):
+        assert main(["solve-axioms", hub_path, "--cap-subsets", "100000000000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "matches the directly computed position value: yes" in captured.out
 
 
 class TestArgumentHandling:
@@ -897,6 +908,17 @@ class TestArgumentHandling:
 
     def test_negative_decimals_rejected(self, hub_path):
         assert main(["value", hub_path, "--decimals", "-1"]) == 2
+
+    @pytest.mark.parametrize("decimals", ["4301", "100000000000"])
+    def test_too_many_decimals_rejected(self, hub_path, capsys, decimals):
+        assert main(["value", hub_path, "--decimals", decimals]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --decimals: must be between 0 and 4300\n")
+
+    def test_the_most_decimals_are_printed(self, hub_path, capsys):
+        assert main(["value", hub_path, "--decimals", "4300"]) == 0
+        assert "player 1: 1/8 ≈ 0.125" + "0" * 4297 + "\n" in capsys.readouterr().out
 
     def test_nonpositive_k_rejected(self, hub_path):
         assert main(["expand", hub_path, "--k", "0"]) == 2

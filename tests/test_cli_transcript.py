@@ -35,7 +35,7 @@ COMMANDS = [
         for axiom in ("component-efficiency", "balanced-link", "balanced-conference", "partial-balanced")
     ),
     ["solve-axioms"],
-    ["solve-axioms", "--cap-recursion", "2"],
+    ["solve-axioms", "--cap-subsets", "2"],
     ["expand", "--k", "1"],
     ["expand", "--k", "2"],
     *(["verify", "--theorem", t] for t in ("1", "corollary1", "lemma1")),
