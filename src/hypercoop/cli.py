@@ -522,14 +522,20 @@ MAX_DECIMALS = 4300
 
 
 def _decimals(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer between 0 and {MAX_DECIMALS}") from None
     if not 0 <= value <= MAX_DECIMALS:
         raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_DECIMALS}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a positive integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value

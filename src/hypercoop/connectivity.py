@@ -9,7 +9,8 @@ boundary, or refuses once there are more than a limit; the
 restricted-game values use it on the line graph of the hyperlinks and on
 a player graph of pairs, and `disconnected_sets` the other vertex sets.
 `hypergraph_pieces` lists the connected player sets of a hypergraph with
-hyperlinks of any size.
+hyperlinks of any size, each with the signed terms `piece_terms` gives
+one set.
 """
 
 from __future__ import annotations
@@ -199,41 +200,55 @@ def hypergraph_pieces(links: list[int], n: int, limit: int) -> list[tuple[int, i
         return None
     start = [*links, *(1 << k for k in range(n)), *met.difference(links)]
     terms: list[tuple[int, int, int, int]] = []
-    for popped, (piece, boundary, larger, found) in enumerate(_closure(links, start)):
+    for popped, (piece, parts, found) in enumerate(_closure(links, start)):
         # each of the found - popped - 1 sets still to come has a term
-        floor = 2 * found - popped - 1 + len(terms)
-        signed = {0: 1}
-        for u in larger:
-            if not u & boundary:
-                for union, sign in list(signed.items()):
-                    signed[union | u] = signed.get(union | u, 0) - sign
-                if floor + len(signed) > limit:
-                    return None
-        if floor + len(signed) > limit:
+        made = piece_terms(piece, parts, limit - (2 * found - popped - 1 + len(terms)))
+        if made is None:
             return None
-        terms += [(piece, piece | union, boundary, sign) for union, sign in signed.items() if sign]
+        terms += made
     return terms
+
+
+def piece_terms(piece: int, parts, room: int) -> list[tuple[int, int, int, int]] | None:
+    """The (P, members, boundary, sign) terms of `hypergraph_pieces` for
+    one connected player set P = `piece`, from the parts e∖P of the
+    hyperlinks e leaving it (in any order, repeats allowed); None when
+    its signed unions would be more than `room`.  The one-player parts
+    are joined in the boundary mask, and the product of (1 - [U ⊆ S])
+    over the larger parts U that miss it expands into signed unions."""
+    boundary, larger = 0, set()
+    for rest in parts:
+        if rest & (rest - 1):
+            larger.add(rest)
+        else:
+            boundary |= rest
+    signed = {0: 1}
+    for u in larger:
+        if not u & boundary:
+            for union, sign in list(signed.items()):
+                signed[union | u] = signed.get(union | u, 0) - sign
+            if len(signed) > room:
+                return None
+    if len(signed) > room:
+        return None
+    return [(piece, piece | union, boundary, sign) for union, sign in signed.items() if sign]
 
 
 def _closure(links: list[int], start: list[int]):
     """Yield each connected player set P grown from the distinct
-    connected sets `start` exactly once, as (P, boundary, larger parts,
-    sets found so far): of the parts e∖P of the hyperlinks e leaving P,
-    the one-player parts are joined in the boundary mask and the others
-    kept in a set.  A set grows by each hyperlink leaving it, so starting
-    from every player and every hyperlink reaches every connected set."""
+    connected sets `start` exactly once, as (P, the parts e∖P of the
+    hyperlinks e leaving P, sets found so far).  A set grows by each
+    hyperlink leaving it, so starting from every player and every
+    hyperlink reaches every connected set."""
     queue = list(start)
     seen = set(queue)
     for piece in queue:
-        boundary, larger = 0, set()
+        parts = []
         for e in links:
             rest = e & ~piece
             if rest and rest != e:
-                if rest & (rest - 1):
-                    larger.add(rest)
-                else:
-                    boundary |= rest
+                parts.append(rest)
                 if piece | e not in seen:
                     seen.add(piece | e)
                     queue.append(piece | e)
-        yield piece, boundary, larger, len(seen)
+        yield piece, parts, len(seen)

@@ -29,6 +29,12 @@ over the connected sets P, so every route `_plan` picks pays the same:
   as pieces (∅, hyperlinks leaving Y) over the player sets Y, plus one
   piece [S = A] per disconnected A; their worths come straight from
   unanimity coefficients, and from all 2^n player worths otherwise;
+- support (table worths): only the connected sets with a nonzero entry
+  v(C) pay, so each entry lists its own pieces, priced before any is
+  listed: C's own signed terms in the point game, and in the conference
+  game every hyperlink set P inside C that covers and connects C, with
+  boundary the other hyperlinks meeting C; `shapley_value` reads each
+  entry as the piece [S = C];
 - tables: W[mask] = v(piece holding the lowest bit) + W[mask without
   that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`;
   the conference table reads its worths first, once per covered player
@@ -52,12 +58,13 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import sub
 
-from .connectivity import connected_sets, disconnected_sets, hypergraph_pieces, mask_components
+from .connectivity import connected_sets, disconnected_sets, hypergraph_pieces, mask_components, piece_terms
 from .model import (
     Allocation,
     Hyperlink,
     HypergraphGame,
     PlayerId,
+    TableFunction,
     scaled_worths,
 )
 from .shapley import (
@@ -103,10 +110,15 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
     return table, scale
 
 
+def _masks(game: HypergraphGame, sets) -> list[int]:
+    """The player mask of each player set in `sets`."""
+    bit = {p: 1 << k for k, p in enumerate(game.players)}.__getitem__
+    return [sum(map(bit, s)) for s in sets]
+
+
 def _hyperlink_masks(game: HypergraphGame) -> list[int]:
     """Each hyperlink's player mask."""
-    bit = {p: 1 << k for k, p in enumerate(game.players)}
-    return [sum(bit[p] for p in e) for e in game.hyperlinks]
+    return _masks(game, game.hyperlinks)
 
 
 def _line_graph(links: list[int]) -> list[int]:
@@ -232,20 +244,25 @@ def _dividend_pieces(listing) -> tuple[int, list[tuple[int, int, int]]]:
 
 def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Shapley value of the characteristic function; the hypergraph plays
-    no part.  Unanimity coefficients c_T pay c_T/|T| to each member of T
-    without a table."""
-    n = len(game.players)
-    coefficients = game.characteristic.unanimity_coefficients()
+    no part.  Unanimity coefficients c_T pay c_T/|T| to each member of T,
+    and a table's entries v(C) are the pieces [S = C], both without a
+    2^n table or a cap."""
+    n, cf = len(game.players), game.characteristic
+    coefficients = cf.unanimity_coefficients()
     if coefficients is not None:
-        bit = {p: 1 << k for k, p in enumerate(game.players)}
-        scale, pieces = _dividend_pieces([(sum(bit[p] for p in t), c) for t, c in coefficients.items()])
-        return _allocation(game.players, shapley_of_pieces(n, pieces), factorial(n) * scale)
-    require_subset_cap(n, cap, "players")
-    scale, worth = scaled_worths(game.characteristic, game.players, range(1 << n))
-    table = [worth[mask] for mask in range(1 << n)]
-    if table[0] != 0:
-        raise ValueError("worth of the empty coalition must be 0")
-    return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
+        scale, pieces = _dividend_pieces(list(zip(_masks(game, coefficients), coefficients.values())))
+    elif isinstance(cf, TableFunction):
+        every = (1 << n) - 1
+        scale, worth = scaled_worths(cf, game.players, _masks(game, cf.entries))
+        pieces = [(c, every ^ c, w) for c, w in worth.items()]
+    else:
+        require_subset_cap(n, cap, "players")
+        scale, worth = scaled_worths(cf, game.players, range(1 << n))
+        table = [worth[mask] for mask in range(1 << n)]
+        if table[0] != 0:
+            raise ValueError("worth of the empty coalition must be 0")
+        return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
+    return _allocation(game.players, shapley_of_pieces(n, pieces), factorial(n) * scale)
 
 
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
@@ -307,15 +324,108 @@ def _forest(game: HypergraphGame, links: list[int], point: bool) -> list | None:
         for k in members:
             adjacent[k].append(n + j)
         adjacent.append(members)
-    bit = {p: 1 << k for k, p in enumerate(game.players)}
     listing = []
-    for support, c in coefficients.items():
-        t = sum(bit[p] for p in support)
+    for t, c in zip(_masks(game, coefficients), coefficients.values()):
         if any(t & part == t for part in parts):
             listing.append((_steiner(adjacent, n, t), c))
     if point:
         covers = _covered(links, (b for b, _ in listing))
         listing = [(covers[b], c) for b, c in listing]
+    return listing
+
+
+def _joins(links: list[int], c: int, p: int) -> bool:
+    """Whether the hyperlinks in the mask p, all inside the player mask
+    c, cover and connect it: the piece of c's lowest player grows by
+    every hyperlink of p it meets until it fills c or stops growing."""
+    piece, rest = c & -c, p
+    while piece != c:
+        grown, todo = piece, rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            e = links[low.bit_length() - 1]
+            if e & grown:
+                grown |= e
+                rest ^= low
+        if grown == piece:
+            return False
+        piece = grown
+    return True
+
+
+def _spanning(links: list[int], c: int, inside: int, slack: int) -> list[int]:
+    """Every hyperlink set P within `inside` that `_joins` c, `slack`
+    being Σ_{e∈inside}(|e|-1) - (|c|-1).  Sets are reached from `inside`
+    by removing hyperlinks in index order, and a removal that uncovers or
+    disconnects c ends that branch, since every set below it fails too;
+    so does one that costs more than the slack left, since a connected
+    cover of c keeps Σ(|e|-1) >= |c|-1."""
+    if not _joins(links, c, inside):
+        return []
+    found = []
+    stack = [(inside, inside, slack)]
+    while stack:
+        p, removable, slack = stack.pop()
+        found.append(p)
+        while removable:
+            low = removable & -removable
+            removable ^= low
+            cost = links[low.bit_length() - 1].bit_count() - 1
+            if cost <= slack and _joins(links, c, p ^ low):
+                stack.append((p ^ low, removable, slack - cost))
+    return found
+
+
+def _support(links: list[int], entries: list[int], point: bool, limit: int) -> list | None:
+    """The listing of `_plan`'s support route over the player masks
+    `entries` of the nonzero worths, or None when it would pass `limit`.
+
+    One pass over the hyperlinks splits those meeting an entry C into
+    H[C], the ones inside it, and out(C), the ones leaving it.  With
+    k = Σ_{e∈H[C]}(|e|-1) - (|C|-1), no set of H[C] connects C when
+    k < 0, and one that does misses at most k of H[C].  The point game
+    lists C's own `piece_terms` when H[C] connects C.  The conference
+    game prices every entry first, at Σ_{i<=k} C(|H[C]|, i) sets, and
+    only when the sum fits lists each P of `_spanning` as the triple
+    (P, (H[C]∖P) ∪ out(C), C)."""
+    listing, priced, price = [], [], 0
+    costs = [(1 << j, e, e.bit_count() - 1) for j, e in enumerate(links)]
+    # the largest entries price highest, so a table that does not fit
+    # is found out after few of them
+    for c in sorted(entries, key=int.bit_count, reverse=True):
+        inside = out = excess = 0
+        outside = ~c
+        for bit, e, cost in costs:
+            if e & c:
+                if e & outside:
+                    out |= bit
+                else:
+                    inside |= bit
+                    excess += cost
+        slack = excess - c.bit_count() + 1
+        if slack < 0:
+            continue
+        if point:
+            if _joins(links, c, inside):
+                parts = [e & ~c for bit, e, _ in costs if out & bit]
+                terms = piece_terms(c, parts, limit - len(listing))
+                if terms is None:
+                    return None
+                listing += terms
+            continue
+        # Σ_{i<=k} C(h, i), each term from the last
+        h = inside.bit_count()
+        ways = term = 1
+        for i in range(1, min(slack, h) + 1):
+            term = term * (h - i + 1) // i
+            ways += term
+        price += ways
+        if price > limit:
+            return None
+        priced.append((c, inside, out, slack))
+    for c, inside, out, slack in priced:
+        listing += [(p, inside ^ p | out, c) for p in _spanning(links, c, inside, slack)]
     return listing
 
 
@@ -339,6 +449,13 @@ def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_C
       component is found;
     - "complement" (conference game, if its 2^n player sets are at
       most the limit): the disconnected hyperlink sets;
+    - "support" (table worths with at most `limit` entries): `_support`,
+      the pieces of each nonzero entry alone: for the conference game
+      the (set, boundary) pairs of "sets" with the entry each set covers,
+      and for the point game in the listing format of "pieces".
+      The conference game's entries are priced at Σ_{i<=k} C(|H[C]|, i)
+      spanning sets each before any is listed, and the point game's terms
+      counted as they are made, against the limit;
     - "sets": the (set, boundary) pairs of the connected sets of the line
       graph, or of the player graph when every hyperlink has two members;
     - "pieces" (point game, a larger hyperlink): the signed terms of
@@ -350,11 +467,14 @@ def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_C
         return "forest", trees, links
     size = n if point else len(links)
     limit = ((1 << min(size, cap)) >> 2) * min(size, cap) // max(size, 1)
+    if not point and 1 << n <= limit and (apart := disconnected_sets(_line_graph(links), limit)) is not None:
+        return "complement", apart, links
+    cf = game.characteristic
+    if isinstance(cf, TableFunction) and len(cf.entries) <= limit:
+        if (listing := _support(links, _masks(game, cf.entries), point, limit)) is not None:
+            return "support", listing, links
     if not point:
-        adjacency = _line_graph(links)
-        if 1 << n <= limit and (apart := disconnected_sets(adjacency, limit)) is not None:
-            return "complement", apart, links
-        route, listing = "sets", connected_sets(adjacency, limit)
+        route, listing = "sets", connected_sets(_line_graph(links), limit)
     elif all(len(e) == 2 for e in game.hyperlinks):
         partners = [0] * n
         for e in links:
@@ -402,6 +522,9 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
         covered = _covered(links, (s for s, _ in listing))
         scale, worth = _read_worths(game, covered.values())
         pieces = [(s, b, worth[covered[s]]) for s, b in listing]
+    elif route == "support":
+        scale, worth = _read_worths(game, {c for _, _, c in listing})
+        pieces = [(s, b, worth[c]) for s, b, c in listing]
     else:
         table, scale = conference_table(game)
 

@@ -61,6 +61,7 @@ STRUCTURES = {
     "table": ["_plan", "conference_table"],
     "pieces": ["_plan"],
     "complement": ["_plan"],
+    "support": ["_plan"],
 }
 
 

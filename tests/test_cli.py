@@ -51,24 +51,30 @@ def write_doc(tmp_path: Path, doc) -> str:
     return str(path)
 
 
-# 30 pair hyperlinks inside K10 with table worth: no forest, and under
-# --cap-subsets 8 the planner refuses both games from the enumerators'
-# own lower bounds, before any set is grown
+# 30 pair hyperlinks inside K10 with table worth on N: no forest, and
+# under --cap-subsets 8 the planner prices the conference game's spanning
+# sets of N out and refuses it from the enumerators' own lower bounds,
+# before any set is grown; the point game lists N's one piece
 DENSE_DOC = {
     "players": list(range(10)),
     "hyperlinks": [[i, j] for i in range(10) for j in range(i + 1, 10)][:30],
     "characteristic": {"table": [{"coalition": list(range(10)), "worth": 1}]},
 }
+# the same pairs with unanimity worth on N: the planner refuses the point
+# game too, from the lower bounds of its connected player sets
+DENSE_UNANIMITY_DOC = dict(DENSE_DOC, characteristic={"unanimity": list(range(10))})
 
 
 def refuse_every_route(monkeypatch, refuse) -> None:
     """Make `refuse` both games' tables, the growth of connected sets,
-    the disconnected-set listing and both weighted folds, on which every
-    value and identity runs; the enumerators' lower bounds still run."""
+    the disconnected-set and spanning-set listings and both weighted
+    folds, on which every value and identity runs; the enumerators' lower
+    bounds and the pricing of table entries still run."""
     for name in (
         "conference_table",
         "_point_table",
         "disconnected_sets",
+        "_spanning",
         "shapley_of_table",
         "shapley_of_pieces",
     ):
@@ -464,18 +470,22 @@ class TestValueCommand:
         }
 
     def test_subset_cap_refuses_before_any_work(self, tmp_path, monkeypatch, capsys):
-        """A dense structure with table worth past --cap-subsets exits 3
-        under every rule with no table built and no connected set grown:
-        the enumerators' lower bounds pass the 2^cap/4 budget at once."""
+        """A dense structure past --cap-subsets exits 3 with no table
+        built and no set listed or grown: the position value on table
+        worth, whose spanning sets are priced past the 2^cap/4 budget,
+        and the Myerson value on unanimity worth, whose connected sets
+        pass it by the enumerators' lower bounds.  The table's one entry
+        gives the Myerson and Shapley values without a table."""
         def refuse(*_args):
             raise AssertionError("a table or connected-set enumeration ran over the cap")
 
-        refuse_every_route(monkeypatch, refuse)
         path = write_doc(tmp_path, DENSE_DOC)
-        for rule, count in (
-            ("position", "30 hyperlinks"), ("myerson", "10 players"), ("shapley", "10 players")
-        ):
-            assert main(["value", path, "--rule", rule, "--cap-subsets", "8"]) == 3
+        for rule in ("myerson", "shapley"):
+            assert main(["value", path, "--rule", rule, "--cap-subsets", "8", "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["payoffs"] == {str(p): "1/10" for p in range(10)}
+        refuse_every_route(monkeypatch, refuse)
+        for doc, rule, count in ((DENSE_DOC, "position", "30 hyperlinks"), (DENSE_UNANIMITY_DOC, "myerson", "10 players")):
+            assert main(["value", write_doc(tmp_path, doc), "--rule", rule, "--cap-subsets", "8"]) == 3
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {count} exceeds the subset cap 8\n")
 
@@ -484,23 +494,27 @@ class TestValueCommand:
     ):
         """`check` exits 3 with the subset cap's message from the planner,
         and `solve-axioms` with its message from the reconstruction,
-        which runs first; neither builds a table."""
+        which runs first; neither builds a table.  The Myerson check
+        reads the table's one entry and passes; on unanimity worth it is
+        refused."""
         def refuse(*_args):
             raise AssertionError("a 2^m or 2^n table was built")
 
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "_point_table", refuse)
-        path = write_doc(tmp_path, DENSE_DOC)
+        myerson = ["check", "--axiom", "component-efficiency", "--rule", "myerson", "--cap-subsets", "8"]
+        assert main([myerson[0], write_doc(tmp_path, DENSE_DOC), *myerson[1:]]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("result: PASS")
         reconstruction = (
             "30 hyperlinks on 10 players form more than 0 connected hyperlink sets: "
             "the subset cap 8 admits 2^8 row entries (sets·hyperlinks·players)"
         )
-        for argv, message in (
-            (["check", "--axiom", "partial-balanced"], "30 hyperlinks exceeds the subset cap 8"),
-            (["check", "--axiom", "component-efficiency", "--rule", "myerson"], "10 players exceeds the subset cap 8"),
-            (["solve-axioms"], reconstruction),
+        for doc, argv, message in (
+            (DENSE_DOC, ["check", "--axiom", "partial-balanced"], "30 hyperlinks exceeds the subset cap 8"),
+            (DENSE_UNANIMITY_DOC, myerson[:-2], "10 players exceeds the subset cap 8"),
+            (DENSE_DOC, ["solve-axioms"], reconstruction),
         ):
-            assert main([argv[0], path, *argv[1:], "--cap-subsets", "8"]) == 3
+            assert main([argv[0], write_doc(tmp_path, doc), *argv[1:], "--cap-subsets", "8"]) == 3
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
@@ -915,6 +929,20 @@ class TestArgumentHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: argument --decimals: must be between 0 and 4300\n")
+
+    @pytest.mark.parametrize(
+        "option, text, message",
+        [
+            ("--decimals", "1e5", "must be an integer between 0 and 4300"),
+            ("--cap-subsets", "x", "must be a positive integer"),
+            ("--cap-subsets", "1.5", "must be a positive integer"),
+        ],
+    )
+    def test_a_malformed_integer_says_what_the_option_takes(self, hub_path, capsys, option, text, message):
+        assert main(["value", hub_path, option, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: {message}\n")
 
     def test_the_most_decimals_are_printed(self, hub_path, capsys):
         assert main(["value", hub_path, "--decimals", "4300"]) == 0

@@ -376,13 +376,13 @@ def assert_the_routes_agree(game: HypergraphGame, ks=(1, 2, 3)) -> None:
     for name in ROUTES:
         with route(name):
             sides.append(expansion_sides(game, ks))
-    assert sides[1] == sides[0]
-    assert sides[2] == sides[0]
+    assert all(side == sides[0] for side in sides[1:])
 
 
-class TestTheThreeRoutes:
-    """The connected-set and complement routes of the completion-weighted
-    sum equal the table route exactly, the keys in the same order."""
+class TestEveryRoute:
+    """The connected-set, complement and support routes of the
+    completion-weighted sum equal the table route exactly, the keys in
+    the same order."""
 
     def test_the_corpus(self):
         for game in game_corpus(count=200):

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from hypercoop import connectivity, solutions
 from hypercoop.axioms import check_copy_deletions, check_uniform_expansion, value_from_axioms
@@ -25,6 +25,7 @@ from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
     make_hypergraph,
+    scaled_worths,
     table_function,
     unanimity,
     weighted_unanimity,
@@ -288,10 +289,14 @@ class TestBitmaskKernel:
         assert all(value[p] == 0 for p in game.players if p not in linked)
 
     def test_cap_is_checked_before_any_table(self, monkeypatch):
-        """30 pairs inside K10 with table worth, past a cap of 8: the
-        planner refuses each game from the enumerators' lower bounds, before
-        any worth is read or any set grown; position_value lists hyperlink
-        sets, so its cap counts hyperlinks.  A ring of 30 pairs lists its
+        """30 pairs inside K10 past a cap of 8: with table worth on N the
+        planner prices the conference game's spanning sets of N out, and
+        with unanimity worth on N it refuses the point game from the
+        enumerators' lower bounds, before any worth is read or any set
+        grown; position_value lists hyperlink sets, so its cap counts
+        hyperlinks.  The table's one entry still gives the Myerson and
+        Shapley values, and a characteristic read coalition by coalition
+        is refused the 2^10 Shapley table.  A ring of 30 pairs lists its
         871 connected hyperlink sets (and 871 player sets) and builds no
         table at the default cap."""
         def refuse(*_args):
@@ -305,18 +310,20 @@ class TestBitmaskKernel:
         # both ends of {0, 1} always meet, so the Myerson value is Shapley's
         assert sum(position_value(game).values()) == 1
         assert myerson_value(game) == shapley_value(game) == {p: F(p < 2, 2) for p in players}
-        for name in ("scaled_worths", "_read_worths", "disconnected_sets", "hypergraph_pieces"):
-            monkeypatch.setattr(solutions, name, refuse)
-        monkeypatch.setattr(connectivity, "_grow", refuse)
         few = range(10)
         pairs = list(itertools.combinations(few, 2))[:30]
         dense = HypergraphGame(make_hypergraph(few, pairs), table_function(few, {frozenset(few): 1}))
+        # the pairs connect N, so [S = N] is both the game and its point game
+        assert myerson_value(dense, cap=8) == shapley_value(dense, cap=8) == {p: F(1, 10) for p in few}
+        for name in ("scaled_worths", "_read_worths", "disconnected_sets", "hypergraph_pieces", "_spanning"):
+            monkeypatch.setattr(solutions, name, refuse)
+        monkeypatch.setattr(connectivity, "_grow", refuse)
         with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 8$"):
             position_value(dense, cap=8)
         with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
-            myerson_value(dense, cap=8)
+            myerson_value(HypergraphGame(dense.hypergraph, unanimity(few, few)), cap=8)
         with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
-            shapley_value(dense, cap=8)
+            shapley_value(HypergraphGame(dense.hypergraph, CountingWorth(frozenset(few))), cap=8)
 
 
 def two_paths_game():
@@ -404,7 +411,14 @@ class TestConferenceTable:
 GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json"))
 
 
-ROUTES = ("table", "pieces", "complement")
+ROUTES = ("table", "pieces", "complement", "support")
+
+
+def nonzero_coalitions(game):
+    """The player mask of every coalition whose worth is not zero."""
+    n = len(game.players)
+    _, worth = scaled_worths(game.characteristic, game.players, range(1, 1 << n))
+    return [c for c, w in worth.items() if w]
 
 
 @contextlib.contextmanager
@@ -414,14 +428,18 @@ def route(name):
     every connected set, or every signed piece of a hypergraph's point
     game, whatever their number; "complement" lists every disconnected
     hyperlink set, whatever the number of players, and sends the Myerson
-    value to its table.  Only a table is refused past the subset cap, as
-    the planner refuses it."""
+    value to its table; "support" lists the pieces of every coalition
+    with a nonzero worth, whatever the characteristic and whatever their
+    number.  Only a table is refused past the subset cap, as the planner
+    refuses it."""
     def plan(game, point=False, cap=DEFAULT_SUBSET_CAP):
         links = solutions._hyperlink_masks(game)
         n, m = len(game.players), len(links)
         if name == "table" or point and name == "complement":
             require_subset_cap(n if point else m, cap, "players" if point else "hyperlinks")
             return "table", None, links
+        if name == "support":
+            return "support", solutions._support(links, nonzero_coalitions(game), point, 1 << (n + m + 1)), links
         if not point:
             lister = disconnected_sets if name == "complement" else connected_sets
             listing = lister(solutions._line_graph(links), 1 << m)
@@ -438,7 +456,7 @@ def route(name):
 def myerson_on_route(game, name):
     """`myerson_value(game)` under `route(name)`, asserting that the point
     game took that route: its table on "table" and "complement", and a
-    listing, never the table, on "pieces"."""
+    listing, never the table, on "pieces" and "support"."""
     tables = []
     build = solutions._point_table
 
@@ -448,7 +466,7 @@ def myerson_on_route(game, name):
 
     with route(name), mock.patch.object(solutions, "_point_table", spied):
         value = myerson_value(game)
-    assert len(tables) == (name != "pieces")
+    assert len(tables) == (name not in ("pieces", "support"))
     return value
 
 
@@ -458,8 +476,7 @@ def assert_the_routes_agree(game):
         with route(name):
             values.append((position_value(game), position_values_without(game)))
         values[-1] += (myerson_on_route(game, name),)
-    assert values[1] == values[0]
-    assert values[2] == values[0]
+    assert all(value == values[0] for value in values[1:])
 
 
 def ring(n):
@@ -668,7 +685,10 @@ class TestRouting:
         """A path of 6 pair hyperlinks has a line graph P6, and a path of 6
         players is P6 itself: degree bound 12 against the limit 2^6/4 = 16,
         yet 21 connected sets, so growth starts and then gives way.  The
-        worths are a table, since a path with unanimity worth is a forest."""
+        worths are a table, since a path with unanimity worth is a forest,
+        and one with more entries than the limit, which is not read from
+        its entries: 32 on 7 players, and on 6 players the 24 coalitions
+        holding {1, 6} or {1, 2}."""
         yielded, tables = [], []
         grow = connectivity._grow
         conference, point = solutions.conference_table, solutions._point_table
@@ -691,7 +711,10 @@ class TestRouting:
         assert position_value(game) == position_oracle(game)
         assert len(yielded) == 17 and tables == ["conference_table"]
         yielded.clear()
-        game = as_table(path_game(5))
+        players = range(1, 7)
+        cf = weighted_unanimity(players, [([1, 6], 1), ([1, 2], 1)])
+        game = as_table(HypergraphGame(path_game(5).hypergraph, cf))
+        assert len(game.characteristic.entries) == 24
         assert myerson_value(game) == shapley_by_subsets(point_game(game))
         assert len(yielded) == 17 and tables == ["conference_table", "_point_table"]
 
@@ -764,8 +787,10 @@ class TestRouting:
 
 def assert_deletions_match(game) -> str:
     """`position_values_without` equals the position value of each game
-    without one hyperlink, keys in order; returns the route it took."""
-    built = []
+    without one hyperlink, keys in order; returns the route it took, a
+    connected-set listing counting as "pieces"."""
+    built, planned = [], []
+    plan = solutions._plan
 
     def spy(name):
         build = getattr(solutions, name)
@@ -776,24 +801,32 @@ def assert_deletions_match(game) -> str:
 
         return mock.patch.object(solutions, name, spied)
 
-    with spy("conference_table"), spy("_complement_pieces"):
+    def spied_plan(*args, **kwargs):
+        planned.append(plan(*args, **kwargs))
+        return planned[-1]
+
+    with spy("conference_table"), spy("_complement_pieces"), mock.patch.object(solutions, "_plan", spied_plan):
         deleted = position_values_without(game)
     assert list(deleted) == list(game.hyperlinks)
     for e, payoffs in deleted.items():
         expected = position_value(game.without_hyperlink(e))
         assert payoffs == expected
         assert list(payoffs) == list(expected)
-    return {"conference_table": "table", "_complement_pieces": "complement"}.get(
-        "".join(built), "pieces"
-    )
+    [(name, _, _)] = planned
+    assert built == {"table": ["conference_table"], "complement": ["_complement_pieces"]}.get(name, [])
+    return {"sets": "pieces"}.get(name, name)
 
 
 class TestDeletionsInOnePass:
     def test_the_corpus_the_hub_and_rings_take_both_routes(self, hub):
-        """The hub's worths are a table here, since with its unanimity
-        worth it takes the forest route."""
+        """The corpus's table worths are read from their entries where
+        the spanning sets fit the budget, and take the table elsewhere.
+        The hub's worths are a table here, since with its unanimity worth
+        it takes the forest route: 57 entries pass 2^4/4, so it takes the
+        table."""
         corpus = {assert_deletions_match(game) for game in game_corpus(count=200)}
-        assert corpus | {assert_deletions_match(as_table(hub))} == {"table"}
+        assert corpus == {"support", "table"}
+        assert assert_deletions_match(as_table(hub)) == "table"
         assert {assert_deletions_match(ring(n)) for n in (12, 20)} == {"pieces"}
 
     @pytest.mark.parametrize("path", GAMES, ids=lambda p: p.name)
@@ -1081,3 +1114,87 @@ class TestForestRoute:
         # the spokes outside every support are alike, and 1 and 2 are too
         payoffs = position_value(game, cap=61)
         assert len({payoffs[p] for p in range(6, 61)}) == 1 and payoffs[1] == payoffs[2]
+
+
+def table_star(m):
+    """Players 0..m, pair hyperlinks {0, i}, table worth (i mod 3 + 1)/2
+    on each spoke {0, i} and -1/3 on {0, i, i + 1} for odd i."""
+    players = list(range(m + 1))
+    entries = {frozenset({0, i}): F(i % 3 + 1, 2) for i in players[1:]}
+    entries.update({frozenset({0, i, i + 1}): F(-1, 3) for i in players[1:m:2]})
+    return HypergraphGame(make_hypergraph(players, [[0, i] for i in players[1:]]), table_function(players, entries))
+
+
+class TestSupportRoute:
+    """Table worths read from their entries: each nonzero entry C lists
+    the pieces of C alone."""
+
+    @given(hypergraph_games(max_players=6, max_links=6))
+    def test_table_games_agree_with_the_table_route(self, game):
+        assume(game.hyperlinks)
+        with route("table"):
+            expected = values_and_identities(game), myerson_value(game)
+        with route("support"):
+            assert (values_and_identities(game), myerson_value(game)) == expected
+
+    def test_a_disconnected_or_uncovered_entry_lists_nothing(self):
+        """A triangle on 0, 1, 2 and the pair {3, 4}: both player sets
+        below have k = 0, the first in two parts and the second with
+        player 5 on no hyperlink.  The triangle alone has k = 1: every
+        two of its hyperlinks connect it, so it lists 1 + 3 sets at the
+        price C(3, 0) + C(3, 1) = 4, and one piece in the point game."""
+        links = [0b11, 0b110, 0b101, 0b11000]
+        for point in (False, True):
+            for entry in (0b11111, 0b100111):
+                assert solutions._support(links, [entry], point, 1 << 10) == []
+        assert solutions._support(links, [0b111], False, 3) is None
+        assert sorted(solutions._support(links, [0b111], False, 4)) == [
+            (0b011, 0b100, 0b111), (0b101, 0b010, 0b111), (0b110, 0b001, 0b111), (0b111, 0, 0b111)
+        ]
+        assert solutions._support(links, [0b111], True, 4) == [(0b111, 0b111, 0, 1)]
+
+    def test_k10_pairs_are_priced_out_before_any_spanning_set(self, monkeypatch):
+        """30 pairs inside K10 with table worth on N: removing any k = 21
+        of N's 30 pairs may leave it connected, and Σ_{i<=21} C(30, i) is
+        past both limits, so no hyperlink set is tried."""
+        def refuse(*_args):
+            raise AssertionError("a spanning set was built")
+
+        priced = []
+        support = solutions._support
+
+        def spied(*args):
+            priced.append(support(*args))
+            return priced[-1]
+
+        monkeypatch.setattr(solutions, "_spanning", refuse)
+        monkeypatch.setattr(solutions, "_joins", refuse)
+        monkeypatch.setattr(solutions, "_support", spied)
+        few = range(10)
+        pairs = list(itertools.combinations(few, 2))[:30]
+        dense = HypergraphGame(make_hypergraph(few, pairs), table_function(few, {frozenset(few): 1}))
+        for cap in (24, 16):
+            with pytest.raises(CapExceeded, match=f"^30 hyperlinks exceeds the subset cap {cap}$"):
+                position_value(dense, cap=cap)
+        assert priced == [None, None]
+
+    def test_a_small_star_matches_the_oracle(self):
+        game = table_star(8)
+        assert solutions._plan(game)[0] == solutions._plan(game, point=True)[0] == "support"
+        assert_matches_the_oracle(game)
+
+    def test_a_star_past_the_2m_wall_builds_no_table(self, monkeypatch):
+        """30 spokes: every hyperlink set is connected, so only the
+        entries' 45 pieces are listed, for every value and identity."""
+        def refuse(*_args):
+            raise AssertionError("a 2^m or 2^n table was built, or a listing made")
+
+        for name in ("conference_table", "_point_table", "shapley_of_table", "connected_sets", "hypergraph_pieces"):
+            monkeypatch.setattr(solutions, name, refuse)
+        game = table_star(30)
+        assert [len(solutions._plan(game, point=point)[1]) for point in (False, True)] == [45, 45]
+        # no entry holds every player, so the payoffs sum to v(N) = 0
+        for value in (position_value, myerson_value, shapley_value):
+            assert sum(value(game).values()) == 0
+        assert all(report.passed for report in check_copy_deletions(game).values())
+        assert check_uniform_expansion(game, 1).passed
