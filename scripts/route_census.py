@@ -31,7 +31,7 @@ from hypercoop.solutions import _plan
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
-ROUTES = ("forest", "complement", "support", "sets", "pieces", "table")
+ROUTES = ("dividends", "complement", "support", "sets", "pieces", "table")
 SEED = 5
 
 

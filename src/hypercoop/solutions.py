@@ -15,11 +15,15 @@ shared with the expansion and axiom modules; each payoff is one exact
 division at the end.  A restricted game is Σ_P v(P)·[P is a piece of S]
 over the connected sets P, so every route `_plan` picks pays the same:
 
-- forest (unanimity coefficients c_T on a cycle-free hypergraph): u_T's
-  restricted game is u_B, B the hyperlinks of T's Steiner tree (or the
-  players on them), so each term is one piece (B, ∅, c_T), the c_T over
-  the lcm of their denominators, and pays c_T/|B| to each member of B;
-  `shapley_value` pays c_T/|T| the same way;
+- dividends (unanimity coefficients c_T): on a cycle-free hypergraph
+  u_T's restricted game is u_B, B the hyperlinks of T's Steiner tree (or
+  the players on them), and on any hypergraph u_T's point game is u_T
+  itself when the hyperlinks inside T join T, since T then stays joined
+  in every coalition holding it (Owen 1986, "Values of graph-restricted
+  games", SIAM J. Algebraic Discrete Methods 7: 210-220); so each term
+  is one piece (B, ∅, c_T), the c_T over the lcm of their denominators,
+  and pays c_T/|B| to each member of B; `shapley_value` pays c_T/|T|
+  the same way;
 - connected sets P with their boundaries ∂P, on the line graph of the
   hyperlinks or on a player graph of pairs: `shapley_of_pieces` pays
   each member of P (p-1)!·b!/(p+b)! and each member of ∂P
@@ -266,13 +270,17 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
 
 
 def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
-    """Shapley value of the point game, on the route `_plan` picks."""
+    """Shapley value of the point game, on the route `_plan` picks.  The
+    point game of u_T is u_T when the hyperlinks inside T join T (Owen
+    1986), so when every support is joined by its own hyperlinks each
+    term pays c_T/|T| to each member of T, as in `shapley_value`,
+    without a table or a listing."""
     n = len(game.players)
     route, listing, _ = _plan(game, point=True, cap=cap)
     if listing is None:
         table, scale = _point_table(game)
         return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
-    if route == "forest":
+    if route == "dividends":
         scale, pieces = _dividend_pieces(listing)
     else:
         # a connected set has one pair but may have several signed terms
@@ -301,10 +309,15 @@ def _steiner(adjacent: list[list[int]], n: int, t: int) -> int:
     return sum(1 << j for j, d in enumerate(degree[n:]) if d)
 
 
-def _forest(game: HypergraphGame, links: list[int], point: bool) -> list | None:
-    """The listing of `_plan`'s forest route, or None where it does not
-    apply; a term whose support spans two components, or holds a player
-    on no hyperlink, has restricted game 0 and is left out."""
+def _dividends(game: HypergraphGame, links: list[int], point: bool) -> list | None:
+    """The listing of `_plan`'s dividends route, or None where it does
+    not apply.  On a forest each term T in one component pays on T's
+    Steiner tree (its hyperlinks, or with `point` the players on them);
+    a term whose support spans two components, or holds a player on no
+    hyperlink, has restricted game 0 and is left out.  Otherwise only
+    the point game applies, and only when every support T is joined by
+    the hyperlinks inside it: T then stays joined in every coalition
+    holding it, so each term pays on T itself."""
     coefficients = game.characteristic.unanimity_coefficients()
     if coefficients is None:
         return None
@@ -312,11 +325,16 @@ def _forest(game: HypergraphGame, links: list[int], point: bool) -> list | None:
     for e in links:
         covered |= e
         excess += e.bit_count() - 1
-    if excess >= covered.bit_count():
-        return None
-    parts = mask_components(covered, links)
-    if excess != covered.bit_count() - len(parts):
-        return None
+    # most cyclic structures fail the sum before any component is found
+    parts = mask_components(covered, links) if excess < covered.bit_count() else []
+    supports = _masks(game, coefficients)
+    if not parts or excess != covered.bit_count() - len(parts):
+        if not point:
+            return None
+        for t in supports:
+            if not _joins(links, t, sum(1 << j for j, e in enumerate(links) if e & t == e)):
+                return None
+        return list(zip(supports, coefficients.values()))
     n = len(game.players)
     adjacent: list[list[int]] = [[] for _ in range(n)]
     for j, e in enumerate(links):
@@ -325,7 +343,7 @@ def _forest(game: HypergraphGame, links: list[int], point: bool) -> list | None:
             adjacent[k].append(n + j)
         adjacent.append(members)
     listing = []
-    for t, c in zip(_masks(game, coefficients), coefficients.values()):
+    for t, c in zip(supports, coefficients.values()):
         if any(t & part == t for part in parts):
             listing.append((_steiner(adjacent, n, t), c))
     if point:
@@ -439,14 +457,17 @@ def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_C
     it 2^cap/4 entries' worth of cap-bit masks spread over size-bit ones,
     so the cap bounds the bits a listing holds, not only its length:
 
-    - "forest" (a characteristic with unanimity coefficients c_T, and an
-      acyclic player–hyperlink incidence graph, Σ_e(|e|-1) = covered
-      players - components; no limit): one (B(T), c_T) per support T in
-      one component of covered players, u_T's restricted game being
-      u_B(T) on the hyperlinks of T's Steiner tree (or on the players on
-      them).  Table worths leave at the None check, and most cyclic
-      structures at the sum Σ_e(|e|-1) >= covered players, before any
-      component is found;
+    - "dividends" (a characteristic with unanimity coefficients c_T; no
+      limit): one (B(T), c_T) per term, by `_dividends`.  On an acyclic
+      player–hyperlink incidence graph, Σ_e(|e|-1) = covered players -
+      components, each support T in one component of covered players
+      pays on B(T), the hyperlinks of T's Steiner tree (or the players on
+      them).  Otherwise the point game alone takes the route, when the
+      hyperlinks inside each T join T, and pays on B(T) = T, u_T's point
+      game being u_T (Owen 1986); one support they do not join sends it
+      on to the routes below.  Table worths leave at the None check, and
+      most cyclic structures skip the components at the sum
+      Σ_e(|e|-1) >= covered players;
     - "complement" (conference game, if its 2^n player sets are at
       most the limit): the disconnected hyperlink sets;
     - "support" (table worths with at most `limit` entries): `_support`,
@@ -463,8 +484,8 @@ def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_C
     - "table": None, for the 2^size table; CapExceeded when size > cap,
       after the listings have overflowed the limit."""
     links, n = _hyperlink_masks(game), len(game.players)
-    if (trees := _forest(game, links, point)) is not None:
-        return "forest", trees, links
+    if (terms := _dividends(game, links, point)) is not None:
+        return "dividends", terms, links
     size = n if point else len(links)
     limit = ((1 << min(size, cap)) >> 2) * min(size, cap) // max(size, 1)
     if not point and 1 << n <= limit and (apart := disconnected_sets(_line_graph(links), limit)) is not None:
@@ -514,7 +535,7 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
     m = len(game.hyperlinks)
     route, listing, links = _plan(game, cap=cap)
     table = None
-    if route == "forest":
+    if route == "dividends":
         scale, pieces = _dividend_pieces(listing)
     elif route == "complement":
         scale, pieces = _complement_pieces(game, links, listing)

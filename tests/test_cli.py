@@ -60,9 +60,12 @@ DENSE_DOC = {
     "hyperlinks": [[i, j] for i in range(10) for j in range(i + 1, 10)][:30],
     "characteristic": {"table": [{"coalition": list(range(10)), "worth": 1}]},
 }
-# the same pairs with unanimity worth on N: the planner refuses the point
-# game too, from the lower bounds of its connected player sets
+# the same pairs with unanimity worth on N: they join N, so the point game
+# is u{N} itself and the Myerson value is the Shapley value
 DENSE_UNANIMITY_DOC = dict(DENSE_DOC, characteristic={"unanimity": list(range(10))})
+# unanimity worth on {4, 5}, inside which no pair lies: the planner refuses
+# the point game, from the lower bounds of its connected player sets
+UNJOINED_UNANIMITY_DOC = dict(DENSE_DOC, characteristic={"unanimity": [4, 5]})
 
 
 def refuse_every_route(monkeypatch, refuse) -> None:
@@ -473,18 +476,24 @@ class TestValueCommand:
         """A dense structure past --cap-subsets exits 3 with no table
         built and no set listed or grown: the position value on table
         worth, whose spanning sets are priced past the 2^cap/4 budget,
-        and the Myerson value on unanimity worth, whose connected sets
-        pass it by the enumerators' lower bounds.  The table's one entry
-        gives the Myerson and Shapley values without a table."""
+        and the Myerson value on unanimity worth on {4, 5}, which no pair
+        joins, whose connected sets pass it by the enumerators' lower
+        bounds.  The table's one entry, and unanimity worth on N, which
+        the pairs join, give the Myerson and Shapley values without a
+        table."""
         def refuse(*_args):
             raise AssertionError("a table or connected-set enumeration ran over the cap")
 
-        path = write_doc(tmp_path, DENSE_DOC)
-        for rule in ("myerson", "shapley"):
-            assert main(["value", path, "--rule", rule, "--cap-subsets", "8", "--format", "json"]) == 0
-            assert json.loads(capsys.readouterr().out)["payoffs"] == {str(p): "1/10" for p in range(10)}
+        for doc in (DENSE_DOC, DENSE_UNANIMITY_DOC):
+            path = write_doc(tmp_path, doc)
+            for rule in ("myerson", "shapley"):
+                assert main(["value", path, "--rule", rule, "--cap-subsets", "8", "--format", "json"]) == 0
+                assert json.loads(capsys.readouterr().out)["payoffs"] == {str(p): "1/10" for p in range(10)}
         refuse_every_route(monkeypatch, refuse)
-        for doc, rule, count in ((DENSE_DOC, "position", "30 hyperlinks"), (DENSE_UNANIMITY_DOC, "myerson", "10 players")):
+        for doc, rule, count in (
+            (DENSE_DOC, "position", "30 hyperlinks"),
+            (UNJOINED_UNANIMITY_DOC, "myerson", "10 players"),
+        ):
             assert main(["value", write_doc(tmp_path, doc), "--rule", rule, "--cap-subsets", "8"]) == 3
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {count} exceeds the subset cap 8\n")
@@ -495,7 +504,8 @@ class TestValueCommand:
         """`check` exits 3 with the subset cap's message from the planner,
         and `solve-axioms` with its message from the reconstruction,
         which runs first; neither builds a table.  The Myerson check
-        reads the table's one entry and passes; on unanimity worth it is
+        reads the table's one entry, or pays u{N} from its dividend, and
+        passes; on unanimity worth on {4, 5}, which no pair joins, it is
         refused."""
         def refuse(*_args):
             raise AssertionError("a 2^m or 2^n table was built")
@@ -503,15 +513,16 @@ class TestValueCommand:
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "_point_table", refuse)
         myerson = ["check", "--axiom", "component-efficiency", "--rule", "myerson", "--cap-subsets", "8"]
-        assert main([myerson[0], write_doc(tmp_path, DENSE_DOC), *myerson[1:]]) == 0
-        assert capsys.readouterr().out.splitlines()[-1].startswith("result: PASS")
+        for doc in (DENSE_DOC, DENSE_UNANIMITY_DOC):
+            assert main([myerson[0], write_doc(tmp_path, doc), *myerson[1:]]) == 0
+            assert capsys.readouterr().out.splitlines()[-1].startswith("result: PASS")
         reconstruction = (
             "30 hyperlinks on 10 players form more than 0 connected hyperlink sets: "
             "the subset cap 8 admits 2^8 row entries (sets·hyperlinks·players)"
         )
         for doc, argv, message in (
             (DENSE_DOC, ["check", "--axiom", "partial-balanced"], "30 hyperlinks exceeds the subset cap 8"),
-            (DENSE_UNANIMITY_DOC, myerson[:-2], "10 players exceeds the subset cap 8"),
+            (UNJOINED_UNANIMITY_DOC, myerson[:-2], "10 players exceeds the subset cap 8"),
             (DENSE_DOC, ["solve-axioms"], reconstruction),
         ):
             assert main([argv[0], write_doc(tmp_path, doc), *argv[1:], "--cap-subsets", "8"]) == 3

@@ -291,14 +291,15 @@ class TestBitmaskKernel:
     def test_cap_is_checked_before_any_table(self, monkeypatch):
         """30 pairs inside K10 past a cap of 8: with table worth on N the
         planner prices the conference game's spanning sets of N out, and
-        with unanimity worth on N it refuses the point game from the
-        enumerators' lower bounds, before any worth is read or any set
-        grown; position_value lists hyperlink sets, so its cap counts
-        hyperlinks.  The table's one entry still gives the Myerson and
-        Shapley values, and a characteristic read coalition by coalition
-        is refused the 2^10 Shapley table.  A ring of 30 pairs lists its
-        871 connected hyperlink sets (and 871 player sets) and builds no
-        table at the default cap."""
+        with unanimity worth on {4, 5}, inside which no pair lies, it
+        refuses the point game from the enumerators' lower bounds, before
+        any worth is read or any set grown; position_value lists
+        hyperlink sets, so its cap counts hyperlinks.  The table's one
+        entry, and unanimity worth on N, which the pairs join, still give
+        the Myerson and Shapley values, and a characteristic read
+        coalition by coalition is refused the 2^10 Shapley table.  A ring
+        of 30 pairs lists its 871 connected hyperlink sets (and 871 player
+        sets) and builds no table at the default cap."""
         def refuse(*_args):
             raise AssertionError("a table was built over the cap")
 
@@ -315,13 +316,15 @@ class TestBitmaskKernel:
         dense = HypergraphGame(make_hypergraph(few, pairs), table_function(few, {frozenset(few): 1}))
         # the pairs connect N, so [S = N] is both the game and its point game
         assert myerson_value(dense, cap=8) == shapley_value(dense, cap=8) == {p: F(1, 10) for p in few}
+        joined = HypergraphGame(dense.hypergraph, unanimity(few, few))
+        assert myerson_value(joined, cap=8) == shapley_value(joined, cap=8) == {p: F(1, 10) for p in few}
         for name in ("scaled_worths", "_read_worths", "disconnected_sets", "hypergraph_pieces", "_spanning"):
             monkeypatch.setattr(solutions, name, refuse)
         monkeypatch.setattr(connectivity, "_grow", refuse)
         with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 8$"):
             position_value(dense, cap=8)
         with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
-            myerson_value(HypergraphGame(dense.hypergraph, unanimity(few, few)), cap=8)
+            myerson_value(HypergraphGame(dense.hypergraph, unanimity(few, [4, 5])), cap=8)
         with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
             shapley_value(HypergraphGame(dense.hypergraph, CountingWorth(frozenset(few))), cap=8)
 
@@ -532,7 +535,7 @@ def path_game(links):
 
 def as_table(game):
     """The same game with its worths given as a table on every coalition,
-    which keeps it off the forest route."""
+    which keeps it off the dividends route."""
     players = game.players
     entries = {
         frozenset(s): game.worth(s) for r in range(2, len(players) + 1) for s in itertools.combinations(players, r)
@@ -822,7 +825,7 @@ class TestDeletionsInOnePass:
         """The corpus's table worths are read from their entries where
         the spanning sets fit the budget, and take the table elsewhere.
         The hub's worths are a table here, since with its unanimity worth
-        it takes the forest route: 57 entries pass 2^4/4, so it takes the
+        it takes the dividends route: 57 entries pass 2^4/4, so it takes the
         table."""
         corpus = {assert_deletions_match(game) for game in game_corpus(count=200)}
         assert corpus == {"support", "table"}
@@ -1044,11 +1047,58 @@ class TestTheCapBoundsTheChosenRoute:
         assert position_value(game) == position
 
 
+def joins_itself(game, support):
+    """Whether the hyperlinks inside the player set `support` join it."""
+    return len(components(support, [e for e in game.hyperlinks if set(e) <= support])) == 1
+
+
+def grown(rng, links, size):
+    """A player set grown from a random hyperlink by hyperlinks meeting
+    it, until it has at least `size` players or cannot grow."""
+    members = set(rng.choice(links))
+    while len(members) < size:
+        touching = [e for e in links if members & set(e) and not set(e) <= members]
+        if not touching:
+            break
+        members |= set(rng.choice(touching))
+    return sorted(members)
+
+
+def joined_game(seed):
+    """A seeded unanimity game on a cyclic hypergraph whose supports are
+    grown along its hyperlinks, so each is joined by its own: a ring of
+    4-6 pairs or triples, 0-4 more hyperlinks of 2-4 members, and 1-4
+    terms on 2-6 players."""
+    rng = random.Random(seed)
+    c, r = rng.randint(4, 6), rng.choice((2, 3))
+    n = c * (r - 1)
+    links = {tuple(sorted((i * (r - 1) + d) % n for d in range(r))) for i in range(c)}
+    for _ in range(rng.randint(0, 4)):
+        links.add(tuple(sorted(rng.sample(range(n), rng.randint(2, 4)))))
+    links = sorted(links)
+    terms = [
+        (grown(rng, links, rng.randint(2, 6)), F(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return HypergraphGame(make_hypergraph(range(n), links), weighted_unanimity(range(n), terms))
+
+
+def grown_dense(game, seed):
+    """A dense shape's hyperlinks with worth u{N} plus three terms on
+    supports grown along them, as the dense benchmark workload draws its
+    dividend games."""
+    rng = random.Random(seed)
+    links = [list(e) for e in game.hyperlinks]
+    terms = [(game.players, 1)]
+    terms += [(grown(rng, links, rng.randint(2, 5)), F(rng.randint(-9, 9) or 1, 6)) for _ in range(3)]
+    return HypergraphGame(game.hypergraph, weighted_unanimity(game.players, terms))
+
+
 class TestForestRoute:
     def test_seeded_forests_agree_with_every_route(self):
         for seed in range(150):
             game = random_forest(seed)
-            assert solutions._plan(game)[0] == solutions._plan(game, point=True)[0] == "forest"
+            assert solutions._plan(game)[0] == solutions._plan(game, point=True)[0] == "dividends"
             forest = values_and_identities(game)
             myerson = myerson_value(game)
             assert value_from_axioms(game) == forest[0]
@@ -1066,29 +1116,42 @@ class TestForestRoute:
         h = make_hypergraph(players, [[1, 2], [2, 3, 5], [3, 4], [6, 7]])
         terms = [([1, 3], F(2, 3)), ([1, 4], -1), ([1, 6], 5), ([4, 8], 7)]
         game = HypergraphGame(h, weighted_unanimity(players, terms))
-        assert solutions._plan(game)[:2] == ("forest", [(0b11, F(2, 3)), (0b111, -1)])
-        assert solutions._plan(game, point=True)[:2] == ("forest", [(0b10111, F(2, 3)), (0b11111, -1)])
+        assert solutions._plan(game)[:2] == ("dividends", [(0b11, F(2, 3)), (0b111, -1)])
+        assert solutions._plan(game, point=True)[:2] == ("dividends", [(0b10111, F(2, 3)), (0b11111, -1)])
         assert position_value(game) == position_oracle(game)
         assert myerson_value(game) == shapley_by_subsets(point_game(game))
 
-    def test_cyclic_dense_and_table_games_never_take_the_route(self, monkeypatch, hub):
+    def test_cyclic_and_table_games_take_the_route_only_for_the_point_game(self, monkeypatch, hub):
+        """Off a forest the conference game never takes the route, and the
+        point game takes it exactly when every support is joined by the
+        hyperlinks inside it: not u{1, n/2+1} of a ring, u{1,4} of ring3
+        or u{0,3} of the dense shapes, which no hyperlink lies inside,
+        but u{N} alone on each of them.  Table worths never take it."""
         # a triangle beside a pair passes the sum (4 against 5 covered
         # players) but not the component count
         players = range(5)
         triangle = HypergraphGame(
             make_hypergraph(players, [[0, 1], [1, 2], [0, 2], [3, 4]]), unanimity(players, [0, 1])
         )
-        assert solutions._plan(triangle)[0] != "forest"
+        assert solutions._plan(triangle)[0] != "dividends"
+        assert solutions._plan(triangle, point=True)[:2] == ("dividends", [(0b11, 1)])
 
         def refuse(*_args):
             raise AssertionError("the components were computed")
 
         monkeypatch.setattr(solutions, "mask_components", refuse)
         cyclic = [ring(12), ring3(5), *DENSE_SHAPES[::2]]
+        cyclic += [HypergraphGame(game.hypergraph, unanimity(game.players, game.players)) for game in cyclic]
+        cyclic += [joined_game(seed) for seed in range(20)]
         tabled = [as_table(hub), as_table(random_forest(0)), *game_corpus(count=50)]
+        taken = []
         for game in cyclic + tabled:
-            for point in (False, True):
-                assert solutions._plan(game, point=point)[0] != "forest"
+            assert solutions._plan(game)[0] != "dividends"
+            coefficients = game.characteristic.unanimity_coefficients()
+            joined = coefficients is not None and all(joins_itself(game, t) for t in coefficients)
+            taken.append(joined)
+            assert (solutions._plan(game, point=True)[0] == "dividends") == joined
+        assert taken == [False] * 4 + [True] * 24 + [False] * len(tabled)
 
     def test_shapley_from_dividends_matches_the_table(self, monkeypatch):
         games = [random_forest(seed) for seed in range(40)] + [ring(8), DENSE_SHAPES[0]]
@@ -1114,6 +1177,56 @@ class TestForestRoute:
         # the spokes outside every support are alike, and 1 and 2 are too
         payoffs = position_value(game, cap=61)
         assert len({payoffs[p] for p in range(6, 61)}) == 1 and payoffs[1] == payoffs[2]
+
+
+class TestDividendsRoute:
+    """Off a forest, the point game of a unanimity game whose every
+    support T is joined by the hyperlinks inside T pays c_T/|T| to each
+    member of T, as the Shapley value does (Owen 1986)."""
+
+    def test_seeded_cyclic_games_agree_with_every_route(self):
+        for seed in range(60):
+            game = joined_game(seed)
+            coefficients = game.characteristic.unanimity_coefficients()
+            route_name, listing, _ = solutions._plan(game, point=True)
+            assert route_name == "dividends"
+            assert listing == list(zip(solutions._masks(game, coefficients), coefficients.values()))
+            myerson = myerson_value(game)
+            assert myerson == shapley_value(game)
+            for name in ROUTES:
+                assert myerson_on_route(game, name) == myerson
+            if seed < 15:
+                assert myerson == shapley_by_subsets(point_game(game))
+
+    def test_a_support_its_own_hyperlinks_do_not_join_falls_through(self):
+        """On the 4-cycle 0-1-2-3-0 no hyperlink lies inside {0, 2}: its
+        point game pays S ⊇ {0, 2} holding 1 or 3, so one such term sends
+        the whole game on to the other routes (here the table, 2^4/4 being
+        too few sets to list), beside a term on {0, 1} too."""
+        players = range(4)
+        h = make_hypergraph(players, [[0, 1], [1, 2], [2, 3], [3, 0]])
+        for terms in ([([0, 2], 1)], [([0, 2], F(3, 2)), ([0, 1], -2)]):
+            game = HypergraphGame(h, weighted_unanimity(players, terms))
+            assert solutions._plan(game, point=True)[0] == "table"
+            assert myerson_value(game) == myerson_on_route(game, "pieces") == shapley_by_subsets(point_game(game))
+        expected = {0: F(5, 12), 1: F(1, 12), 2: F(5, 12), 3: F(1, 12)}
+        assert myerson_value(HypergraphGame(h, unanimity(players, [0, 2]))) == expected
+
+    def test_a_dense_dividend_game_builds_no_table_and_lists_no_set(self, monkeypatch):
+        """The dense shapes' own u{0,3} has no hyperlink inside it, so
+        each takes worth grown along its hyperlinks, as the dense
+        benchmark workload does, and then pays from the dividends."""
+        expected = [myerson_on_route(grown_dense(game, seed), "table") for seed, game in enumerate(DENSE_SHAPES)]
+
+        def refuse(*_args):
+            raise AssertionError("a 2^n table was built, or a listing made")
+
+        for name in ("_point_table", "connected_sets", "hypergraph_pieces"):
+            monkeypatch.setattr(solutions, name, refuse)
+        for seed, game in enumerate(DENSE_SHAPES):
+            game = grown_dense(game, seed)
+            assert solutions._plan(game, point=True)[0] == "dividends"
+            assert myerson_value(game) == expected[seed] == shapley_value(game)
 
 
 def table_star(m):
