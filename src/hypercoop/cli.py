@@ -65,9 +65,6 @@ from .model import (
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP
 from .solutions import _rows, myerson_value, position_value, shapley_value
 
-# `expand` lists every copy it solves, so it alone bounds their number.
-DEFAULT_STATE_CAP = 1_000_000
-
 
 class DocumentError(ValueError):
     """A game document failed validation."""
@@ -337,9 +334,16 @@ def handle_expand(args) -> Result:
     game = _load(args)
     counts = copy_counts(game, args.k)
     size = sum(counts.values())
-    if size > args.cap_states:
-        raise CapExceeded(f"universe size {size} exceeds the state cap {args.cap_states}")
-    per_copy, grouped = expansion_payoffs(game, args.k, cap=args.cap_subsets)
+    # The subset cap N prices each listed copy label as 4 table entries
+    # (about 220 B against 85 B) and refuses 4·size > 2^N; comparing bit
+    # lengths builds no 2^N for a huge N.
+    cap = args.cap_subsets
+    if (4 * size - 1).bit_length() > cap:
+        raise CapExceeded(
+            f"universe size {size} exceeds the {(1 << cap) // 4} copies the subset cap {cap} "
+            f"admits (2^{cap} entries, 4 per copy)"
+        )
+    per_copy, grouped = expansion_payoffs(game, args.k, cap=cap)
     labels = {
         (i, e): [f"{i}[{','.join(map(str, sorted(e)))}]#{t}" for t in range(1, copies + 1)]
         for (i, e), copies in counts.items()
@@ -582,14 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="expansion multiplier: every hyperlink becomes k*eta equal copies",
     )
-    cap_subsets(p)
-    p.add_argument(
-        "--cap-states",
-        type=_positive,
-        default=DEFAULT_STATE_CAP,
-        metavar="N",
-        help="refuse to list more than N copies, the universe size m*k*eta",
-    )
+    cap_subsets(p, " and listings over 2^N/4 copies, the universe size m*k*eta")
 
     p = sub.add_parser("check", help="test an allocation rule against an axiom")
     common(p)

@@ -616,37 +616,62 @@ class TestExpandCommand:
         assert payload["grouped"]["4"] == "5/24"
 
     def test_cap_exit_code(self, hub_path, capsys):
-        assert main(["expand", hub_path, "--cap-states", "10"]) == 3
-        assert "cap" in capsys.readouterr().err
+        assert main(["expand", hub_path, "--cap-subsets", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: universe size 24 exceeds the 1 copies the subset cap 2 "
+            "admits (2^2 entries, 4 per copy)\n"
+        )
+
+    def test_copies_are_priced_at_four_entries_in_the_subset_cap(self, hub_path, capsys):
+        """The hub's 24 copies cost 96 entries: over 2^6, within 2^7."""
+        assert main(["expand", hub_path, "--cap-subsets", "6"]) == 3
+        assert capsys.readouterr().err == (
+            "error: universe size 24 exceeds the 16 copies the subset cap 6 "
+            "admits (2^6 entries, 4 per copy)\n"
+        )
+        assert main(["expand", hub_path, "--cap-subsets", "7"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith("universe size 24")
+
+    def test_a_huge_subset_cap_answers(self, hub_path, capsys):
+        assert main(["expand", hub_path, "--cap-subsets", "100000000000"]) == 0
+        assert "player 1: 1/8" in capsys.readouterr().out
+
+    def test_state_cap_is_not_an_option(self, hub_path, capsys):
+        assert main(["expand", hub_path, "--cap-states", "10"]) == 2
+        assert "unrecognized arguments: --cap-states 10" in capsys.readouterr().err
 
     def test_cap_is_checked_before_the_conference_table(self, tmp_path, monkeypatch, capsys):
-        """The state cap, on 2 copies per link, comes first: 40 links trip
-        both caps, and 20 are under the subset cap, so only the state cap
-        keeps `expand` from listing the connected hyperlink sets of the
-        20-pair path, the route it takes in place of a 2^20 table."""
+        """The copies are priced first: the 20-pair path lists 40 copies,
+        160 entries, so the subset cap 7 refuses it before `expand` lists
+        its connected hyperlink sets or builds a 2^20 table, and at cap 8
+        the path, a forest, answers without either."""
         def refuse(*_args):
             raise AssertionError("a conference table or connected-set enumeration ran over the cap")
 
         monkeypatch.setattr(hypercoop.solutions, "conference_table", refuse)
         monkeypatch.setattr(hypercoop.solutions, "connected_sets", refuse)
         monkeypatch.setattr(hypercoop.solutions, "disconnected_sets", refuse)
-        for links in (40, 20):
-            doc = {
-                "players": list(range(links + 1)),
-                "hyperlinks": [[i, i + 1] for i in range(links)],
-                "characteristic": {"unanimity": [0, links]},
-            }
-            path = write_doc(tmp_path, doc)
-            assert main(["expand", path, "--cap-states", "30"]) == 3
-            message = "error: universe size {} exceeds the state cap 30\n"
-            assert capsys.readouterr().err == message.format(2 * links)
+        path = write_doc(tmp_path, {
+            "players": list(range(21)),
+            "hyperlinks": [[i, i + 1] for i in range(20)],
+            "characteristic": {"unanimity": [0, 20]},
+        })
+        assert main(["expand", path, "--cap-subsets", "7"]) == 3
+        assert capsys.readouterr().err == (
+            "error: universe size 40 exceeds the 32 copies the subset cap 7 "
+            "admits (2^7 entries, 4 per copy)\n"
+        )
+        assert main(["expand", path, "--cap-subsets", "8"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("universe size 40") and out[-1] == "  player 20: 1/40"
 
     def test_subset_cap_is_checked_before_the_conference_table(
         self, tmp_path, monkeypatch, capsys
     ):
-        """30 pairs inside K10 fit the state cap (60 copies) but not the
-        subset cap, which must refuse them before the 2^30 conference
-        table is built.  A path of 30 pairs is a forest and answers."""
+        """30 pairs inside K10 list 60 copies, which the subset cap admits,
+        but not their hyperlink sets: it must refuse them before the 2^30
+        conference table is built.  A path of 30 pairs is a forest and
+        answers."""
         def refuse(*_args):
             raise AssertionError("a table or fold ran over the subset cap")
 
@@ -666,10 +691,13 @@ class TestExpandCommand:
         """`expand` refuses to list 24 million copies before any work, while
         Theorem 2 at the same k lists none and passes."""
         def refuse(*_args):
-            raise AssertionError("a table or fold ran over the state cap")
+            raise AssertionError("a table or fold ran over the subset cap")
 
         refuse_every_route(monkeypatch, refuse)
-        message = "error: universe size 24000000 exceeds the state cap 1000000\n"
+        message = (
+            "error: universe size 24000000 exceeds the 4194304 copies the subset cap 24 "
+            "admits (2^24 entries, 4 per copy)\n"
+        )
         assert main(["expand", hub_path, "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
         monkeypatch.undo()

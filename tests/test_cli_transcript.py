@@ -40,7 +40,9 @@ COMMANDS = [
     ["expand", "--k", "2"],
     *(["verify", "--theorem", t] for t in ("1", "corollary1", "lemma1")),
     ["verify", "--theorem", "2", "--k", "3", "--decimals", "3"],
-    # `verify` has no state cap: there `--cap-states` is refused as unknown.
+    # No command has a state cap: `--cap-states` is refused as unknown on
+    # `expand` as on `verify`, and `--cap-subsets 2` prices the copies
+    # `expand` lists (more than one is refused) as it prices every table.
     *(
         [*command, *cap]
         for command in (["expand"], *(["verify", "--theorem", t] for t in ("1", "2", "corollary1", "lemma1")))
