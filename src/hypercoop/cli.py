@@ -13,6 +13,10 @@ The characteristic is exactly one of ``unanimity`` (a support coalition),
 terms), or ``table`` (a list of ``{"coalition": [...], "worth": "p/q"}``
 entries, unlisted coalitions worth zero).  Rationals are integers or
 "p/q" strings in ASCII digits; floats and unknown keys are rejected.
+`parse_game` reports the first problem in document order, named by its
+field path (``characteristic.table[3].worth``); the characteristic's own
+checks run after every field has passed and are prefixed
+``characteristic:``.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 bad input or
 an output write error, 3 an enumeration cap was exceeded.
@@ -33,8 +37,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import jsonout
 from .axioms import (
@@ -51,16 +54,13 @@ from .axioms import (
 from .expansion import copy_counts, expansion_payoffs, grouped_agent_form
 from .model import (
     Allocation,
+    Hypergraph,
     HypergraphGame,
     TableFunction,
     UnanimityFunction,
     WeightedUnanimityFunction,
     eta,
     link_key,
-    make_hypergraph,
-    table_function,
-    unanimity,
-    weighted_unanimity,
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP
 from .solutions import _rows, myerson_value, position_value, shapley_value
@@ -118,22 +118,101 @@ def _known_keys(mapping: dict, keys: tuple[str, ...], where: str) -> None:
 def _int_list(raw, where: str) -> list[int]:
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of player ids")
-    if set(map(type, raw)) <= {int}:
-        return raw
     for n, item in enumerate(raw):
         if isinstance(item, bool) or not isinstance(item, int):
             raise DocumentError(f"{where}[{n}]: expected an integer player id, got {item!r}")
     return raw
 
 
+_INT = frozenset({int})
+
+
+def _is_int_list(raw) -> bool:
+    """Whether `raw` is a list of ints (no bools): the test `_int_list`
+    runs only when it fails, to name the offending member."""
+    return type(raw) is list and _INT.issuperset(map(type, raw))
+
+
+def _rational(value) -> Fraction | None:
+    """An int, or a "p/q" string with no surrounding space, a nonzero
+    denominator and digits within the interpreter's limit, as a Fraction;
+    None for anything else, which `parse_rational` accepts or names."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and (match := _RATIONAL.match(value)):
+        try:
+            p, q = int(match[1]), int(match[2] or 1)
+        except ValueError:
+            return None
+        if q:
+            return Fraction(p, q)
+    return None
+
+
+def _hyperlink_error(n: int, members: list[int], player_set, links: dict) -> NoReturn:
+    """Raise the first problem of `hyperlinks[n]`, an integer list: its
+    size, then unknown players, then repeated members, then a repeat of
+    an earlier hyperlink."""
+    if len(members) < 2:
+        raise DocumentError(f"hyperlinks[{n}]: a hyperlink needs at least two members")
+    if not player_set.issuperset(members):
+        unknown = sorted(p for p in members if p not in player_set)
+        raise DocumentError(f"hyperlinks[{n}]: unknown players {unknown}")
+    if len(set(members)) != len(members):
+        raise DocumentError(f"hyperlinks[{n}]: duplicate members")
+    first = links[frozenset(members)]
+    raise DocumentError(
+        f"hyperlinks[{n}]: duplicate hyperlink {sorted(members)}, already hyperlinks[{first}]"
+    )
+
+
+def _entries(items: list, kind: str, value_key: str, distinct: bool) -> list[tuple[frozenset[int], Fraction]]:
+    """The (coalition, rational) pairs of the characteristic's list, checked
+    entry by entry in document order; `distinct` refuses a repeated
+    coalition."""
+    keys = ("coalition", value_key)
+    exact = frozenset(keys)
+    pairs = []
+    seen = set()
+    for n, item in enumerate(items):
+        if type(item) is dict and item.keys() == exact:
+            coalition, value = item["coalition"], item[value_key]
+        else:
+            where = f"characteristic.{kind}[{n}]"
+            if type(item) is not dict:
+                raise DocumentError(f"{where}: expected an object")
+            _known_keys(item, keys, where)
+            # a missing value is named below, after the coalition's own problems
+            coalition, value = _require(item, "coalition", where), item.get(value_key)
+        if not _is_int_list(coalition):
+            _int_list(coalition, f"characteristic.{kind}[{n}].coalition")
+        s = frozenset(coalition)
+        if distinct:
+            if s in seen:
+                raise DocumentError(f"characteristic.{kind}[{n}]: duplicate coalition {sorted(s)}")
+            seen.add(s)
+        w = _rational(value)
+        if w is None:
+            where = f"characteristic.{kind}[{n}]"
+            w = parse_rational(_require(item, value_key, where), f"{where}.{value_key}")
+        pairs.append((s, w))
+    return pairs
+
+
 def parse_game(text: str) -> HypergraphGame:
     """Parse and validate a JSON game document.
 
-    Validation is field-by-field in document order, so the first error
-    reported is deterministic: players (nonempty, then each id in turn:
-    non-negative, then new), then each hyperlink (size, then membership,
-    then duplicates), then the characteristic entries.  An object's
-    unknown keys are reported before its fields.
+    Every field is checked once, in document order, so the first problem
+    is the one reported, named by its field path: the root's unknown keys,
+    then players (a list of integers, nonempty, then each id in turn:
+    non-negative, then new), then each hyperlink (integers, size,
+    membership, repeated members, then a repeat of an earlier hyperlink),
+    then the characteristic (its keys, then each entry: its keys, its
+    coalition, a repeated table coalition, its rational).  An object's
+    unknown keys are reported before its fields.  Only then do the
+    characteristic's own checks run, in entry order, reported with the
+    prefix ``characteristic:`` (a coalition outside the players, a
+    nonzero singleton worth, a support of fewer than two players).
     """
     try:
         doc = json.loads(text)
@@ -141,14 +220,16 @@ def parse_game(text: str) -> HypergraphGame:
         raise DocumentError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise DocumentError("document root must be a JSON object")
     _known_keys(doc, ("players", "hyperlinks", "characteristic"), "document")
 
-    players = _int_list(_require(doc, "players", "document"), "players")
+    players = _require(doc, "players", "document")
+    if not _is_int_list(players):
+        _int_list(players, "players")
     if not players:
         raise DocumentError("players: player set must be nonempty")
-    player_set = set(players)
+    player_set = frozenset(players)
     if len(player_set) < len(players) or min(players) < 0:
         first_at: dict[int, int] = {}
         for n, p in enumerate(players):
@@ -158,25 +239,19 @@ def parse_game(text: str) -> HypergraphGame:
                 raise DocumentError(f"players[{n}]: duplicate player id {p}, already players[{first}]")
 
     raw_links = doc.get("hyperlinks", [])
-    if not isinstance(raw_links, list):
+    if type(raw_links) is not list:
         raise DocumentError("hyperlinks: expected a list of player lists")
     links: dict[frozenset[int], int] = {}
     for n, raw in enumerate(raw_links):
-        members = _int_list(raw, f"hyperlinks[{n}]")
-        if len(members) < 2:
-            raise DocumentError(f"hyperlinks[{n}]: a hyperlink needs at least two members")
-        if not player_set.issuperset(members):
-            unknown = sorted(p for p in members if p not in player_set)
-            raise DocumentError(f"hyperlinks[{n}]: unknown players {unknown}")
-        if len(set(members)) != len(members):
-            raise DocumentError(f"hyperlinks[{n}]: duplicate members")
-        if (first := links.setdefault(frozenset(members), n)) != n:
-            raise DocumentError(
-                f"hyperlinks[{n}]: duplicate hyperlink {sorted(members)}, already hyperlinks[{first}]"
-            )
+        if not _is_int_list(raw):
+            _int_list(raw, f"hyperlinks[{n}]")
+        e = frozenset(raw)
+        if len(e) < 2 or len(e) < len(raw) or not e <= player_set or e in links:
+            _hyperlink_error(n, raw, player_set, links)
+        links[e] = n
 
     raw_cf = _require(doc, "characteristic", "document")
-    if not isinstance(raw_cf, dict):
+    if type(raw_cf) is not dict:
         raise DocumentError("characteristic: expected an object")
     _known_keys(raw_cf, ("table", "unanimity", "weighted_unanimity"), "characteristic")
     if len(raw_cf) != 1:
@@ -185,52 +260,26 @@ def parse_game(text: str) -> HypergraphGame:
             "'unanimity' or 'weighted_unanimity'"
         )
 
-    try:
-        structure = make_hypergraph(players, links)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
-
     [(kind, raw_kind)] = raw_cf.items()
+    if kind == "unanimity":
+        if not _is_int_list(raw_kind):
+            _int_list(raw_kind, "characteristic.unanimity")
+        make, body = UnanimityFunction, frozenset(raw_kind)
+    elif kind == "weighted_unanimity":
+        if type(raw_kind) is not list:
+            raise DocumentError("characteristic.weighted_unanimity: expected a list")
+        make, body = WeightedUnanimityFunction, tuple(_entries(raw_kind, kind, "coeff", False))
+    else:
+        if type(raw_kind) is not list:
+            raise DocumentError("characteristic.table: expected a list of entries")
+        make, body = TableFunction, dict(_entries(raw_kind, kind, "worth", True))
     try:
-        if kind == "unanimity":
-            support = _int_list(raw_kind, "characteristic.unanimity")
-            cf = unanimity(players, support)
-        elif kind == "weighted_unanimity":
-            if not isinstance(raw_kind, list):
-                raise DocumentError("characteristic.weighted_unanimity: expected a list")
-            terms = []
-            for n, item in enumerate(raw_kind):
-                where = f"characteristic.weighted_unanimity[{n}]"
-                if not isinstance(item, dict):
-                    raise DocumentError(f"{where}: expected an object")
-                _known_keys(item, ("coalition", "coeff"), where)
-                coalition = _int_list(_require(item, "coalition", where), f"{where}.coalition")
-                coeff = parse_rational(_require(item, "coeff", where), f"{where}.coeff")
-                terms.append((coalition, coeff))
-            cf = weighted_unanimity(players, terms)
-        else:
-            if not isinstance(raw_kind, list):
-                raise DocumentError("characteristic.table: expected a list of entries")
-            entries: dict[frozenset[int], Fraction] = {}
-            for n, item in enumerate(raw_kind):
-                where = f"characteristic.table[{n}]"
-                if not isinstance(item, dict):
-                    raise DocumentError(f"{where}: expected an object")
-                _known_keys(item, ("coalition", "worth"), where)
-                coalition = frozenset(
-                    _int_list(_require(item, "coalition", where), f"{where}.coalition")
-                )
-                if coalition in entries:
-                    raise DocumentError(f"{where}: duplicate coalition {sorted(coalition)}")
-                entries[coalition] = parse_rational(
-                    _require(item, "worth", where), f"{where}.worth"
-                )
-            cf = table_function(players, entries)
-    except DocumentError:
-        raise
+        cf = make(player_set, body)
     except ValueError as exc:
         raise DocumentError(f"characteristic: {exc}") from None
 
+    # every check `make_hypergraph` makes has run above, with positions
+    structure = Hypergraph(tuple(sorted(players)), tuple(sorted(links, key=link_key)))
     return HypergraphGame(structure, cf)
 
 
@@ -303,9 +352,12 @@ Result = tuple[dict | None, Callable[[int | None], list[str]], int]
 
 def _load(args) -> HypergraphGame:
     try:
-        text = Path(args.game).read_text(encoding="utf-8")
+        with open(args.game, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {args.game}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"cannot read {args.game}: {exc}") from None
     return parse_game(text)
 
 
@@ -344,8 +396,9 @@ def handle_expand(args) -> Result:
             f"admits (2^{cap} entries, 4 per copy)"
         )
     per_copy, grouped = expansion_payoffs(game, args.k, cap=cap)
+    members = {e: ",".join(map(str, sorted(e))) for e in game.hyperlinks}
     labels = {
-        (i, e): [f"{i}[{','.join(map(str, sorted(e)))}]#{t}" for t in range(1, copies + 1)]
+        (i, e): [f"{i}[{members[e]}]#{t}" for t in range(1, copies + 1)]
         for (i, e), copies in counts.items()
     }
     blocks = [

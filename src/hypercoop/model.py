@@ -128,17 +128,18 @@ class TableFunction(CharacteristicFunction):
     entries: Mapping[Coalition, Fraction]
 
     def __post_init__(self):
+        players = self.players
         clean: dict[Coalition, Fraction] = {}
         for raw, value in self.entries.items():
             s = frozenset(raw)
             w = as_fraction(value)
-            if not s <= self.players:
+            if not s <= players:
                 raise ValueError(f"table coalition {sorted(s)} is not within the player set")
-            if len(s) <= 1 and w != 0:
-                raise ValueError(
-                    f"zero-normalization requires worth 0 for {sorted(s)}, got {w}"
-                )
-            if w != 0:
+            if w:
+                if len(s) <= 1:
+                    raise ValueError(
+                        f"zero-normalization requires worth 0 for {sorted(s)}, got {w}"
+                    )
                 clean[s] = w
         object.__setattr__(self, "entries", clean)
 
@@ -174,19 +175,20 @@ class WeightedUnanimityFunction(CharacteristicFunction):
     terms: tuple[tuple[Coalition, Fraction], ...]
 
     def __post_init__(self):
+        players = self.players
         merged: dict[Coalition, Fraction] = {}
         for raw, coeff in self.terms:
             s = frozenset(raw)
             c = as_fraction(coeff)
-            if not s <= self.players:
+            if not s <= players:
                 raise ValueError(f"support {sorted(s)} is not within the player set")
             if len(s) < 2:
                 raise ValueError(
                     "unanimity supports need at least two players (zero-normalization)"
                 )
-            merged[s] = merged.get(s, ZERO) + c
+            merged[s] = merged[s] + c if s in merged else c
         canonical = tuple(
-            (s, c) for s, c in sorted(merged.items(), key=lambda kv: link_key(kv[0])) if c != 0
+            (s, c) for s, c in sorted(merged.items(), key=lambda kv: link_key(kv[0])) if c
         )
         object.__setattr__(self, "terms", canonical)
 

@@ -37,7 +37,11 @@ coalition at a time, and shares no code with the bitmask integer kernel
   hyperlink deletion and `Fraction` gains (`pair_report_by_rule_calls`),
   the reference for the integer gains of `hypercoop.axioms`;
 * Lemma 1 for one hyperlink on two passes (`check_copy_deletion`), the
-  reference for the one-pass `hypercoop.axioms.check_copy_deletions`.
+  reference for the one-pass `hypercoop.axioms.check_copy_deletions`;
+* the game document parser that checks each field through the error
+  helpers and then again in `make_hypergraph` and the characteristic
+  constructors (`parse_game_by_fields`), the reference for the one-pass
+  `hypercoop.cli.parse_game`.
 
 Each route refuses games larger than its cap.
 """
@@ -45,12 +49,14 @@ Each route refuses games larger than its cap.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from hypercoop.axioms import Report, compare
+from hypercoop.cli import DocumentError, _int_list, _known_keys, _require, parse_rational
 from hypercoop.connectivity import components, mask_components
 from hypercoop.expansion import grouped_position
 from hypercoop.model import (
@@ -64,7 +70,11 @@ from hypercoop.model import (
     eta,
     incident_hyperlinks,
     link_key,
+    make_hypergraph,
     scaled_worths,
+    table_function,
+    unanimity,
+    weighted_unanimity,
     zero_allocation,
 )
 from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, factorials, require_subset_cap
@@ -738,3 +748,107 @@ def check_copy_deletion(game: HypergraphGame, link, cap: int = DEFAULT_SUBSET_CA
     e = frozenset(link)
     grouped = grouped_position(game, 1, e, cap)
     return compare("copy deletion", grouped, position_value(game.without_hyperlink(e), cap=cap))
+
+
+def parse_game_by_fields(text: str) -> HypergraphGame:
+    """Parse and validate a JSON game document field by field, building
+    every error message's field path as it goes, then hand the checked
+    fields to `make_hypergraph` and the characteristic constructors, which
+    check them again.  The first error is the same as `parse_game`'s."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # a decode error, or an integer past int's digit limit
+        raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise DocumentError("document root must be a JSON object")
+    _known_keys(doc, ("players", "hyperlinks", "characteristic"), "document")
+
+    players = _int_list(_require(doc, "players", "document"), "players")
+    if not players:
+        raise DocumentError("players: player set must be nonempty")
+    player_set = set(players)
+    if len(player_set) < len(players) or min(players) < 0:
+        first_at: dict[int, int] = {}
+        for n, p in enumerate(players):
+            if p < 0:
+                raise DocumentError(f"players[{n}]: player ids must be non-negative integers, got {p}")
+            if (first := first_at.setdefault(p, n)) != n:
+                raise DocumentError(f"players[{n}]: duplicate player id {p}, already players[{first}]")
+
+    raw_links = doc.get("hyperlinks", [])
+    if not isinstance(raw_links, list):
+        raise DocumentError("hyperlinks: expected a list of player lists")
+    links: dict[frozenset[int], int] = {}
+    for n, raw in enumerate(raw_links):
+        members = _int_list(raw, f"hyperlinks[{n}]")
+        if len(members) < 2:
+            raise DocumentError(f"hyperlinks[{n}]: a hyperlink needs at least two members")
+        if not player_set.issuperset(members):
+            unknown = sorted(p for p in members if p not in player_set)
+            raise DocumentError(f"hyperlinks[{n}]: unknown players {unknown}")
+        if len(set(members)) != len(members):
+            raise DocumentError(f"hyperlinks[{n}]: duplicate members")
+        if (first := links.setdefault(frozenset(members), n)) != n:
+            raise DocumentError(
+                f"hyperlinks[{n}]: duplicate hyperlink {sorted(members)}, already hyperlinks[{first}]"
+            )
+
+    raw_cf = _require(doc, "characteristic", "document")
+    if not isinstance(raw_cf, dict):
+        raise DocumentError("characteristic: expected an object")
+    _known_keys(raw_cf, ("table", "unanimity", "weighted_unanimity"), "characteristic")
+    if len(raw_cf) != 1:
+        raise DocumentError(
+            "characteristic: provide exactly one of 'table', "
+            "'unanimity' or 'weighted_unanimity'"
+        )
+
+    try:
+        structure = make_hypergraph(players, links)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+
+    [(kind, raw_kind)] = raw_cf.items()
+    try:
+        if kind == "unanimity":
+            support = _int_list(raw_kind, "characteristic.unanimity")
+            cf = unanimity(players, support)
+        elif kind == "weighted_unanimity":
+            if not isinstance(raw_kind, list):
+                raise DocumentError("characteristic.weighted_unanimity: expected a list")
+            terms = []
+            for n, item in enumerate(raw_kind):
+                where = f"characteristic.weighted_unanimity[{n}]"
+                if not isinstance(item, dict):
+                    raise DocumentError(f"{where}: expected an object")
+                _known_keys(item, ("coalition", "coeff"), where)
+                coalition = _int_list(_require(item, "coalition", where), f"{where}.coalition")
+                coeff = parse_rational(_require(item, "coeff", where), f"{where}.coeff")
+                terms.append((coalition, coeff))
+            cf = weighted_unanimity(players, terms)
+        else:
+            if not isinstance(raw_kind, list):
+                raise DocumentError("characteristic.table: expected a list of entries")
+            entries: dict[frozenset[int], Fraction] = {}
+            for n, item in enumerate(raw_kind):
+                where = f"characteristic.table[{n}]"
+                if not isinstance(item, dict):
+                    raise DocumentError(f"{where}: expected an object")
+                _known_keys(item, ("coalition", "worth"), where)
+                coalition = frozenset(
+                    _int_list(_require(item, "coalition", where), f"{where}.coalition")
+                )
+                if coalition in entries:
+                    raise DocumentError(f"{where}: duplicate coalition {sorted(coalition)}")
+                entries[coalition] = parse_rational(
+                    _require(item, "worth", where), f"{where}.worth"
+                )
+            cf = table_function(players, entries)
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        raise DocumentError(f"characteristic: {exc}") from None
+
+    return HypergraphGame(structure, cf)

@@ -1,6 +1,8 @@
+import copy
 import errno
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,8 +28,9 @@ from hypercoop.cli import (
     parse_game,
     parse_rational,
 )
-from hypercoop.corpus import path_three
+from hypercoop.corpus import game_corpus, path_three
 
+from oracles import parse_game_by_fields
 from strategies import hypergraph_games
 
 F = Fraction
@@ -347,6 +350,108 @@ def test_readme_library_block_runs():
     assert hypercoop.grouped_position(game, k=2) == hypercoop.value_from_axioms(game) == position
 
 
+def parse_outcome(parse, text):
+    """The parsed game, or the type and text of the error `parse` raised."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def json_nodes(value, path=()):
+    """Every (path, node) of a decoded JSON value, the root first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from json_nodes(child, (*path, key))
+
+
+def set_at(doc, path, value):
+    """`doc` with the node at `path` replaced by `value`."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def mutant(doc, rng: random.Random):
+    """`doc` with one field changed: replaced by a value the parser must
+    refuse or normalise, repeated, dropped or joined by an unknown key or
+    id; or with a characteristic entry added for a nonzero singleton or
+    for a coalition outside the players."""
+    doc = copy.deepcopy(doc)
+    players = doc["players"]
+    unknown = max(players) + 1
+    nodes = list(json_nodes(doc))
+    rationals = [(path, node) for path, node in nodes if path and path[-1] in ("worth", "coeff")]
+    path, node = rng.choice(rationals if rationals and rng.random() < 0.3 else nodes)
+    change = rng.randrange(8)
+    if change == 1 and isinstance(node, list) and node:
+        node.insert(rng.randrange(len(node) + 1), copy.deepcopy(rng.choice(node)))
+    elif change == 2 and isinstance(node, (list, dict)) and node:
+        del node[rng.choice(list(node) if isinstance(node, dict) else range(len(node)))]
+    elif change == 3 and isinstance(node, dict):
+        node[rng.choice(["extra", "weight", "tabel", "coalitions"])] = 1
+    elif change == 3 and isinstance(node, list):
+        node.append(rng.choice([unknown, -1, 0]))
+    elif change in (4, 5):
+        [(kind, entries)] = doc["characteristic"].items()
+        coalition = [rng.choice(players)] if change == 4 else [rng.choice(players), unknown]
+        if kind == "unanimity":
+            doc["characteristic"][kind] = coalition
+        else:
+            value = {"coalition": coalition, "coeff" if kind == "weighted_unanimity" else "worth": 2}
+            entries.insert(rng.randrange(len(entries) + 1), value)
+    else:
+        value = rng.choice(
+            [True, False, 1.5, 2.0, -1, unknown, None, "x", "1/0", " 3 ", "3/6", "-4/2", "7\n",
+             "\u0663", "\u0663/4", "1" * (DIGIT_LIMIT + 1), "2/" + "3" * (DIGIT_LIMIT + 1), [], {}]
+        )
+        doc = set_at(doc, path, value)
+    return doc
+
+
+class TestParseGameMatchesTheOracle:
+    """`parse_game` checks each field once; `oracles.parse_game_by_fields`
+    checks each through the error helpers and then again in the model's
+    constructors.  Both give an equal game, or the same first error."""
+
+    @staticmethod
+    def valid_documents() -> list[str]:
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        return [
+            *(path.read_text(encoding="utf-8") for path in sorted(GAMES_DIR.glob("*.json"))),
+            *re.findall(r"```json\n(.*?)```", readme, re.S),
+            *(json.dumps(game_to_document(game)) for game in game_corpus()),
+        ]
+
+    def test_sample_games_readme_blocks_and_corpus(self):
+        texts = self.valid_documents()
+        assert len(texts) >= 200
+        for text in texts:
+            game, expected = parse_game(text), parse_game_by_fields(text)
+            assert game == expected
+            assert game_to_document(game) == game_to_document(expected)
+
+    def test_mutated_documents(self):
+        rng = random.Random(36)
+        texts = self.valid_documents()
+        # every sample game and README block, and every tenth corpus game
+        bases = [json.loads(text) for text in texts[:-200] + texts[-200::10]]
+        invalid = 0
+        for _ in range(4000):
+            text = json.dumps(mutant(rng.choice(bases), rng))
+            got, expected = parse_outcome(parse_game, text), parse_outcome(parse_game_by_fields, text)
+            assert got == expected, text
+            if isinstance(expected, tuple):
+                invalid += 1
+                assert expected[0] is DocumentError, text
+        assert 2000 < invalid < 4000
+
+
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -532,6 +637,17 @@ class TestValueCommand:
     def test_missing_file(self, capsys):
         assert main(["value", "no-such-file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_a_document_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        text = json.dumps(HUB_DOC).encode("utf-8")
+        path = tmp_path / "game.json"
+        path.write_bytes(text[:80] + b"\xff" + text[80:])
+        assert main(["value", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 80: "
+            "invalid start byte\n",
+        )
 
     def test_bad_document(self, tmp_path, capsys):
         path = write_doc(tmp_path, dict(HUB_DOC, hyperlinks=[[1]]))
