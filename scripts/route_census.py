@@ -4,8 +4,10 @@
 For the position value (the conference game) and the Myerson value (the
 point game), counts the routes `solutions._plan` picks over the games of
 each benchmark workload (`perfbench/workloads.py`, imported read-only)
-and over the seeded game corpus.  Nothing is solved: the planner reads
-the hypergraph alone.
+and over the seeded game corpus.  Under each count line a `price:` line
+sums each route's `Route.price` over its games: the entries its listings
+hold, or 2^size for a table.  Nothing is solved: the planner reads the
+hypergraph and the coalitions a table lists, but no worth.
 
 The workloads are taken at seed 5 and the corpus at its default seed
 and size, 200 games.  Run from the root of a checkout:
@@ -38,8 +40,13 @@ SEED = 5
 def census(label: str, games: list) -> list[str]:
     lines = [f"{label}: {len(games)} games"]
     for rule, point in (("position", False), ("myerson", True)):
-        counts = Counter(_plan(game, point=point)[0] for game in games)
+        counts, prices = Counter(), Counter()
+        for game in games:
+            route = _plan(game, point=point)
+            counts[route.name] += 1
+            prices[route.name] += route.price
         lines.append(f"  {rule}: " + ", ".join(f"{r} {counts[r]}" for r in ROUTES if counts[r]))
+        lines.append("    price: " + ", ".join(f"{r} {prices[r]}" for r in ROUTES if counts[r]))
     return lines
 
 

@@ -13,36 +13,23 @@ Players (or hyperlinks) are bit positions, a coalition is an int, and
 worths are integers scaled by `model.scaled_worths`, the one worth reader
 shared with the expansion and axiom modules; each payoff is one exact
 division at the end.  A restricted game is Σ_P v(P)·[P is a piece of S]
-over the connected sets P, so every route `_plan` picks pays the same:
+over the connected sets P.  A route writes it either as pieces (P, B, w),
+w·[S holds P and misses B], which `shapley_of_pieces` pays (each member
+of P (p-1)!·b!/(p+b)! and each member of B -p!·(b-1)!/(p+b)! times w,
+p = |P| and b = |B|), or as the 2^size table that `shapley_of_table`
+sums, size being the m hyperlinks (the n players for the point game).
 
-- dividends (unanimity coefficients c_T): on a cycle-free hypergraph
-  u_T's restricted game is u_B, B the hyperlinks of T's Steiner tree (or
-  the players on them), and on any hypergraph u_T's point game is u_T
-  itself when the hyperlinks inside T join T, since T then stays joined
-  in every coalition holding it (Owen 1986, "Values of graph-restricted
-  games", SIAM J. Algebraic Discrete Methods 7: 210-220); so each term
-  is one piece (B, ∅, c_T), the c_T over the lcm of their denominators,
-  and pays c_T/|B| to each member of B; `shapley_value` pays c_T/|T|
-  the same way;
-- connected sets P with their boundaries ∂P, on the line graph of the
-  hyperlinks or on a player graph of pairs: `shapley_of_pieces` pays
-  each member of P (p-1)!·b!/(p+b)! and each member of ∂P
-  -p!·(b-1)!/(p+b)! times v(P), p = |P| and b = |∂P|; with a larger
-  hyperlink, `connectivity.hypergraph_pieces` gives signed pieces;
-- complement (conference game only): v of the players on A's hyperlinks
-  as pieces (∅, hyperlinks leaving Y) over the player sets Y, plus one
-  piece [S = A] per disconnected A; their worths come straight from
-  unanimity coefficients, and from all 2^n player worths otherwise;
-- support (table worths): only the connected sets with a nonzero entry
-  v(C) pay, so each entry lists its own pieces, priced before any is
-  listed: C's own signed terms in the point game, and in the conference
-  game every hyperlink set P inside C that covers and connects C, with
-  boundary the other hyperlinks meeting C; `shapley_value` reads each
-  entry as the piece [S = C];
-- tables: W[mask] = v(piece holding the lowest bit) + W[mask without
-  that piece] over all 2^m (or 2^n) masks, summed by `shapley_of_table`;
-  the conference table reads its worths first, once per covered player
-  set, and then fills W in one pass.
+`_plan` picks the route before any worth is read.  It tries
+`_dividends`, `_complement`, `_support` and `_connected` in that order,
+each against the listing limit 2^c/4 · c/size, c = min(size, cap), and
+otherwise builds `_table` within the subset cap.  Each of those
+functions states its own rule and hands out a `Route`: a name, a price
+and a build step that reads the worths once.  Every route that reads
+worths for its listing lists signed terms (C, P, B, sign), the piece
+(P, B) worth sign·v(C), and `_signed` reads them.  `shapley_value`
+ignores the hypergraph: it pays the unanimity coefficients c_T as the
+pieces (T, ∅, c_T), a table's entries v(C) as the pieces [S = C], and
+only other worths from the 2^n table.
 
 `_rows` is the one reader of the conference pass: per weighting, the
 player numerators of the game, or of the game without any one
@@ -61,6 +48,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm
 from operator import sub
+from typing import Callable, NamedTuple
 
 from .connectivity import connected_sets, disconnected_sets, hypergraph_pieces, mask_components, piece_terms
 from .model import (
@@ -78,6 +66,16 @@ from .shapley import (
     shapley_of_table,
     shapley_weights,
 )
+
+
+class Route(NamedTuple):
+    """The route `_plan` picked: its name, its price (the entries it
+    lists, or 2^size for the table) and build(), which reads the worths
+    once and gives (scale, pieces, None), or (scale, None, table)."""
+
+    name: str
+    price: int
+    build: Callable[[], tuple]
 
 
 def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
@@ -166,14 +164,21 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int])
     A in `apart` is the piece (A, every other hyperlink), [S = A].
 
     Unanimity coefficients c_T give φ(N∖Y) = (-1)^|Y|·Σ_{T⊇Y} c_T, and
-    out(N∖Y) is the hyperlinks meeting Y, so each term adds its 2^|T|
-    signed (out, c_T) entries and only the disconnected sets' covers and
-    parts are read.  Other worths read all 2^n player sets and take φ
+    out(N∖Y) is the hyperlinks meeting Y, so each term merges its 2^|T|
+    signed (out, c_T) entries into the pieces as it makes them, and only
+    the disconnected sets' covers and parts are read.  Other worths read all 2^n player sets and take φ
     by n Möbius passes."""
     n, every = len(game.players), (1 << len(links)) - 1
     leaving = [sum(1 << j for j, e in enumerate(links) if e >> k & 1) for k in range(n)]
     parts = [(a, players, mask_components(players, [e for j, e in enumerate(links) if a >> j & 1]))
              for a, players in _covered(links, apart).items()]
+    by_out: dict[int, int] = {}
+
+    def merge(entries) -> None:
+        for o, f in entries:
+            if o and f:
+                by_out[o] = by_out.get(o, 0) + f
+
     coefficients = game.characteristic.unanimity_coefficients()
     if coefficients is None:
         scale, worth = _read_worths(game, range(1, 1 << n))
@@ -184,21 +189,18 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int])
             lower, upper = phi[0::2], phi[1::2]
             phi = [*map(sub, lower, upper), *upper]
             out = [x | leaving[k] for x in out] + out
-        entries = zip(out, phi)
+        merge(zip(out, phi))
     else:
         scale, worth = _read_worths(game, {c for _, players, cs in parts for c in (players, *cs)})
         index = {p: k for k, p in enumerate(game.players)}
-        entries = []
+        # each term's entries merge as soon as they are made, so at most
+        # one term's 2^|T| of them are held at once
         for support, c in coefficients.items():
             out, signed = [0], [c.numerator * (scale // c.denominator)]
             for p in support:
                 out += [x | leaving[index[p]] for x in out]
                 signed += [-f for f in signed]
-            entries += zip(out, signed)
-    by_out: dict[int, int] = {}
-    for o, f in entries:
-        if o and f:
-            by_out[o] = by_out.get(o, 0) + f
+            merge(zip(out, signed))
     pieces = [(0, o, f) for o, f in by_out.items()]
     for a, players, cs in parts:
         pieces.append((a, every ^ a, sum(worth[c] for c in cs) - worth[players]))
@@ -276,19 +278,23 @@ def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     term pays c_T/|T| to each member of T, as in `shapley_value`,
     without a table or a listing."""
     n = len(game.players)
-    route, listing, _ = _plan(game, point=True, cap=cap)
-    if listing is None:
-        table, scale = _point_table(game)
-        return _allocation(game.players, shapley_of_table(table), factorial(n) * scale)
-    if route == "dividends":
-        scale, pieces = _dividend_pieces(listing)
-    else:
-        # a connected set has one pair but may have several signed terms
-        read = [t[0] for t in listing]
-        scale, worth = scaled_worths(game.characteristic, game.players, read if route == "sets" else set(read))
-        pieces = (((s, b, worth[s]) for s, b in listing) if route == "sets"
-                  else ((u, b, sign * worth[s]) for s, u, b, sign in listing))
-    return _allocation(game.players, shapley_of_pieces(n, pieces), factorial(n) * scale)
+    scale, pieces, table = _plan(game, point=True, cap=cap).build()
+    sums = shapley_of_pieces(n, pieces) if table is None else shapley_of_table(table)
+    return _allocation(game.players, sums, factorial(n) * scale)
+
+
+def _signed(game: HypergraphGame, point: bool, name: str, terms: list) -> Route:
+    """The route `name` over the signed terms (C, P, B, sign), each the
+    piece (P, B) worth sign·v(C), priced at their number.  build() reads
+    each distinct C once: with `scaled_worths` for the point game, and
+    for the conference game with `_read_worths`, which also holds the
+    singletons to worth zero."""
+    def build():
+        read = {c for c, _, _, _ in terms}
+        scale, worth = scaled_worths(game.characteristic, game.players, read) if point else _read_worths(game, read)
+        return scale, [(p, b, sign * worth[c]) for c, p, b, sign in terms], None
+
+    return Route(name, len(terms), build)
 
 
 def _steiner(adjacent: list[list[int]], n: int, t: int) -> int:
@@ -309,15 +315,24 @@ def _steiner(adjacent: list[list[int]], n: int, t: int) -> int:
     return sum(1 << j for j, d in enumerate(degree[n:]) if d)
 
 
-def _dividends(game: HypergraphGame, links: list[int], point: bool) -> list | None:
-    """The listing of `_plan`'s dividends route, or None where it does
-    not apply.  On a forest each term T in one component pays on T's
-    Steiner tree (its hyperlinks, or with `point` the players on them);
-    a term whose support spans two components, or holds a player on no
-    hyperlink, has restricted game 0 and is left out.  Otherwise only
-    the point game applies, and only when every support T is joined by
-    the hyperlinks inside it: T then stays joined in every coalition
-    holding it, so each term pays on T itself."""
+def _dividends(game: HypergraphGame, links: list[int], point: bool, limit: int) -> Route | None:
+    """The dividends route, for a characteristic with unanimity
+    coefficients c_T, at any size (`limit` plays no part): one term
+    (B(T), c_T) per support T, paid by `_dividend_pieces` and priced at
+    the number of terms; None where it does not apply.
+
+    On a forest (an acyclic player–hyperlink incidence graph, where
+    Σ_e(|e|-1) = covered players - components) each support T in one
+    component pays on B(T), the hyperlinks of T's Steiner tree (with
+    `point` the players on them); a term whose support spans two
+    components, or holds a player on no hyperlink, has restricted game 0
+    and is left out.  Otherwise only the point game applies, and only
+    when every support T is joined by the hyperlinks inside it: T then
+    stays joined in every coalition holding it, so u_T's point game is
+    u_T itself and B(T) = T (Owen 1986, "Values of graph-restricted
+    games", SIAM J. Algebraic Discrete Methods 7: 210-220).  Table worths
+    leave at the coefficient check, and most cyclic structures skip the
+    components at the sum Σ_e(|e|-1) >= covered players."""
     coefficients = game.characteristic.unanimity_coefficients()
     if coefficients is None:
         return None
@@ -334,22 +349,31 @@ def _dividends(game: HypergraphGame, links: list[int], point: bool) -> list | No
         for t in supports:
             if not _joins(links, t, sum(1 << j for j, e in enumerate(links) if e & t == e)):
                 return None
-        return list(zip(supports, coefficients.values()))
-    n = len(game.players)
-    adjacent: list[list[int]] = [[] for _ in range(n)]
-    for j, e in enumerate(links):
-        members = [k for k in range(e.bit_length()) if e >> k & 1]
-        for k in members:
-            adjacent[k].append(n + j)
-        adjacent.append(members)
-    listing = []
-    for t, c in zip(supports, coefficients.values()):
-        if any(t & part == t for part in parts):
-            listing.append((_steiner(adjacent, n, t), c))
-    if point:
-        covers = _covered(links, (b for b, _ in listing))
-        listing = [(covers[b], c) for b, c in listing]
-    return listing
+        listing = list(zip(supports, coefficients.values()))
+    else:
+        n = len(game.players)
+        adjacent: list[list[int]] = [[] for _ in range(n)]
+        for j, e in enumerate(links):
+            members = [k for k in range(e.bit_length()) if e >> k & 1]
+            for k in members:
+                adjacent[k].append(n + j)
+            adjacent.append(members)
+        listing = [(_steiner(adjacent, n, t), c) for t, c in zip(supports, coefficients.values())
+                   if any(t & part == t for part in parts)]
+        if point:
+            covers = _covered(links, (b for b, _ in listing))
+            listing = [(covers[b], c) for b, c in listing]
+    return Route("dividends", len(listing), lambda: (*_dividend_pieces(listing), None))
+
+
+def _complement(game: HypergraphGame, links: list[int], point: bool, limit: int) -> Route | None:
+    """The complement route, for the conference game only, when its 2^n
+    player sets are within `limit`: the disconnected hyperlink sets of
+    `connectivity.disconnected_sets`, at most `limit` of them and priced
+    at their number, read from the player side by `_complement_pieces`."""
+    if point or 1 << len(game.players) > limit or (apart := disconnected_sets(_line_graph(links), limit)) is None:
+        return None
+    return Route("complement", len(apart), lambda: (*_complement_pieces(game, links, apart), None))
 
 
 def _joins(links: list[int], c: int, p: int) -> bool:
@@ -395,23 +419,28 @@ def _spanning(links: list[int], c: int, inside: int, slack: int) -> list[int]:
     return found
 
 
-def _support(links: list[int], entries: list[int], point: bool, limit: int) -> list | None:
-    """The listing of `_plan`'s support route over the player masks
-    `entries` of the nonzero worths, or None when it would pass `limit`.
+def _support(game: HypergraphGame, links: list[int], point: bool, limit: int) -> Route | None:
+    """The support route, for table worths with at most `limit` entries:
+    only a connected set C with a nonzero entry v(C) pays, so each entry
+    lists its own signed terms; None when they would pass `limit`.
 
     One pass over the hyperlinks splits those meeting an entry C into
     H[C], the ones inside it, and out(C), the ones leaving it.  With
     k = Σ_{e∈H[C]}(|e|-1) - (|C|-1), no set of H[C] connects C when
     k < 0, and one that does misses at most k of H[C].  The point game
-    lists C's own `piece_terms` when H[C] connects C.  The conference
-    game prices every entry first, at Σ_{i<=k} C(|H[C]|, i) sets, and
-    only when the sum fits lists each P of `_spanning` as the triple
-    (P, (H[C]∖P) ∪ out(C), C)."""
+    lists C's own `piece_terms` when H[C] connects C, counted against
+    the limit as they are made.  The conference game prices every entry
+    first, at Σ_{i<=k} C(|H[C]|, i) sets, and only when the sum fits
+    lists each P of `_spanning` as the term
+    (C, P, (H[C]∖P) ∪ out(C), 1)."""
+    cf = game.characteristic
+    if not isinstance(cf, TableFunction) or len(cf.entries) > limit:
+        return None
     listing, priced, price = [], [], 0
     costs = [(1 << j, e, e.bit_count() - 1) for j, e in enumerate(links)]
     # the largest entries price highest, so a table that does not fit
     # is found out after few of them
-    for c in sorted(entries, key=int.bit_count, reverse=True):
+    for c in sorted(_masks(game, cf.entries), key=int.bit_count, reverse=True):
         inside = out = excess = 0
         outside = ~c
         for bit, e, cost in costs:
@@ -443,71 +472,67 @@ def _support(links: list[int], entries: list[int], point: bool, limit: int) -> l
             return None
         priced.append((c, inside, out, slack))
     for c, inside, out, slack in priced:
-        listing += [(p, inside ^ p | out, c) for p in _spanning(links, c, inside, slack)]
-    return listing
+        listing += [(c, p, inside ^ p | out, 1) for p in _spanning(links, c, inside, slack)]
+    return _signed(game, point, "support", listing)
 
 
-def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_CAP) -> tuple[str, list | None, list[int]]:
-    """(route, listing, hyperlink masks) of the conference game, or with
-    `point` of the point game, picked before any worth is read; the one
-    use of the subset cap.  With n players and size m hyperlinks (n
-    players with `point`), the first route that applies and whose
-    enumerator, after its own lower bounds, lists no more than the limit
-    2^c/4 · c/size, c = min(size, cap): 2^size/4 within the cap, and past
-    it 2^cap/4 entries' worth of cap-bit masks spread over size-bit ones,
-    so the cap bounds the bits a listing holds, not only its length:
-
-    - "dividends" (a characteristic with unanimity coefficients c_T; no
-      limit): one (B(T), c_T) per term, by `_dividends`.  On an acyclic
-      player–hyperlink incidence graph, Σ_e(|e|-1) = covered players -
-      components, each support T in one component of covered players
-      pays on B(T), the hyperlinks of T's Steiner tree (or the players on
-      them).  Otherwise the point game alone takes the route, when the
-      hyperlinks inside each T join T, and pays on B(T) = T, u_T's point
-      game being u_T (Owen 1986); one support they do not join sends it
-      on to the routes below.  Table worths leave at the None check, and
-      most cyclic structures skip the components at the sum
-      Σ_e(|e|-1) >= covered players;
-    - "complement" (conference game, if its 2^n player sets are at
-      most the limit): the disconnected hyperlink sets;
-    - "support" (table worths with at most `limit` entries): `_support`,
-      the pieces of each nonzero entry alone: for the conference game
-      the (set, boundary) pairs of "sets" with the entry each set covers,
-      and for the point game in the listing format of "pieces".
-      The conference game's entries are priced at Σ_{i<=k} C(|H[C]|, i)
-      spanning sets each before any is listed, and the point game's terms
-      counted as they are made, against the limit;
-    - "sets": the (set, boundary) pairs of the connected sets of the line
-      graph, or of the player graph when every hyperlink has two members;
-    - "pieces" (point game, a larger hyperlink): the signed terms of
-      `connectivity.hypergraph_pieces`, sets and terms together;
-    - "table": None, for the 2^size table; CapExceeded when size > cap,
-      after the listings have overflowed the limit."""
-    links, n = _hyperlink_masks(game), len(game.players)
-    if (terms := _dividends(game, links, point)) is not None:
-        return "dividends", terms, links
-    size = n if point else len(links)
-    limit = ((1 << min(size, cap)) >> 2) * min(size, cap) // max(size, 1)
-    if not point and 1 << n <= limit and (apart := disconnected_sets(_line_graph(links), limit)) is not None:
-        return "complement", apart, links
-    cf = game.characteristic
-    if isinstance(cf, TableFunction) and len(cf.entries) <= limit:
-        if (listing := _support(links, _masks(game, cf.entries), point, limit)) is not None:
-            return "support", listing, links
+def _connected(game: HypergraphGame, links: list[int], point: bool, limit: int) -> Route | None:
+    """The connected sets P with their boundaries B, at most `limit` of
+    them (`connectivity.connected_sets`): "sets" on the line graph of the
+    hyperlinks, each the term (players on P, P, B, 1), or for the point
+    game on the player graph when every hyperlink is a pair, each the
+    term (P, P, B, 1).  A point game with a larger hyperlink takes
+    "pieces", the signed terms of `connectivity.hypergraph_pieces`, sets
+    and terms together within `limit`.  None past the limit."""
+    n = len(game.players)
     if not point:
-        route, listing = "sets", connected_sets(_line_graph(links), limit)
-    elif all(len(e) == 2 for e in game.hyperlinks):
+        listing = connected_sets(_line_graph(links), limit)
+    elif all(e.bit_count() == 2 for e in links):
         partners = [0] * n
         for e in links:
             low = e & -e
             partners[low.bit_length() - 1] |= e ^ low
             partners[e.bit_length() - 1] |= low
-        route, listing = "sets", connected_sets(partners, limit)
+        listing = connected_sets(partners, limit)
     else:
-        route, listing = "pieces", hypergraph_pieces(links, n, limit)
+        return None if (terms := hypergraph_pieces(links, n, limit)) is None else _signed(game, point, "pieces", terms)
     if listing is None:
-        require_subset_cap(size, cap, "players" if point else "hyperlinks")
-    return ("table" if listing is None else route), listing, links
+        return None
+    # a hyperlink set is worth what its players are; a player set is its own coalition
+    covered = {} if point else _covered(links, (s for s, _ in listing))
+    return _signed(game, point, "sets", [(covered.get(s, s), s, b, 1) for s, b in listing])
+
+
+def _table(game: HypergraphGame, point: bool) -> Route:
+    """The table route, priced at its 2^size masks: `_point_table` for
+    the point game and `conference_table` for the conference game."""
+    def build():
+        table, scale = (_point_table if point else conference_table)(game)
+        return scale, None, table
+
+    return Route("table", 1 << len(game.players if point else game.hyperlinks), build)
+
+
+def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_CAP) -> Route:
+    """The `Route` of the conference game, or with `point` of the point
+    game, picked before any worth is read; the one use of the subset cap.
+
+    With size the m hyperlinks (the n players with `point`), each listing
+    gets the limit 2^c/4 · c/size entries, c = min(size, cap): 2^size/4
+    within the cap, and past it 2^cap/4 entries' worth of cap-bit masks
+    spread over size-bit ones, so the cap bounds the bits a listing
+    holds, not only its length.  The first of `_dividends` (no limit),
+    `_complement`, `_support` and `_connected` that applies within the
+    limit is the route; otherwise `_table`, or CapExceeded when
+    size > cap, after the listings have overflowed the limit."""
+    links = _hyperlink_masks(game)
+    size = len(game.players) if point else len(links)
+    limit = ((1 << min(size, cap)) >> 2) * min(size, cap) // max(size, 1)
+    for route in (_dividends, _complement, _support, _connected):
+        if (found := route(game, links, point, limit)) is not None:
+            return found
+    require_subset_cap(size, cap, "players" if point else "hyperlinks")
+    return _table(game, point)
 
 
 def _without_bit(table: list[int], j: int) -> list[int]:
@@ -533,21 +558,7 @@ def _conference_shapley(game: HypergraphGame, cap: int, weightings=(_shapley,)):
     here.  Without j a listing keeps the pieces missing j, j cleared from
     their boundaries, and the table its masks without j's bit."""
     m = len(game.hyperlinks)
-    route, listing, links = _plan(game, cap=cap)
-    table = None
-    if route == "dividends":
-        scale, pieces = _dividend_pieces(listing)
-    elif route == "complement":
-        scale, pieces = _complement_pieces(game, links, listing)
-    elif route == "sets":
-        covered = _covered(links, (s for s, _ in listing))
-        scale, worth = _read_worths(game, covered.values())
-        pieces = [(s, b, worth[covered[s]]) for s, b in listing]
-    elif route == "support":
-        scale, worth = _read_worths(game, {c for _, _, c in listing})
-        pieces = [(s, b, worth[c]) for s, b, c in listing]
-    else:
-        table, scale = conference_table(game)
+    scale, pieces, table = _plan(game, cap=cap).build()
 
     def solve(j: int | None) -> list[tuple[list[int], int]]:
         blocks = m if j is None else m - 1

@@ -16,7 +16,6 @@ from hypercoop.axioms import check_copy_deletions, check_uniform_expansion, valu
 from hypercoop.cli import parse_game
 from hypercoop.connectivity import (
     components,
-    connected_sets,
     disconnected_sets,
     hypergraph_pieces,
 )
@@ -24,6 +23,7 @@ from hypercoop.corpus import game_corpus
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
+    TableFunction,
     make_hypergraph,
     scaled_worths,
     table_function,
@@ -417,40 +417,49 @@ GAMES = sorted((Path(__file__).resolve().parent.parent / "games").glob("*.json")
 ROUTES = ("table", "pieces", "complement", "support")
 
 
-def nonzero_coalitions(game):
-    """The player mask of every coalition whose worth is not zero."""
+@dataclass(frozen=True)
+class Entries(TableFunction):
+    """A table that keeps every entry it is given, a nonzero singleton
+    too, so that any characteristic can be read from its entries."""
+
+    def __post_init__(self):
+        pass
+
+
+def as_entries(game):
+    """The same game with its worths given as a table of its nonzero
+    worths, whatever its characteristic."""
     n = len(game.players)
-    _, worth = scaled_worths(game.characteristic, game.players, range(1, 1 << n))
-    return [c for c, w in worth.items() if w]
+    scale, worth = scaled_worths(game.characteristic, game.players, range(1, 1 << n))
+    entries = {
+        frozenset(p for k, p in enumerate(game.players) if c >> k & 1): F(w, scale) for c, w in worth.items() if w
+    }
+    return HypergraphGame(game.hypergraph, Entries(game.characteristic.players, entries))
 
 
 @contextlib.contextmanager
 def route(name):
     """Force `position_value` and `myerson_value` onto one route by
-    replacing the planner: "table" plans both tables; "pieces" lists
-    every connected set, or every signed piece of a hypergraph's point
-    game, whatever their number; "complement" lists every disconnected
-    hyperlink set, whatever the number of players, and sends the Myerson
-    value to its table; "support" lists the pieces of every coalition
-    with a nonzero worth, whatever the characteristic and whatever their
-    number.  Only a table is refused past the subset cap, as the planner
-    refuses it."""
+    replacing the planner with that route's own function at an unbounded
+    limit: "table" plans both tables; "pieces" lists every connected
+    set, or every signed piece of a hypergraph's point game, whatever
+    their number; "complement" lists every disconnected hyperlink set,
+    whatever the number of players, and sends the Myerson value to its
+    table; "support" reads the game `as_entries`, whatever its
+    characteristic, and lists the pieces of each nonzero entry, whatever
+    their number.  Only a table is refused past the subset cap, as the
+    planner refuses it."""
+    forced = {"pieces": solutions._connected, "complement": solutions._complement, "support": solutions._support}
+
     def plan(game, point=False, cap=DEFAULT_SUBSET_CAP):
         links = solutions._hyperlink_masks(game)
         n, m = len(game.players), len(links)
-        if name == "table" or point and name == "complement":
-            require_subset_cap(n if point else m, cap, "players" if point else "hyperlinks")
-            return "table", None, links
-        if name == "support":
-            return "support", solutions._support(links, nonzero_coalitions(game), point, 1 << (n + m + 1)), links
-        if not point:
-            lister = disconnected_sets if name == "complement" else connected_sets
-            listing = lister(solutions._line_graph(links), 1 << m)
-            return ("complement" if name == "complement" else "sets"), listing, links
-        if all(e.bit_count() == 2 for e in links):
-            partners = [sum(e ^ 1 << k for e in links if e >> k & 1) for k in range(n)]
-            return "sets", connected_sets(partners, 1 << n), links
-        return "pieces", hypergraph_pieces(links, n, 1 << (n + m + 1)), links
+        if name in forced:
+            listed = forced[name](as_entries(game) if name == "support" else game, links, point, 1 << (n + m + 1))
+            if listed is not None:
+                return listed
+        require_subset_cap(n if point else m, cap, "players" if point else "hyperlinks")
+        return solutions._table(game, point)
 
     with mock.patch.object(solutions, "_plan", plan):
         yield
@@ -661,7 +670,7 @@ class TestRouting:
 
         monkeypatch.setattr(solutions, "disconnected_sets", refuse)
         assert position_value(ring(12)) == expected
-        assert solutions._plan(ring(12))[0] == "sets"
+        assert solutions._plan(ring(12)).name == "sets"
 
     @pytest.mark.parametrize("m, expected", [(7, "complement"), (6, "table")])
     def test_the_player_gate_at_its_boundary(self, m, expected):
@@ -673,7 +682,7 @@ class TestRouting:
         links = list(itertools.combinations(players, 3))[:m]
         cf = weighted_unanimity(players, [(players, 1), ([0, 4], F(2, 3))])
         game = HypergraphGame(make_hypergraph(players, links), cf)
-        assert solutions._plan(game)[0] == expected
+        assert solutions._plan(game).name == expected
         assert position_value(game) == position_oracle(game)
 
     def test_the_route_census_matches_its_transcript(self, monkeypatch, capsys):
@@ -815,7 +824,7 @@ def assert_deletions_match(game) -> str:
         expected = position_value(game.without_hyperlink(e))
         assert payoffs == expected
         assert list(payoffs) == list(expected)
-    [(name, _, _)] = planned
+    [name] = [taken.name for taken in planned]
     assert built == {"table": ["conference_table"], "complement": ["_complement_pieces"]}.get(name, [])
     return {"sets": "pieces"}.get(name, name)
 
@@ -897,7 +906,7 @@ class TestComplementFromDividends:
     )
     def test_the_dividends_equal_the_table_twin(self, game):
         twin = as_table(game)
-        assert solutions._plan(game)[0] == solutions._plan(twin)[0] == "complement"
+        assert solutions._plan(game).name == solutions._plan(twin).name == "complement"
         assert values_and_identities(game) == values_and_identities(twin)
 
     def test_a_dividend_game_never_reads_every_player_set(self):
@@ -974,8 +983,8 @@ class TestTheCapBoundsTheChosenRoute:
 
         monkeypatch.setattr(solutions, "conference_table", refuse)
         game = ring(30)
-        route_name, listing, _ = solutions._plan(game)
-        assert (route_name, len(listing)) == ("sets", 871)
+        planned = solutions._plan(game)
+        assert (planned.name, planned.price) == ("sets", 871)
         assert position_value(game) == value_from_axioms(game)
 
     @pytest.mark.parametrize("cap, refused", [(12, True), (13, False)])
@@ -1014,7 +1023,7 @@ class TestTheCapBoundsTheChosenRoute:
 
         monkeypatch.setattr(solutions, "_point_table", refuse)
         game = ring3(15)
-        assert solutions._plan(game, point=True)[0] == "pieces"
+        assert solutions._plan(game, point=True).name == "pieces"
         expected = {p: F(2, 5) * (p <= 5) + F(2, 29) * (p != 2) - F(1, 30) for p in game.players}
         assert myerson_value(game) == expected
 
@@ -1098,7 +1107,7 @@ class TestForestRoute:
     def test_seeded_forests_agree_with_every_route(self):
         for seed in range(150):
             game = random_forest(seed)
-            assert solutions._plan(game)[0] == solutions._plan(game, point=True)[0] == "dividends"
+            assert solutions._plan(game).name == solutions._plan(game, point=True).name == "dividends"
             forest = values_and_identities(game)
             myerson = myerson_value(game)
             assert value_from_axioms(game) == forest[0]
@@ -1116,8 +1125,11 @@ class TestForestRoute:
         h = make_hypergraph(players, [[1, 2], [2, 3, 5], [3, 4], [6, 7]])
         terms = [([1, 3], F(2, 3)), ([1, 4], -1), ([1, 6], 5), ([4, 8], 7)]
         game = HypergraphGame(h, weighted_unanimity(players, terms))
-        assert solutions._plan(game)[:2] == ("dividends", [(0b11, F(2, 3)), (0b111, -1)])
-        assert solutions._plan(game, point=True)[:2] == ("dividends", [(0b10111, F(2, 3)), (0b11111, -1)])
+        for point, trees in ((False, (0b11, 0b111)), (True, (0b10111, 0b11111))):
+            planned = solutions._plan(game, point=point)
+            assert (planned.name, planned.price) == ("dividends", 2)
+            # 2/3 and -1 over the scale 3
+            assert planned.build() == (3, [(trees[0], 0, 2), (trees[1], 0, -3)], None)
         assert position_value(game) == position_oracle(game)
         assert myerson_value(game) == shapley_by_subsets(point_game(game))
 
@@ -1133,8 +1145,9 @@ class TestForestRoute:
         triangle = HypergraphGame(
             make_hypergraph(players, [[0, 1], [1, 2], [0, 2], [3, 4]]), unanimity(players, [0, 1])
         )
-        assert solutions._plan(triangle)[0] != "dividends"
-        assert solutions._plan(triangle, point=True)[:2] == ("dividends", [(0b11, 1)])
+        assert solutions._plan(triangle).name != "dividends"
+        planned = solutions._plan(triangle, point=True)
+        assert (planned.name, planned.price, planned.build()) == ("dividends", 1, (1, [(0b11, 0, 1)], None))
 
         def refuse(*_args):
             raise AssertionError("the components were computed")
@@ -1146,11 +1159,11 @@ class TestForestRoute:
         tabled = [as_table(hub), as_table(random_forest(0)), *game_corpus(count=50)]
         taken = []
         for game in cyclic + tabled:
-            assert solutions._plan(game)[0] != "dividends"
+            assert solutions._plan(game).name != "dividends"
             coefficients = game.characteristic.unanimity_coefficients()
             joined = coefficients is not None and all(joins_itself(game, t) for t in coefficients)
             taken.append(joined)
-            assert (solutions._plan(game, point=True)[0] == "dividends") == joined
+            assert (solutions._plan(game, point=True).name == "dividends") == joined
         assert taken == [False] * 4 + [True] * 24 + [False] * len(tabled)
 
     def test_shapley_from_dividends_matches_the_table(self, monkeypatch):
@@ -1188,9 +1201,10 @@ class TestDividendsRoute:
         for seed in range(60):
             game = joined_game(seed)
             coefficients = game.characteristic.unanimity_coefficients()
-            route_name, listing, _ = solutions._plan(game, point=True)
-            assert route_name == "dividends"
-            assert listing == list(zip(solutions._masks(game, coefficients), coefficients.values()))
+            planned = solutions._plan(game, point=True)
+            assert (planned.name, planned.price) == ("dividends", len(coefficients))
+            terms = list(zip(solutions._masks(game, coefficients), coefficients.values()))
+            assert planned.build() == (*solutions._dividend_pieces(terms), None)
             myerson = myerson_value(game)
             assert myerson == shapley_value(game)
             for name in ROUTES:
@@ -1207,7 +1221,7 @@ class TestDividendsRoute:
         h = make_hypergraph(players, [[0, 1], [1, 2], [2, 3], [3, 0]])
         for terms in ([([0, 2], 1)], [([0, 2], F(3, 2)), ([0, 1], -2)]):
             game = HypergraphGame(h, weighted_unanimity(players, terms))
-            assert solutions._plan(game, point=True)[0] == "table"
+            assert solutions._plan(game, point=True).name == "table"
             assert myerson_value(game) == myerson_on_route(game, "pieces") == shapley_by_subsets(point_game(game))
         expected = {0: F(5, 12), 1: F(1, 12), 2: F(5, 12), 3: F(1, 12)}
         assert myerson_value(HypergraphGame(h, unanimity(players, [0, 2]))) == expected
@@ -1225,7 +1239,7 @@ class TestDividendsRoute:
             monkeypatch.setattr(solutions, name, refuse)
         for seed, game in enumerate(DENSE_SHAPES):
             game = grown_dense(game, seed)
-            assert solutions._plan(game, point=True)[0] == "dividends"
+            assert solutions._plan(game, point=True).name == "dividends"
             assert myerson_value(game) == expected[seed] == shapley_value(game)
 
 
@@ -1256,15 +1270,24 @@ class TestSupportRoute:
         player 5 on no hyperlink.  The triangle alone has k = 1: every
         two of its hyperlinks connect it, so it lists 1 + 3 sets at the
         price C(3, 0) + C(3, 1) = 4, and one piece in the point game."""
-        links = [0b11, 0b110, 0b101, 0b11000]
+        players = range(6)
+        h = make_hypergraph(players, [[0, 1], [1, 2], [0, 2], [3, 4]])
+
+        def support(entry, point, limit):
+            coalition = frozenset(k for k in players if entry >> k & 1)
+            game = HypergraphGame(h, table_function(players, {coalition: 1}))
+            return solutions._support(game, solutions._hyperlink_masks(game), point, limit)
+
         for point in (False, True):
             for entry in (0b11111, 0b100111):
-                assert solutions._support(links, [entry], point, 1 << 10) == []
-        assert solutions._support(links, [0b111], False, 3) is None
-        assert sorted(solutions._support(links, [0b111], False, 4)) == [
-            (0b011, 0b100, 0b111), (0b101, 0b010, 0b111), (0b110, 0b001, 0b111), (0b111, 0, 0b111)
-        ]
-        assert solutions._support(links, [0b111], True, 4) == [(0b111, 0b111, 0, 1)]
+                listed = support(entry, point, 1 << 10)
+                assert (listed.name, listed.price, listed.build()) == ("support", 0, (1, [], None))
+        assert support(0b111, False, 3) is None
+        listed = support(0b111, False, 4)
+        assert listed.price == 4
+        assert sorted(listed.build()[1]) == [(0b011, 0b100, 1), (0b101, 0b010, 1), (0b110, 0b001, 1), (0b111, 0, 1)]
+        listed = support(0b111, True, 4)
+        assert (listed.price, listed.build()) == (1, (1, [(0b111, 0, 1)], None))
 
     def test_k10_pairs_are_priced_out_before_any_spanning_set(self, monkeypatch):
         """30 pairs inside K10 with table worth on N: removing any k = 21
@@ -1293,7 +1316,7 @@ class TestSupportRoute:
 
     def test_a_small_star_matches_the_oracle(self):
         game = table_star(8)
-        assert solutions._plan(game)[0] == solutions._plan(game, point=True)[0] == "support"
+        assert solutions._plan(game).name == solutions._plan(game, point=True).name == "support"
         assert_matches_the_oracle(game)
 
     def test_a_star_past_the_2m_wall_builds_no_table(self, monkeypatch):
@@ -1305,7 +1328,7 @@ class TestSupportRoute:
         for name in ("conference_table", "_point_table", "shapley_of_table", "connected_sets", "hypergraph_pieces"):
             monkeypatch.setattr(solutions, name, refuse)
         game = table_star(30)
-        assert [len(solutions._plan(game, point=point)[1]) for point in (False, True)] == [45, 45]
+        assert [solutions._plan(game, point=point).price for point in (False, True)] == [45, 45]
         # no entry holds every player, so the payoffs sum to v(N) = 0
         for value in (position_value, myerson_value, shapley_value):
             assert sum(value(game).values()) == 0
