@@ -6,7 +6,9 @@ point game), counts the routes `solutions._plan` picks over the games of
 each benchmark workload (`perfbench/workloads.py`, imported read-only)
 and over the seeded game corpus.  Under each count line a `price:` line
 sums each route's `Route.price` over its games: the entries its listings
-hold, or 2^size for a table.  Nothing is solved: the planner reads the
+hold, or 2^size for a table.  A price is a listing's length, not the work
+a route does: the complement route's dividend entries are not in it.
+Nothing is solved: the planner reads the
 hypergraph and the coalitions a table lists, but no worth.
 
 The workloads are taken at seed 5 and the corpus at its default seed

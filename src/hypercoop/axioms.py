@@ -232,14 +232,6 @@ def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT
     return _report(label, game.players, *_identity_sides(game, k, cap)())
 
 
-def check_agent_form(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Report:
-    """Corollary 1: the Myerson payoffs of the agent form, summed per
-    original player, against the position value, both from one pass.
-    The agent form pays what the one-fold expansion pays
-    (`expansion.agent_form_payoffs`), so both sides are Theorem 1's."""
-    return _report("grouped Myerson payoffs of the agent form", game.players, *_identity_sides(game, 1, cap)())
-
-
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Reconstruct the unique allocation rule satisfying component
     efficiency plus partial balanced conference contributions.

@@ -42,16 +42,16 @@ from typing import Callable, NoReturn
 from . import jsonout
 from .axioms import (
     Report,
-    check_agent_form,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
     check_uniform_expansion,
+    compare,
     value_from_axioms,
 )
-from .expansion import copy_counts, expansion_payoffs
+from .expansion import copy_counts, expansion_payoffs, grouped_agent_form
 from .model import (
     Allocation,
     Hypergraph,
@@ -525,7 +525,10 @@ def handle_verify(args) -> Result:
             k = args.k if args.theorem == "2" else 1
             report = check_uniform_expansion(game, k, cap=args.cap_subsets)
         else:
-            report = check_agent_form(game, cap=args.cap_subsets)
+            # Corollary 1 solves the agent form itself, on a pass of its own.
+            grouped = grouped_agent_form(game, cap=args.cap_subsets)
+            label = "grouped Myerson payoffs of the agent form"
+            report = compare(label, grouped, position_value(game, cap=args.cap_subsets))
         ok = report.passed
 
         def body(decimals):

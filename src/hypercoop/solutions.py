@@ -69,9 +69,12 @@ from .shapley import (
 
 
 class Route(NamedTuple):
-    """The route `_plan` picked: its name, its price (the entries it
-    lists, or 2^size for the table) and build(), which reads the worths
-    once and gives (scale, pieces, None), or (scale, None, table)."""
+    """The route `_plan` picked: its name, its price and build(), which
+    reads the worths once and gives (scale, pieces, None), or (scale,
+    None, table).  The price is the length of the route's listing, or
+    2^size for the table, not the work build() does: the complement
+    route's dividend path makes Σ_T 2^|T| entries that it leaves
+    unpriced."""
 
     name: str
     price: int
@@ -283,18 +286,20 @@ def myerson_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     return _allocation(game.players, sums, factorial(n) * scale)
 
 
-def _signed(game: HypergraphGame, point: bool, name: str, terms: list) -> Route:
-    """The route `name` over the signed terms (C, P, B, sign), each the
-    piece (P, B) worth sign·v(C), priced at their number.  build() reads
-    each distinct C once: with `scaled_worths` for the point game, and
-    for the conference game with `_read_worths`, which also holds the
-    singletons to worth zero."""
+def _signed(game: HypergraphGame, point: bool, name: str, price: int, terms: Callable) -> Route:
+    """The route `name` at `price` over the signed terms (C, P, B, sign)
+    that terms() yields, each the piece (P, B) worth sign·v(C).  build()
+    reads each distinct C once: with `scaled_worths` for the point game,
+    and for the conference game with `_read_worths`, which also holds
+    the singletons to worth zero.  The point game's pieces are made as
+    `shapley_of_pieces` reads them, once; the conference game's are
+    listed, since each hyperlink deletion reads them again."""
     def build():
-        read = {c for c, _, _, _ in terms}
+        read = {c for c, _, _, _ in terms()}
         scale, worth = scaled_worths(game.characteristic, game.players, read) if point else _read_worths(game, read)
-        return scale, [(p, b, sign * worth[c]) for c, p, b, sign in terms], None
+        return scale, (iter if point else list)((p, b, sign * worth[c]) for c, p, b, sign in terms()), None
 
-    return Route(name, len(terms), build)
+    return Route(name, price, build)
 
 
 def _steiner(adjacent: list[list[int]], n: int, t: int) -> int:
@@ -473,7 +478,7 @@ def _support(game: HypergraphGame, links: list[int], point: bool, limit: int) ->
         priced.append((c, inside, out, slack))
     for c, inside, out, slack in priced:
         listing += [(c, p, inside ^ p | out, 1) for p in _spanning(links, c, inside, slack)]
-    return _signed(game, point, "support", listing)
+    return _signed(game, point, "support", len(listing), lambda: listing)
 
 
 def _connected(game: HypergraphGame, links: list[int], point: bool, limit: int) -> Route | None:
@@ -495,12 +500,13 @@ def _connected(game: HypergraphGame, links: list[int], point: bool, limit: int) 
             partners[e.bit_length() - 1] |= low
         listing = connected_sets(partners, limit)
     else:
-        return None if (terms := hypergraph_pieces(links, n, limit)) is None else _signed(game, point, "pieces", terms)
+        terms = hypergraph_pieces(links, n, limit)
+        return None if terms is None else _signed(game, point, "pieces", len(terms), lambda: terms)
     if listing is None:
         return None
     # a hyperlink set is worth what its players are; a player set is its own coalition
     covered = {} if point else _covered(links, (s for s, _ in listing))
-    return _signed(game, point, "sets", [(covered.get(s, s), s, b, 1) for s, b in listing])
+    return _signed(game, point, "sets", len(listing), lambda: ((covered.get(s, s), s, b, 1) for s, b in listing))
 
 
 def _table(game: HypergraphGame, point: bool) -> Route:

@@ -924,24 +924,6 @@ class TestVerifyCommand:
                 "", "error: 2 hyperlinks exceeds the subset cap 1\n"
             )
 
-    @pytest.mark.parametrize("path", sorted(GAMES_DIR.glob("*.json")), ids=lambda p: p.name)
-    def test_corollary_one_runs_one_conference_pass(self, monkeypatch, capsys, path):
-        """Both sides of Corollary 1, the grouped agent form and the
-        position value, come from one conference pass."""
-        passes = []
-        conference_shapley = hypercoop.solutions._conference_shapley
-
-        def counted(*args, **kwargs):
-            passes.append(args)
-            return conference_shapley(*args, **kwargs)
-
-        # the expansion module holds a reference of its own
-        monkeypatch.setattr(hypercoop.solutions, "_conference_shapley", counted)
-        monkeypatch.setattr(hypercoop.expansion, "_conference_shapley", counted)
-        assert main(["verify", str(path), "--theorem", "corollary1"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
-        assert len(passes) == 1
-
     @pytest.mark.parametrize("decimals", [[], ["--decimals", "2"]])
     @pytest.mark.parametrize("theorem", ["1", "corollary1", "lemma1"])
     def test_a_mismatch_is_marked_on_its_player(
@@ -960,8 +942,15 @@ class TestVerifyCommand:
 
             return moved
 
-        # The grouped side of each identity, on every hyperlink for Lemma 1.
+        def perturbed_agents(game, *args):
+            per_agent = hypercoop.expansion.uniform_payoffs(game, 1, None, *args)
+            per_agent[4, frozenset({1, 4})] += F(1, 300)  # player 4 holds 3 of these agents
+            return per_agent
+
+        # The grouped side of each identity, on every hyperlink for Lemma 1;
+        # Corollary 1 reads it from the agent form.
         monkeypatch.setattr(hypercoop.axioms, "_identity_sides", perturbed)
+        monkeypatch.setattr(hypercoop.expansion, "agent_form_payoffs", perturbed_agents)
         assert main(["verify", hub_path, "--theorem", theorem, *decimals]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "result: FAIL"

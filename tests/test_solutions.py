@@ -1281,13 +1281,15 @@ class TestSupportRoute:
         for point in (False, True):
             for entry in (0b11111, 0b100111):
                 listed = support(entry, point, 1 << 10)
-                assert (listed.name, listed.price, listed.build()) == ("support", 0, (1, [], None))
+                scale, pieces, table = listed.build()
+                assert (listed.name, listed.price, scale, list(pieces), table) == ("support", 0, 1, [], None)
         assert support(0b111, False, 3) is None
         listed = support(0b111, False, 4)
         assert listed.price == 4
         assert sorted(listed.build()[1]) == [(0b011, 0b100, 1), (0b101, 0b010, 1), (0b110, 0b001, 1), (0b111, 0, 1)]
         listed = support(0b111, True, 4)
-        assert (listed.price, listed.build()) == (1, (1, [(0b111, 0, 1)], None))
+        scale, pieces, table = listed.build()
+        assert (listed.price, scale, list(pieces), table) == (1, 1, [(0b111, 0, 1)], None)
 
     def test_k10_pairs_are_priced_out_before_any_spanning_set(self, monkeypatch):
         """30 pairs inside K10 with table worth on N: removing any k = 21
