@@ -23,7 +23,6 @@ component or a player — over one denominator, never just a boolean, so
 failures show *where* and *by how much* an invariant breaks.  Passing
 and counting compare integers; the exact `Side`s (left, right, residual)
 are built for the failures, or for every key when `sides` is first read.
-`compare` builds the player-by-player report of two allocations.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from operator import add
 from typing import Callable
 
 from .connectivity import components, connected_sets
-from .expansion import _block_size, _completion
+from .expansion import _block_size, _completion, grouped_agent_form
 from .model import (
     Allocation,
     Hyperlink,
@@ -124,12 +123,6 @@ def _report(axiom: str, keys, left: tuple[list[int], int], right: tuple[list[int
     unit = lcm(p, q)
     pairs = zip([x * (unit // p) for x in lefts], [x * (unit // q) for x in rights])
     return Report(axiom, dict(zip(keys, pairs)), unit)
-
-
-def compare(axiom: str, left: Allocation, right: Allocation) -> Report:
-    """Player-by-player report of two allocations over the same players."""
-    keys = sorted(right)
-    return _report(axiom, keys, _numerators(left[p] for p in keys), _numerators(right[p] for p in keys))
 
 
 def _pair_report(
@@ -232,6 +225,16 @@ def check_uniform_expansion(game: HypergraphGame, k: int = 1, cap: int = DEFAULT
     return _report(label, game.players, *_identity_sides(game, k, cap)())
 
 
+def check_agent_form(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Report:
+    """Corollary 1: the Myerson payoffs of the agent form, summed per
+    original player, against the position value's integer row.  The
+    agent form is solved on a pass of its own, by
+    `expansion.grouped_agent_form`."""
+    grouped = grouped_agent_form(game, cap)
+    label = "grouped Myerson payoffs of the agent form"
+    return _report(label, game.players, _numerators(grouped[p] for p in game.players), _rows(game, cap)()[0])
+
+
 def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
     """Reconstruct the unique allocation rule satisfying component
     efficiency plus partial balanced conference contributions.
@@ -268,7 +271,8 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Al
     The subset cap N prices the reconstruction as it prices a table, in
     entries: L connected sets of m hyperlinks on n players give rows of
     n numerators for up to L·(m+1) situations, about L·m·n entries, so
-    more than 2^N // (m·n) sets are refused before any row is solved.
+    more than 2^N // (m·n) sets are refused before any row is solved, as
+    needing at least (that limit + 1)·m·n entries.
     Past N = m + bit_length(m·n) that limit exceeds the 2^m - 1 sets m
     hyperlinks can form, so N is clamped there first.
     """
@@ -281,10 +285,8 @@ def value_from_axioms(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Al
     adjacency = _line_graph(links)
     sets = connected_sets(adjacency, limit)
     if sets is None:
-        raise CapExceeded(
-            f"{m} hyperlinks on {n} players form more than {limit} connected hyperlink sets: "
-            f"the subset cap {cap} admits 2^{cap} row entries (sets·hyperlinks·players)"
-        )
+        what = f"the axiomatic reconstruction of {m} hyperlinks on {n} players"
+        raise CapExceeded(what, f"at least {(limit + 1) * entries}", cap)
     covered = _covered(links, (s for s, _ in sets))
     members = {s: [k for k in range(n) if c >> k & 1] for s, c in covered.items()}
     scale, worth = _read_worths(game, covered.values())

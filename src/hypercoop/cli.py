@@ -19,7 +19,9 @@ checks run after every field has passed and are prefixed
 ``characteristic:``.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 bad input or
-an output write error, 3 an enumeration cap was exceeded.
+an output write error, 3 the subset cap refused the run: `main` prints
+the `CapExceeded` line and names the flag that raises the cap,
+``--cap-subsets``.
 
 Handlers write nothing.  Each returns a `Result` ``(payload, text, code)``:
 the ``--format json`` object (it may hold ``Fraction``s and allocations
@@ -42,16 +44,16 @@ from typing import Callable, NoReturn
 from . import jsonout
 from .axioms import (
     Report,
+    check_agent_form,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
     check_uniform_expansion,
-    compare,
     value_from_axioms,
 )
-from .expansion import copy_counts, expansion_payoffs, grouped_agent_form
+from .expansion import copy_counts, expansion_payoffs
 from .model import (
     Allocation,
     Hypergraph,
@@ -391,10 +393,7 @@ def handle_expand(args) -> Result:
     # lengths builds no 2^N for a huge N.
     cap = args.cap_subsets
     if (4 * size - 1).bit_length() > cap:
-        raise CapExceeded(
-            f"universe size {size} exceeds the {(1 << cap) // 4} copies the subset cap {cap} "
-            f"admits (2^{cap} entries, 4 per copy)"
-        )
+        raise CapExceeded(f"the listing of {size} copies", 4 * size, cap)
     per_copy, grouped = expansion_payoffs(game, args.k, cap=cap)
     members = {e: ",".join(map(str, sorted(e))) for e in game.hyperlinks}
     labels = {
@@ -525,10 +524,7 @@ def handle_verify(args) -> Result:
             k = args.k if args.theorem == "2" else 1
             report = check_uniform_expansion(game, k, cap=args.cap_subsets)
         else:
-            # Corollary 1 solves the agent form itself, on a pass of its own.
-            grouped = grouped_agent_form(game, cap=args.cap_subsets)
-            label = "grouped Myerson payoffs of the agent form"
-            report = compare(label, grouped, position_value(game, cap=args.cap_subsets))
+            report = check_agent_form(game, cap=args.cap_subsets)
         ok = report.passed
 
         def body(decimals):
@@ -735,7 +731,7 @@ def main(argv=None) -> int:
         _discard_stdout()
         return 2
     except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}; raise it with --cap-subsets", file=sys.stderr)
         return 3
     except ValueError as exc:  # a DocumentError or another bad input
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,12 @@ graph-restricted game given by its connected sets, their boundaries and
 their worths, without any 2^n table.  The Myerson, position and plain
 Shapley values in `hypercoop.solutions` all end in one of them, and so
 do the expansions of `hypercoop.expansion`.  `solutions._plan` sizes
-every listing by the subset cap and calls `require_subset_cap` before a
-table past it is allocated, as `shapley_value` does; the cap is a
-keyword argument, not a constant baked into call sites.  The slower
+every listing by the subset cap and refuses a table past it before the
+table is allocated, as `shapley_value` does; the cap is a keyword
+argument, not a constant baked into call sites.  `CapExceeded` words
+every refusal of the subset cap: the planner, `shapley_value`,
+`axioms.value_from_axioms` and the command line's `expand` price what
+they would build and pass it only that price.  The slower
 frozenset routes (permutations, subset sums, Harsanyi dividends) live in
 the test suite as oracles for these kernels.
 """
@@ -26,14 +29,17 @@ DEFAULT_SUBSET_CAP = 24
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration would exceed its configured size cap."""
+    """A computation refused by the subset cap, worded from three facts,
+    which are its `args`: what was priced, the entries it needs (a
+    count, "2^size" for a table, or "at least" the bound its listing
+    passed) and the cap, which admits 2^cap entries."""
 
+    def __init__(self, what: str, entries: int | str, cap: int):
+        super().__init__(what, entries, cap)
 
-def require_subset_cap(n: int, cap: int, elements: str) -> None:
-    """Refuse a subset enumeration over n elements (named by `elements`,
-    "players" or "hyperlinks") when n exceeds the cap."""
-    if n > cap:
-        raise CapExceeded(f"{n} {elements} exceeds the subset cap {cap}")
+    def __str__(self) -> str:
+        what, entries, cap = self.args
+        return f"{what} needs {entries} entries, over the 2^{cap} that the subset cap {cap} admits"
 
 
 def factorials(n: int) -> list[int]:

@@ -61,7 +61,7 @@ from .model import (
 )
 from .shapley import (
     DEFAULT_SUBSET_CAP,
-    require_subset_cap,
+    CapExceeded,
     shapley_of_pieces,
     shapley_of_table,
     shapley_weights,
@@ -71,10 +71,9 @@ from .shapley import (
 class Route(NamedTuple):
     """The route `_plan` picked: its name, its price and build(), which
     reads the worths once and gives (scale, pieces, None), or (scale,
-    None, table).  The price is the length of the route's listing, or
-    2^size for the table, not the work build() does: the complement
-    route's dividend path makes Σ_T 2^|T| entries that it leaves
-    unpriced."""
+    None, table).  The price counts the entries build() makes: the
+    route's listing, the complement route's signed entries too, or
+    2^size for the table."""
 
     name: str
     price: int
@@ -157,7 +156,7 @@ def _read_worths(game: HypergraphGame, coalitions) -> tuple[int, dict[int, int]]
     return scale, worth
 
 
-def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int]) -> tuple[int, list]:
+def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int], coefficients) -> tuple[int, list]:
     """(scale, pieces) of the conference game v^L(A) = v(M(A)) + δ(A),
     M(A) being the players on the hyperlinks of A and `apart` the sets A
     that are disconnected, the only ones where δ(A) is nonzero.  With
@@ -166,11 +165,12 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int])
     a member outside Y: one piece (∅, out(Y)) per distinct out(Y).  Each
     A in `apart` is the piece (A, every other hyperlink), [S = A].
 
-    Unanimity coefficients c_T give φ(N∖Y) = (-1)^|Y|·Σ_{T⊇Y} c_T, and
-    out(N∖Y) is the hyperlinks meeting Y, so each term merges its 2^|T|
-    signed (out, c_T) entries into the pieces as it makes them, and only
-    the disconnected sets' covers and parts are read.  Other worths read all 2^n player sets and take φ
-    by n Möbius passes."""
+    The unanimity `coefficients` c_T (None for other worths) give
+    φ(N∖Y) = (-1)^|Y|·Σ_{T⊇Y} c_T, and out(N∖Y) is the hyperlinks
+    meeting Y, so each term merges its 2^|T| signed (out, c_T) entries
+    into the pieces as it makes them, and only the disconnected sets'
+    covers and parts are read.  Other worths read all 2^n player sets
+    and take φ by n Möbius passes."""
     n, every = len(game.players), (1 << len(links)) - 1
     leaving = [sum(1 << j for j, e in enumerate(links) if e >> k & 1) for k in range(n)]
     parts = [(a, players, mask_components(players, [e for j, e in enumerate(links) if a >> j & 1]))
@@ -182,7 +182,6 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int])
             if o and f:
                 by_out[o] = by_out.get(o, 0) + f
 
-    coefficients = game.characteristic.unanimity_coefficients()
     if coefficients is None:
         scale, worth = _read_worths(game, range(1, 1 << n))
         # one pass per player bit, after which that bit is rotated to the top
@@ -265,7 +264,8 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
         scale, worth = scaled_worths(cf, game.players, _masks(game, cf.entries))
         pieces = [(c, every ^ c, w) for c, w in worth.items()]
     else:
-        require_subset_cap(n, cap, "players")
+        if n > cap:
+            raise CapExceeded(f"the table of {n} players", f"2^{n}", cap)
         scale, worth = scaled_worths(cf, game.players, range(1 << n))
         table = [worth[mask] for mask in range(1 << n)]
         if table[0] != 0:
@@ -374,11 +374,15 @@ def _dividends(game: HypergraphGame, links: list[int], point: bool, limit: int) 
 def _complement(game: HypergraphGame, links: list[int], point: bool, limit: int) -> Route | None:
     """The complement route, for the conference game only, when its 2^n
     player sets are within `limit`: the disconnected hyperlink sets of
-    `connectivity.disconnected_sets`, at most `limit` of them and priced
-    at their number, read from the player side by `_complement_pieces`."""
+    `connectivity.disconnected_sets`, at most `limit` of them, read from
+    the player side by `_complement_pieces`.  It is priced at their
+    number plus the signed entries that makes: Σ_T 2^|T| from unanimity
+    coefficients c_T, or else one per player set, 2^n."""
     if point or 1 << len(game.players) > limit or (apart := disconnected_sets(_line_graph(links), limit)) is None:
         return None
-    return Route("complement", len(apart), lambda: (*_complement_pieces(game, links, apart), None))
+    coefficients = game.characteristic.unanimity_coefficients()
+    made = 1 << len(game.players) if coefficients is None else sum(1 << len(t) for t in coefficients)
+    return Route("complement", len(apart) + made, lambda: (*_complement_pieces(game, links, apart, coefficients), None))
 
 
 def _joins(links: list[int], c: int, p: int) -> bool:
@@ -530,14 +534,15 @@ def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_C
     holds, not only its length.  The first of `_dividends` (no limit),
     `_complement`, `_support` and `_connected` that applies within the
     limit is the route; otherwise `_table`, or CapExceeded when
-    size > cap, after the listings have overflowed the limit."""
+    size > cap, naming the limit that no listing fit in."""
     links = _hyperlink_masks(game)
-    size = len(game.players) if point else len(links)
+    size, noun = (len(game.players), "players") if point else (len(links), "hyperlinks")
     limit = ((1 << min(size, cap)) >> 2) * min(size, cap) // max(size, 1)
     for route in (_dividends, _complement, _support, _connected):
         if (found := route(game, links, point, limit)) is not None:
             return found
-    require_subset_cap(size, cap, "players" if point else "hyperlinks")
+    if size > cap:
+        raise CapExceeded(f"the table of {size} {noun}, once no listing fits its limit of {limit},", f"2^{size}", cap)
     return _table(game, point)
 
 

@@ -36,14 +36,17 @@ coalition at a time, and shares no code with the bitmask integer kernel
 * the pair report of the contribution axioms with one rule call per
   hyperlink deletion and `Fraction` gains (`pair_report_by_rule_calls`),
   the reference for the integer gains of `hypercoop.axioms`;
-* Lemma 1 for one hyperlink on two passes (`check_copy_deletion`), the
+* the player-by-player report of two allocations (`compare`), and
+  Lemma 1 for one hyperlink on two passes (`check_copy_deletion`), the
   reference for the one-pass `hypercoop.axioms.check_copy_deletions`;
 * the game document parser that checks each field through the error
   helpers and then again in `make_hypergraph` and the characteristic
   constructors (`parse_game_by_fields`), the reference for the one-pass
   `hypercoop.cli.parse_game`.
 
-Each route refuses games larger than its cap.
+Each route refuses games larger than its cap: the subset enumeration
+with the package's `CapExceeded`, the others with `OracleCapExceeded`,
+which names its own cap.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from math import comb, factorial, lcm, prod
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from hypercoop.axioms import Report, compare
+from hypercoop.axioms import Report, _numerators, _report
 from hypercoop.cli import DocumentError, _int_list, _known_keys, _require, parse_rational
 from hypercoop.connectivity import components, mask_components
 from hypercoop.expansion import grouped_position
@@ -77,13 +80,19 @@ from hypercoop.model import (
     weighted_unanimity,
     zero_allocation,
 )
-from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, factorials, require_subset_cap
+from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, factorials
 from hypercoop.solutions import conference_table, position_value
 
 DEFAULT_PERMUTATION_CAP = 8
 DEFAULT_DIVIDEND_CAP = 20
 DEFAULT_DIVIDEND_UNIVERSE_CAP = 16
 DEFAULT_STATE_CAP = 10_000_000
+
+
+class OracleCapExceeded(RuntimeError):
+    """A reference route past one of its own caps (permutations,
+    dividends, count-vector states or hyperlink masks), which the
+    message names; the package's subset cap raises `CapExceeded`."""
 
 
 class TUGame:
@@ -144,7 +153,7 @@ def shapley_by_permutations(game: TUGame, cap: int = DEFAULT_PERMUTATION_CAP) ->
     """Average marginal contribution over every arrival order."""
     n = len(game.players)
     if n > cap:
-        raise CapExceeded(f"{n} players exceeds the permutation cap {cap}")
+        raise OracleCapExceeded(f"{n} players exceeds the permutation cap {cap}")
     totals = {p: ZERO for p in game.players}
     for order in itertools.permutations(game.players):
         before: frozenset = frozenset()
@@ -161,7 +170,8 @@ def shapley_by_permutations(game: TUGame, cap: int = DEFAULT_PERMUTATION_CAP) ->
 def shapley_by_subsets(game: TUGame, cap: int = DEFAULT_SUBSET_CAP) -> dict:
     """Subset enumeration with exact positional weights."""
     n = len(game.players)
-    require_subset_cap(n, cap, "players")
+    if n > cap:
+        raise CapExceeded(f"the table of {n} players", f"2^{n}", cap)
     if n == 0:
         return {}
     sets = _coalitions_by_mask(game.players)
@@ -194,7 +204,7 @@ def harsanyi_dividends(game: TUGame, cap: int = DEFAULT_DIVIDEND_CAP) -> dict[fr
             return {frozenset(t): as_fraction(c) for t, c in coeffs.items() if c != 0}
     n = len(game.players)
     if n > cap:
-        raise CapExceeded(f"{n} players exceeds the dividend cap {cap}")
+        raise OracleCapExceeded(f"{n} players exceeds the dividend cap {cap}")
     sets = _coalitions_by_mask(game.players)
     arr = [game.worth(s) for s in sets]
     for idx in range(n):
@@ -443,7 +453,7 @@ def require_state_cap(sizes: list[int], state_cap: int) -> None:
     """Refuse a count-vector fold whose product of (block size + 1)
     exceeds the cap."""
     if prod(n + 1 for n in sizes) > state_cap:
-        raise CapExceeded(f"count-vector state space exceeds the cap {state_cap}")
+        raise OracleCapExceeded(f"count-vector state space exceeds the cap {state_cap}")
 
 
 def _fold_block(states: dict[int, int], size: int, sig: list[int], shift: int) -> dict[int, int]:
@@ -668,7 +678,7 @@ def value_from_axioms_by_masks(game: HypergraphGame, cap: int = 12) -> Allocatio
     links = game.hyperlinks
     m = len(links)
     if m > cap:
-        raise CapExceeded(f"{m} hyperlinks exceeds the mask cap {cap}")
+        raise OracleCapExceeded(f"{m} hyperlinks exceeds the mask cap {cap}")
     players = game.players
     n = len(players)
     link_masks = [sum(1 << k for k, p in enumerate(players) if p in e) for e in links]
@@ -731,6 +741,12 @@ def pair_report_by_rule_calls(
     unit = lcm(*(g.denominator for g in gain.values()))
     numerator = {key: g.numerator * (unit // g.denominator) for key, g in gain.items()}
     return Report(axiom, {(i, j): (g, numerator[j, i]) for (i, j), g in numerator.items()}, unit)
+
+
+def compare(axiom: str, left: Allocation, right: Allocation) -> Report:
+    """Player-by-player report of two allocations over the same players."""
+    keys = sorted(right)
+    return _report(axiom, keys, _numerators(left[p] for p in keys), _numerators(right[p] for p in keys))
 
 
 def check_copy_deletion(game: HypergraphGame, link, cap: int = DEFAULT_SUBSET_CAP) -> Report:

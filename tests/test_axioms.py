@@ -15,19 +15,19 @@ from hypercoop import solutions
 from hypercoop.axioms import (
     Report,
     Side,
+    check_agent_form,
     check_balanced_conference_contributions,
     check_balanced_link_contributions,
     check_component_efficiency,
     check_copy_deletions,
     check_partial_balanced_conference_contributions,
     check_uniform_expansion,
-    compare,
     value_from_axioms,
 )
 from hypercoop.cli import _rule_for, game_to_document, main, parse_game
 from hypercoop.connectivity import components
 from hypercoop.corpus import game_corpus
-from hypercoop.expansion import agent_form_payoffs, expansion_payoffs, grouped_position
+from hypercoop.expansion import agent_form_payoffs, expansion_payoffs, grouped_agent_form, grouped_position
 from hypercoop.model import (
     CharacteristicFunction,
     HypergraphGame,
@@ -45,8 +45,10 @@ from hypercoop.solutions import (
 )
 
 from oracles import (
+    OracleCapExceeded,
     build_uniform,
     check_copy_deletion,
+    compare,
     pair_report_by_rule_calls,
     position_by_dividends,
     value_from_axioms_by_masks,
@@ -149,7 +151,7 @@ class TestPositionByDividends:
         assert position_by_dividends(path3) == position_value(path3)
 
     def test_respects_the_universe_cap(self, hub):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(OracleCapExceeded, match="dividend cap"):
             position_by_dividends(hub)  # 24 copies > the 16-copy default
 
     def test_no_links_gives_zero(self):
@@ -319,12 +321,27 @@ class TestGroupedIdentities:
                 check(ring3(3))
                 assert built == STRUCTURES[name]
 
+    def test_corollary_1_reports_as_the_two_allocations_compare(self, hub):
+        """`check_agent_form` reads the position value as an integer row
+        and reports, player by player and in player order, what comparing
+        the two allocations reports; Corollary 1 holds on every game."""
+        label = "grouped Myerson payoffs of the agent form"
+        for game in (hub, ring(6), ring3(3), *game_corpus(count=40)):
+            if not game.hyperlinks:
+                continue
+            report = check_agent_form(game)
+            assert report == compare(label, grouped_agent_form(game), position_value(game))
+            assert list(report.pairs) == list(game.players)
+            assert report.passed
+
     def test_the_agent_form_needs_a_hyperlink(self):
         game = HypergraphGame(make_hypergraph([1, 2]), table_function([1, 2], {}))
         with pytest.raises(ValueError, match="^agent form requires at least one hyperlink$"):
             agent_form_payoffs(game)
         with pytest.raises(ValueError, match="^uniform expansion requires at least one hyperlink$"):
             check_uniform_expansion(game)
+        with pytest.raises(ValueError, match="^uniform expansion requires at least one hyperlink$"):
+            check_agent_form(game)
 
 
 class TestValueFromAxioms:
@@ -340,19 +357,24 @@ class TestValueFromAxioms:
         game = HypergraphGame(
             make_hypergraph(players, links), table_function(players, {})
         )
-        with pytest.raises(CapExceeded, match="the subset cap 18 admits"):
+        message = (
+            r"^the axiomatic reconstruction of 12 hyperlinks on 6 players needs at least 262152 entries, "
+            r"over the 2\^18 that the subset cap 18 admits$"
+        )
+        with pytest.raises(CapExceeded, match=message):
             value_from_axioms(game, cap=18)
 
     def test_the_cap_error_names_the_limit(self):
         """The 12 pair hyperlinks above form 3,798 connected sets, so
-        3,798·12·6 = 273,456 row entries: refused at cap 18 (2^18 admits
-        at most 3,640 sets), admitted at cap 19."""
+        3,798·12·6 = 273,456 row entries: refused at cap 18, where 2^18
+        admits at most 3,640 sets and the refusal names the bound the
+        listing passed, 3,641·12·6 = 262,152 entries; admitted at cap 19."""
         players = list(range(1, 7))
         links = [[i, p] for i in (1, 2, 3) for p in range(i + 1, 7)]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [1, 4, 6]))
         message = (
-            "^12 hyperlinks on 6 players form more than 3640 connected hyperlink sets: "
-            r"the subset cap 18 admits 2\^18 row entries \(sets·hyperlinks·players\)$"
+            r"^the axiomatic reconstruction of 12 hyperlinks on 6 players needs at least 262152 entries, "
+            r"over the 2\^18 that the subset cap 18 admits$"
         )
         with pytest.raises(CapExceeded, match=message):
             value_from_axioms(game, cap=18)
@@ -362,7 +384,11 @@ class TestValueFromAxioms:
         # a 4-ring has 4·3 + 1 = 13 connected hyperlink sets of 4 hyperlinks
         # on 4 players, 208 row entries; a 13-ring has 157·13·13 = 26,533,
         # far below the 2^24 of the default cap
-        with pytest.raises(CapExceeded, match="^4 hyperlinks on 4 players form more than 8 "):
+        message = (
+            r"^the axiomatic reconstruction of 4 hyperlinks on 4 players needs at least 144 entries, "
+            r"over the 2\^7 that the subset cap 7 admits$"
+        )
+        with pytest.raises(CapExceeded, match=message):
             value_from_axioms(ring(4), cap=7)
         assert value_from_axioms(ring(4), cap=8) == position_value(ring(4))
         assert value_from_axioms(ring(13)) == position_value(ring(13))
@@ -414,8 +440,8 @@ class TestValueFromAxioms:
         links = [[0, *range(1 + 100 * j, 101 + 100 * j)] for j in range(12)]
         game = HypergraphGame(make_hypergraph(players, links), unanimity(players, [0, 1]))
         message = (
-            "^12 hyperlinks on 1201 players form more than 1164 connected hyperlink sets: "
-            r"the subset cap 24 admits 2\^24 row entries"
+            r"^the axiomatic reconstruction of 12 hyperlinks on 1201 players needs at least 16789980 entries, "
+            r"over the 2\^24 that the subset cap 24 admits$"
         )
         with pytest.raises(CapExceeded, match=message):
             value_from_axioms(game)

@@ -69,6 +69,16 @@ DENSE_UNANIMITY_DOC = dict(DENSE_DOC, characteristic={"unanimity": list(range(10
 # unanimity worth on {4, 5}, inside which no pair lies: the planner refuses
 # the point game, from the lower bounds of its connected player sets
 UNJOINED_UNANIMITY_DOC = dict(DENSE_DOC, characteristic={"unanimity": [4, 5]})
+# what the planner refuses at --cap-subsets 8: the conference table of
+# DENSE_DOC and the point table of UNJOINED_UNANIMITY_DOC
+DENSE_REFUSAL = (
+    "error: the table of 30 hyperlinks, once no listing fits its limit of 17, needs 2^30 entries, "
+    "over the 2^8 that the subset cap 8 admits; raise it with --cap-subsets\n"
+)
+UNJOINED_REFUSAL = (
+    "error: the table of 10 players, once no listing fits its limit of 51, needs 2^10 entries, "
+    "over the 2^8 that the subset cap 8 admits; raise it with --cap-subsets\n"
+)
 
 
 def refuse_every_route(monkeypatch, refuse) -> None:
@@ -506,6 +516,34 @@ def hub_path(tmp_path):
     return write_doc(tmp_path, HUB_DOC)
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["value", "dense", "--cap-subsets", "8"], DENSE_REFUSAL),
+        (
+            ["solve-axioms", "hub", "--cap-subsets", "2"],
+            "error: the axiomatic reconstruction of 4 hyperlinks on 6 players needs at least 24 entries, "
+            "over the 2^2 that the subset cap 2 admits; raise it with --cap-subsets\n",
+        ),
+        (
+            ["expand", "hub", "--cap-subsets", "2"],
+            "error: the listing of 24 copies needs 96 entries, "
+            "over the 2^2 that the subset cap 2 admits; raise it with --cap-subsets\n",
+        ),
+    ],
+    ids=["value", "solve-axioms", "expand"],
+)
+def test_a_refusal_is_one_line_naming_the_price_the_cap_and_the_flag(tmp_path, capsys, argv, refusal):
+    """Every command refuses with the one `CapExceeded` line: what was
+    priced (the planner's table, the axiomatic rows, the copy listing),
+    the entries it needs or the bound its listing passed, the subset cap,
+    and the flag that raises it."""
+    documents = {"dense": write_doc(tmp_path, DENSE_DOC), "hub": str(GAMES_DIR / "hub_and_spokes.json")}
+    command, document, *options = argv
+    assert main([command, documents[document], *options]) == 3
+    assert capsys.readouterr() == ("", refusal)
+
+
 class TestValueCommand:
     def test_position_table(self, hub_path, capsys):
         assert main(["value", hub_path]) == 0
@@ -595,13 +633,13 @@ class TestValueCommand:
                 assert main(["value", path, "--rule", rule, "--cap-subsets", "8", "--format", "json"]) == 0
                 assert json.loads(capsys.readouterr().out)["payoffs"] == {str(p): "1/10" for p in range(10)}
         refuse_every_route(monkeypatch, refuse)
-        for doc, rule, count in (
-            (DENSE_DOC, "position", "30 hyperlinks"),
-            (UNJOINED_UNANIMITY_DOC, "myerson", "10 players"),
+        for doc, rule, refusal in (
+            (DENSE_DOC, "position", DENSE_REFUSAL),
+            (UNJOINED_UNANIMITY_DOC, "myerson", UNJOINED_REFUSAL),
         ):
             assert main(["value", write_doc(tmp_path, doc), "--rule", rule, "--cap-subsets", "8"]) == 3
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", f"error: {count} exceeds the subset cap 8\n")
+            assert (captured.out, captured.err) == ("", refusal)
 
     def test_check_and_solve_axioms_refuse_a_dense_table_game_past_a_small_cap(
         self, tmp_path, monkeypatch, capsys
@@ -622,17 +660,17 @@ class TestValueCommand:
             assert main([myerson[0], write_doc(tmp_path, doc), *myerson[1:]]) == 0
             assert capsys.readouterr().out.splitlines()[-1].startswith("result: PASS")
         reconstruction = (
-            "30 hyperlinks on 10 players form more than 0 connected hyperlink sets: "
-            "the subset cap 8 admits 2^8 row entries (sets·hyperlinks·players)"
+            "error: the axiomatic reconstruction of 30 hyperlinks on 10 players needs at least 300 entries, "
+            "over the 2^8 that the subset cap 8 admits; raise it with --cap-subsets\n"
         )
-        for doc, argv, message in (
-            (DENSE_DOC, ["check", "--axiom", "partial-balanced"], "30 hyperlinks exceeds the subset cap 8"),
-            (UNJOINED_UNANIMITY_DOC, myerson[:-2], "10 players exceeds the subset cap 8"),
+        for doc, argv, refusal in (
+            (DENSE_DOC, ["check", "--axiom", "partial-balanced"], DENSE_REFUSAL),
+            (UNJOINED_UNANIMITY_DOC, myerson[:-2], UNJOINED_REFUSAL),
             (DENSE_DOC, ["solve-axioms"], reconstruction),
         ):
             assert main([argv[0], write_doc(tmp_path, doc), *argv[1:], "--cap-subsets", "8"]) == 3
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+            assert (captured.out, captured.err) == ("", refusal)
 
     def test_missing_file(self, capsys):
         assert main(["value", "no-such-file.json"]) == 2
@@ -734,16 +772,16 @@ class TestExpandCommand:
     def test_cap_exit_code(self, hub_path, capsys):
         assert main(["expand", hub_path, "--cap-subsets", "2"]) == 3
         assert capsys.readouterr().err == (
-            "error: universe size 24 exceeds the 1 copies the subset cap 2 "
-            "admits (2^2 entries, 4 per copy)\n"
+            "error: the listing of 24 copies needs 96 entries, "
+            "over the 2^2 that the subset cap 2 admits; raise it with --cap-subsets\n"
         )
 
     def test_copies_are_priced_at_four_entries_in_the_subset_cap(self, hub_path, capsys):
         """The hub's 24 copies cost 96 entries: over 2^6, within 2^7."""
         assert main(["expand", hub_path, "--cap-subsets", "6"]) == 3
         assert capsys.readouterr().err == (
-            "error: universe size 24 exceeds the 16 copies the subset cap 6 "
-            "admits (2^6 entries, 4 per copy)\n"
+            "error: the listing of 24 copies needs 96 entries, "
+            "over the 2^6 that the subset cap 6 admits; raise it with --cap-subsets\n"
         )
         assert main(["expand", hub_path, "--cap-subsets", "7"]) == 0
         assert capsys.readouterr().out.splitlines()[0].endswith("universe size 24")
@@ -774,8 +812,8 @@ class TestExpandCommand:
         })
         assert main(["expand", path, "--cap-subsets", "7"]) == 3
         assert capsys.readouterr().err == (
-            "error: universe size 40 exceeds the 32 copies the subset cap 7 "
-            "admits (2^7 entries, 4 per copy)\n"
+            "error: the listing of 40 copies needs 160 entries, "
+            "over the 2^7 that the subset cap 7 admits; raise it with --cap-subsets\n"
         )
         assert main(["expand", path, "--cap-subsets", "8"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -801,7 +839,7 @@ class TestExpandCommand:
         assert out[0].endswith("universe size 60") and out[-1] == "  player 30: 1/60"
         refuse_every_route(monkeypatch, refuse)
         assert main(["expand", write_doc(tmp_path, DENSE_DOC), "--cap-subsets", "8"]) == 3
-        assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 8\n"
+        assert capsys.readouterr().err == DENSE_REFUSAL
 
     def test_huge_k_is_refused_before_the_expansion_is_built(self, hub_path, monkeypatch, capsys):
         """`expand` refuses to list 24 million copies before any work, while
@@ -811,8 +849,8 @@ class TestExpandCommand:
 
         refuse_every_route(monkeypatch, refuse)
         message = (
-            "error: universe size 24000000 exceeds the 4194304 copies the subset cap 24 "
-            "admits (2^24 entries, 4 per copy)\n"
+            "error: the listing of 24000000 copies needs 96000000 entries, "
+            "over the 2^24 that the subset cap 24 admits; raise it with --cap-subsets\n"
         )
         assert main(["expand", hub_path, "--k", "1000000"]) == 3
         assert capsys.readouterr().err == message
@@ -888,7 +926,7 @@ class TestVerifyCommand:
         """The subset cap is `verify`'s only cap; a state cap is not an option."""
         dense = write_doc(tmp_path, DENSE_DOC)
         assert main(["verify", dense, "--theorem", "2", "--cap-subsets", "8"]) == 3
-        assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 8\n"
+        assert capsys.readouterr().err == DENSE_REFUSAL
         assert main(["verify", hub_path, "--theorem", "2", "--cap-states", "47"]) == 2
         assert "unrecognized arguments: --cap-states 47" in capsys.readouterr().err
 
@@ -903,7 +941,7 @@ class TestVerifyCommand:
         path = write_doc(tmp_path, DENSE_DOC)
         for theorem in ("1", "2", "corollary1", "lemma1"):
             assert main(["verify", path, "--theorem", theorem, "--cap-subsets", "8"]) == 3
-            assert capsys.readouterr().err == "error: 30 hyperlinks exceeds the subset cap 8\n"
+            assert capsys.readouterr().err == DENSE_REFUSAL
 
     def test_lemma1_refuses_over_the_subset_cap_like_theorem_one(
         self, hub_path, monkeypatch, capsys
@@ -921,7 +959,9 @@ class TestVerifyCommand:
             assert main(["verify", table_game, "--theorem", theorem, "--cap-subsets", "1"]) == 3
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (
-                "", "error: 2 hyperlinks exceeds the subset cap 1\n"
+                "",
+                "error: the table of 2 hyperlinks, once no listing fits its limit of 0, needs 2^2 entries, "
+                "over the 2^1 that the subset cap 1 admits; raise it with --cap-subsets\n",
             )
 
     @pytest.mark.parametrize("decimals", [[], ["--decimals", "2"]])
@@ -1016,8 +1056,8 @@ class TestSolveAxiomsCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "",
-            "error: 30 hyperlinks on 30 players form more than 582 connected hyperlink sets: "
-            "the subset cap 19 admits 2^19 row entries (sets·hyperlinks·players)\n",
+            "error: the axiomatic reconstruction of 30 hyperlinks on 30 players needs at least 524700 entries, "
+            "over the 2^19 that the subset cap 19 admits; raise it with --cap-subsets\n",
         )
 
     def test_a_pair_star_past_the_default_cap_is_refused_before_the_position_value(
@@ -1040,17 +1080,19 @@ class TestSolveAxiomsCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "",
-            "error: 20 hyperlinks on 21 players form more than 39945 connected hyperlink sets: "
-            "the subset cap 24 admits 2^24 row entries (sets·hyperlinks·players)\n",
+            "error: the axiomatic reconstruction of 20 hyperlinks on 21 players needs at least 16777320 entries, "
+            "over the 2^24 that the subset cap 24 admits; raise it with --cap-subsets\n",
         )
 
     def test_the_cap_error_names_the_limit(self, hub_path, capsys):
         """The hub's 11 connected sets of 4 hyperlinks on 6 players hold
-        264 row entries: past 2^8, within 2^9."""
+        264 row entries: past 2^8, within 2^9.  At cap 8 the listing
+        passes its limit of 10 sets, so the refusal names the bound
+        (10 + 1)·4·6 = 264 entries."""
         assert main(["solve-axioms", hub_path, "--cap-subsets", "8"]) == 3
         assert capsys.readouterr().err == (
-            "error: 4 hyperlinks on 6 players form more than 10 connected hyperlink sets: "
-            "the subset cap 8 admits 2^8 row entries (sets·hyperlinks·players)\n"
+            "error: the axiomatic reconstruction of 4 hyperlinks on 6 players needs at least 264 entries, "
+            "over the 2^8 that the subset cap 8 admits; raise it with --cap-subsets\n"
         )
         assert main(["solve-axioms", hub_path, "--cap-subsets", "9"]) == 0
 

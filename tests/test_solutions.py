@@ -30,7 +30,7 @@ from hypercoop.model import (
     unanimity,
     weighted_unanimity,
 )
-from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded, require_subset_cap
+from hypercoop.shapley import DEFAULT_SUBSET_CAP, CapExceeded
 from hypercoop.solutions import (
     myerson_value,
     position_value,
@@ -49,6 +49,12 @@ from oracles import (
 from strategies import hypergraph_games, unanimity_combination_games
 
 F = Fraction
+# the planner's refusal of the hub with table worth (`as_table`) at cap 3,
+# where no listing fits its limit of 2^3/4 · 3/4 = 1 entry
+HUB_TABLE_REFUSAL = (
+    r"^the table of 4 hyperlinks, once no listing fits its limit of 1, needs 2\^4 entries, "
+    r"over the 2\^3 that the subset cap 3 admits$"
+)
 
 
 def single_link_game():
@@ -153,9 +159,13 @@ class TestPosition:
         and its table-worth copy overflows every listing's budget."""
         assert position_value(hub, cap=3) == position_value(hub)
         assert myerson_value(hub, cap=5) == myerson_value(hub)
-        with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
+        with pytest.raises(CapExceeded, match=HUB_TABLE_REFUSAL):
             position_value(as_table(hub), cap=3)
-        with pytest.raises(CapExceeded, match="^6 players exceeds the subset cap 5$"):
+        message = (
+            r"^the table of 6 players, once no listing fits its limit of 6, needs 2\^6 entries, "
+            r"over the 2\^5 that the subset cap 5 admits$"
+        )
+        with pytest.raises(CapExceeded, match=message):
             myerson_value(as_table(hub), cap=5)
 
 
@@ -272,6 +282,20 @@ class TestBitmaskKernel:
             with pytest.raises(TypeError, match="floats are not exact"):
                 value(game)
 
+    def test_a_custom_characteristic_past_the_cap_is_refused(self):
+        """`shapley_value` prices the 2^n table a characteristic without
+        dividends or entries needs, and refuses it past the cap with
+        that price, before any worth is read."""
+        players = list(range(9))
+        cf = CountingWorth(frozenset(players))
+        game = HypergraphGame(make_hypergraph(players, [[0, 1]]), cf)
+        with pytest.raises(CapExceeded) as refused:
+            shapley_value(game, cap=8)
+        assert refused.value.args == ("the table of 9 players", "2^9", 8)
+        assert str(refused.value) == "the table of 9 players needs 2^9 entries, over the 2^8 that the subset cap 8 admits"
+        assert cf.calls == []
+        assert shapley_value(game, cap=9) == shapley_by_subsets(TUGame.from_characteristic(cf))
+
     @pytest.mark.parametrize(
         "cf",
         [
@@ -321,11 +345,20 @@ class TestBitmaskKernel:
         for name in ("scaled_worths", "_read_worths", "disconnected_sets", "hypergraph_pieces", "_spanning"):
             monkeypatch.setattr(solutions, name, refuse)
         monkeypatch.setattr(connectivity, "_grow", refuse)
-        with pytest.raises(CapExceeded, match="^30 hyperlinks exceeds the subset cap 8$"):
+        message = (
+            r"^the table of 30 hyperlinks, once no listing fits its limit of 17, needs 2\^30 entries, "
+            r"over the 2\^8 that the subset cap 8 admits$"
+        )
+        with pytest.raises(CapExceeded, match=message):
             position_value(dense, cap=8)
-        with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
+        message = (
+            r"^the table of 10 players, once no listing fits its limit of 51, needs 2\^10 entries, "
+            r"over the 2\^8 that the subset cap 8 admits$"
+        )
+        with pytest.raises(CapExceeded, match=message):
             myerson_value(HypergraphGame(dense.hypergraph, unanimity(few, [4, 5])), cap=8)
-        with pytest.raises(CapExceeded, match="^10 players exceeds the subset cap 8$"):
+        message = r"^the table of 10 players needs 2\^10 entries, over the 2\^8 that the subset cap 8 admits$"
+        with pytest.raises(CapExceeded, match=message):
             shapley_value(HypergraphGame(dense.hypergraph, CountingWorth(frozenset(few))), cap=8)
 
 
@@ -458,7 +491,9 @@ def route(name):
             listed = forced[name](as_entries(game) if name == "support" else game, links, point, 1 << (n + m + 1))
             if listed is not None:
                 return listed
-        require_subset_cap(n if point else m, cap, "players" if point else "hyperlinks")
+        size, noun = (n, "players") if point else (m, "hyperlinks")
+        if size > cap:
+            raise CapExceeded(f"the table of {size} {noun}", f"2^{size}", cap)
         return solutions._table(game, point)
 
     with mock.patch.object(solutions, "_plan", plan):
@@ -870,7 +905,7 @@ class TestDeletionsInOnePass:
 
     def test_respects_the_cap(self, hub):
         assert position_values_without(hub, cap=3) == position_values_without(hub)
-        with pytest.raises(CapExceeded, match="^4 hyperlinks exceeds the subset cap 3$"):
+        with pytest.raises(CapExceeded, match=HUB_TABLE_REFUSAL):
             position_values_without(as_table(hub), cap=3)
 
 
@@ -908,6 +943,18 @@ class TestComplementFromDividends:
         twin = as_table(game)
         assert solutions._plan(game).name == solutions._plan(twin).name == "complement"
         assert values_and_identities(game) == values_and_identities(twin)
+
+    def test_the_price_counts_the_entries_it_makes(self):
+        """The route is priced at its disconnected hyperlink sets plus the
+        signed entries `_complement_pieces` makes: 2^|T| per unanimity
+        term T, or one per player set for the table twin."""
+        for game in (*DENSE_SHAPES, dividend_game(0)):
+            links = solutions._hyperlink_masks(game)
+            apart = len(disconnected_sets(solutions._line_graph(links), 1 << 20))
+            coefficients = game.characteristic.unanimity_coefficients()
+            if coefficients is not None:
+                assert solutions._plan(game).price == apart + sum(1 << len(t) for t in coefficients)
+            assert solutions._plan(as_table(game)).price == apart + (1 << len(game.players))
 
     def test_a_dividend_game_never_reads_every_player_set(self):
         read = []
@@ -992,7 +1039,11 @@ class TestTheCapBoundsTheChosenRoute:
         """871 connected hyperlink sets pass 2^12/4 · 12/30 = 409 but not
         2^13/4 · 13/30 = 887."""
         if refused:
-            with pytest.raises(CapExceeded, match=f"^30 hyperlinks exceeds the subset cap {cap}$"):
+            message = (
+                r"^the table of 30 hyperlinks, once no listing fits its limit of 409, needs 2\^30 entries, "
+                r"over the 2\^12 that the subset cap 12 admits$"
+            )
+            with pytest.raises(CapExceeded, match=message):
                 position_value(ring(30), cap=cap)
         else:
             assert position_value(ring(30), cap=cap) == position_value(ring(30))
@@ -1010,7 +1061,11 @@ class TestTheCapBoundsTheChosenRoute:
 
         original = connectivity._grow
         monkeypatch.setattr(connectivity, "_grow", counted)
-        with pytest.raises(CapExceeded, match="^2000 hyperlinks exceeds the subset cap 24$"):
+        message = (
+            r"^the table of 2000 hyperlinks, once no listing fits its limit of 50331, needs 2\^2000 entries, "
+            r"over the 2\^24 that the subset cap 24 admits$"
+        )
+        with pytest.raises(CapExceeded, match=message):
             position_value(ring(2000))
         assert len(grown) == (1 << 22) * 24 // 2000 + 1
 
@@ -1311,8 +1366,12 @@ class TestSupportRoute:
         few = range(10)
         pairs = list(itertools.combinations(few, 2))[:30]
         dense = HypergraphGame(make_hypergraph(few, pairs), table_function(few, {frozenset(few): 1}))
-        for cap in (24, 16):
-            with pytest.raises(CapExceeded, match=f"^30 hyperlinks exceeds the subset cap {cap}$"):
+        for cap, limit in ((24, 3355443), (16, 8738)):
+            message = (
+                rf"^the table of 30 hyperlinks, once no listing fits its limit of {limit}, needs 2\^30 entries, "
+                rf"over the 2\^{cap} that the subset cap {cap} admits$"
+            )
+            with pytest.raises(CapExceeded, match=message):
                 position_value(dense, cap=cap)
         assert priced == [None, None]
 
