@@ -44,6 +44,7 @@ from .model import (
     ONE,
     ZERO,
     is_r_uniform,
+    scaled_worths,
 )
 from .shapley import DEFAULT_SUBSET_CAP, CapExceeded
 from .solutions import (
@@ -195,7 +196,10 @@ def check_component_efficiency(rule: Rule, game: HypergraphGame) -> Report:
     payoffs = rule(game)
     comps = components(game.players, game.hyperlinks)
     allocated = _numerators(sum((payoffs[i] for i in comp), ZERO) for comp in comps)
-    return _report("component efficiency", comps, allocated, _numerators(map(game.worth, comps)))
+    bit = {p: 1 << k for k, p in enumerate(game.players)}
+    masks = [sum(bit[p] for p in comp) for comp in comps]
+    scale, worth = scaled_worths(game.characteristic, game.players, masks)
+    return _report("component efficiency", comps, allocated, ([worth[c] for c in masks], scale))
 
 
 def check_copy_deletions(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> dict[Hyperlink, Report]:

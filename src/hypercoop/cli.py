@@ -19,9 +19,11 @@ checks run after every field has passed and are prefixed
 ``characteristic:``.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 bad input or
-an output write error, 3 the subset cap refused the run: `main` prints
-the `CapExceeded` line and names the flag that raises the cap,
-``--cap-subsets``.
+an output write error, 3 the subset cap refused the run, or admitted
+what this machine cannot hold: `main` prints the `CapExceeded` line, or
+the `MemoryError` line with the size of the table that a list cannot
+index or that memory ran out building, and names the flag that sets the
+cap, ``--cap-subsets``.
 
 Handlers write nothing.  Each returns a `Result` ``(payload, text, code)``:
 the ``--format json`` object (it may hold ``Fraction``s and allocations
@@ -39,7 +41,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NoReturn
+from typing import Callable
 
 from . import jsonout
 from .axioms import (
@@ -56,13 +58,13 @@ from .axioms import (
 from .expansion import copy_counts, expansion_payoffs
 from .model import (
     Allocation,
-    Hypergraph,
     HypergraphGame,
     TableFunction,
-    UnanimityFunction,
     WeightedUnanimityFunction,
     eta,
     link_key,
+    make_hypergraph,
+    unanimity,
 )
 from .shapley import CapExceeded, DEFAULT_SUBSET_CAP
 from .solutions import _rows, myerson_value, position_value, shapley_value
@@ -151,23 +153,6 @@ def _rational(value) -> Fraction | None:
     return None
 
 
-def _hyperlink_error(n: int, members: list[int], player_set, links: dict) -> NoReturn:
-    """Raise the first problem of `hyperlinks[n]`, an integer list: its
-    size, then unknown players, then repeated members, then a repeat of
-    an earlier hyperlink."""
-    if len(members) < 2:
-        raise DocumentError(f"hyperlinks[{n}]: a hyperlink needs at least two members")
-    if not player_set.issuperset(members):
-        unknown = sorted(p for p in members if p not in player_set)
-        raise DocumentError(f"hyperlinks[{n}]: unknown players {unknown}")
-    if len(set(members)) != len(members):
-        raise DocumentError(f"hyperlinks[{n}]: duplicate members")
-    first = links[frozenset(members)]
-    raise DocumentError(
-        f"hyperlinks[{n}]: duplicate hyperlink {sorted(members)}, already hyperlinks[{first}]"
-    )
-
-
 def _entries(items: list, kind: str, value_key: str, distinct: bool) -> list[tuple[frozenset[int], Fraction]]:
     """The (coalition, rational) pairs of the characteristic's list, checked
     entry by entry in document order; `distinct` refuses a repeated
@@ -207,10 +192,11 @@ def parse_game(text: str) -> HypergraphGame:
     Every field is checked once, in document order, so the first problem
     is the one reported, named by its field path: the root's unknown keys,
     then players (a list of integers, nonempty, then each id in turn:
-    non-negative, then new), then each hyperlink (integers, size,
-    membership, repeated members, then a repeat of an earlier hyperlink),
-    then the characteristic (its keys, then each entry: its keys, its
-    coalition, a repeated table coalition, its rational).  An object's
+    non-negative, then new), then each hyperlink (a list, then in
+    `make_hypergraph` its integers, size, membership, repeated members,
+    then a repeat of an earlier hyperlink), then the characteristic (its
+    keys, then each entry: its keys, its coalition, a repeated table
+    coalition, its rational).  An object's
     unknown keys are reported before its fields.  Only then do the
     characteristic's own checks run, in entry order, reported with the
     prefix ``characteristic:`` (a coalition outside the players, a
@@ -243,14 +229,15 @@ def parse_game(text: str) -> HypergraphGame:
     raw_links = doc.get("hyperlinks", [])
     if type(raw_links) is not list:
         raise DocumentError("hyperlinks: expected a list of player lists")
-    links: dict[frozenset[int], int] = {}
-    for n, raw in enumerate(raw_links):
-        if not _is_int_list(raw):
-            _int_list(raw, f"hyperlinks[{n}]")
-        e = frozenset(raw)
-        if len(e) < 2 or len(e) < len(raw) or not e <= player_set or e in links:
-            _hyperlink_error(n, raw, player_set, links)
-        links[e] = n
+    # `make_hypergraph` checks each hyperlink in turn up to the first that
+    # is not a list, so an earlier hyperlink's problem is reported first
+    listed = next((n for n, raw in enumerate(raw_links) if type(raw) is not list), len(raw_links))
+    try:
+        structure = make_hypergraph(players, raw_links[:listed])
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+    if listed < len(raw_links):
+        raise DocumentError(f"hyperlinks[{listed}]: expected a list of player ids")
 
     raw_cf = _require(doc, "characteristic", "document")
     if type(raw_cf) is not dict:
@@ -266,7 +253,7 @@ def parse_game(text: str) -> HypergraphGame:
     if kind == "unanimity":
         if not _is_int_list(raw_kind):
             _int_list(raw_kind, "characteristic.unanimity")
-        make, body = UnanimityFunction, frozenset(raw_kind)
+        make, body = unanimity, raw_kind
     elif kind == "weighted_unanimity":
         if type(raw_kind) is not list:
             raise DocumentError("characteristic.weighted_unanimity: expected a list")
@@ -280,16 +267,14 @@ def parse_game(text: str) -> HypergraphGame:
     except ValueError as exc:
         raise DocumentError(f"characteristic: {exc}") from None
 
-    # every check `make_hypergraph` makes has run above, with positions
-    structure = Hypergraph(tuple(sorted(players)), tuple(sorted(links, key=link_key)))
     return HypergraphGame(structure, cf)
 
 
 def game_to_document(game: HypergraphGame) -> dict:
     """Serialize a game back to its document form (round-trips exactly)."""
     cf = game.characteristic
-    if isinstance(cf, UnanimityFunction):
-        body = {"unanimity": sorted(cf.support)}
+    if isinstance(cf, WeightedUnanimityFunction) and [c for _, c in cf.terms] == [1]:
+        body = {"unanimity": sorted(cf.terms[0][0])}
     elif isinstance(cf, WeightedUnanimityFunction):
         body = {
             "weighted_unanimity": [
@@ -732,6 +717,9 @@ def main(argv=None) -> int:
         return 2
     except CapExceeded as exc:
         print(f"error: {exc}; raise it with --cap-subsets", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}; --cap-subsets {args.cap_subsets} admitted it", file=sys.stderr)
         return 3
     except ValueError as exc:  # a DocumentError or another bad input
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,11 @@
 Players are small non-negative integers, coalitions are frozensets, and
 every worth or payoff is a `fractions.Fraction`.  Nothing in the
 computation path ever touches a float, so comparisons between
-allocations are exact equality, not tolerance checks.  The hot paths
-read worths once, through `scaled_worths`, as integers over one scale.
+allocations are exact equality, not tolerance checks.  A unanimity
+game is a weighted combination of one term.  `integer_form` is the one
+reader that turns the worths a characteristic holds into integers over
+one scale, on bitmask coalitions; the hot paths read it, directly or
+through `scaled_worths`, and never scale a Fraction themselves.
 """
 
 from __future__ import annotations
@@ -64,20 +67,24 @@ def make_hypergraph(players: Iterable[PlayerId], hyperlinks: Iterable[Iterable[P
     ordered = tuple(sorted(ids))
     id_set = frozenset(ordered)
 
-    seen: set[Hyperlink] = set()
-    links: list[Hyperlink] = []
-    for raw in hyperlinks:
-        e = frozenset(raw)
-        if len(e) < 2:
-            raise ValueError(f"hyperlink {sorted(e)} must have at least two members")
+    # each hyperlink is checked in full, in order, and named by its position
+    first: dict[Hyperlink, int] = {}
+    for n, raw in enumerate(hyperlinks):
+        members = list(raw)
+        for k, p in enumerate(members):
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError(f"hyperlinks[{n}][{k}]: expected an integer player id, got {p!r}")
+        e = frozenset(members)
+        if len(members) < 2:
+            raise ValueError(f"hyperlinks[{n}]: a hyperlink needs at least two members")
         if not e <= id_set:
-            raise ValueError(f"hyperlink {sorted(e)} mentions unknown players {sorted(e - id_set)}")
-        if e in seen:
-            raise ValueError(f"duplicate hyperlink {sorted(e)}")
-        seen.add(e)
-        links.append(e)
-    links.sort(key=link_key)
-    return Hypergraph(ordered, tuple(links))
+            raise ValueError(f"hyperlinks[{n}]: unknown players {sorted(p for p in members if p not in id_set)}")
+        if len(e) < len(members):
+            raise ValueError(f"hyperlinks[{n}]: duplicate members")
+        if e in first:
+            raise ValueError(f"hyperlinks[{n}]: duplicate hyperlink {sorted(e)}, already hyperlinks[{first[e]}]")
+        first[e] = n
+    return Hypergraph(ordered, tuple(sorted(first, key=link_key)))
 
 
 def incident_hyperlinks(hypergraph: Hypergraph, player: PlayerId) -> tuple[Hyperlink, ...]:
@@ -148,27 +155,6 @@ class TableFunction(CharacteristicFunction):
 
 
 @dataclass(frozen=True)
-class UnanimityFunction(CharacteristicFunction):
-    """Worth 1 on supersets of the support coalition, 0 elsewhere."""
-
-    support: Coalition
-
-    def __post_init__(self):
-        s = frozenset(self.support)
-        if not s <= self.players:
-            raise ValueError(f"support {sorted(s)} is not within the player set")
-        if len(s) < 2:
-            raise ValueError("unanimity support needs at least two players (zero-normalization)")
-        object.__setattr__(self, "support", s)
-
-    def _worth(self, coalition: Coalition) -> Fraction:
-        return ONE if self.support <= coalition else ZERO
-
-    def unanimity_coefficients(self) -> dict[Coalition, Fraction]:
-        return {self.support: ONE}
-
-
-@dataclass(frozen=True)
 class WeightedUnanimityFunction(CharacteristicFunction):
     """Finite linear combination of unanimity games, merged per support."""
 
@@ -203,8 +189,9 @@ def table_function(players: Iterable[PlayerId], entries: Mapping) -> TableFuncti
     return TableFunction(frozenset(players), dict(entries))
 
 
-def unanimity(players: Iterable[PlayerId], support: Iterable[PlayerId]) -> UnanimityFunction:
-    return UnanimityFunction(frozenset(players), frozenset(support))
+def unanimity(players: Iterable[PlayerId], support: Iterable[PlayerId]) -> WeightedUnanimityFunction:
+    """u_T: worth 1 on the supersets of the support T, 0 elsewhere."""
+    return WeightedUnanimityFunction(frozenset(players), ((frozenset(support), ONE),))
 
 
 def weighted_unanimity(players: Iterable[PlayerId], terms) -> WeightedUnanimityFunction:
@@ -250,25 +237,44 @@ def zero_allocation(players: Iterable[PlayerId]) -> Allocation:
     return {p: ZERO for p in players}
 
 
+def integer_form(
+    cf: CharacteristicFunction, players: tuple[PlayerId, ...]
+) -> tuple[int, list[tuple[int, int]] | None, dict[int, int] | None]:
+    """(scale, terms, entries): the worths a characteristic holds, as
+    integers over one scale with coalitions as bitmasks over `players`.
+    Unanimity coefficients c_T give terms, one (mask of T, scale·c_T)
+    pair per support; a table gives entries, {mask: scale·v} over its
+    nonzero worths.  Any other characteristic gives (1, None, None) and
+    is asked through `cf.worth` by `scaled_worths`.  The form is kept on
+    the characteristic for the last `players` it was read over, so the
+    planner's routes and the worth reads share one conversion; callers
+    only read it."""
+    kept = vars(cf).get("_integer_form")
+    if kept is not None and kept[0] == players:
+        return kept[1]
+    coefficients = cf.unanimity_coefficients()
+    if coefficients is None and not isinstance(cf, TableFunction):
+        return 1, None, None
+    bit = {p: 1 << k for k, p in enumerate(players)}
+    given = (cf.entries if coefficients is None else coefficients).items()
+    scale = lcm(*(w.denominator for _, w in given))
+    scaled = {sum(bit[p] for p in s): w.numerator * (scale // w.denominator) for s, w in given}
+    form = (scale, None, scaled) if coefficients is None else (scale, list(scaled.items()), None)
+    vars(cf)["_integer_form"] = (players, form)
+    return form
+
+
 def scaled_worths(
     cf: CharacteristicFunction, players: tuple[PlayerId, ...], coalitions: Iterable[int]
 ) -> tuple[int, dict[int, int]]:
     """(scale, {mask: scale·v(mask)}) for coalitions given as bitmasks over
-    `players`.  Unanimity combinations and tables are read off their
-    representation; any other characteristic goes through `cf.worth`."""
-    bit = {p: 1 << k for k, p in enumerate(players)}
-    coefficients = cf.unanimity_coefficients()
-    if coefficients is not None:
-        scale = lcm(*(c.denominator for c in coefficients.values()))
-        terms = [
-            (sum(bit[p] for p in s), c.numerator * (scale // c.denominator))
-            for s, c in coefficients.items()
-        ]
+    `players`, summed from `integer_form`, or for any other
+    characteristic asked through `cf.worth` once per coalition."""
+    scale, terms, entries = integer_form(cf, players)
+    if terms is not None:
         return scale, {c: sum(w for s, w in terms if c & s == s) for c in coalitions}
-    if isinstance(cf, TableFunction):
-        worths = {sum(bit[p] for p in s): w for s, w in cf.entries.items()}
-    else:
-        worths = {c: as_fraction(cf.worth(p for p in players if c & bit[p])) for c in coalitions}
+    if entries is not None:
+        return scale, {c: entries.get(c, 0) for c in coalitions}
+    worths = {c: as_fraction(cf.worth(p for k, p in enumerate(players) if c >> k & 1)) for c in coalitions}
     scale = lcm(*(w.denominator for w in worths.values()))
-    scaled = {c: w.numerator * (scale // w.denominator) for c, w in worths.items()}
-    return scale, {c: scaled.get(c, 0) for c in coalitions}
+    return scale, {c: w.numerator * (scale // w.denominator) for c, w in worths.items()}

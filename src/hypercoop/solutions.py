@@ -10,8 +10,10 @@ equally among its members.  `shapley_value` ignores the hypergraph and
 takes the Shapley value of the characteristic function itself.
 
 Players (or hyperlinks) are bit positions, a coalition is an int, and
-worths are integers scaled by `model.scaled_worths`, the one worth reader
-shared with the expansion and axiom modules; each payoff is one exact
+worths are integers over one scale from `model.integer_form`, the one
+reader shared with the expansion and axiom modules: unanimity terms and
+table entries straight from it, and the worths of the coalitions a
+route names through `model.scaled_worths`; each payoff is one exact
 division at the end.  A restricted game is Σ_P v(P)·[P is a piece of S]
 over the connected sets P.  A route writes it either as pieces (P, B, w),
 w·[S holds P and misses B], which `shapley_of_pieces` pays (each member
@@ -45,6 +47,7 @@ restricted games are the test suite's reference.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import factorial, lcm
 from operator import sub
@@ -56,7 +59,7 @@ from .model import (
     Hyperlink,
     HypergraphGame,
     PlayerId,
-    TableFunction,
+    integer_form,
     scaled_worths,
 )
 from .shapley import (
@@ -114,15 +117,10 @@ def _point_table(game: HypergraphGame) -> tuple[list[int], int]:
     return table, scale
 
 
-def _masks(game: HypergraphGame, sets) -> list[int]:
-    """The player mask of each player set in `sets`."""
-    bit = {p: 1 << k for k, p in enumerate(game.players)}.__getitem__
-    return [sum(map(bit, s)) for s in sets]
-
-
 def _hyperlink_masks(game: HypergraphGame) -> list[int]:
     """Each hyperlink's player mask."""
-    return _masks(game, game.hyperlinks)
+    bit = {p: 1 << k for k, p in enumerate(game.players)}.__getitem__
+    return [sum(map(bit, e)) for e in game.hyperlinks]
 
 
 def _line_graph(links: list[int]) -> list[int]:
@@ -156,7 +154,7 @@ def _read_worths(game: HypergraphGame, coalitions) -> tuple[int, dict[int, int]]
     return scale, worth
 
 
-def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int], coefficients) -> tuple[int, list]:
+def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int], terms) -> tuple[int, list]:
     """(scale, pieces) of the conference game v^L(A) = v(M(A)) + δ(A),
     M(A) being the players on the hyperlinks of A and `apart` the sets A
     that are disconnected, the only ones where δ(A) is nonzero.  With
@@ -165,11 +163,11 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int],
     a member outside Y: one piece (∅, out(Y)) per distinct out(Y).  Each
     A in `apart` is the piece (A, every other hyperlink), [S = A].
 
-    The unanimity `coefficients` c_T (None for other worths) give
-    φ(N∖Y) = (-1)^|Y|·Σ_{T⊇Y} c_T, and out(N∖Y) is the hyperlinks
-    meeting Y, so each term merges its 2^|T| signed (out, c_T) entries
-    into the pieces as it makes them, and only the disconnected sets'
-    covers and parts are read.  Other worths read all 2^n player sets
+    The unanimity `terms` (T, c_T) of `integer_form` (None for other
+    worths) give φ(N∖Y) = (-1)^|Y|·Σ_{T⊇Y} c_T, and out(N∖Y) is the
+    hyperlinks meeting Y, so each term merges its 2^|T| signed
+    (out, c_T) entries into the pieces as it makes them, and only the
+    disconnected sets' covers and parts are read.  Other worths read all 2^n player sets
     and take φ by n Möbius passes."""
     n, every = len(game.players), (1 << len(links)) - 1
     leaving = [sum(1 << j for j, e in enumerate(links) if e >> k & 1) for k in range(n)]
@@ -182,7 +180,7 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int],
             if o and f:
                 by_out[o] = by_out.get(o, 0) + f
 
-    if coefficients is None:
+    if terms is None:
         scale, worth = _read_worths(game, range(1, 1 << n))
         # one pass per player bit, after which that bit is rotated to the top
         phi = [0, *(worth[z] for z in range(1, 1 << n))]
@@ -194,14 +192,14 @@ def _complement_pieces(game: HypergraphGame, links: list[int], apart: list[int],
         merge(zip(out, phi))
     else:
         scale, worth = _read_worths(game, {c for _, players, cs in parts for c in (players, *cs)})
-        index = {p: k for k, p in enumerate(game.players)}
         # each term's entries merge as soon as they are made, so at most
         # one term's 2^|T| of them are held at once
-        for support, c in coefficients.items():
-            out, signed = [0], [c.numerator * (scale // c.denominator)]
-            for p in support:
-                out += [x | leaving[index[p]] for x in out]
-                signed += [-f for f in signed]
+        for support, c in terms:
+            out, signed = [0], [c]
+            for k in range(support.bit_length()):
+                if support >> k & 1:
+                    out += [x | leaving[k] for x in out]
+                    signed += [-f for f in signed]
             merge(zip(out, signed))
     pieces = [(0, o, f) for o, f in by_out.items()]
     for a, players, cs in parts:
@@ -239,15 +237,13 @@ def _allocation(players: tuple[PlayerId, ...], row: list[int], denominator: int)
     return {p: Fraction(x, denominator) for p, x in zip(players, row)}
 
 
-def _dividend_pieces(listing) -> tuple[int, list[tuple[int, int, int]]]:
-    """(scale, pieces) of Σ c·u_B over the (B, c) terms of `listing`: one
-    piece (B, ∅, scale·c) per distinct mask B, scale being the lcm of the
-    c's denominators."""
-    scale = lcm(*(c.denominator for _, c in listing))
+def _dividend_pieces(listing) -> list[tuple[int, int, int]]:
+    """The pieces of Σ c·u_B over the (B, c) terms of `listing`, integer
+    c's: one piece (B, ∅, c) per distinct mask B."""
     merged: dict[int, int] = {}
     for b, c in listing:
-        merged[b] = merged.get(b, 0) + c.numerator * (scale // c.denominator)
-    return scale, [(b, 0, w) for b, w in merged.items()]
+        merged[b] = merged.get(b, 0) + c
+    return [(b, 0, w) for b, w in merged.items()]
 
 
 def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Allocation:
@@ -256,13 +252,12 @@ def shapley_value(game: HypergraphGame, cap: int = DEFAULT_SUBSET_CAP) -> Alloca
     and a table's entries v(C) are the pieces [S = C], both without a
     2^n table or a cap."""
     n, cf = len(game.players), game.characteristic
-    coefficients = cf.unanimity_coefficients()
-    if coefficients is not None:
-        scale, pieces = _dividend_pieces(list(zip(_masks(game, coefficients), coefficients.values())))
-    elif isinstance(cf, TableFunction):
+    scale, terms, entries = integer_form(cf, game.players)
+    if terms is not None:
+        pieces = _dividend_pieces(terms)
+    elif entries is not None:
         every = (1 << n) - 1
-        scale, worth = scaled_worths(cf, game.players, _masks(game, cf.entries))
-        pieces = [(c, every ^ c, w) for c, w in worth.items()]
+        pieces = [(c, every ^ c, w) for c, w in entries.items()]
     else:
         if n > cap:
             raise CapExceeded(f"the table of {n} players", f"2^{n}", cap)
@@ -336,10 +331,10 @@ def _dividends(game: HypergraphGame, links: list[int], point: bool, limit: int) 
     stays joined in every coalition holding it, so u_T's point game is
     u_T itself and B(T) = T (Owen 1986, "Values of graph-restricted
     games", SIAM J. Algebraic Discrete Methods 7: 210-220).  Table worths
-    leave at the coefficient check, and most cyclic structures skip the
+    have no terms and leave at once, and most cyclic structures skip the
     components at the sum Σ_e(|e|-1) >= covered players."""
-    coefficients = game.characteristic.unanimity_coefficients()
-    if coefficients is None:
+    scale, terms, _ = integer_form(game.characteristic, game.players)
+    if terms is None:
         return None
     covered = excess = 0
     for e in links:
@@ -347,14 +342,13 @@ def _dividends(game: HypergraphGame, links: list[int], point: bool, limit: int) 
         excess += e.bit_count() - 1
     # most cyclic structures fail the sum before any component is found
     parts = mask_components(covered, links) if excess < covered.bit_count() else []
-    supports = _masks(game, coefficients)
     if not parts or excess != covered.bit_count() - len(parts):
         if not point:
             return None
-        for t in supports:
+        for t, _ in terms:
             if not _joins(links, t, sum(1 << j for j, e in enumerate(links) if e & t == e)):
                 return None
-        listing = list(zip(supports, coefficients.values()))
+        listing = terms
     else:
         n = len(game.players)
         adjacent: list[list[int]] = [[] for _ in range(n)]
@@ -363,12 +357,11 @@ def _dividends(game: HypergraphGame, links: list[int], point: bool, limit: int) 
             for k in members:
                 adjacent[k].append(n + j)
             adjacent.append(members)
-        listing = [(_steiner(adjacent, n, t), c) for t, c in zip(supports, coefficients.values())
-                   if any(t & part == t for part in parts)]
+        listing = [(_steiner(adjacent, n, t), c) for t, c in terms if any(t & part == t for part in parts)]
         if point:
             covers = _covered(links, (b for b, _ in listing))
             listing = [(covers[b], c) for b, c in listing]
-    return Route("dividends", len(listing), lambda: (*_dividend_pieces(listing), None))
+    return Route("dividends", len(listing), lambda: (scale, _dividend_pieces(listing), None))
 
 
 def _complement(game: HypergraphGame, links: list[int], point: bool, limit: int) -> Route | None:
@@ -380,9 +373,9 @@ def _complement(game: HypergraphGame, links: list[int], point: bool, limit: int)
     coefficients c_T, or else one per player set, 2^n."""
     if point or 1 << len(game.players) > limit or (apart := disconnected_sets(_line_graph(links), limit)) is None:
         return None
-    coefficients = game.characteristic.unanimity_coefficients()
-    made = 1 << len(game.players) if coefficients is None else sum(1 << len(t) for t in coefficients)
-    return Route("complement", len(apart) + made, lambda: (*_complement_pieces(game, links, apart, coefficients), None))
+    _, terms, _ = integer_form(game.characteristic, game.players)
+    made = 1 << len(game.players) if terms is None else sum(1 << t.bit_count() for t, _ in terms)
+    return Route("complement", len(apart) + made, lambda: (*_complement_pieces(game, links, apart, terms), None))
 
 
 def _joins(links: list[int], c: int, p: int) -> bool:
@@ -442,14 +435,14 @@ def _support(game: HypergraphGame, links: list[int], point: bool, limit: int) ->
     first, at Σ_{i<=k} C(|H[C]|, i) sets, and only when the sum fits
     lists each P of `_spanning` as the term
     (C, P, (H[C]∖P) ∪ out(C), 1)."""
-    cf = game.characteristic
-    if not isinstance(cf, TableFunction) or len(cf.entries) > limit:
+    _, _, entries = integer_form(game.characteristic, game.players)
+    if entries is None or len(entries) > limit:
         return None
     listing, priced, price = [], [], 0
     costs = [(1 << j, e, e.bit_count() - 1) for j, e in enumerate(links)]
     # the largest entries price highest, so a table that does not fit
     # is found out after few of them
-    for c in sorted(_masks(game, cf.entries), key=int.bit_count, reverse=True):
+    for c in sorted(entries, key=int.bit_count, reverse=True):
         inside = out = excess = 0
         outside = ~c
         for bit, e, cost in costs:
@@ -515,12 +508,22 @@ def _connected(game: HypergraphGame, links: list[int], point: bool, limit: int) 
 
 def _table(game: HypergraphGame, point: bool) -> Route:
     """The table route, priced at its 2^size masks: `_point_table` for
-    the point game and `conference_table` for the conference game."""
+    the point game and `conference_table` for the conference game.
+    build() raises a MemoryError that names the table when a list cannot
+    index its 2^size entries, before building anything, or when memory
+    runs out while building it."""
+    size, noun = (len(game.players), "players") if point else (len(game.hyperlinks), "hyperlinks")
+
     def build():
-        table, scale = (_point_table if point else conference_table)(game)
+        try:
+            if 1 << size > sys.maxsize:
+                raise MemoryError
+            table, scale = (_point_table if point else conference_table)(game)
+        except MemoryError:
+            raise MemoryError(f"the table of {size} {noun} needs 2^{size} entries, more than this machine can hold") from None
         return scale, None, table
 
-    return Route("table", 1 << len(game.players if point else game.hyperlinks), build)
+    return Route("table", 1 << size, build)
 
 
 def _plan(game: HypergraphGame, point: bool = False, cap: int = DEFAULT_SUBSET_CAP) -> Route:

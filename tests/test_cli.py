@@ -544,6 +544,65 @@ def test_a_refusal_is_one_line_naming_the_price_the_cap_and_the_flag(tmp_path, c
     assert capsys.readouterr() == ("", refusal)
 
 
+def windmill_doc(k: int) -> dict:
+    """windmill(k): players 0..2k, the triangle of pairs {0, 2i-1},
+    {0, 2i}, {2i-1, 2i} for each i in 1..k, and worth
+    2·u{1,2} - 1/3·u{3,4,5} + u{N}.  No pair lies inside {3, 4, 5}, so
+    the point game leaves the dividends route, and no listing fits."""
+    n = 2 * k + 1
+    return {
+        "players": list(range(n)),
+        "hyperlinks": [e for i in range(1, k + 1) for e in ([0, 2 * i - 1], [0, 2 * i], [2 * i - 1, 2 * i])],
+        "characteristic": {
+            "weighted_unanimity": [
+                {"coalition": [1, 2], "coeff": 2},
+                {"coalition": [3, 4, 5], "coeff": "-1/3"},
+                {"coalition": list(range(n)), "coeff": 1},
+            ]
+        },
+    }
+
+
+class TestTablesThisMachineCannotHold:
+    """A raised subset cap can admit a table that cannot be built.  The
+    run exits 3 with one line naming the table's size and the flag; no
+    test here builds a large table."""
+
+    def test_a_table_no_list_can_index_is_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys):
+        def refuse(*_args):
+            raise AssertionError("the point table was built")
+
+        monkeypatch.setattr(hypercoop.solutions, "_point_table", refuse)
+        path = write_doc(tmp_path, windmill_doc(40))
+        assert main(["value", path, "--rule", "myerson", "--cap-subsets", "82"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: the table of 81 players needs 2^81 entries, more than this machine can hold; "
+            "--cap-subsets 82 admitted it\n",
+        )
+
+    def test_memory_running_out_while_building_exits_3(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*_args):
+            raise MemoryError
+
+        monkeypatch.setattr(hypercoop.solutions, "_point_table", exhausted)
+        path = write_doc(tmp_path, windmill_doc(20))
+        assert main(["value", path, "--rule", "myerson", "--cap-subsets", "41"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: the table of 41 players needs 2^41 entries, more than this machine can hold; "
+            "--cap-subsets 41 admitted it\n",
+        )
+
+    def test_memory_running_out_elsewhere_exits_3(self, hub_path, monkeypatch, capsys):
+        def exhausted(*_args):
+            raise MemoryError
+
+        monkeypatch.setattr(hypercoop.solutions, "shapley_of_pieces", exhausted)
+        assert main(["value", hub_path]) == 3
+        assert capsys.readouterr() == ("", "error: out of memory; --cap-subsets 24 admitted it\n")
+
+
 class TestValueCommand:
     def test_position_table(self, hub_path, capsys):
         assert main(["value", hub_path]) == 0

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercoop.cli import main
+from hypercoop.cli import main, parse_game
 
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPT = Path(__file__).with_name("transcripts") / "cli.json"
@@ -96,6 +96,25 @@ def test_the_transcript_covers_every_document_and_command():
 def test_output_matches_the_transcript(entry, tmp_path):
     got = run(entry, write_documents(tmp_path))
     assert got == {key: entry[key] for key in ("stdout", "stderr", "code")}
+
+
+@pytest.mark.parametrize("name", ["hub_and_spokes.json", "path_three.json", "no_hyperlinks.json"])
+def test_a_unanimity_document_and_its_one_term_combination_agree(name, tmp_path):
+    """{"unanimity": T} and the weighted combination of T with
+    coefficient 1 parse to equal games, and every command prints for the
+    latter what the transcript records for the former."""
+    documents = write_documents(tmp_path)
+    doc = json.loads(documents[name].read_text(encoding="utf-8"))
+    support = doc["characteristic"]["unanimity"]
+    twin = dict(doc, characteristic={"weighted_unanimity": [{"coalition": support, "coeff": 1}]})
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(twin), encoding="utf-8")
+    assert parse_game(json.dumps(doc)) == parse_game(json.dumps(twin))
+    recorded = [entry for entry in RECORDED if entry["document"] == name]
+    assert len(recorded) == 2 * len(COMMANDS)
+    for entry in recorded:
+        got = run({**entry, "document": path.name}, {path.name: path})
+        assert got == {key: entry[key] for key in ("stdout", "stderr", "code")}, entry["argv"]
 
 
 if __name__ == "__main__":

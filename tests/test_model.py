@@ -1,23 +1,33 @@
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from hypercoop.cli import parse_game
+from hypercoop.corpus import game_corpus
 from hypercoop.model import (
+    CharacteristicFunction,
     HypergraphGame,
     as_fraction,
     eta,
     incident_hyperlinks,
+    integer_form,
     is_r_uniform,
     link_key,
     make_hypergraph,
+    scaled_worths,
     table_function,
     unanimity,
     weighted_unanimity,
     zero_allocation,
 )
 
-from strategies import hypergraph_games
+from strategies import hypergraph_games, unanimity_combination_games
+
+GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
 
 def test_as_fraction_accepts_exact_values():
@@ -60,6 +70,14 @@ class TestMakeHypergraph:
             make_hypergraph([1, 2], [[1, 7]])
         with pytest.raises(ValueError, match="duplicate hyperlink"):
             make_hypergraph([1, 2], [[1, 2], [2, 1]])
+        # True == 1 and a repeated member collapse in a frozenset; both are
+        # refused as the document parser refuses them
+        with pytest.raises(ValueError, match=r"^hyperlinks\[0\]\[0\]: expected an integer player id, got True$"):
+            make_hypergraph([0, 1, 2], [[True, 2], [0, 1, 1]])
+        with pytest.raises(ValueError, match=r"^hyperlinks\[1\]\[1\]: expected an integer player id, got '2'$"):
+            make_hypergraph([0, 1, 2], [[0, 1], [1, "2"]])
+        with pytest.raises(ValueError, match=r"^hyperlinks\[0\]: duplicate members$"):
+            make_hypergraph([0, 1, 2], [[0, 1, 1]])
 
     def test_single_player_no_links_is_valid(self):
         h = make_hypergraph([1])
@@ -127,6 +145,9 @@ class TestUnanimity:
         cf = unanimity([1, 2, 3], [1, 3])
         assert cf.unanimity_coefficients() == {frozenset({1, 3}): Fraction(1)}
 
+    def test_is_the_one_term_combination(self):
+        assert unanimity([1, 2, 3], [1, 3]) == weighted_unanimity([1, 2, 3], [([3, 1], 1)])
+
 
 class TestWeightedUnanimity:
     def test_worth_sums_applicable_terms(self):
@@ -144,6 +165,53 @@ class TestWeightedUnanimity:
     def test_coefficients(self):
         cf = weighted_unanimity([1, 2, 3], [([2, 3], Fraction(-1, 3))])
         assert cf.unanimity_coefficients() == {frozenset({2, 3}): Fraction(-1, 3)}
+
+
+class TestIntegerForm:
+    """The one integer reader against the Fraction path: on every
+    coalition, the integers of `integer_form` over its scale equal
+    `cf.worth`."""
+
+    @staticmethod
+    def assert_matches_worth(game):
+        players = game.players
+        scale, terms, entries = integer_form(game.characteristic, players)
+        assert (terms is None) != (entries is None)
+        for mask in range(1 << len(players)):
+            if terms is not None:
+                held = sum(w for s, w in terms if mask & s == s)
+            else:
+                held = entries.get(mask, 0)
+            assert Fraction(held, scale) == game.worth(p for k, p in enumerate(players) if mask >> k & 1)
+
+    def test_the_seeded_corpus(self):
+        for game in game_corpus():
+            self.assert_matches_worth(game)
+
+    def test_the_sample_games(self):
+        for path in sorted(GAMES_DIR.glob("*.json")):
+            self.assert_matches_worth(parse_game(path.read_text(encoding="utf-8")))
+
+    @given(st.one_of(hypergraph_games(), unanimity_combination_games()))
+    def test_the_generated_games(self, game):
+        self.assert_matches_worth(game)
+
+    def test_the_bits_follow_the_player_order(self):
+        cf = weighted_unanimity([1, 2, 3], [([1, 2], Fraction(3, 2)), ([2, 3], Fraction(-1, 3))])
+        assert integer_form(cf, (1, 2, 3)) == (6, [(0b011, 9), (0b110, -2)], None)
+        assert integer_form(cf, (3, 2, 1)) == (6, [(0b110, 9), (0b011, -2)], None)
+        table = table_function([1, 2, 3], {frozenset({1, 3}): Fraction(1, 2), frozenset({2, 3}): 0})
+        assert integer_form(table, (1, 2, 3)) == (2, None, {0b101: 1})
+
+    def test_other_characteristics_are_asked_through_worth(self):
+        @dataclass(frozen=True)
+        class Majority(CharacteristicFunction):
+            def _worth(self, coalition):
+                return Fraction(len(coalition) // 2, 3)
+
+        cf = Majority(frozenset({1, 2, 3}))
+        assert integer_form(cf, (1, 2, 3)) == (1, None, None)
+        assert scaled_worths(cf, (1, 2, 3), [0b011, 0b111]) == (3, {0b011: 1, 0b111: 1})
 
 
 class TestHypergraphGame:

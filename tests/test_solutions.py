@@ -5,6 +5,7 @@ import runpy
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from unittest import mock
 
@@ -1258,8 +1259,10 @@ class TestDividendsRoute:
             coefficients = game.characteristic.unanimity_coefficients()
             planned = solutions._plan(game, point=True)
             assert (planned.name, planned.price) == ("dividends", len(coefficients))
-            terms = list(zip(solutions._masks(game, coefficients), coefficients.values()))
-            assert planned.build() == (*solutions._dividend_pieces(terms), None)
+            bit = {p: 1 << k for k, p in enumerate(game.players)}
+            scale = lcm(*(c.denominator for c in coefficients.values()))
+            terms = [(sum(bit[p] for p in t), int(c * scale)) for t, c in coefficients.items()]
+            assert planned.build() == (scale, solutions._dividend_pieces(terms), None)
             myerson = myerson_value(game)
             assert myerson == shapley_value(game)
             for name in ROUTES:
