@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import re
@@ -201,7 +202,24 @@ def parse_game(text: str) -> HypergraphGame:
     characteristic's own checks run, in entry order, reported with the
     prefix ``characteristic:`` (a coalition outside the players, a
     nonzero singleton worth, a support of fewer than two players).
+
+    The cyclic garbage collector, when on, is paused while the game is
+    built and turned back on after: its passes over the many containers a
+    large document makes find no cycle, and took about a third of the
+    time on a 65,519-entry table.
     """
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
+    try:
+        return _read_game(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_game(text: str) -> HypergraphGame:
+    """`parse_game`'s checks and the game they admit."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a decode error, or an integer past int's digit limit
@@ -654,8 +672,59 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     cap_subsets(p, " and axiom reconstructions over 2^N row entries (connected sets·hyperlinks·players)")
 
-    parser.commands = sub.choices
+    parser.plain = {name: _Plain(name, command) for name, command in sub.choices.items()}
     return parser
+
+
+class _Plain:
+    """A reader for one command's plain line, collected from the command
+    parser's own actions: its positionals in order and exact
+    ``--option value`` pairs, each value through its action's ``type``
+    and ``choices``, every absent argument at its default (a string
+    default converted as argparse converts it).  It gives the namespace
+    that the full parser's ``parse_args`` gives for the line, or None for
+    any other line (help, an abbreviation, ``--option=value``, a word
+    starting with ``-`` where a value or positional stands, a missing or
+    extra positional, a missing required option, a refused value, an
+    unknown option), which the full parser then reads or refuses."""
+
+    def __init__(self, name: str, command: argparse.ArgumentParser):
+        self.name = name
+        # argparse's own order: every default first, then the values read
+        self.defaults = {
+            a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+            for a in command._actions
+            if a.default is not argparse.SUPPRESS
+        }
+        valued = [a for a in command._actions if a.nargs is None]
+        self.positionals = [a for a in valued if not a.option_strings]
+        self.options = {s: a for a in valued for s in a.option_strings}
+        self.required = {a.dest for a in valued if a.required}
+
+    def __call__(self, words: list[str]) -> argparse.Namespace | None:
+        values = {}
+        positionals = iter(self.positionals)
+        words = iter(words)
+        for word in words:
+            if word.startswith("-"):
+                # an option with no word after it reads "-", which sends the line on
+                action, value = self.options.get(word), next(words, "-")
+                if action is None or value.startswith("-"):
+                    return None
+            else:
+                action, value = next(positionals, None), word
+                if action is None:
+                    return None
+            try:
+                value = action.type(value) if action.type else value
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if not self.required <= values.keys():
+            return None
+        return argparse.Namespace(command=self.name, **{**self.defaults, **values})
 
 
 def _discard_stdout() -> None:
@@ -679,18 +748,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """The command line parsed once, by the named command's parser; the
-    full parser (and its messages) when no command is named or arguments
-    are left over."""
+    """The command line in two tiers.  A plain line, a command name
+    followed by its positionals and exact ``--option value`` pairs, is
+    read by that command's `_Plain` reader, with no argparse parse; any
+    other line goes to the full parser's ``parse_args``, which parses it
+    or prints its usage, its message and its exit code."""
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    read = parser.plain.get(argv[0]) if argv else None
+    args = read(argv[1:]) if read else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,8 @@ coalition at a time, and shares no code with the bitmask integer kernel
   fold's uniform expansion (`uniform_by_fold`) and full-signature agent
   form (`agent_form_by_fold`), the references for the completion-weight
   kernel of `hypercoop.expansion`, and the completion weights themselves
-  summed as `Fraction`s (`completion_weights_by_fractions`);
+  summed as `Fraction`s (`completion_weights_by_fractions`) and as
+  integers term by term (`completion_numerators_by_terms`);
 * the axiomatic reconstruction with one row per hyperlink mask
   (`value_from_axioms_by_masks`), the reference for the connected-set
   rows of `hypercoop.axioms.value_from_axioms`;
@@ -606,6 +607,18 @@ def completion_weights_by_fractions(blocks: int, rho: int) -> list[Fraction]:
         )
         for t in range(blocks)
     ]
+
+
+def completion_numerators_by_terms(blocks: int) -> tuple[int, ...]:
+    """c(t) = Σ_i (-1)^i C(r, i)·(lcm(1..blocks) // (1+t+i)), r =
+    blocks-1-t, for t = 0..blocks-1, term by term in integers: the
+    reference for the forward-difference table of
+    `hypercoop.expansion.completion_numerators`."""
+    unit = lcm(*range(1, blocks + 1))
+    return tuple(
+        sum((-1) ** i * comb(blocks - 1 - t, i) * (unit // (1 + t + i)) for i in range(blocks - t))
+        for t in range(blocks)
+    )
 
 
 def uniform_by_fold(

@@ -1,5 +1,9 @@
+import argparse
+import contextlib
 import copy
 import errno
+import gc
+import io
 import json
 import os
 import random
@@ -327,6 +331,29 @@ class TestParseGame:
         doc = dict(HUB_DOC, hyperlinks=[[7]])
         with pytest.raises(DocumentError, match="at least two members"):
             parse_game(json.dumps(doc))
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("doc, problem", [(HUB_DOC, None), ({"players": []}, "must be nonempty")])
+    def test_the_collector_is_paused_and_left_as_it_was(self, monkeypatch, collecting, doc, problem):
+        read = hypercoop.cli._read_game
+        during = []
+
+        def watched(text):
+            during.append(gc.isenabled())
+            return read(text)
+
+        monkeypatch.setattr(hypercoop.cli, "_read_game", watched)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if problem is None:
+                parse_game(json.dumps(doc))
+            else:
+                with pytest.raises(DocumentError, match=problem):
+                    parse_game(json.dumps(doc))
+            assert (during, gc.isenabled()) == ([False], collecting)
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_invalid_json(self):
         with pytest.raises(DocumentError, match="invalid JSON"):
@@ -1267,3 +1294,142 @@ class TestParserReuse:
         shared = [self.run(capsys, argv) for argv in calls]
         monkeypatch.setattr(hypercoop.cli, "_parser", build_parser)
         assert [self.run(capsys, argv) for argv in calls] == shared
+
+
+def command_parsers(parser) -> dict:
+    """The parser's commands and their own parsers, read off its actions."""
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def sample_values(action) -> tuple[list[str], list[str]]:
+    """(values the option's type and choices take, values they refuse)."""
+    if action.choices is not None:
+        return list(action.choices), ["nope", "", action.choices[0].upper()]
+    return ["1", "3", "24", "4300", "007"], ["0", "x", "1.5", "", "4301", " "]
+
+
+def flat(pairs) -> list[str]:
+    return [word for pair in pairs for word in pair]
+
+
+def argv_corpus(parser, rng: random.Random) -> list[list[str]]:
+    """Command lines generated from the parser's own actions: every command
+    with subsets and orders of its options at valid values, each refused
+    value, abbreviations, ``=`` forms, help, values starting with ``-``,
+    missing and extra positionals, a repeated option, an option with no
+    value, ``--`` and unknown options."""
+    corpus = [[], ["-h"], ["--help"], ["valu", "g.json"], ["-x", "value", "g.json"]]
+    for name, command in command_parsers(parser).items():
+        options = [a for a in command._actions if a.option_strings and a.nargs is None]
+        required = [a for a in options if a.required]
+
+        def pair(action, value=None):
+            valid = sample_values(action)[0]
+            return [action.option_strings[0], rng.choice(valid) if value is None else value]
+
+        def line(pairs, doc="g.json"):
+            at = rng.randrange(len(pairs) + 1)
+            return [name, *flat(pairs[:at]), doc, *flat(pairs[at:])]
+
+        base = [pair(a) for a in required]
+        for mask in range(1 << len(options)):
+            chosen = [a for j, a in enumerate(options) if mask >> j & 1]
+            for _ in range(2):
+                pairs = [pair(a) for a in chosen]
+                rng.shuffle(pairs)
+                corpus.append(line(pairs))
+                corpus.append([name, "g.json", *flat(pairs)])
+        for action in options:
+            valid, refused = sample_values(action)
+            option = action.option_strings[0]
+            others = [p for p in base if p[0] != option]
+            corpus += [line([*others, pair(action, v)]) for v in valid + refused]
+            corpus += [
+                line([*others, [option[:cut], valid[0]]]) for cut in range(3, len(option))
+            ]
+            corpus.append(line([*others, [f"{option}={valid[0]}"]]))
+            corpus.append([name, "g.json", *flat(others), f"{option}={valid[0]}"])
+            corpus.append(line([*others, pair(action, "-1")]))
+            corpus.append(line([*others, pair(action, "--format")]))
+            corpus.append(line([*others, pair(action, valid[0]), pair(action, valid[-1])]))
+            corpus.append(line([*others, pair(action, refused[0]), pair(action, valid[0])]))
+            corpus.append(line([*others, pair(action, valid[0]), pair(action, refused[0])]))
+            corpus.append([name, "g.json", *flat(others), option])
+        corpus += [
+            [name, *flat(base)],
+            line(base, "-g.json"),
+            line(base, "-1"),
+            line(base, "-"),
+            line(base, ""),
+            [*line(base), "h.json"],
+            [name, "g.json", "h.json", *flat(base)],
+            [*line(base), "--"],
+            [name, "--", "g.json", *flat(base)],
+            [*line(base), "-h"],
+            [name, "-h"],
+            [*line(base), "--help"],
+            [*line(base), "--bogus", "1"],
+            [*line(base), "--cap-states", "10"],
+            [*line(base), "-k", "2"],
+            line([]),
+        ]
+    return corpus
+
+
+def argv_outcome(parse, argv) -> tuple:
+    """What parsing `argv` gives: the namespace's (name, type, value)
+    triples in order, or the exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = [(k, type(v), v) for k, v in vars(parse(argv)).items()]
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestPlainReader:
+    """`cli._parse` reads a plain line itself and hands every other line to
+    the full parser, and either way gives what argparse gives."""
+
+    @staticmethod
+    def transcript_argvs() -> list[list[str]]:
+        entries = json.loads((Path(__file__).with_name("transcripts") / "cli.json").read_text("utf-8"))
+        return [[entry["argv"][0], entry["document"], *entry["argv"][1:]] for entry in entries]
+
+    def test_every_line_parses_as_a_fresh_parser_parses_it(self):
+        fresh = build_parser()
+        corpus = argv_corpus(fresh, random.Random(40)) + self.transcript_argvs()
+        assert len(corpus) > 1000
+        read = 0
+        for argv in corpus:
+            expected = argv_outcome(fresh.parse_args, argv)
+            assert argv_outcome(hypercoop.cli._parse, argv) == expected, argv
+            read += isinstance(expected[0], list)
+        assert 0 < read < len(corpus)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["value", "--rule", rule] for rule in ("position", "myerson", "shapley")),
+            *(["expand", "--k", str(k)] for k in (1, 2, 3, 4)),
+            *(["verify", "--theorem", theorem] for theorem in ("1", "2", "corollary1", "lemma1")),
+            ["verify", "--theorem", "2", "--k", "3", "--decimals", "3"],
+            *(
+                ["check", "--axiom", axiom]
+                for axiom in ("partial-balanced", "component-efficiency", "balanced-conference")
+            ),
+            ["solve-axioms"],
+            ["solve-axioms", "--cap-subsets", "30"],
+        ],
+    )
+    def test_the_benchmark_lines_never_reach_argparse(self, hub_path, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain line")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        command, *options = argv
+        assert main([command, hub_path, *options, "--format", "json"]) in (0, 1)
+        assert capsys.readouterr().err == ""

@@ -45,6 +45,7 @@ from oracles import (
     block_symmetric_shapley,
     build_agent_form,
     build_uniform,
+    completion_numerators_by_terms,
     completion_weights_by_fractions,
     expanded_worth,
     fold_shapley,
@@ -359,6 +360,14 @@ def test_completion_numerators_are_the_fraction_weights():
         for rho in range(1, 25):
             expected = completion_weights_by_fractions(blocks, rho)
             assert [F(c, rho * unit) for c in completion_numerators(blocks)] == expected
+
+
+def test_the_difference_table_gives_the_term_by_term_numerators():
+    """The forward-difference table against the inclusion-exclusion sum
+    term by term, for every B <= 150 blocks, B = 0 (no blocks, no
+    weights) included."""
+    for blocks in range(151):
+        assert completion_numerators(blocks) == completion_numerators_by_terms(blocks)
 
 
 def expansion_sides(game: HypergraphGame, ks=(1, 2, 3)) -> tuple:
